@@ -67,7 +67,10 @@ def _ensemble_config(args):
 def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
-    return open(path, "w"), True
+    try:
+        return open(path, "w"), True
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _fmt(v, force_complex=False):
@@ -110,7 +113,7 @@ def _need_table(ens):
 def cmd_sample(args):
     cfg = _ensemble_config(args)
     ens = build_ensemble(cfg)
-    indices, logs = sample_replicas(ens, args.replicas, seed=args.seed, mode=args.mode)
+    indices, logs = sample_replicas(ens, args.replicas, seed=args.seed)
     pts = ens.measure.points[indices]
     cplx = ens.measure.is_complex
     header = [f"x_{i}" for i in range(ens.N)] + ["log_density"]
@@ -258,7 +261,6 @@ def build_parser():
     _add_ensemble_opts(p)
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--mode", choices=("auto", "hkpv", "schur"), default="auto")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("moments", help="mean empirical moments to CSV")

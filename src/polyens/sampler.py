@@ -1,15 +1,18 @@
 """Exact chain-rule sampling of polynomial ensembles on atomic measures.
 
-Two equivalent conditional-density routes:
+One route serves every kernel, hermitian or not. After k points
+x_1..x_k the residual kernel
 
-  * 'hkpv'  -- hermitian kernels only: Gram-Schmidt on the functions
-               psi_j = K(x_j, .) keeps an orthonormal family e_1..e_k; the
-               next conditional density is (K(x,x) - sum |e_j(x)|^2)/(N-k).
-  * 'schur' -- any kernel: the ratio of principal minors
-               det K[prefix + x] / det K[prefix], evaluated through the
-               Schur complement K(x,x) - row . M^{-1} . col, with the
-               prefix inverse maintained incrementally (block update) and
-               refactored from scratch every 32 points to bound drift.
+    R_k(x, y) = K(x, y) - sum_{j<k} C_j(x) E_j(y)
+
+is kept in factored form. Conditioning on an atom i with pivot
+s = R_k(i, i) > 0 appends the residual row E_k = R_k(i, .)/sqrt(s) and the
+residual column C_k = R_k(., i)/sqrt(s), an incremental LU of the prefix
+minor at O(k n) per step. The pivot is the minor ratio
+det K[prefix + i] / det K[prefix], and the next conditional density is
+R_k(x, x)/(N - k). For a hermitian kernel C_k = conj(E_k) is not stored and
+the update is Gram-Schmidt on the functions K(x_i, .) (Hough, Krishnapur,
+Peres and Virag 2006).
 
 Every step draws exactly from the conditional density restricted to the
 atoms (categorical draw, no rejection). The chain multiplies to the DPP
@@ -21,12 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalBreakdownError, OrthogonalityError
+from .errors import ConfigError, NumericalBreakdownError, OrthogonalityError
 from .measure import ReferenceMeasure
 from .ensemble import PolynomialEnsemble
 from .rng import DEFAULT_SEED, stream
-
-REFACTOR_EVERY = 32
 
 
 @dataclass
@@ -45,31 +46,23 @@ class PointConfiguration:
 class ConditionalState:
     """Chain-rule state after conditioning on a prefix of points."""
 
-    def __init__(self, ensemble, mode="auto"):
-        if mode == "auto":
-            mode = "hkpv" if ensemble.hermitian else "schur"
-        if mode == "hkpv" and not ensemble.hermitian:
-            raise ValueError("hkpv mode requires a hermitian kernel")
-        if mode not in ("hkpv", "schur"):
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, ensemble):
         self.ensemble = ensemble
-        self.mode = mode
         self.K = ensemble.kernel_matrix()
         self.Kdiag = np.ascontiguousarray(np.real(np.diag(self.K)))
         self.weights = ensemble.measure.weights
         self.selected = []
-        self.heights = []  # ||psihat_k||^2, equivalently the Schur pivots
-        n = len(self.weights)
-        if mode == "hkpv":
-            self._E = np.empty((ensemble.N, n), dtype=self.K.dtype)
-        else:
-            self._Minv = np.zeros((ensemble.N, ensemble.N), dtype=self.K.dtype)
+        self.heights = []  # pivots R_k(x_k, x_k), ratios of consecutive prefix minors
+        shape = (ensemble.N, len(self.weights))
+        self._E = np.empty(shape, dtype=self.K.dtype)
+        self._C = None if ensemble.hermitian else np.empty(shape, dtype=self.K.dtype)
+        self._diag = self.Kdiag.copy()  # R_k(x, x)
 
     @classmethod
-    def from_prefix(cls, ensemble, prefix, mode="auto"):
-        state = cls(ensemble, mode=mode)
-        for idx in prefix:
-            state.push(int(idx))
+    def from_prefix(cls, ensemble, prefix):
+        state = cls(ensemble)
+        state.selected = [int(idx) for idx in prefix]
+        state.refactor()
         return state
 
     @property
@@ -81,45 +74,7 @@ class ConditionalState:
         N, k = self.ensemble.N, self.k
         if k >= N:
             raise ValueError("all N points are already conditioned on")
-        if self.mode == "hkpv":
-            if k:
-                E = self._E[:k]
-                if np.iscomplexobj(E):
-                    vals = self.Kdiag - np.einsum("ji,ji->i", E, E.conj()).real
-                else:
-                    vals = self.Kdiag - np.einsum("ji,ji->i", E, E)
-            else:
-                vals = self.Kdiag.copy()
-        else:
-            if k:
-                sel = self.selected
-                R = self.K[:, sel]
-                C = self.K[sel, :]
-                vals = self.Kdiag - np.real(np.einsum("ij,ji->i", R @ self._Minv[:k, :k], C))
-            else:
-                vals = self.Kdiag.copy()
-        return vals / (N - k)
-
-    def density_at(self, idx):
-        """Conditional density (w.r.t. mu) of the next point at one atom."""
-        N, k = self.ensemble.N, self.k
-        if k >= N:
-            raise ValueError("all N points are already conditioned on")
-        if self.mode == "hkpv":
-            if k:
-                col = self._E[:k, idx]
-                val = self.Kdiag[idx] - float(np.real(np.vdot(col, col)))
-            else:
-                val = self.Kdiag[idx]
-        else:
-            if k:
-                sel = self.selected
-                r = self.K[idx, sel]
-                c = self.K[sel, idx]
-                val = self.Kdiag[idx] - float(np.real(r @ self._Minv[: k, : k] @ c))
-            else:
-                val = self.Kdiag[idx]
-        return val / (N - k)
+        return self._diag / (N - k)
 
     def push(self, idx):
         """Condition on the atom at index idx."""
@@ -127,62 +82,36 @@ class ConditionalState:
         if k >= N:
             raise ValueError("all N points are already conditioned on")
         idx = int(idx)
-        if self.mode == "hkpv":
-            row = self.K[idx, :].copy()
-            if k:
-                coef = np.conj(self._E[:k, idx])
-                row -= coef @ self._E[:k]
-            nrm2 = float(np.real(row[idx]))
-            if nrm2 <= 0:
-                raise NumericalBreakdownError(
-                    f"degenerate Gram-Schmidt pivot {nrm2:.3e} at atom {idx}"
-                )
-            self._E[k] = row / np.sqrt(nrm2)
-            self.heights.append(nrm2)
+        E = self._E[:k]
+        if self._C is None:
+            row = self.K[idx, :] - np.conj(E[:, idx]) @ E
         else:
-            if k:
-                sel = self.selected
-                Minv = self._Minv[:k, :k]
-                c = self.K[sel, idx]
-                r = self.K[idx, sel]
-                u = Minv @ c
-                v = r @ Minv
-                S = self.K[idx, idx] - r @ u
-                if float(np.real(S)) <= 0:
-                    raise NumericalBreakdownError(
-                        f"degenerate prefix minor ratio {S!r} at atom {idx}"
-                    )
-                self._Minv[:k, :k] = Minv + np.outer(u, v) / S
-                self._Minv[:k, k] = -u / S
-                self._Minv[k, :k] = -v / S
-                self._Minv[k, k] = 1.0 / S
-                self.heights.append(float(np.real(S)))
-            else:
-                d = self.K[idx, idx]
-                if float(np.real(d)) <= 0:
-                    raise NumericalBreakdownError(f"K(x,x) <= 0 at atom {idx}")
-                self._Minv[0, 0] = 1.0 / d
-                self.heights.append(float(np.real(d)))
-            self.selected.append(idx)
-            if self.k % REFACTOR_EVERY == 0:
-                self.refactor()
-            return
+            row = self.K[idx, :] - self._C[:k, idx] @ E
+        pivot = float(np.real(row[idx]))
+        if pivot <= 0:
+            raise NumericalBreakdownError(f"degenerate pivot {pivot:.3e} at atom {idx}")
+        root = np.sqrt(pivot)
+        self._E[k] = row / root
+        if self._C is None:
+            col = np.conj(self._E[k])
+        else:
+            col = (self.K[:, idx] - E[:, idx] @ self._C[:k]) / root
+            self._C[k] = col
+        self._diag -= np.real(col * self._E[k])
+        self.heights.append(pivot)
         self.selected.append(idx)
 
     def refactor(self):
-        """Rebuild the prefix inverse from scratch (schur mode)."""
-        if self.mode != "schur" or not self.selected:
-            return
-        sel = self.selected
-        sub = self.K[np.ix_(sel, sel)]
-        try:
-            self._Minv[: len(sel), : len(sel)] = np.linalg.inv(sub)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError(f"prefix minor is singular: {exc}") from exc
+        """Rebuild the factors of the current prefix from K by replaying push."""
+        prefix = self.selected
+        self.selected, self.heights = [], []
+        self._diag = self.Kdiag.copy()
+        for idx in prefix:
+            self.push(idx)
 
     def base_times_height_check(self):
         """Relative gap between det[K(x_i, x_j)] on the prefix and the
-        product of the recorded pivots ||psihat_k||^2."""
+        product of the recorded pivots."""
         if not self.selected:
             return 0.0
         sub = self.K[np.ix_(self.selected, self.selected)]
@@ -193,17 +122,16 @@ class ConditionalState:
         return abs(float(np.expm1(logdet - logprod)))
 
 
-def conditional_density(ensemble, prefix, mode="auto"):
+def conditional_density(ensemble, prefix):
     """Density vector (over atoms, w.r.t. mu) of the next point given a
     prefix of atom indices."""
-    return ConditionalState.from_prefix(ensemble, prefix, mode=mode).density_all()
+    return ConditionalState.from_prefix(ensemble, prefix).density_all()
 
 
-def sample(ensemble, rng=None, mode="auto", check_normalization=False):
+def sample(ensemble, rng=None, check_normalization=False):
     """One exact draw of the N-point configuration."""
     rng = stream() if rng is None else rng
-    state = ConditionalState(ensemble, mode=mode)
-    return _drive(state, rng, check_normalization)
+    return _drive(ConditionalState(ensemble), rng, check_normalization)
 
 
 def _drive(state, rng, check_normalization=False):
@@ -230,47 +158,44 @@ def _worker_count():
     try:
         return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ConfigError(f"POLYENS_THREADS must be an integer, got {raw!r}") from None
 
 
-def _run_chunk(ensemble, seed, replicas, mode, statistic):
-    stats = []
-    rows = []
+def _run_chunk(ensemble, seed, replicas):
+    rows = np.empty((len(replicas), ensemble.N), dtype=int)
     logs = np.empty(len(replicas))
     for i, r in enumerate(replicas):
-        cfg = sample(ensemble, rng=stream(seed, r), mode=mode)
+        cfg = sample(ensemble, rng=stream(seed, r))
+        rows[i] = cfg.indices
         logs[i] = cfg.log_density
-        if statistic is None:
-            rows.append(cfg.indices)
-        else:
-            stats.append(statistic(cfg.points))
-    if statistic is None:
-        return np.asarray(rows), logs
-    return np.asarray(stats), logs
+    return rows, logs
 
 
-def sample_replicas(ensemble, n_replicas, seed=DEFAULT_SEED, mode="auto", statistic=None):
+def sample_replicas(ensemble, n_replicas, seed=DEFAULT_SEED, statistic=None):
     """n_replicas independent draws; replica r uses stream(seed, r), so the
     result is reproducible and independent of worker fan-out.
 
     Returns (values, log_densities): values is the (replicas, N) index
-    matrix, or the per-replica statistic array when statistic is given.
-    POLYENS_THREADS > 1 fans chunks out over processes.
+    matrix, or the per-replica statistic of the drawn points when statistic
+    is given. POLYENS_THREADS > 1 fans the draws out over processes; the
+    statistic always runs in the calling process, so any callable works.
     """
     workers = min(_worker_count(), max(1, n_replicas))
     todo = np.arange(n_replicas)
     if workers == 1 or n_replicas < 4:
-        return _run_chunk(ensemble, seed, todo, mode, statistic)
-    import concurrent.futures
+        rows, logs = _run_chunk(ensemble, seed, todo)
+    else:
+        import concurrent.futures
 
-    chunks = np.array_split(todo, workers)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(_run_chunk, *zip(*[(ensemble, seed, c, mode, statistic) for c in chunks]))
-        )
-    values = np.concatenate([p[0] for p in parts])
-    logs = np.concatenate([p[1] for p in parts])
-    return values, logs
+        chunks = np.array_split(todo, workers)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_chunk, [ensemble] * workers, [seed] * workers, chunks))
+        rows = np.concatenate([p[0] for p in parts])
+        logs = np.concatenate([p[1] for p in parts])
+    if statistic is None:
+        return rows, logs
+    points = ensemble.measure.points
+    return np.asarray([statistic(points[r]) for r in rows]), logs
 
 
 # -- spectral thinning -------------------------------------------------------

@@ -96,6 +96,19 @@ def subset_pmf(kernel, weights, N):
     return out
 
 
+def conditional_by_minors(kernel, prefix):
+    """Minor ratio det K[prefix + x] / det K[prefix] at every atom x, one
+    determinant per atom. Divided by N - len(prefix) it is the chain rule's
+    next-point density."""
+    prefix = list(prefix)
+    base = np.linalg.det(kernel[np.ix_(prefix, prefix)])
+    out = np.empty(len(kernel))
+    for x in range(len(kernel)):
+        S = prefix + [x]
+        out[x] = np.real(np.linalg.det(kernel[np.ix_(S, S)]) / base)
+    return out
+
+
 def gue_matrix_spectra(N, replicas, rng):
     """Eigenvalues of GUE matrices scaled so the spectrum fills [-2, 2]:
     the matrix-model route to the same point process."""

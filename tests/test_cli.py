@@ -144,6 +144,7 @@ def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["sample"]) == 1
     assert main(["frobnicate"]) == 1
+    assert main(["sample", "--ensemble", "gue", "--N", "3", "--mode", "schur"]) == 1
     capsys.readouterr()
 
 
@@ -152,6 +153,13 @@ def test_model_errors_exit_2(tmp_path, capsys):
     assert main(["moments", "--ensemble", str(tmp_path / "missing.json")]) == 2
     assert main(["gap", "--ensemble", "gue"]) == 2  # shorthand without --N
     capsys.readouterr()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["moments", "--ensemble", "gue", "--N", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("polyens: error:")
 
 
 def test_version_exits_0(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from polyens import (
     ConditionalState,
+    ConfigError,
     OrthogonalityError,
     PolynomialEnsemble,
     SpectralData,
@@ -51,28 +52,56 @@ def test_conditionals_normalize(e3):
         assert d.min() > -1e-12
 
 
-def test_hkpv_and_schur_agree(e3):
-    for prefix in ([], [0], [5], [5, 11]):
-        dh = conditional_density(e3, prefix, mode="hkpv")
-        ds = conditional_density(e3, prefix, mode="schur")
-        assert np.max(np.abs(dh - ds)) < 1e-12
+def chain_ensembles():
+    """The hermitian e3, a tilted e2, and a tilted e3: with N = 3 the
+    residual row and column of a second point enter the conditionals."""
+    e3 = cheb_ensemble(3, 16)
+    tilted = [
+        cheb_ensemble(2, 4, pad=1).tilt_nonorthogonal(
+            np.array([[0.05, 0.0], [0.0, 0.05]]), validate=True
+        ),
+        e3.tilt_nonorthogonal(np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 0.05]]), validate=True),
+    ]
+    assert not any(e.hermitian for e in tilted)
+    return [e3] + tilted
 
 
-def test_hkpv_and_schur_same_heights(e3):
-    sh = ConditionalState(e3, mode="hkpv")
-    ss = ConditionalState(e3, mode="schur")
-    for idx in (4, 12, 7):
-        sh.push(idx)
-        ss.push(idx)
-    assert np.allclose(sh.heights, ss.heights, rtol=1e-11)
+def test_conditionals_match_minor_ratios():
+    for ens in chain_ensembles():
+        K = ens.kernel_matrix()
+        for prefix in ([], [0], [3], [3, 1]):
+            if len(prefix) >= ens.N:
+                continue
+            want = oracles.conditional_by_minors(K, prefix) / (ens.N - len(prefix))
+            assert np.max(np.abs(conditional_density(ens, prefix) - want)) < 1e-12
 
 
-def test_hkpv_refuses_nonhermitian(e2):
-    tilted = e2.tilt_nonorthogonal(np.array([[0.05], [0.02]]))
-    with pytest.raises(ValueError):
-        ConditionalState(tilted, mode="hkpv")
-    # auto falls back to the minor chain rule
-    assert ConditionalState(tilted).mode == "schur"
+def test_heights_match_consecutive_minor_ratios():
+    for ens in chain_ensembles():
+        K = ens.kernel_matrix()
+        order = [3, 0, 2][: ens.N]
+        state = ConditionalState(ens)
+        for idx in order:
+            state.push(idx)
+        want = [oracles.conditional_by_minors(K, order[:k])[order[k]] for k in range(ens.N)]
+        assert np.allclose(state.heights, want, rtol=1e-11)
+
+
+def test_minor_ratio_draw_matches_sample():
+    # a draw driven by the oracle conditionals consumes the same stream
+    for ens in chain_ensembles():
+        K = ens.kernel_matrix()
+        for r in range(8):
+            cfg = sample(ens, rng=stream(31, r))
+            rng = stream(31, r)
+            prefix, logp = [], 0.0
+            for k in range(ens.N):
+                d = oracles.conditional_by_minors(K, prefix) / (ens.N - k)
+                idx = ens.measure.sample_categorical(d, rng)
+                logp += np.log(d[idx])
+                prefix.append(idx)
+            assert prefix == cfg.indices.tolist()
+            assert abs(logp - cfg.log_density) <= 1e-10 * max(1.0, abs(logp))
 
 
 def test_chain_rule_reproduces_joint_density(e3):
@@ -164,7 +193,8 @@ from polyens import classical_table, equilibrium_measure, PolynomialEnsemble, sa
 t = classical_table("chebyshev", 2, pad=1)
 e = PolynomialEnsemble.from_table(t, equilibrium_measure(-1, 1, 8), N=2)
 idx, logs = sample_replicas(e, 8, seed=123)
-print(idx.tolist())
+sums, _ = sample_replicas(e, 8, seed=123, statistic=lambda p: float(np.sum(p)))
+print(idx.tolist(), logs.tolist(), sums.tolist())
 """
 
 
@@ -179,6 +209,12 @@ def test_worker_fanout_matches_serial():
         assert r.returncode == 0, r.stderr
         outs.append(r.stdout)
     assert outs[0] == outs[1]
+
+
+def test_worker_count_must_be_an_integer(e3, monkeypatch):
+    monkeypatch.setenv("POLYENS_THREADS", "two")
+    with pytest.raises(ConfigError):
+        sample_replicas(e3, 4, seed=1)
 
 
 def test_spectral_data_validation(e3):
