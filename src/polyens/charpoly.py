@@ -2,7 +2,10 @@
 
 The degree-N average characteristic polynomial of an ensemble equals the
 characteristic polynomial of the N x N section [<x P_j, Q_i>], so its zeros
-are that section's eigenvalues. The zero-set's moments track the mean
+are that section's eigenvalues. The eigensolve is the only dense step: the
+trace of the l-th section power, which cross-checks the zeros' power sums,
+is the weight of the l-step loops that stay below N, counted by the same
+banded walk as the mean moments. The zero-set's moments track the mean
 empirical moments with an O(1/N) gap controlled by coefficients in a window
 around index N.
 """
@@ -14,7 +17,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import NumericalBreakdownError
 from .measure import ReferenceMeasure
-from .recurrence import hessenberg_matrix, mean_moment
+from .recurrence import _walks, hessenberg_matrix, mean_moment
 
 POWER_SUM_TOL = 1e-8
 
@@ -22,7 +25,8 @@ POWER_SUM_TOL = 1e-8
 @dataclass
 class ZeroSet:
     """Zeros of the average characteristic polynomial with their power sums
-    p_l = sum_i z_i^l, cross-checked against traces of matrix powers."""
+    p_l = sum_i z_i^l, cross-checked against the section traces, i.e. the
+    weight of the l-step loops below N that the banded walk counts."""
 
     zeros: np.ndarray
     power_sums: np.ndarray  # index l = 0..lmax
@@ -44,25 +48,18 @@ def zeros(table, lmax=8):
     which is exact; otherwise eigenvalues would be polluted by the
     O(eps^(1/N)) sensitivity of a nilpotent matrix.
     """
-    N = table.N
-    H = hessenberg_matrix(table, N)
+    N, q = table.N, table.q
     if table.form == "op":
-        if N == 1:
-            zs = np.array([float(H[0, 0])])
-        else:
-            zs = eigvalsh_tridiagonal(np.diag(H).copy(), np.diag(H, -1).copy())
-    elif np.count_nonzero(np.triu(H, 1)) == 0:
-        zs = np.diag(H).copy()
+        zs = eigvalsh_tridiagonal(table.b[:N], table.a[: N - 1])
+    elif not np.any(table.c[:N, 2:]):  # no down steps: a triangular section
+        zs = table.c[:N, 1].copy()
     else:
-        zs = np.linalg.eigvals(H)
+        zs = np.linalg.eigvals(hessenberg_matrix(table, N))
     order = np.argsort(zs.real + 1e-12 * np.abs(zs.imag))
     zs = zs[order]
     ps = np.array([np.sum(zs**l) for l in range(lmax + 1)])
-    # cross-check power sums against traces of section powers
-    M = np.eye(N, dtype=H.dtype)
     for l in range(1, lmax + 1):
-        M = M @ H
-        tr = np.trace(M)
+        tr = np.sum(_walks(table, l, np.arange(N), N - 1)[q * l])
         if abs(ps[l] - tr) > POWER_SUM_TOL * max(1.0, abs(tr)):
             raise NumericalBreakdownError(
                 f"eigenvalue power sum p_{l}={ps[l]!r} disagrees with "

@@ -27,6 +27,7 @@ coefficient on the step up and ``j = 0..q`` the steps down.
 
 import hashlib
 import json
+import numbers
 
 import numpy as np
 
@@ -42,6 +43,15 @@ CLASSICAL_NAMES = ("gue", "chebyshev", "uniform-circle", "circle")
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _integer(value, what, least=None):
+    """An integer field, at least `least`; null, arrays, strings, booleans
+    and fractional numbers are config errors."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    _require(whole and not isinstance(value, bool), f"{what} must be an integer, got {value!r}")
+    _require(least is None or value >= least, f"{what} must be >= {least}")
+    return int(value)
 
 
 def _as_dict(obj, what):
@@ -82,19 +92,19 @@ def build_table(cfg, N=None):
         _require("a" in cfg, "op table needs an 'a' array")
         a = np.asarray(cfg["a"], dtype=float)
         b = np.asarray(cfg.get("b", np.zeros(a.size)), dtype=float)
-        n = int(cfg.get("N", N if N is not None else a.size))
-        _require(n >= 1, "table N must be >= 1")
+        n = _integer(cfg.get("N", N if N is not None else a.size), "table N", 1)
         return op_table(a, b, n)
     _require("q" in cfg and "c" in cfg, "banded table needs 'q' and 'c'")
-    q = int(cfg["q"])
-    _require(len(cfg["c"]) > 0, "banded table needs at least one 'c' entry")
-    K = int(cfg.get("K", max(int(e[0]) for e in cfg["c"])))
-    _require(q >= 0 and K >= 0, "banded table needs q >= 0 and K >= 0")
+    q = _integer(cfg["q"], "banded table q", 0)
+    _require(isinstance(cfg["c"], list) and len(cfg["c"]) > 0, "banded table needs at least one 'c' entry")
+    for entry in cfg["c"]:
+        _require(isinstance(entry, list) and len(entry) in (3, 4), "banded 'c' entries are [k, j, value] or [k, j, re, im]")
+    rows = [_integer(e[0], "banded 'c' row") for e in cfg["c"]]
+    K = _integer(cfg.get("K", max(rows)), "banded table K", 0)
     c = np.zeros((K + 1, q + 2))
     complex_seen = False
     for entry in cfg["c"]:
-        _require(isinstance(entry, list) and len(entry) in (3, 4), "banded 'c' entries are [k, j, value] or [k, j, re, im]")
-        k, j = int(entry[0]), int(entry[1])
+        k, j = _integer(entry[0], "banded 'c' row"), _integer(entry[1], "banded 'c' step")
         _require(0 <= k <= K, f"banded 'c' row {k} outside 0..{K}")
         _require(-1 <= j <= q, f"banded 'c' step {j} outside -1..{q}")
         val = complex(entry[2], entry[3]) if len(entry) == 4 else float(entry[2])
@@ -103,8 +113,7 @@ def build_table(cfg, N=None):
         if complex_seen and not np.iscomplexobj(c):
             c = c.astype(complex)
         c[k, j + 1] = val
-    n = int(cfg.get("N", N if N is not None else K + 1))
-    _require(n >= 1, "table N must be >= 1")
+    n = _integer(cfg.get("N", N if N is not None else K + 1), "table N", 1)
     return banded_table(c, q, n)
 
 
@@ -120,35 +129,35 @@ def build_ensemble(cfg):
         name = cfg["classical"]
         _require(name in CLASSICAL_NAMES, f"unknown classical ensemble {name!r}")
         _require("N" in cfg, "classical ensemble needs 'N'")
-        N = int(cfg["N"])
-        _require(N >= 1, "ensemble N must be >= 1")
+        N = _integer(cfg["N"], "ensemble N", 1)
+        default_nodes = 256 if name in ("gue", "chebyshev") else max(4 * N, 64)
+        nodes = _integer(cfg.get("nodes", default_nodes), "nodes")
         kwargs = {}
         if "alpha" in cfg:
             kwargs["alpha"] = float(cfg["alpha"])
         if "beta" in cfg:
             kwargs["beta"] = float(cfg["beta"])
-        table = classical_table(name, N, pad=int(cfg.get("pad", 8)), **kwargs)
+        table = classical_table(name, N, pad=_integer(cfg.get("pad", 8), "pad"), **kwargs)
         if name == "gue":
-            measure = named_measure("scaled-hermite", N=N, nodes=int(cfg.get("nodes", 256)))
+            measure = named_measure("scaled-hermite", N=N, nodes=nodes)
         elif name == "chebyshev":
             measure = named_measure(
                 "chebyshev-arcsine",
                 alpha=kwargs.get("alpha", -1.0),
                 beta=kwargs.get("beta", 1.0),
-                nodes=int(cfg.get("nodes", 256)),
+                nodes=nodes,
             )
         else:
-            measure = named_measure("uniform-circle", n=int(cfg.get("nodes", max(4 * N, 64))))
+            measure = named_measure("uniform-circle", n=nodes)
         return PolynomialEnsemble.from_table(table, measure, N=N, name=name)
     _require("measure" in cfg, "ensemble needs 'classical', 'measure', or 'base'")
     measure = build_measure(cfg["measure"])
     if "table" in cfg:
-        table = build_table(cfg["table"], N=int(cfg["N"]) if "N" in cfg else None)
-        return PolynomialEnsemble.from_table(table, measure, N=int(cfg.get("N", table.N)))
+        N = _integer(cfg["N"], "ensemble N") if "N" in cfg else None
+        return PolynomialEnsemble.from_table(build_table(cfg["table"], N=N), measure, N=N)
     _require("N" in cfg, "ensemble needs 'N'")
-    N = int(cfg["N"])
-    _require(N >= 1, "ensemble N must be >= 1")
-    table = table_from_measure(measure, N, pad=int(cfg.get("pad", 8)))
+    N = _integer(cfg["N"], "ensemble N", 1)
+    table = table_from_measure(measure, N, pad=_integer(cfg.get("pad", 8), "pad"))
     return PolynomialEnsemble.from_table(table, measure, N=N)
 
 

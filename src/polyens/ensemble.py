@@ -17,6 +17,7 @@ from .errors import (
     EvaluationError,
     NegativityError,
     PositivityViolationError,
+    RankError,
 )
 from .measure import NEGATIVITY_TOL
 from .recurrence import eval_polynomials, table_from_measure
@@ -47,6 +48,9 @@ class PolynomialEnsemble:
         self.N = int(N) if N is not None else len(basis)
         if not 0 <= self.N <= len(basis):
             raise ValueError("N exceeds available basis rows")
+        atoms = np.unique(measure.points).size
+        if self.N > atoms:
+            raise RankError(f"N={self.N} points need {self.N} distinct atoms; the measure has {atoms}")
         if Q_vals is not None:
             Q_vals = np.asarray(Q_vals)
             if Q_vals.shape != (self.N, len(measure)):

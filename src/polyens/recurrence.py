@@ -11,10 +11,11 @@ family. Two storage forms:
 
 Powers <x^l P_k, Q_m> are sums over oriented lattice paths (0,k) -> (l,m)
 whose steps rise by at most one and fall by at most q, each path weighted by
-the product of its edge coefficients. We never enumerate paths: l banded
-matrix-vector applications on a window of ordinates compute the same sum.
-Indices run over 0..N+pad; access past the pad raises instead of
-extrapolating.
+the product of its edge coefficients. We never enumerate paths: one banded
+walk, `_walks`, carries the path weights from many starting ordinates at
+once, and every table query here and in the variance and zero-set modules
+(moments, traces of sections, escape sums) reads its result. Indices run
+over 0..N+pad; access past the pad raises instead of extrapolating.
 """
 
 import numpy as np
@@ -54,6 +55,7 @@ class RecurrenceTable:
             self.a = a
             self.b = b
             self.q = 1
+            self._steps = np.column_stack((a, b, np.concatenate(([0.0], a[:-1]))))
         elif form == "banded":
             c = np.asarray(c)
             if c.ndim != 2 or q is None or c.shape[1] != q + 2:
@@ -67,13 +69,14 @@ class RecurrenceTable:
                 c[k, k + 2:] = 0.0  # target index k-j < 0 does not exist
             self.c = c
             self.q = int(q)
+            self._steps = c
         else:
             raise ValueError(f"unknown table form {form!r}")
 
     @property
     def top(self):
         """Largest stored coefficient index, N + pad."""
-        return (len(self.a) if self.form == "op" else len(self.c)) - 1
+        return len(self._steps) - 1
 
     @property
     def pad(self):
@@ -81,7 +84,7 @@ class RecurrenceTable:
 
     @property
     def is_complex(self):
-        return self.form == "banded" and np.iscomplexobj(self.c)
+        return np.iscomplexobj(self._steps)
 
     def __repr__(self):
         return f"RecurrenceTable({self.form}, N={self.N}, pad={self.pad}, q={self.q})"
@@ -97,13 +100,8 @@ class RecurrenceTable:
                 f"coefficient index {k} exceeds stored range {self.top} "
                 f"(N={self.N}, pad={self.pad}); rebuild with a larger pad"
             )
-        if self.form == "op":
-            if m == k + 1:
-                return float(self.a[k])
-            if m == k:
-                return float(self.b[k])
-            return float(self.a[k - 1])
-        return self.c[k, k - m + 1]
+        out = self._steps[k, k - m + 1]
+        return out if self.is_complex else float(out)
 
     def window_max(self, lo, hi):
         """max |<x P_k, Q_m>| over lo <= k, m <= hi (clipped to the stored
@@ -115,37 +113,10 @@ class RecurrenceTable:
             )
         if hi < lo:
             raise ValueError("empty window")
-        if self.form == "op":
-            best = float(np.max(np.abs(self.b[lo : hi + 1])))
-            if hi > lo:
-                best = max(best, float(np.max(self.a[lo:hi])))
-            return best
-        best = 0.0
-        for k in range(lo, hi + 1):
-            for j in range(-1, self.q + 1):
-                if lo <= k - j <= hi:
-                    best = max(best, abs(self.c[k, j + 1]))
-        return best
-
-    # -- banded application ------------------------------------------------
-
-    def _apply(self, v, lo, hi):
-        """One multiplication-by-x step on the coefficient window [lo, hi]:
-        new[m] = sum_j v[j] <x P_j, Q_m>."""
-        W = hi - lo + 1
-        if self.form == "op":
-            new = v * self.b[lo : hi + 1]
-            if W > 1:
-                new[1:] += v[:-1] * self.a[lo:hi]
-                new[:-1] += v[1:] * self.a[lo:hi]
-            return new
-        new = np.zeros_like(v)
-        for j in range(-1, self.q + 1):
-            i0 = max(0, -j)
-            i1 = min(W, W - j)
-            if i1 > i0:
-                new[i0:i1] += v[i0 + j : i1 + j] * self.c[lo + i0 + j : lo + i1 + j, j + 1]
-        return new
+        k = np.arange(lo, hi + 1)[:, None]
+        m = k - np.arange(-1, self.q + 1)
+        inside = (lo <= m) & (m <= hi)
+        return float(np.max(np.abs(self._steps[lo : hi + 1]), where=inside, initial=0.0))
 
 
 def op_table(a, b, N):
@@ -237,11 +208,43 @@ def table_from_measure(m, N, pad=DEFAULT_PAD):
     return RecurrenceTable(N, "op", a=a, b=b)
 
 
+def _walks(table, ell, starts, ceiling):
+    """Weights of all ell-step lattice paths from each start ordinate.
+
+    out[d + q*ell, i] is the total weight of the paths starts[i] ->
+    starts[i] + d, -q*ell <= d <= ell, that stay at ordinates 0..ceiling.
+    Only the coefficients of those ordinates are read; a ceiling past the
+    stored range raises. Costs O(q^2 ell^2 len(starts)).
+    """
+    if ceiling > table.top:
+        raise CoefficientRangeError(
+            f"{ell}-step paths climb to ordinate {ceiling} but the table stores "
+            f"indices up to {table.top} (N={table.N}, pad={table.pad})"
+        )
+    q = table.q
+    D = (q + 1) * ell + 1
+    steps = np.zeros((q + 2, ceiling + 2), dtype=table._steps.dtype)
+    steps[:, : ceiling + 1] = table._steps[: ceiling + 1].T
+    steps[0, ceiling] = 0.0  # no step up out of the ceiling
+    h = np.asarray(starts) + np.arange(-q * ell, ell + 1)[:, None]
+    h[(h < 0) | (h > ceiling)] = ceiling + 1  # the all-zero column
+    w = steps[:, h]  # w[j + 1, r, i]: weight of step j at ordinate h[r, i]
+    v = np.zeros(h.shape, dtype=steps.dtype)
+    v[q * ell] = 1.0
+    for _ in range(ell):
+        new = np.zeros_like(v)
+        for j in range(-1, q + 1):  # step j moves ordinate h to h - j
+            lo, hi = max(j, 0), D + min(j, 0)
+            new[lo - j : hi - j] += v[lo:hi] * w[j + 1, lo:hi]
+        v = new
+    return v
+
+
 def path_sum_moment(table, ell, k, m):
     """<x^l P_k, Q_m>: total weight of oriented lattice paths (0,k) -> (l,m).
 
-    Computed as l banded applications on the window of ordinates reachable
-    by contributing paths; coefficients outside that window are never read.
+    One banded walk from k, capped at the highest ordinate a contributing
+    path can reach; coefficients above it are never read.
     """
     if ell < 0 or k < 0 or m < 0:
         raise ValueError("ell, k, m must be nonnegative")
@@ -250,27 +253,20 @@ def path_sum_moment(table, ell, k, m):
     q = table.q
     if m > k + ell or m < k - q * ell:
         return 0.0
-    hi = (q * (ell + k) + m) // (q + 1)
-    lo = max(0, (k + q * m - q * ell + q) // (q + 1) - 1)
-    if hi > table.top:
-        raise CoefficientRangeError(
-            f"path_sum_moment(l={ell}, k={k}, m={m}) climbs to ordinate {hi} "
-            f"but the table stores indices up to {table.top}"
-        )
-    dtype = complex if table.is_complex else float
-    v = np.zeros(hi - lo + 1, dtype=dtype)
-    v[k - lo] = 1.0
-    for _ in range(ell):
-        v = table._apply(v, lo, hi)
-    out = v[m - lo]
+    hi = (q * (ell + k) + m) // (q + 1)  # highest ordinate of a path k -> m
+    out = _walks(table, ell, [k], hi)[m - k + q * ell, 0]
     return out if table.is_complex else float(out)
 
 
 def mean_moment(table, ell):
     """(1/N) sum_{k<N} <x^l P_k, Q_k>: the l-th moment of the mean empirical
-    measure, straight from the table."""
-    total = sum(path_sum_moment(table, ell, k, k) for k in range(table.N))
-    return total / table.N
+    measure, straight from the table: the loops of one walk from every k < N."""
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    N, q = table.N, table.q
+    hi = N - 1 + (q * ell) // (q + 1)  # highest ordinate of a loop from N - 1
+    out = np.sum(_walks(table, ell, np.arange(N), hi)[q * ell]) / N
+    return out if table.is_complex else float(out)
 
 
 def hessenberg_matrix(table, size=None):
@@ -284,18 +280,11 @@ def hessenberg_matrix(table, size=None):
         raise CoefficientRangeError(
             f"section size {n} exceeds stored range {table.top}"
         )
-    if table.form == "op":
-        H = np.diag(table.b[:n].copy())
-        if n > 1:
-            off = table.a[: n - 1]
-            H += np.diag(off, 1) + np.diag(off, -1)
-        return H
-    H = np.zeros((n, n), dtype=table.c.dtype)
-    for k in range(n):
-        for j in range(-1, table.q + 1):
-            i = k - j
-            if 0 <= i < n:
-                H[i, k] = table.c[k, j + 1]
+    H = np.zeros((n, n), dtype=table._steps.dtype)
+    k = np.arange(n)
+    for j in range(-1, table.q + 1):
+        ok = (k - j >= 0) & (k - j < n)
+        H[k[ok] - j, k[ok]] = table._steps[k[ok], j + 1]
     return H
 
 

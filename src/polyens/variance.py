@@ -2,11 +2,12 @@
 
 Var[sum_i x_i^l] for a polynomial ensemble equals the total weight of
 lattice paths (0,k) -> (2l,k), k < N, whose midpoint ordinate escapes to
-N or above. We sum the escape block of the l-th Hessenberg section power
-directly: entries (k, m) with k < N <= m, times the return entries. Every
-such loop stays at ordinates in [N-l, N+l-1], so the result depends only
-on that coefficient window; the escaping-path reading is what the tests
-enumerate literally.
+N or above. One banded walk of l steps up from the starts k in [N-l, N)
+and one back down from the ordinates N + i it can reach give both halves;
+the result is the sum over k and i of their products. Every such loop
+stays at ordinates in [N-l, N+l-1], so the result depends only on that
+coefficient window; the escaping-path reading is what the tests enumerate
+literally.
 
 The pair-correlation remainder measure
 
@@ -27,18 +28,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientRangeError
-from .recurrence import eval_polynomials, hessenberg_matrix
+from .recurrence import _walks
 
 
-def _padded_power(table, ell, extra):
-    size = table.N + extra
-    if size - 1 > table.top:
-        raise CoefficientRangeError(
-            f"variance of power {ell} needs coefficients through index "
-            f"{size - 1}; table stores {table.top} (pad >= {extra} required)"
-        )
-    H = hessenberg_matrix(table, size)
-    return np.linalg.matrix_power(H, ell)
+def _escape_sum(table, ell, m):
+    """Weight of the (l+m)-step loops from ordinates k < N whose ordinate
+    k + d after l steps is >= N: up-walks k -> k + d times return walks."""
+    N, q = table.N, table.q
+    ceiling = N - 1 + (q * (ell + m)) // (q + 1)  # max climb of a length l+m loop
+    k0 = max(0, N - ell)
+    up = _walks(table, ell, np.arange(k0, N), ceiling)
+    back = _walks(table, m, np.arange(N, ceiling + 1), ceiling)
+    total = 0.0
+    for d in range(1, min(ell, q * m) + 1):
+        lo = max(k0, N - d)  # k in [lo, N) climbs to k + d >= N, column k + d - N of back
+        total += up[q * ell + d, lo - k0 :] @ back[q * m - d, lo + d - N : d]
+    return float(np.real(total))
 
 
 def variance_power(table, ell):
@@ -48,11 +53,7 @@ def variance_power(table, ell):
     ordinate >= N at half time. Needs pad >= l."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    N = table.N
-    q = table.q
-    A = _padded_power(table, ell, (q * 2 * ell) // (q + 1))
-    out = np.sum(A[:N, N:] * A[N:, :N].T)
-    return float(np.real(out))
+    return _escape_sum(table, ell, ell)
 
 
 def covariance_power(table, ell, m):
@@ -61,13 +62,7 @@ def covariance_power(table, ell, m):
     Needs pad >= max(l, m)."""
     if ell < 1 or m < 1:
         raise ValueError("powers must be >= 1")
-    N = table.N
-    q = table.q
-    extra = (q * (ell + m)) // (q + 1)  # max climb of a length l+m loop
-    A = _padded_power(table, ell, extra)
-    C = A if m == ell else _padded_power(table, m, extra)
-    out = np.sum(A[:N, N:] * C[N:, :N].T)
-    return float(np.real(out))
+    return _escape_sum(table, ell, m)
 
 
 def variance_upper_bound(table, ell):

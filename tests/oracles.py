@@ -41,6 +41,13 @@ def mean_moment_by_paths(table, ell):
     return sum(moment_by_paths(table, ell, k, k) for k in range(N)) / N
 
 
+def section_power_trace(table, ell, size):
+    """trace(H^ell) of the dense size x size section H[i, k] = <x P_k, Q_i>,
+    built entry by entry and raised to the power by dense products."""
+    H = np.array([[table.coeff(k, i) for k in range(size)] for i in range(size)])
+    return np.trace(np.linalg.matrix_power(H, ell))
+
+
 def gap_by_escape(table, ell):
     """N * (mean moment - zero-set moment): total weight of ell-step loops
     below N that visit ordinate >= N. Loops move at most ell, so only

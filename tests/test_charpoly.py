@@ -5,16 +5,20 @@ from polyens import (
     PolynomialEnsemble,
     ZeroSet,
     classical_table,
+    covariance_power,
     equilibrium_measure,
     log_potential,
     mean_measure,
+    mean_moment,
     moment_gap,
     op_table,
     stream,
+    variance_power,
     zeros,
 )
 
 import oracles
+from test_recurrence import TABLE_KINDS, random_table
 
 
 def test_chebyshev_zeros_closed_form():
@@ -42,6 +46,34 @@ def test_power_sums_match_zero_powers():
     for ell in range(1, 7):
         assert np.isclose(zs.power_sums[ell], np.sum(zs.zeros**ell).real, rtol=1e-9, atol=1e-9)
     assert zs.mean_power(2) == zs.power_sums[2] / 12
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_power_sums_match_dense_section_traces(kind, seed):
+    # zeros() raises unless its banded loop count agrees with the power sums
+    t = random_table(kind, 1400 + seed)
+    zs = zeros(t, lmax=5)
+    for ell in range(1, 6):
+        want = oracles.section_power_trace(t, ell, t.N)
+        assert np.isclose(zs.power_sums[ell], want, rtol=1e-9, atol=1e-10)
+
+
+def test_table_algebra_needs_no_dense_powers(monkeypatch):
+    import polyens.charpoly
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense table algebra")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", dense)
+    monkeypatch.setattr(polyens.charpoly, "hessenberg_matrix", dense)
+    t = op_table(np.linspace(0.5, 1.0, 48), np.linspace(-0.2, 0.2, 48), 40)
+    zs = zeros(t, lmax=6)
+    assert len(zs) == 40
+    assert np.isfinite(mean_moment(t, 6))
+    assert variance_power(t, 3) > 0
+    assert np.isfinite(covariance_power(t, 2, 3))
+    assert moment_gap(t, 4, zero_set=zs).gap <= moment_gap(t, 4).bound
 
 
 def test_zero_set_from_plain_array():

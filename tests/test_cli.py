@@ -149,10 +149,19 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_model_errors_exit_2(tmp_path, capsys):
-    assert main(["moments", "--ensemble", '{"classical": "nope", "N": 5}']) == 2
-    assert main(["moments", "--ensemble", str(tmp_path / "missing.json")]) == 2
-    assert main(["gap", "--ensemble", "gue"]) == 2  # shorthand without --N
-    capsys.readouterr()
+    for argv in (
+        ["moments", "--ensemble", '{"classical": "nope", "N": 5}'],
+        ["moments", "--ensemble", str(tmp_path / "missing.json")],
+        ["gap", "--ensemble", "gue"],  # shorthand without --N
+        ["moments", "--ensemble", '{"classical": "gue", "N": null}'],
+        ["moments", "--ensemble", '{"classical": "gue", "N": [3]}'],
+        ["moments", "--ensemble", '{"classical": "gue", "N": 5, "nodes": null}'],
+        ["moments", "--ensemble", '{"classical": "gue", "N": 2.5}'],
+        ["sample", "--ensemble", "gue", "--N", "300"],  # default 256 nodes
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("polyens: error:"), argv
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ from polyens import (
     EvaluationError,
     PolynomialEnsemble,
     PositivityViolationError,
+    RankError,
     classical_table,
     equilibrium_measure,
     scaled_hermite_measure,
@@ -107,6 +108,17 @@ def test_gue_ensemble_defect_small():
     table = classical_table("gue", 30, pad=2)
     ens = PolynomialEnsemble.from_table(table, scaled_hermite_measure(30, 128), N=30)
     assert ens.biorthogonality_defect() < 1e-8
+
+
+def test_more_points_than_atoms_is_a_rank_error():
+    from polyens.config import build_ensemble
+
+    with pytest.raises(RankError):
+        build_ensemble({"classical": "gue", "N": 300})  # default 256 nodes
+    with pytest.raises(RankError):
+        PolynomialEnsemble.from_table(
+            classical_table("chebyshev", 20, pad=2), equilibrium_measure(-1, 1, 16), N=20
+        )
 
 
 def test_tilt_keeps_biorthogonality(cheb3):

@@ -31,15 +31,28 @@ def random_op_table(seed, N=None, pad=5):
     return op_table(a, b, N)
 
 
-def random_banded_table(seed, q, N=None, pad=6):
+def random_banded_table(seed, q, N=None, pad=6, imag=False):
     rng = stream(seed)
     N = N or int(rng.integers(1, 7))
     K = N + pad
     c = rng.uniform(-1.0, 1.0, size=(K + 1, q + 2))
     c[:, 0] = rng.uniform(0.4, 1.2, size=K + 1)  # keep the up step alive
+    if imag:
+        c = c + 1j * rng.uniform(-0.5, 0.5, size=c.shape)
     for k in range(K + 1):
         c[k, k + 2 :] = 0.0  # steps below ordinate 0 are not a thing
     return banded_table(c, q, N)
+
+
+# every storage form the table algebra serves: op, real banded with q = 0, 2
+# and 3, and complex banded
+TABLE_KINDS = ("op", "q0", "q2", "q3", "complex-q2")
+
+
+def random_table(kind, seed, **kw):
+    if kind == "op":
+        return random_op_table(seed, **kw)
+    return random_banded_table(seed, int(kind[-1]), imag=kind.startswith("complex"), **kw)
 
 
 def test_gue_coefficients():
@@ -166,6 +179,39 @@ def test_mean_moment_gue_small_n_by_enumeration():
     t = classical_table("gue", 3, pad=4)
     for ell in range(7):
         assert np.isclose(mean_moment(t, ell), oracles.mean_moment_by_paths(t, ell), rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_mean_moment_matches_enumeration(kind, seed):
+    t = random_table(kind, 1100 + seed)
+    for ell in range(5):
+        want = oracles.mean_moment_by_paths(t, ell)
+        assert np.isclose(mean_moment(t, ell), want, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_window_max_matches_brute_force(kind, seed):
+    t = random_table(kind, 1200 + seed)
+    rng = stream(1300 + seed)
+    for _ in range(6):
+        hi = int(rng.integers(0, t.top + 1))
+        lo = hi - int(rng.integers(0, 5))  # may start below ordinate 0
+        want = max(
+            abs(t.coeff(k, m))
+            for k in range(max(lo, 0), hi + 1)
+            for m in range(max(lo, 0), hi + 1)
+        )
+        assert np.isclose(t.window_max(lo, hi), want, rtol=1e-15, atol=0)
+
+
+def test_mean_moment_needs_pad():
+    # a loop of 2l steps from N-1 climbs to N-1+l; pad 1 stores through N+1
+    t = classical_table("gue", 10, pad=1)
+    assert np.isclose(mean_moment(t, 4), 2.0 + 1.0 / 100, rtol=1e-12)
+    with pytest.raises(CoefficientRangeError):
+        mean_moment(t, 6)
 
 
 def test_mean_moment_chebyshev_second():

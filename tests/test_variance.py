@@ -15,6 +15,7 @@ from polyens import (
     limiting_Q_moment,
     limiting_variance,
     lipschitz_variance_bound,
+    mean_moment,
     op_table,
     stream,
     variance_power,
@@ -75,6 +76,16 @@ def test_covariance_diagonal_and_symmetry():
     t = random_op_table(33, N=5, pad=6)
     assert np.isclose(covariance_power(t, 2, 2), variance_power(t, 2), rtol=1e-12)
     assert np.isclose(covariance_power(t, 1, 3), covariance_power(t, 3, 1), rtol=1e-10)
+
+
+def test_gue_closed_forms_at_large_N():
+    # N = 1e5 is out of reach for a dense (N+pad)^2 section: this pins the
+    # banded route down
+    N = 100_000
+    t = classical_table("gue", N, pad=16)
+    assert np.isclose(mean_moment(t, 4), 2.0 + 1.0 / N**2, rtol=1e-12)
+    assert np.isclose(variance_power(t, 2), 2.0, rtol=1e-12)
+    assert np.isfinite(variance_upper_bound(t, 2))
 
 
 def test_variance_needs_pad():
