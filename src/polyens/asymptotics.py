@@ -1,26 +1,25 @@
 """Limit laws of mean empirical moments for tables with coefficient profiles.
 
-When the coefficients of a table follow smooth shapes, a_k^N ~ a(k/N) and
-b_k^N ~ b(k/N), the mean empirical moments converge to the moments of the
-law of 2 a(U) xi + b(U), with U uniform on [0,1] and xi an independent
-arcsine variable:
+When the coefficients of a table follow smooth shapes, a_j^N(k) ~ a_j(k/N),
+the l-th mean empirical moment converges to the loop count of the table
+frozen at s, integrated over s in [0, 1] (Kuijlaars and Van Assche 1999):
 
-    m_l = sum_m binom(l, 2m) binom(2m, m) integral a(s)^{2m} b(s)^{l-2m} ds.
+    m_l = integral (weight of l-step loops of the constant band a_j(s)) ds.
 
-Constant profiles give the arcsine law of [b-2a, b+2a]; the GUE profile
-a(s) = sqrt(s), b = 0 gives the semicircle (Catalan moments). General
-banded profiles a_j(s) ~ <x P_k, Q_{k-j}> at k ~ sN contribute through
-step-type compositions: all (k_{-1},...,k_q) >= 0 with sum k_j = l and
-sum j k_j = 0.
+One route computes it: the frozen bands at the Gauss-Legendre nodes sit
+side by side in one banded table, and the lattice walk of the recurrence
+module counts their loops. Constant OP profiles give the arcsine law of
+[b-2a, b+2a]; the GUE profile a(s) = sqrt(s), b = 0 gives the semicircle
+(Catalan moments).
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .recurrence import mean_moment
+from .recurrence import _walks, banded_table, mean_moment
 
 GL_NODES = 256
 
@@ -89,23 +88,23 @@ def arcsine_moment(ell, alpha=-1.0, beta=1.0):
     return float(total)
 
 
-def _gl_grid(nodes=GL_NODES):
+@functools.lru_cache(maxsize=None)
+def _gl_grid(nodes):
+    """Gauss-Legendre nodes and weights mapped to [0,1], built once per node
+    count. Every caller shares the arrays, so they are read-only."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0,1]
+    s, w = 0.5 * (x + 1.0), 0.5 * w
+    s.flags.writeable = False
+    w.flags.writeable = False
+    return s, w
 
 
 def mu_ab_moment(profile, ell, nodes=GL_NODES):
-    """l-th moment of the law of 2 a(U) xi + b(U) for an OP profile."""
+    """l-th moment of the law of 2 a(U) xi + b(U) for an OP profile: the
+    banded limit moment at q = 1."""
     if profile.q != 1:
         raise ValueError("mu_ab form needs an OP (q=1) profile")
-    s, w = _gl_grid(nodes)
-    av = profile(-1, s)
-    bv = profile(0, s)
-    total = 0.0
-    for m in range(ell // 2 + 1):
-        coeff = math.comb(ell, 2 * m) * math.comb(2 * m, m)
-        total += coeff * float(np.sum(w * av ** (2 * m) * bv ** (ell - 2 * m)))
-    return total
+    return banded_limit_moment(profile, ell, nodes)
 
 
 def mu_ab_sample(profile, rng, size):
@@ -118,29 +117,23 @@ def mu_ab_sample(profile, rng, size):
 
 
 def banded_limit_moment(profile, ell, nodes=GL_NODES):
-    """Limit of mean empirical moments for a banded profile: sum over step
-    compositions (k_{-1}..k_q) with sum k_j = l, sum j k_j = 0, of the
-    multinomial coefficient times integral prod_j a_j(s)^{k_j} ds."""
-    if ell == 0:
-        return 1.0
+    """Limit of the l-th mean empirical moment for a banded profile: the
+    weight of l-step loops of the band frozen at s, integrated over s.
+
+    Each Gauss-Legendre node gets a block of (q+1) l + 1 rows of its frozen
+    band; a loop that starts at ordinate q l of a block never leaves it, so
+    one walk from every block counts the loops of every node.
+    """
     q = profile.q
     s, w = _gl_grid(nodes)
-    vals = {j: profile(j, s) for j in range(-1, q + 1)}
-    total = 0.0
-    for combo in product(range(ell + 1), repeat=q + 2):
-        if sum(combo) != ell:
-            continue
-        if sum(j * kj for j, kj in zip(range(-1, q + 1), combo)) != 0:
-            continue
-        coeff = math.factorial(ell)
-        for kj in combo:
-            coeff //= math.factorial(kj)
-        integrand = np.ones_like(s)
-        for j, kj in zip(range(-1, q + 1), combo):
-            if kj:
-                integrand = integrand * vals[j] ** kj
-        total += coeff * float(np.sum(w * integrand))
-    return total
+    rows = (q + 1) * ell + 1
+    band = np.empty((nodes, q + 2))
+    for j in range(-1, q + 1):
+        band[:, j + 1] = profile(j, s)
+    table = banded_table(np.repeat(band, rows, axis=0), q, nodes * rows)
+    starts = np.arange(nodes) * rows + q * ell
+    loops = _walks(table, ell, starts, table.top)[q * ell]
+    return float(w @ loops)
 
 
 @dataclass

@@ -54,6 +54,21 @@ def _integer(value, what, least=None):
     return int(value)
 
 
+def _number(value, what):
+    """A real-number field; null, arrays, strings and booleans are config errors."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    _require(real, f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _point(p):
+    """A measure atom: a number, or an [re, im] pair of numbers."""
+    if isinstance(p, list):
+        _require(len(p) == 2, f"atoms point {p!r} must be a number or an [re, im] pair")
+        return complex(_number(p[0], "atoms point re"), _number(p[1], "atoms point im"))
+    return complex(p)
+
+
 def _as_dict(obj, what):
     _require(isinstance(obj, dict), f"{what} config must be a JSON object, got {type(obj).__name__}")
     return obj
@@ -73,11 +88,11 @@ def build_measure(cfg):
             raise ConfigError(f"bad named measure: {exc}") from exc
     if kind == "atoms":
         _require("points" in cfg and "weights" in cfg, "atoms measure needs 'points' and 'weights'")
+        _require(isinstance(cfg["points"], list), "atoms measure 'points' must be an array")
         points = np.asarray(cfg["points"])
         if np.iscomplexobj(points) or any(isinstance(p, list) for p in cfg["points"]):
             # allow [re, im] pairs for circle-like supports
-            pts = [complex(p[0], p[1]) if isinstance(p, list) else complex(p) for p in cfg["points"]]
-            points = np.asarray(pts)
+            points = np.asarray([_point(p) for p in cfg["points"]])
         return atoms_measure(points, np.asarray(cfg["weights"], dtype=float))
     _require("points" in cfg and "density" in cfg, "grid measure needs 'points' and 'density'")
     return grid_measure(np.asarray(cfg["points"], dtype=float), np.asarray(cfg["density"], dtype=float))
@@ -134,9 +149,9 @@ def build_ensemble(cfg):
         nodes = _integer(cfg.get("nodes", default_nodes), "nodes")
         kwargs = {}
         if "alpha" in cfg:
-            kwargs["alpha"] = float(cfg["alpha"])
+            kwargs["alpha"] = _number(cfg["alpha"], "alpha")
         if "beta" in cfg:
-            kwargs["beta"] = float(cfg["beta"])
+            kwargs["beta"] = _number(cfg["beta"], "beta")
         table = classical_table(name, N, pad=_integer(cfg.get("pad", 8), "pad"), **kwargs)
         if name == "gue":
             measure = named_measure("scaled-hermite", N=N, nodes=nodes)

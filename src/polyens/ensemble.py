@@ -162,34 +162,16 @@ class PolynomialEnsemble:
         p0 = 1.0 / np.sqrt(self.measure.total_mass)
         return eval_polynomials(self.table, x, upto, p0=p0)
 
-    def eval_kernel(self, x, y, method="auto"):
+    def eval_kernel(self, x, y):
         """K(x, y) at scalar points.
 
-        Hermitian ensembles with a table evaluate anywhere: 'direct' sums
-        P_k(x) conj(P_k(y)); 'cd' uses the two-term Christoffel-Darboux
-        form a_{N-1} (P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)) / (x - y).
-        'auto' picks 'cd' off the diagonal when available. Non-hermitian
-        kernels evaluate only on atoms of the measure.
+        Hermitian ensembles with a table evaluate anywhere, as the sum of
+        P_k(x) conj(P_k(y)) over k < N. Other kernels evaluate only on atoms
+        of the measure.
         """
-        if not self.hermitian:
+        if not self.hermitian or self.table is None:
             i, j = self.atom_index(x), self.atom_index(y)
             return self.kernel_matrix()[i, j]
-        if self.table is None:
-            i, j = self.atom_index(x), self.atom_index(y)
-            return self.kernel_matrix()[i, j]
-        can_cd = (
-            self.table.form == "op"
-            and self.table.top >= self.N
-            and abs(x - y) > 1e-8 * max(1.0, abs(x), abs(y))
-        )
-        if method == "cd" and not can_cd:
-            raise EvaluationError("CD form needs pad >= 1 and x != y")
-        if method == "cd" or (method == "auto" and can_cd):
-            vx = self.eval_P(x, upto=self.N)
-            vy = self.eval_P(y, upto=self.N)
-            aN = self.table.a[self.N - 1]
-            num = vx[self.N, 0] * vy[self.N - 1, 0] - vx[self.N - 1, 0] * vy[self.N, 0]
-            return float(aN * num / (x - y))
         vx = self.eval_P(x)
         vy = self.eval_P(y)
         out = np.sum(vx[:, 0] * np.conj(vy[:, 0]))
@@ -224,8 +206,8 @@ class PolynomialEnsemble:
         idx = self._as_indices(points)
         if len(idx) == 0:
             return 1.0
-        sub = self.kernel_matrix()[np.ix_(idx, idx)]
-        det = np.linalg.det(sub)
+        sub, sign, logdet = self._minor(idx)
+        det = sign * np.exp(logdet)
         if np.iscomplexobj(sub):
             scale = max(1.0, float(np.max(np.abs(sub))) ** len(idx))
             if abs(det.imag) > 1e-9 * scale:
@@ -236,16 +218,28 @@ class PolynomialEnsemble:
         return float(det)
 
     def log_joint_density(self, points, normalized=True):
-        """(sign, log|det K|) with the log N! normalization subtracted when
-        normalized=True, so exp(...) is the probability density w.r.t. mu^N."""
+        """(sign, log|det K|) of the kernel minor at the points, from the
+        diagonally scaled minor (see _minor), with the log N! normalization
+        subtracted when normalized=True, so exp(...) is the probability
+        density w.r.t. mu^N."""
         idx = self._as_indices(points)
         if len(idx) == 0:
             return 1.0, 0.0
-        sub = self.kernel_matrix()[np.ix_(idx, idx)]
-        sign, logdet = np.linalg.slogdet(sub)
+        _, sign, logdet = self._minor(idx)
         if normalized:
             logdet -= gammaln(len(idx) + 1)
         return (float(np.real(sign)), float(logdet))
+
+    def _minor(self, idx):
+        """The minor K[idx, idx] and (sign, log|det|) of it. Row and column
+        i are divided by sqrt|K_ii| (by 1 where K_ii = 0) before slogdet:
+        the unweighted kernel's diagonal spans many decades on wide
+        supports, and unscaled elimination loses the small entries' digits."""
+        sub = self.kernel_matrix()[np.ix_(idx, idx)]
+        d = np.sqrt(np.abs(np.diagonal(sub)))
+        d[d == 0] = 1.0
+        sign, logdet = np.linalg.slogdet(sub / np.outer(d, d))
+        return sub, sign, logdet + 2.0 * np.sum(np.log(d))
 
     def _as_indices(self, points):
         points = np.atleast_1d(np.asarray(points))
@@ -295,15 +289,12 @@ class PolynomialEnsemble:
         from .rng import stream
 
         rng = rng or stream()
-        K = self.kernel_matrix()
         n = len(self.measure)
         for _ in range(trials):
             k = int(rng.integers(1, self.N + 1))
             idx = rng.choice(n, size=min(k, n), replace=False)
-            sub = K[np.ix_(idx, idx)]
-            minor = np.linalg.det(sub)
-            if np.iscomplexobj(sub):
-                minor = minor.real
+            sub, sign, logdet = self._minor(idx)
+            minor = np.real(sign * np.exp(logdet))
             scale = max(1.0, float(np.max(np.abs(sub))) ** len(idx))
             if minor < -1e-9 * scale:
                 raise PositivityViolationError(

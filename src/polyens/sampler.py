@@ -20,7 +20,7 @@ density: sum of log conditional densities = log det K[points] - log N!.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +50,9 @@ class ConditionalState:
         self.ensemble = ensemble
         self.K = ensemble.kernel_matrix()
         self.Kdiag = np.ascontiguousarray(np.real(np.diag(self.K)))
-        self.weights = ensemble.measure.weights
         self.selected = []
         self.heights = []  # pivots R_k(x_k, x_k), ratios of consecutive prefix minors
-        shape = (ensemble.N, len(self.weights))
+        shape = (ensemble.N, len(self.K))
         self._E = np.empty(shape, dtype=self.K.dtype)
         self._C = None if ensemble.hermitian else np.empty(shape, dtype=self.K.dtype)
         self._diag = self.Kdiag.copy()  # R_k(x, x)
@@ -114,9 +113,8 @@ class ConditionalState:
         product of the recorded pivots."""
         if not self.selected:
             return 0.0
-        sub = self.K[np.ix_(self.selected, self.selected)]
-        sign, logdet = np.linalg.slogdet(sub)
-        if np.real(sign) <= 0:
+        sign, logdet = self.ensemble.log_joint_density(self.selected, normalized=False)
+        if sign <= 0:
             raise OrthogonalityError("prefix determinant is not positive")
         logprod = float(np.sum(np.log(self.heights)))
         return abs(float(np.expm1(logdet - logprod)))
@@ -210,7 +208,6 @@ class SpectralData:
     phi: np.ndarray
     psi: np.ndarray
     measure: ReferenceMeasure
-    validated: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)

@@ -80,6 +80,57 @@ def covariance_by_escape(table, ell, m):
     return total
 
 
+def _gl_grid(nodes):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0,1]
+
+
+def limit_moment_by_compositions(profile, ell, nodes=256):
+    """Limit mean moment of a banded profile by enumerating step counts:
+    every (k_{-1}..k_q) >= 0 with sum k_j = l and sum j k_j = 0 adds its
+    multinomial coefficient times integral prod_j a_j(s)^{k_j} ds."""
+    q = profile.q
+    s, w = _gl_grid(nodes)
+    vals = {j: profile(j, s) for j in range(-1, q + 1)}
+    total = 0.0
+    for combo in itertools.product(range(ell + 1), repeat=q + 2):
+        if sum(combo) != ell:
+            continue
+        if sum(j * kj for j, kj in zip(range(-1, q + 1), combo)) != 0:
+            continue
+        coeff = math.factorial(ell)
+        for kj in combo:
+            coeff //= math.factorial(kj)
+        integrand = np.ones_like(s)
+        for j, kj in zip(range(-1, q + 1), combo):
+            if kj:
+                integrand = integrand * vals[j] ** kj
+        total += coeff * float(np.sum(w * integrand))
+    return total
+
+
+def mu_ab_by_binomials(profile, ell, nodes=256):
+    """l-th moment of 2 a(U) xi + b(U) for an OP profile (xi arcsine):
+    sum_m binom(l, 2m) binom(2m, m) integral a(s)^{2m} b(s)^{l-2m} ds."""
+    s, w = _gl_grid(nodes)
+    av = profile(-1, s)
+    bv = profile(0, s)
+    total = 0.0
+    for m in range(ell // 2 + 1):
+        coeff = math.comb(ell, 2 * m) * math.comb(2 * m, m)
+        total += coeff * float(np.sum(w * av ** (2 * m) * bv ** (ell - 2 * m)))
+    return total
+
+
+def kernel_by_christoffel_darboux(ensemble, x, y):
+    """K(x, y), x != y, of an OP ensemble with pad >= 1 by the two-term
+    Christoffel-Darboux form a_{N-1} (P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)) / (x - y)."""
+    N = ensemble.N
+    vx = ensemble.eval_P(x, upto=N)[:, 0]
+    vy = ensemble.eval_P(y, upto=N)[:, 0]
+    return ensemble.table.a[N - 1] * (vx[N] * vy[N - 1] - vx[N - 1] * vy[N]) / (x - y)
+
+
 def gauss_rule(a, b):
     """Nodes and weights of the measure whose first orthonormal polynomials
     have coefficients (a, b): dense eigendecomposition of the Jacobi matrix."""

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,8 @@ from polyens import (
     op_profile,
     stream,
 )
+
+import oracles
 
 
 def test_catalan_values():
@@ -66,14 +70,47 @@ def random_poly_profile(rng):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_banded_limit_agrees_with_op_route(seed):
-    # the composition sum at q = 1 must reproduce the closed-form route
+    # the loop count at q = 1 must reproduce the binomial closed form
     rng = stream(60 + seed)
     a, b = random_poly_profile(rng)
     p = op_profile(a, b)
     for ell in range(0, 9):
         lhs = banded_limit_moment(p, ell)
-        rhs = mu_ab_moment(p, ell)
+        rhs = oracles.mu_ab_by_binomials(p, ell)
         assert np.isclose(lhs, rhs, rtol=1e-8, atol=1e-12)
+
+
+def random_band_profile(rng, q):
+    """Every step j = -1..q follows a positive quadratic in s, so no
+    composition cancels another and a relative tolerance is meaningful."""
+    c = rng.uniform(0.1, 1.0, size=(q + 2, 3))
+    return CoefficientProfile(
+        {j: (lambda s, c=c[j + 1]: c[0] + c[1] * s + c[2] * s * s) for j in range(-1, q + 1)}
+    )
+
+
+@pytest.mark.parametrize("q", [0, 2, 3])
+def test_banded_limit_matches_composition_sum(q):
+    rng = stream(90 + q)
+    for _ in range(3):
+        p = random_band_profile(rng, q)
+        for ell in range(0, 7):
+            want = oracles.limit_moment_by_compositions(p, ell)
+            assert abs(banded_limit_moment(p, ell) - want) <= 1e-13 * abs(want)
+
+
+def test_banded_limit_matches_composition_sum_wide_band():
+    p = random_band_profile(stream(94), 4)
+    want = oracles.limit_moment_by_compositions(p, 8)
+    assert abs(banded_limit_moment(p, 8) - want) <= 1e-13 * abs(want)
+
+
+def test_banded_limit_cost_is_polynomial_in_band_width():
+    # enumerating step counts takes seconds here; the walk takes milliseconds
+    p = random_band_profile(stream(95), 5)
+    t0 = time.perf_counter()
+    assert banded_limit_moment(p, 10) > 0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_symmetric_banded_profile_has_vanishing_odd_moments():

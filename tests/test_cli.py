@@ -158,6 +158,9 @@ def test_model_errors_exit_2(tmp_path, capsys):
         ["moments", "--ensemble", '{"classical": "gue", "N": 5, "nodes": null}'],
         ["moments", "--ensemble", '{"classical": "gue", "N": 2.5}'],
         ["sample", "--ensemble", "gue", "--N", "300"],  # default 256 nodes
+        ["moments", "--ensemble", '{"measure": {"kind": "atoms", "points": [[1], [2], [3]], "weights": [1, 1, 1]}, "N": 2}'],
+        ["moments", "--ensemble", '{"classical": "gue", "N": 5, "alpha": null}'],
+        ["moments", "--ensemble", '{"measure": {"kind": "atoms", "points": 5, "weights": [1]}, "N": 1}'],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.strip().splitlines()

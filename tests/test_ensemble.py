@@ -41,10 +41,10 @@ def test_eval_kernel_direct_vs_cd(cheb3):
     rng = stream(5)
     for _ in range(100):
         x, y = rng.uniform(-0.99, 0.99, size=2)
-        direct = cheb3.eval_kernel(x, y, method="direct")
-        cd = cheb3.eval_kernel(x, y, method="cd")
+        direct = cheb3.eval_kernel(x, y)
+        cd = oracles.kernel_by_christoffel_darboux(cheb3, x, y)
         assert np.isclose(direct, cd, rtol=1e-10, atol=1e-10)
-    # confluent case goes through the limit branch without blowing up
+    # confluent and nearly confluent points stay finite and continuous
     assert np.isfinite(cheb3.eval_kernel(0.25, 0.25))
     assert np.isclose(
         cheb3.eval_kernel(0.3, 0.3 + 1e-13), cheb3.eval_kernel(0.3, 0.3), rtol=1e-3

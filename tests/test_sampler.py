@@ -22,6 +22,8 @@ from polyens import (
     uniform_circle_measure,
 )
 
+from polyens.config import build_ensemble
+
 import oracles
 
 
@@ -116,6 +118,24 @@ def test_chain_rule_reproduces_joint_density(e3):
     assert sign == 1.0
     assert np.isclose(logp, lg, rtol=1e-10)
     assert state.base_times_height_check() < 1e-9
+
+
+def test_gue_log_density_matches_joint_density():
+    # the kernel diagonal spans 32 to 1e135 here; the joint density's minor
+    # must be scaled by it to agree with the chain rule
+    ens = build_ensemble({"classical": "gue", "N": 100, "nodes": 256})
+    for r in range(30):
+        cfg = sample(ens, rng=stream(1, r))
+        sign, lg = ens.log_joint_density(cfg.indices)
+        assert sign == 1.0
+        assert abs(lg - cfg.log_density) <= 1e-12 * abs(cfg.log_density)
+
+
+def test_gue_prefix_determinant_matches_pivots_at_n200():
+    ens = build_ensemble({"classical": "gue", "N": 200, "nodes": 512})
+    for r in range(10):
+        cfg = sample(ens, rng=stream(1, r))
+        assert ConditionalState.from_prefix(ens, cfg.indices).base_times_height_check() < 1e-9
 
 
 def test_sample_is_deterministic_per_stream(e3):
