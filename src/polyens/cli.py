@@ -7,8 +7,8 @@ data are emitted as CSV with one record per row after a single ``#``
 provenance comment; scalar reports are JSON.  Outputs carry no
 timestamps, so a fixed seed reproduces files byte for byte.
 
-Exit codes: 0 ok, 1 usage, 2 config/model/numerical error, 3 acceptance
-failure.
+Exit codes: 0 ok, 1 usage, 2 config/model/numerical error (an unexpected
+exception is reported as ``internal``, also with 2), 3 acceptance failure.
 """
 
 import argparse
@@ -311,6 +311,9 @@ def main(argv=None):
         return EXIT_MODEL
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"polyens: error: {exc}", file=sys.stderr)
+        return EXIT_MODEL
+    except Exception as exc:  # a defect, still reported in the one-line contract
+        print(f"polyens: error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MODEL
 
 

@@ -16,6 +16,7 @@ from scipy.special import gammaln
 from .errors import (
     EvaluationError,
     NegativityError,
+    NumericalBreakdownError,
     PositivityViolationError,
     RankError,
 )
@@ -127,9 +128,18 @@ class PolynomialEnsemble:
         return f"PolynomialEnsemble({self.name}, N={self.N}, {kind}, atoms={len(self.measure)})"
 
     def kernel_matrix(self):
-        """K(x_i, x_j) on all atom pairs, cached."""
+        """K(x_i, x_j) on all atom pairs, cached. Checked finite once, when
+        formed: an overflowing basis product is a NumericalBreakdownError
+        here rather than a non-finite density inside a sampling step."""
         if self._kernel is None:
-            self._kernel = self.P_vals.T @ np.conj(self.q_values)
+            with np.errstate(over="ignore", invalid="ignore"):
+                K = self.P_vals.T @ np.conj(self.q_values)
+            if not np.isfinite(K).all():
+                raise NumericalBreakdownError(
+                    f"kernel of N={self.N} points on {len(self.measure)} atoms "
+                    "is not finite: the basis product overflows"
+                )
+            self._kernel = K
         return self._kernel
 
     def biorthogonality_defect(self):

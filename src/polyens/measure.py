@@ -7,6 +7,8 @@ are exact on polynomials up to degree 2*nodes - 1, so all polynomial
 integrals used elsewhere are exact up to roundoff.
 """
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -14,6 +16,7 @@ from .errors import (
     EvaluationError,
     InvalidIntervalError,
     NegativityError,
+    NumericalBreakdownError,
 )
 
 DEFAULT_NODES = 1024
@@ -105,24 +108,42 @@ class ReferenceMeasure:
         the draw is categorical with p_i proportional to density_i * w_i.
         No rejection step: works for any nonnegative density. Values below
         -NEGATIVITY_TOL * max raise; tiny negatives clamp to zero.
+
+        Each index is one inverse-CDF lookup of one rng.random() uniform,
+        which is the arithmetic and the stream use of
+        rng.choice(n, size=size, p=p). The mass is validated in one pass:
+        its minimum, maximum and sum; the per-atom scan that names a
+        non-finite atom runs only when one of them is not finite.
         """
-        vals = self.values(density) if callable(density) else self._check_values(density)
-        vals = np.real_if_close(vals, tol=1000)
-        if np.iscomplexobj(vals):
-            raise NegativityError("density is complex; cannot sample")
-        mass = vals * self.weights
-        top = mass.max()
-        if top <= 0:
-            raise DegenerateDensityError("density vanishes on every atom")
-        if mass.min() < -NEGATIVITY_TOL * top:
-            i = int(np.argmin(mass))
-            raise NegativityError(
-                f"density at atom x={self.points[i]!r} is {vals[i]:.3e}, "
-                f"below the -{NEGATIVITY_TOL:g} clamp threshold"
-            )
-        mass = np.clip(mass, 0.0, None)
-        p = mass / mass.sum()
-        picked = rng.choice(len(p), size=size, p=p)
+        vals = self.values(density) if callable(density) else np.asarray(density)
+        if vals.shape != self.points.shape or vals.dtype.kind == "c":
+            vals = np.real_if_close(self._check_values(vals), tol=1000)
+            if np.iscomplexobj(vals):
+                raise NegativityError("density is complex; cannot sample")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass = vals * self.weights
+            top = mass.max()
+            low = mass.min()
+            if not (math.isfinite(top) and math.isfinite(low)):
+                self._check_values(vals)
+                where = self.points[~np.isfinite(mass)][0]
+                raise EvaluationError(f"density times weight overflows at atom x={where!r}")
+            if top <= 0:
+                raise DegenerateDensityError("density vanishes on every atom")
+            if low < 0:
+                if low < -NEGATIVITY_TOL * top:
+                    i = int(np.argmin(mass))
+                    raise NegativityError(
+                        f"density at atom x={self.points[i]!r} is {vals[i]:.3e}, "
+                        f"below the -{NEGATIVITY_TOL:g} clamp threshold"
+                    )
+                np.maximum(mass, 0.0, out=mass)
+            total = mass.sum()
+            if not math.isfinite(total):
+                raise NumericalBreakdownError(f"density mass sums to {total!r}; cannot normalize")
+        cdf = (mass / total).cumsum()
+        cdf /= cdf[-1]
+        picked = cdf.searchsorted(rng.random(size), side="right")
         return picked if size is not None else int(picked)
 
 

@@ -17,6 +17,10 @@ Peres and Virag 2006).
 Every step draws exactly from the conditional density restricted to the
 atoms (categorical draw, no rejection). The chain multiplies to the DPP
 density: sum of log conditional densities = log det K[points] - log N!.
+
+Each point is one uniform, drawn as ReferenceMeasure.sample_categorical
+describes; each step validates its mass in one pass, and the kernel is
+checked finite once, when kernel_matrix() forms it.
 """
 
 import os
@@ -56,6 +60,7 @@ class ConditionalState:
         self._E = np.empty(shape, dtype=self.K.dtype)
         self._C = None if ensemble.hermitian else np.empty(shape, dtype=self.K.dtype)
         self._diag = self.Kdiag.copy()  # R_k(x, x)
+        self._real = not np.iscomplexobj(self.K)
 
     @classmethod
     def from_prefix(cls, ensemble, prefix):
@@ -82,21 +87,23 @@ class ConditionalState:
             raise ValueError("all N points are already conditioned on")
         idx = int(idx)
         E = self._E[:k]
-        if self._C is None:
-            row = self.K[idx, :] - np.conj(E[:, idx]) @ E
+        if self._C is not None:
+            row = self.K[idx] - self._C[:k, idx] @ E
         else:
-            row = self.K[idx, :] - self._C[:k, idx] @ E
+            row = self.K[idx] - np.conj(E[:, idx]) @ E
         pivot = float(np.real(row[idx]))
         if pivot <= 0:
             raise NumericalBreakdownError(f"degenerate pivot {pivot:.3e} at atom {idx}")
         root = np.sqrt(pivot)
-        self._E[k] = row / root
-        if self._C is None:
-            col = np.conj(self._E[k])
-        else:
+        e = np.divide(row, root, out=self._E[k])
+        if self._C is not None:
             col = (self.K[:, idx] - E[:, idx] @ self._C[:k]) / root
             self._C[k] = col
-        self._diag -= np.real(col * self._E[k])
+            self._diag -= np.real(col * e)
+        elif self._real:
+            self._diag -= e * e
+        else:
+            self._diag -= np.real(np.conj(e) * e)
         self.heights.append(pivot)
         self.selected.append(idx)
 

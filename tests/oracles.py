@@ -195,3 +195,12 @@ def arcsine_potential(z):
     """log-potential of the arcsine law on [-1, 1] at z outside the cut."""
     u = complex(z)
     return float(-np.log(np.abs(u + np.sqrt(u - 1) * np.sqrt(u + 1)) / 2))
+
+
+def draw_by_choice(measure, density, rng, size=None):
+    """Categorical draw of atom indices with p_i proportional to
+    density_i * w_i, the way the library drew before its inverse-CDF step:
+    clip tiny negatives to zero, normalize, and let Generator.choice draw."""
+    mass = np.clip(np.asarray(density, dtype=float) * measure.weights, 0.0, None)
+    picked = rng.choice(len(mass), size=size, p=mass / mass.sum())
+    return picked if size is not None else int(picked)

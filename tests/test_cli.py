@@ -1,10 +1,12 @@
 """End-to-end checks of the console entry point via main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from polyens import cli
 from polyens.cli import main
 
 
@@ -165,6 +167,36 @@ def test_model_errors_exit_2(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("polyens: error:"), argv
+
+
+def test_kernel_overflow_is_one_error_line(capsys):
+    # GUE N=400 on 1024 nodes: the basis is finite, its kernel product is not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sample", "--ensemble", "gue", "--N", "400", "--nodes", "1024"])
+    assert code == 2
+    assert caught == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("polyens: error: kernel of N=400"), err
+
+
+def test_unexpected_exception_exits_2(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_moments", broken)
+    assert main(["moments", "--ensemble", "gue", "--N", "5"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["polyens: error: internal: KeyError: 'boom'"]
+
+
+def test_interrupt_is_not_mapped(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_moments", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["moments", "--ensemble", "gue", "--N", "5"])
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from polyens import (
     EvaluationError,
+    NumericalBreakdownError,
     PolynomialEnsemble,
     PositivityViolationError,
     RankError,
@@ -119,6 +120,15 @@ def test_more_points_than_atoms_is_a_rank_error():
         PolynomialEnsemble.from_table(
             classical_table("chebyshev", 20, pad=2), equilibrium_measure(-1, 1, 16), N=20
         )
+
+
+def test_overflowing_kernel_is_a_breakdown_error():
+    from polyens.config import build_ensemble
+
+    ens = build_ensemble({"classical": "gue", "N": 400, "nodes": 1024})
+    assert np.isfinite(ens.P_vals).all()  # the basis itself is finite
+    with pytest.raises(NumericalBreakdownError, match="N=400 points on 732 atoms"):
+        ens.kernel_matrix()
 
 
 def test_tilt_keeps_biorthogonality(cheb3):

@@ -7,6 +7,7 @@ from polyens import (
     EvaluationError,
     InvalidIntervalError,
     NegativityError,
+    PolyensError,
     ReferenceMeasure,
     atoms_measure,
     equilibrium_measure,
@@ -16,6 +17,8 @@ from polyens import (
     stream,
     uniform_circle_measure,
 )
+
+import oracles
 
 
 def test_equilibrium_basic():
@@ -195,3 +198,59 @@ def test_sample_categorical_chi_square():
     counts = np.bincount(draws, minlength=16)
     _, pval = scipy.stats.chisquare(counts, 100_000 * p)
     assert pval > 0.01
+
+
+def test_sample_categorical_matches_choice_oracle():
+    # the inverse-CDF draw is Generator.choice's arithmetic on the same
+    # stream: equal indices, bit for bit, for single and batched draws
+    for s in range(400):
+        g = stream(99, s)
+        n = int(g.integers(1, 200))
+        m = atoms_measure(np.arange(n, dtype=float), g.uniform(0.01, 3.0, n))
+        d = g.exponential(size=n) * 10.0 ** float(g.integers(-150, 150))
+        top = int(np.argmax(d))
+        d[g.random(n) < 0.3] = 0.0  # zero-mass atoms
+        if s % 3 == 0:
+            d[top + 1 :] = 0.0  # trailing zero atoms
+        tiny = g.random(n) < 0.1
+        tiny[top] = False
+        d[tiny] = -1e-13 * d[top]  # roundoff negatives, clamped
+        if d.max() <= 0:
+            d[top] = 1.0
+        size = None if s % 2 else int(g.integers(1, 6))
+        got = m.sample_categorical(d, stream(5, s), size=size)
+        want = oracles.draw_by_choice(m, d, stream(5, s), size=size)
+        assert np.array_equal(got, want), s
+        assert isinstance(got, int) == (size is None)
+
+
+def test_sample_categorical_consumes_one_uniform_per_index():
+    m = atoms_measure([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+    for size in (None, 4):
+        rng, ref = stream(3), stream(3)
+        m.sample_categorical(np.array([1.0, 2.0, 3.0]), rng, size=size)
+        ref.random(size)
+        assert rng.random() == ref.random()
+
+
+def _bad_masses():
+    """(density and weights over the atoms 0, 2, 3, 5, error, match)."""
+    ones = [1.0, 1.0, 1.0, 1.0]
+    yield [1.0, np.nan, 2.0, 1.0], ones, EvaluationError, "2.0"
+    yield [1.0, 1.0, np.inf, 1.0], ones, EvaluationError, "3.0"
+    yield [1.0, 1.0, 2.0, -np.inf], ones, EvaluationError, "5.0"
+    yield [1.0, 1e308, 1.0, 1.0], [1.0, 4.0, 1.0, 1.0], EvaluationError, "2.0"  # weight overflows
+    yield [1e308, 1e308, 1e308, 1e308], ones, PolyensError, "mass"  # finite, sum overflows
+    yield [1.0, -0.5, 2.0, 1.0], ones, NegativityError, "2.0"
+    yield [0.0, 0.0, 0.0, 0.0], ones, DegenerateDensityError, "vanishes"
+    yield [1.0, 1.0 + 0.5j, 2.0, 1.0], ones, NegativityError, "complex"
+
+
+def test_sample_categorical_rejects_bad_masses():
+    for dens, weights, err, match in _bad_masses():
+        m = atoms_measure([0.0, 2.0, 3.0, 5.0], weights)
+        for size in (None, 3):
+            rng = stream(4)
+            with pytest.raises(err, match=match):
+                m.sample_categorical(np.array(dens), rng, size=size)
+            assert rng.random() == stream(4).random()  # nothing was drawn

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -8,9 +9,14 @@ import pytest
 from polyens import (
     ConditionalState,
     ConfigError,
+    DegenerateDensityError,
+    EvaluationError,
+    NegativityError,
     OrthogonalityError,
+    PolyensError,
     PolynomialEnsemble,
     SpectralData,
+    atoms_measure,
     classical_table,
     conditional_density,
     equilibrium_measure,
@@ -23,6 +29,7 @@ from polyens import (
 )
 
 from polyens.config import build_ensemble
+from polyens.sampler import _drive
 
 import oracles
 
@@ -104,6 +111,77 @@ def test_minor_ratio_draw_matches_sample():
                 prefix.append(idx)
             assert prefix == cfg.indices.tolist()
             assert abs(logp - cfg.log_density) <= 1e-10 * max(1.0, abs(logp))
+
+
+def test_sample_matches_choice_oracle_chain():
+    # the chain driven step by step through Generator.choice draws the same
+    # points with the same log density from the same stream
+    ensembles = [
+        build_ensemble({"classical": name, "N": 30}) for name in ("gue", "chebyshev", "circle")
+    ]
+    tilt = np.zeros((30, 2))
+    tilt[28, 0] = tilt[29, 1] = 0.01
+    ensembles.append(cheb_ensemble(30, 256, pad=2).tilt_nonorthogonal(tilt, validate=True))
+    assert not ensembles[-1].hermitian
+    for ens in ensembles:
+        for r in range(5):
+            cfg = sample(ens, rng=stream(17, r))
+            rng = stream(17, r)
+            state = ConditionalState(ens)
+            logp = 0.0
+            for _ in range(ens.N):
+                d = state.density_all()
+                idx = oracles.draw_by_choice(ens.measure, d, rng)
+                logp += float(np.log(d[idx]))
+                state.push(idx)
+            assert state.selected == cfg.indices.tolist(), (ens.name, r)
+            assert logp == cfg.log_density, (ens.name, r)
+
+
+def _poisoned_states():
+    """(state, error, match): a sampler state whose residual diagonal has
+    been overwritten so that its next step must refuse to draw."""
+    e3 = cheb_ensemble(3, 16)
+    x = e3.measure.points
+
+    def state(ens=e3):
+        return ConditionalState(ens)
+
+    s = state()
+    s._diag[5] = np.nan
+    yield s, EvaluationError, re.escape(repr(x[5]))
+    s = state()
+    s._diag[9] = np.inf
+    yield s, EvaluationError, re.escape(repr(x[9]))
+    s = state()
+    s._diag[2] = -np.inf
+    yield s, EvaluationError, re.escape(repr(x[2]))
+    # every mass finite (weight 1.5, density diag / 2), their sum is not
+    heavy = PolynomialEnsemble.from_measure(
+        atoms_measure(np.linspace(-1.0, 1.0, 8), np.full(8, 1.5)), 2, pad=1
+    )
+    s = state(heavy)
+    s._diag[:] = 1.7e308
+    yield s, PolyensError, "mass"
+    s = state()
+    s._diag[4] = -0.5 * s._diag.max()
+    yield s, NegativityError, re.escape(repr(x[4]))
+    s = state()
+    s._diag[:] = 0.0
+    yield s, DegenerateDensityError, "vanishes"
+    s = state()
+    s._diag = s._diag.astype(complex)
+    s._diag[7] += 0.5j
+    yield s, NegativityError, "complex"
+
+
+def test_poisoned_state_refuses_to_draw():
+    for state, err, match in _poisoned_states():
+        rng = stream(6)
+        with pytest.raises(err, match=match):
+            _drive(state, rng)
+        assert state.k == 0
+        assert rng.random() == stream(6).random()  # nothing was drawn
 
 
 def test_chain_rule_reproduces_joint_density(e3):
