@@ -4,6 +4,9 @@ Determinantal N-point processes built from biorthogonal polynomial families:
 recurrence tables and lattice-path moment formulas, exact chain-rule
 samplers, average characteristic polynomials, variance identities, and the
 limit laws of mean empirical moments.
+
+Importing the package needs numpy alone; the few functions that call scipy
+import it where they call it.
 """
 
 from .errors import (

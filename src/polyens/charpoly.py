@@ -13,7 +13,6 @@ around index N.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import NumericalBreakdownError
 from .measure import ReferenceMeasure
@@ -50,6 +49,8 @@ def zeros(table, lmax=8):
     """
     N, q = table.N, table.q
     if table.form == "op":
+        from scipy.linalg import eigvalsh_tridiagonal
+
         zs = eigvalsh_tridiagonal(table.b[:N], table.a[: N - 1])
     elif not np.any(table.c[:N, 2:]):  # no down steps: a triangular section
         zs = table.c[:N, 1].copy()

@@ -131,7 +131,7 @@ def cmd_moments(args):
     if ens.hermitian and ens.table is not None:
         vals = [mean_moment(ens.table, ell) for ell in range(1, args.lmax + 1)]
     else:
-        diag = np.diag(ens.kernel_matrix())
+        diag = ens.kernel_diagonal()
         x = ens.measure.points
         w = ens.measure.weights
         vals = [np.sum(x**ell * diag * w) / ens.N for ell in range(1, args.lmax + 1)]

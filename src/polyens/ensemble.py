@@ -10,8 +10,9 @@ P values live on the atoms of the measure; evaluation at arbitrary points
 uses the recurrence when a table is attached.
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     EvaluationError,
@@ -77,13 +78,13 @@ class PolynomialEnsemble:
         basis = eval_polynomials(table, measure.points, upto, p0=p0)
         if table.form == "banded":
             # Q is the dual family inside span(P); for self-dual families
-            # (uniform circle) this is P itself.
+            # (uniform circle) this is P itself and the Gram matrix is never
+            # inverted. A NaN Gram fails the test and goes to the inverse.
             P = basis[:N]
             G = (P * measure.weights) @ P.conj().T
-            A = np.linalg.inv(G).conj().T
-            Q = A @ P
-            if np.max(np.abs(G - np.eye(N))) <= BIORTHOGONALITY_TOL:
-                Q = None  # orthonormal rows: hermitian after all
+            Q = None
+            if not np.max(np.abs(G - np.eye(N))) <= BIORTHOGONALITY_TOL:
+                Q = np.linalg.inv(G).conj().T @ P
             return cls(measure, basis, N=N, Q_vals=Q, table=table, name=name)
         return cls(measure, basis, N=N, table=table, name=name)
 
@@ -142,6 +143,18 @@ class PolynomialEnsemble:
             self._kernel = K
         return self._kernel
 
+    def kernel_diagonal(self):
+        """K(x_i, x_i) at every atom, read from the basis rows in O(N n)
+        without forming the n x n kernel. Checked finite like kernel_matrix."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.einsum("ki,ki->i", self.P_vals, np.conj(self.q_values))
+        if not np.isfinite(d).all():
+            raise NumericalBreakdownError(
+                f"kernel diagonal of N={self.N} points on {len(self.measure)} atoms "
+                "is not finite: the basis product overflows"
+            )
+        return d
+
     def biorthogonality_defect(self):
         """max |<P_i, Q_j> - delta_ij| over i, j < N."""
         if self.N == 0:
@@ -192,7 +205,7 @@ class PolynomialEnsemble:
         against mu. Integrates to 1; tiny negatives clamp, real ones raise."""
         if self.N == 0:
             return np.zeros(len(self.measure))
-        d = np.einsum("ki,ki->i", self.P_vals, np.conj(self.q_values))
+        d = self.kernel_diagonal()
         if np.iscomplexobj(d):
             top = float(np.max(np.abs(d))) or 1.0
             if np.max(np.abs(d.imag)) > 1e-9 * top:
@@ -237,7 +250,7 @@ class PolynomialEnsemble:
             return 1.0, 0.0
         _, sign, logdet = self._minor(idx)
         if normalized:
-            logdet -= gammaln(len(idx) + 1)
+            logdet -= math.lgamma(len(idx) + 1)
         return (float(np.real(sign)), float(logdet))
 
     def _minor(self, idx):

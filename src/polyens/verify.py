@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .rng import DEFAULT_SEED, stream
 from .measure import atoms_measure, equilibrium_measure, scaled_hermite_measure
@@ -73,7 +72,9 @@ def _gauss_from_table(table):
     M = table.top + 1
     d = np.array([table.coeff(j, j) for j in range(M)], dtype=float)
     e = np.array([table.coeff(j, j + 1) for j in range(M - 1)], dtype=float)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(d, e)
+    from scipy.linalg import eigh_tridiagonal
+
+    vals, vecs = eigh_tridiagonal(d, e)
     return atoms_measure(vals, vecs[0] ** 2, name="gauss-nodes")
 
 

@@ -204,3 +204,10 @@ def draw_by_choice(measure, density, rng, size=None):
     mass = np.clip(np.asarray(density, dtype=float) * measure.weights, 0.0, None)
     picked = rng.choice(len(mass), size=size, p=mass / mass.sum())
     return picked if size is not None else int(picked)
+
+
+def log_factorial_by_gammaln(k):
+    """log k! from scipy's log-gamma function."""
+    from scipy.special import gammaln
+
+    return float(gammaln(k + 1))

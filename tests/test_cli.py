@@ -1,13 +1,20 @@
 """End-to-end checks of the console entry point via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyens
 from polyens import cli
 from polyens.cli import main
+from polyens.config import build_ensemble
+from polyens.ensemble import PolynomialEnsemble
 
 
 def read_csv(path):
@@ -75,6 +82,27 @@ def test_moments_config_file_with_N_override(tmp_path):
     _, rows = read_csv(out)
     # m4 pins down N through the 1/N^2 correction
     assert abs(float(rows[3][1]) - (2.0 + 1.0 / 40**2)) < 1e-9
+
+
+def test_moments_tilted_reads_the_kernel_diagonal(tmp_path, monkeypatch):
+    N = 12
+    tilt = np.zeros((N, 2))
+    tilt[N - 2, 0] = tilt[N - 1, 1] = 0.05
+    cfg = {"base": {"classical": "chebyshev", "N": N, "pad": 4}, "tilt": tilt.tolist()}
+    ens = build_ensemble(cfg)
+    x, w = ens.measure.points, ens.measure.weights
+    diag = np.diag(ens.kernel_matrix())
+    want = [np.sum(x**ell * diag * w) / N for ell in range(1, 7)]
+
+    def no_kernel(self):
+        raise AssertionError("moments formed the n x n kernel")
+
+    monkeypatch.setattr(PolynomialEnsemble, "kernel_matrix", no_kernel)
+    out = tmp_path / "m.csv"
+    assert main(["moments", "--ensemble", json.dumps(cfg), "--lmax", "6", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    got = [float(r[1]) for r in rows]
+    assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_zeros_circle_all_at_origin(tmp_path):
@@ -219,3 +247,13 @@ def test_stdout_default(capsys):
     got = sorted(float(line.split(",")[1]) for line in lines[2:])
     want = np.sort(np.cos((2 * np.arange(1, 5) - 1) * np.pi / 8))
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_python_m_polyens_runs_the_cli():
+    src = str(Path(polyens.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyens", "--version"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"polyens {polyens.__version__}"

@@ -80,6 +80,16 @@ def test_log_joint_density_normalization(cheb3):
     assert np.isclose(lg_u - lg, np.log(6.0), rtol=1e-12)
 
 
+def test_log_joint_density_normalization_matches_gammaln(cheb3, monkeypatch):
+    # with a unit minor the result is exactly -log k!, for k up to 1e5 points
+    monkeypatch.setattr(PolynomialEnsemble, "_minor", lambda self, idx: (None, 1.0, 0.0))
+    for k in list(range(1, 2001)) + [10**5]:
+        sign, lg = cheb3.log_joint_density(np.zeros(k, dtype=int))
+        want = -oracles.log_factorial_by_gammaln(k)
+        assert sign == 1.0
+        assert abs(lg - want) <= 1e-15 * abs(want), k
+
+
 def test_total_mass_of_joint_density(cheb3):
     # brute-force: the unordered subset law sums to one
     pmf = oracles.subset_pmf(cheb3.kernel_matrix(), cheb3.measure.weights, 3)
@@ -103,6 +113,27 @@ def test_circle_ensemble_geometric_kernel():
     K = ens.kernel_matrix()
     want = sum((z[:, None] * z[None, :].conj()) ** k for k in range(4))
     assert np.max(np.abs(K - want)) < 1e-12
+
+
+def test_orthonormal_banded_table_never_inverts_the_gram(monkeypatch):
+    def no_inverse(a):
+        raise AssertionError("the Gram matrix of orthonormal rows was inverted")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    ens = PolynomialEnsemble.from_table(classical_table("circle", 6, pad=2), uniform_circle_measure(16), N=6)
+    assert ens.Q_vals is None
+
+
+def test_nonorthonormal_banded_table_gets_the_dual_rows():
+    # the circle's power basis is not orthonormal on the arcsine atoms of [-1, 1]
+    measure = equilibrium_measure(-1, 1, 48)
+    ens = PolynomialEnsemble.from_table(classical_table("circle", 4, pad=2), measure, N=4)
+    P = ens.P_vals
+    G = (P * measure.weights) @ P.conj().T
+    assert np.max(np.abs(G - np.eye(4))) > 1e-2
+    assert not ens.hermitian
+    assert np.array_equal(ens.Q_vals, np.linalg.inv(G).conj().T @ P)
+    assert ens.biorthogonality_defect() <= 1e-8
 
 
 def test_gue_ensemble_defect_small():
@@ -129,6 +160,8 @@ def test_overflowing_kernel_is_a_breakdown_error():
     assert np.isfinite(ens.P_vals).all()  # the basis itself is finite
     with pytest.raises(NumericalBreakdownError, match="N=400 points on 732 atoms"):
         ens.kernel_matrix()
+    with pytest.raises(NumericalBreakdownError, match="N=400 points on 732 atoms"):
+        ens.kernel_diagonal()
 
 
 def test_tilt_keeps_biorthogonality(cheb3):

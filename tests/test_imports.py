@@ -1,0 +1,45 @@
+"""Import footprint: the package and the command-line tool load on numpy
+alone, and so does sampling any ensemble that needs no Gauss-Hermite rule."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import polyens
+
+SCRIPT = """
+import sys
+
+import numpy as np
+
+import polyens
+import polyens.cli
+
+base = polyens.PolynomialEnsemble.from_table(
+    polyens.classical_table("chebyshev", 6, pad=4), polyens.equilibrium_measure(-1, 1, 40), N=6
+)
+tilt = np.zeros((6, 2))
+tilt[4, 0] = tilt[5, 1] = 0.05
+ensembles = [
+    base,
+    polyens.PolynomialEnsemble.from_table(
+        polyens.classical_table("circle", 6, pad=2), polyens.uniform_circle_measure(30), N=6
+    ),
+    base.tilt_nonorthogonal(tilt, validate=True, rng=polyens.stream(3)),
+]
+for i, ens in enumerate(ensembles):
+    cfg = polyens.sample(ens, rng=polyens.stream(5, i))
+    sign, _ = ens.log_joint_density(cfg.indices)
+    assert sign > 0, (ens, sign)
+print(" ".join(sorted(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules)))
+"""
+
+
+def test_import_and_sampling_load_no_scipy_submodule():
+    src = str(Path(polyens.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "", f"loaded: {proc.stdout.strip()}"
