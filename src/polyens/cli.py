@@ -244,6 +244,16 @@ def cmd_verify(args):
     return EXIT_OK if payload["passed"] else EXIT_ACCEPT
 
 
+def _count(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return n
+
+
 def _add_ensemble_opts(p, with_N=True):
     p.add_argument("--ensemble", required=True, help="config path, inline JSON, or gue/chebyshev/circle")
     if with_N:
@@ -259,7 +269,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="draw replica configurations to CSV")
     _add_ensemble_opts(p)
-    p.add_argument("--replicas", type=int, default=1)
+    p.add_argument("--replicas", type=_count, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_sample)
 
@@ -280,7 +290,7 @@ def build_parser():
     p = sub.add_parser("variance", help="linear-statistic variance report as JSON")
     _add_ensemble_opts(p)
     p.add_argument("--power", type=int, default=1)
-    p.add_argument("--mc", type=int, default=0, help="Monte Carlo replicas (0 = skip)")
+    p.add_argument("--mc", type=_count, default=0, help="Monte Carlo replicas (0 = skip)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_variance)
 

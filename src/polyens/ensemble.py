@@ -300,7 +300,7 @@ class PolynomialEnsemble:
             self.basis,
             N=self.N,
             Q_vals=Q,
-            table=self.table,
+            table=None,  # self.table describes (P, P), not (P, Q)
             name=f"{self.name}+tilt",
         )
         if validate:

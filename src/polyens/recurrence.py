@@ -307,22 +307,15 @@ def eval_polynomials(table, x, upto, p0=1.0):
     out[0] = p0
     if upto == 0:
         return out
-    if table.form == "op":
-        a, b = table.a, table.b
-        out[1] = (pts - b[0]) * out[0] / a[0]
-        for k in range(1, upto):
-            out[k + 1] = ((pts - b[k]) * out[k] - a[k - 1] * out[k - 1]) / a[k]
-        return out
+    s = table._steps
     for k in range(upto):
-        up = table.c[k, 0]
-        if up == 0:
+        if s[k, 0] == 0:
             raise NumericalBreakdownError(
                 f"banded table has zero up-coefficient at k={k}; "
                 "P_{k+1} is not determined"
             )
-        acc = pts * out[k]
-        for j in range(0, table.q + 1):
-            if k - j >= 0:
-                acc = acc - table.c[k, j + 1] * out[k - j]
-        out[k + 1] = acc / up
+        acc = (pts - s[k, 1]) * out[k]
+        for j in range(1, min(k, table.q) + 1):
+            acc = acc - s[k, j + 1] * out[k - j]
+        out[k + 1] = acc / s[k, 0]
     return out

@@ -7,8 +7,8 @@ reproducible stream:
     stream(seed, r) == Generator(Philox(SeedSequence(entropy=seed, spawn_key=(r,))))
 
 Splitting by spawn_key means results do not depend on how replicas are
-batched across workers: replica 17 produces the same points whether it runs
-first, last, or in a different process.
+batched: replica 17 produces the same points whether it runs first, last,
+or alone.
 """
 
 import numpy as np

@@ -23,12 +23,11 @@ describes; each step validates its mass in one pass, and the kernel is
 checked finite once, when kernel_matrix() forms it.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalBreakdownError, OrthogonalityError
+from .errors import NumericalBreakdownError, OrthogonalityError
 from .measure import ReferenceMeasure
 from .ensemble import PolynomialEnsemble
 from .rng import DEFAULT_SEED, stream
@@ -158,49 +157,26 @@ def _drive(state, rng, check_normalization=False):
     return PointConfiguration(indices, m.points[indices], logdens)
 
 
-def _worker_count():
-    raw = os.environ.get("POLYENS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"POLYENS_THREADS must be an integer, got {raw!r}") from None
-
-
-def _run_chunk(ensemble, seed, replicas):
-    rows = np.empty((len(replicas), ensemble.N), dtype=int)
-    logs = np.empty(len(replicas))
-    for i, r in enumerate(replicas):
-        cfg = sample(ensemble, rng=stream(seed, r))
-        rows[i] = cfg.indices
-        logs[i] = cfg.log_density
-    return rows, logs
-
-
 def sample_replicas(ensemble, n_replicas, seed=DEFAULT_SEED, statistic=None):
     """n_replicas independent draws; replica r uses stream(seed, r), so the
-    result is reproducible and independent of worker fan-out.
+    result is reproducible and replica r does not depend on n_replicas.
 
     Returns (values, log_densities): values is the (replicas, N) index
     matrix, or the per-replica statistic of the drawn points when statistic
-    is given. POLYENS_THREADS > 1 fans the draws out over processes; the
-    statistic always runs in the calling process, so any callable works.
+    is given.
     """
-    workers = min(_worker_count(), max(1, n_replicas))
-    todo = np.arange(n_replicas)
-    if workers == 1 or n_replicas < 4:
-        rows, logs = _run_chunk(ensemble, seed, todo)
-    else:
-        import concurrent.futures
-
-        chunks = np.array_split(todo, workers)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, [ensemble] * workers, [seed] * workers, chunks))
-        rows = np.concatenate([p[0] for p in parts])
-        logs = np.concatenate([p[1] for p in parts])
+    if n_replicas < 0:
+        raise ValueError(f"n_replicas must be >= 0, got {n_replicas}")
+    rows = np.empty((n_replicas, ensemble.N), dtype=int)
+    logs = np.empty(n_replicas)
+    for r in range(n_replicas):
+        cfg = sample(ensemble, rng=stream(seed, r))
+        rows[r] = cfg.indices
+        logs[r] = cfg.log_density
     if statistic is None:
         return rows, logs
     points = ensemble.measure.points
-    return np.asarray([statistic(points[r]) for r in rows]), logs
+    return np.asarray([statistic(points[row]) for row in rows]), logs
 
 
 # -- spectral thinning -------------------------------------------------------

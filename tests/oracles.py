@@ -211,3 +211,19 @@ def log_factorial_by_gammaln(k):
     from scipy.special import gammaln
 
     return float(gammaln(k + 1))
+
+
+def op_polynomials_by_three_terms(table, x, upto, p0=1.0):
+    """P_0..P_upto of an OP table by the three-term recurrence
+    P_{k+1} = ((x - b_k) P_k - a_{k-1} P_{k-1}) / a_k, written out on the
+    a and b arrays."""
+    a, b = table.a, table.b
+    pts = np.atleast_1d(np.asarray(x))
+    out = np.zeros((upto + 1, len(pts)), dtype=complex if np.iscomplexobj(pts) else float)
+    out[0] = p0
+    if upto == 0:
+        return out
+    out[1] = (pts - b[0]) * out[0] / a[0]
+    for k in range(1, upto):
+        out[k + 1] = ((pts - b[k]) * out[k] - a[k - 1] * out[k - 1]) / a[k]
+    return out

@@ -175,7 +175,29 @@ def test_usage_errors_exit_1(capsys):
     assert main(["sample"]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["sample", "--ensemble", "gue", "--N", "3", "--mode", "schur"]) == 1
-    capsys.readouterr()
+    assert main(["sample", "--ensemble", "chebyshev", "--N", "3", "--replicas", "-2"]) == 1
+    assert main(["sample", "--ensemble", "chebyshev", "--N", "3", "--replicas", "two"]) == 1
+    assert main(["variance", "--ensemble", "gue", "--N", "5", "--mc", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--replicas: expected a whole number >= 0, got '-2'" in out.err
+    assert "--replicas: expected a whole number >= 0, got 'two'" in out.err
+    assert "--mc: expected a whole number >= 0, got '-1'" in out.err
+
+
+def test_tilted_ensemble_has_no_table_for_table_commands(capsys):
+    # the table of the base ensemble describes (P, P), not the tilted (P, Q):
+    # Var[sum x] is 0.25 for the base but 0.2275 for this tilt
+    tilt = np.zeros((6, 2))
+    tilt[5, 0], tilt[4, 1] = 0.3, 0.2
+    cfg = json.dumps({"base": {"classical": "chebyshev", "N": 6, "nodes": 64, "pad": 4},
+                      "tilt": tilt.tolist()})
+    for sub in (["variance", "--power", "1"], ["zeros"], ["gap"]):
+        assert main(sub + ["--ensemble", cfg]) == 2, sub
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = out.err.strip().splitlines()
+        assert len(err) == 1 and "recurrence table" in err[0], sub
 
 
 def test_model_errors_exit_2(tmp_path, capsys):

@@ -294,6 +294,25 @@ def test_eval_polynomials_circle_powers():
         assert np.allclose(P[k], z**k)
 
 
+@given(st.integers(0, 10**6))
+def test_eval_polynomials_op_matches_three_term_oracle(seed):
+    # the banded loop reproduces the three-term OP recurrence bit for bit
+    t = random_op_table(seed)
+    x = stream(seed, 1).uniform(-2.0, 2.0, size=7)
+    P = eval_polynomials(t, x, t.top, p0=0.8)
+    assert np.array_equal(P, oracles.op_polynomials_by_three_terms(t, x, t.top, p0=0.8))
+
+
+def test_eval_polynomials_banded_matches_explicit_sum():
+    # x P_k = sum_j c[k][j+1] P_{k-j}, solved for the up step
+    t = random_banded_table(3, 2, N=6)
+    x = np.linspace(-1.5, 1.5, 11)
+    P = eval_polynomials(t, x, t.top)
+    for k in range(t.top):
+        rhs = sum(t.coeff(k, m) * P[m] for m in range(max(0, k - t.q), k + 2))
+        assert np.allclose(x * P[k], rhs, rtol=1e-12, atol=1e-12)
+
+
 def test_eval_polynomials_breaks_on_dead_up_step():
     c = np.ones((4, 2))
     c[1, 0] = 0.0

@@ -1,14 +1,10 @@
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from polyens import (
     ConditionalState,
-    ConfigError,
     DegenerateDensityError,
     EvaluationError,
     NegativityError,
@@ -276,6 +272,18 @@ def test_sample_replicas_shapes_and_determinism(e3):
     # replica r depends only on (seed, r), not on the batch size
     idx3, _ = sample_replicas(e3, 3, seed=11)
     assert np.array_equal(idx[:3], idx3)
+    for r in range(5):
+        cfg = sample(e3, rng=stream(11, r))
+        assert np.array_equal(idx[r], cfg.indices)
+        assert logs[r] == cfg.log_density
+
+
+def test_sample_replicas_counts(e3):
+    idx, logs = sample_replicas(e3, 0, seed=11)
+    assert idx.shape == (0, 3)
+    assert logs.shape == (0,)
+    with pytest.raises(ValueError, match="n_replicas"):
+        sample_replicas(e3, -2, seed=11)
 
 
 def test_sample_replicas_statistic(e3):
@@ -283,36 +291,6 @@ def test_sample_replicas_statistic(e3):
     assert vals.shape == (4,)
     assert np.all(np.isfinite(vals))
     assert np.all(np.isfinite(logs))
-
-
-WORKER_SCRIPT = """
-import numpy as np
-from polyens import classical_table, equilibrium_measure, PolynomialEnsemble, sample_replicas
-t = classical_table("chebyshev", 2, pad=1)
-e = PolynomialEnsemble.from_table(t, equilibrium_measure(-1, 1, 8), N=2)
-idx, logs = sample_replicas(e, 8, seed=123)
-sums, _ = sample_replicas(e, 8, seed=123, statistic=lambda p: float(np.sum(p)))
-print(idx.tolist(), logs.tolist(), sums.tolist())
-"""
-
-
-def test_worker_fanout_matches_serial():
-    # POLYENS_THREADS only changes scheduling, never the draws
-    outs = []
-    for workers in ("1", "2"):
-        env = dict(os.environ, POLYENS_THREADS=workers)
-        r = subprocess.run(
-            [sys.executable, "-c", WORKER_SCRIPT], capture_output=True, text=True, env=env
-        )
-        assert r.returncode == 0, r.stderr
-        outs.append(r.stdout)
-    assert outs[0] == outs[1]
-
-
-def test_worker_count_must_be_an_integer(e3, monkeypatch):
-    monkeypatch.setenv("POLYENS_THREADS", "two")
-    with pytest.raises(ConfigError):
-        sample_replicas(e3, 4, seed=1)
 
 
 def test_spectral_data_validation(e3):
