@@ -42,13 +42,13 @@ def zeros(table, lmax=8):
     """Zeros of the average characteristic polynomial (eigenvalues of the
     N x N Hessenberg section), plus power sums up to lmax.
 
-    OP tables use the symmetric tridiagonal eigensolver. A triangular
+    Symmetric (OP) tables use the tridiagonal eigensolver. A triangular
     section (e.g. the uniform-circle shift) short-circuits to its diagonal,
     which is exact; otherwise eigenvalues would be polluted by the
     O(eps^(1/N)) sensitivity of a nilpotent matrix.
     """
     N, q = table.N, table.q
-    if table.form == "op":
+    if table.symmetric:
         from scipy.linalg import eigvalsh_tridiagonal
 
         zs = eigvalsh_tridiagonal(table.b[:N], table.a[: N - 1])

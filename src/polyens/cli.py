@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, PolyensError
 from .rng import DEFAULT_SEED
-from .config import build_ensemble, build_profile, config_hash, load_config
+from .config import CLASSICAL_NAMES, build_ensemble, build_profile, config_hash, load_config
 from .recurrence import mean_moment
 from .charpoly import moment_gap, zeros
 from .variance import cumulants, limiting_variance, variance_power, variance_upper_bound
@@ -32,9 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MODEL = 2
 EXIT_ACCEPT = 3
-
-SHORTHAND = ("gue", "chebyshev", "circle", "uniform-circle")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract reserves 2 for model
@@ -49,18 +46,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ensemble_config(args):
+    """The --ensemble config with --N written into classical and measure
+    configs and --nodes into classical ones, where build_ensemble reads
+    them; any other use of either flag is a ConfigError."""
     raw = args.ensemble
-    if raw in SHORTHAND:
+    if raw in CLASSICAL_NAMES:
         if getattr(args, "N", None) is None:
             raise ConfigError(f"shorthand ensemble {raw!r} needs --N")
-        cfg = {"classical": raw, "N": args.N}
-        if getattr(args, "nodes", None):
-            cfg["nodes"] = args.nodes
-        return cfg
-    cfg = load_config(raw)
-    if isinstance(cfg, dict) and getattr(args, "N", None) is not None:
-        cfg = dict(cfg)
-        cfg["N"] = args.N
+        cfg = {"classical": raw}
+    else:
+        cfg = load_config(raw)
+        if not isinstance(cfg, dict):
+            return cfg  # build_ensemble reports it
+    kind = next((k for k in ("base", "classical", "measure") if k in cfg), "unknown")
+    for flag, kinds in (("N", ("classical", "measure")), ("nodes", ("classical",))):
+        value = getattr(args, flag, None)
+        if value is not None:
+            if kind not in kinds:
+                raise ConfigError(f"--{flag} applies to {' and '.join(kinds)} configs, not to a {kind!r} config")
+            cfg = {**cfg, flag: value}
     return cfg
 
 
@@ -128,7 +132,7 @@ def cmd_sample(args):
 def cmd_moments(args):
     cfg = _ensemble_config(args)
     ens = build_ensemble(cfg)
-    if ens.hermitian and ens.table is not None:
+    if ens.table is not None:
         vals = [mean_moment(ens.table, ell) for ell in range(1, args.lmax + 1)]
     else:
         diag = ens.kernel_diagonal()
@@ -175,7 +179,7 @@ def cmd_variance(args):
         "exact": float(variance_power(table, ell)),
         "bound": float(variance_upper_bound(table, ell)),
     }
-    if table.form == "op":
+    if table.symmetric:
         a_edge = float(table.coeff(table.N - 1, table.N)) if table.N <= table.top else 0.0
         b_edge = float(table.coeff(table.N - 1, table.N - 1))
         payload["limiting"] = float(limiting_variance(lambda x: x**ell, a=a_edge, b=b_edge))
@@ -258,7 +262,7 @@ def _add_ensemble_opts(p, with_N=True):
     p.add_argument("--ensemble", required=True, help="config path, inline JSON, or gue/chebyshev/circle")
     if with_N:
         p.add_argument("--N", type=int, default=None, help="points; overrides the config")
-        p.add_argument("--nodes", type=int, default=None, help="quadrature nodes for shorthand measures")
+        p.add_argument("--nodes", type=int, default=None, help="quadrature nodes of a classical ensemble")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 

@@ -22,9 +22,21 @@ from .errors import (
     RankError,
 )
 from .measure import NEGATIVITY_TOL
-from .recurrence import eval_polynomials, table_from_measure
+from .recurrence import RecurrenceTable, eval_polynomials, table_from_measure
 
 BIORTHOGONALITY_TOL = 1e-8
+
+
+def _check_rank(N, measure):
+    atoms = np.unique(measure.points).size
+    if N > atoms:
+        raise RankError(f"N={N} points need {N} distinct atoms; the measure has {atoms}")
+
+
+def _log_scale(sub):
+    """log of max(1, max|K_ij|)^k, the size scale of a k x k minor's
+    determinant, in logs so that large minors do not overflow."""
+    return len(sub) * np.log(max(1.0, np.max(np.abs(sub))))
 
 
 class PolynomialEnsemble:
@@ -38,7 +50,7 @@ class PolynomialEnsemble:
         N rows, more when a padded table allows (used for tilts and for the
         pair-correlation machinery that needs P_N).
     Q_vals : None for a hermitian ensemble (Q = P), else (N, n_atoms).
-    table : optional RecurrenceTable consistent with the ensemble.
+    table : optional RecurrenceTable of the pair (P, Q).
     """
 
     def __init__(self, measure, basis, N=None, Q_vals=None, table=None, name=None):
@@ -50,9 +62,7 @@ class PolynomialEnsemble:
         self.N = int(N) if N is not None else len(basis)
         if not 0 <= self.N <= len(basis):
             raise ValueError("N exceeds available basis rows")
-        atoms = np.unique(measure.points).size
-        if self.N > atoms:
-            raise RankError(f"N={self.N} points need {self.N} distinct atoms; the measure has {atoms}")
+        _check_rank(self.N, measure)
         if Q_vals is not None:
             Q_vals = np.asarray(Q_vals)
             if Q_vals.shape != (self.N, len(measure)):
@@ -66,27 +76,28 @@ class PolynomialEnsemble:
 
     @classmethod
     def from_table(cls, table, measure, N=None, name=None):
-        """Ensemble whose P_k follow the table's recurrence over the measure.
-
-        For an OP table the caller guarantees table and measure describe the
-        same orthonormal family (use from_measure to derive the table). The
-        full padded basis is evaluated at the atoms.
-        """
+        """Ensemble whose P_k follow the table's recurrence over the measure,
+        with the full padded basis evaluated at the atoms; an N other than
+        table.N is written into the attached table. Q is the dual of
+        P_0..P_{N-1} in their span: P itself when their Gram matrix is within
+        BIORTHOGONALITY_TOL of I (a NaN Gram is not), else inv(G)^H P. The
+        table stays attached only if it describes (P, Q), i.e. the padded rows
+        are biorthogonal to Q within the same tolerance; else table=None."""
         N = table.N if N is None else int(N)
+        if N != table.N:
+            table = RecurrenceTable(N, table.c, table.q)
+        _check_rank(N, measure)
         p0 = 1.0 / np.sqrt(measure.total_mass)
-        upto = table.top
-        basis = eval_polynomials(table, measure.points, upto, p0=p0)
-        if table.form == "banded":
-            # Q is the dual family inside span(P); for self-dual families
-            # (uniform circle) this is P itself and the Gram matrix is never
-            # inverted. A NaN Gram fails the test and goes to the inverse.
-            P = basis[:N]
-            G = (P * measure.weights) @ P.conj().T
-            Q = None
-            if not np.max(np.abs(G - np.eye(N))) <= BIORTHOGONALITY_TOL:
-                Q = np.linalg.inv(G).conj().T @ P
-            return cls(measure, basis, N=N, Q_vals=Q, table=table, name=name)
-        return cls(measure, basis, N=N, table=table, name=name)
+        basis = eval_polynomials(table, measure.points, table.top, p0=p0)
+        P = basis[:N]
+        G = (P * measure.weights) @ P.conj().T
+        Q = None
+        if not np.max(np.abs(G - np.eye(N))) <= BIORTHOGONALITY_TOL:
+            Q = np.linalg.inv(G).conj().T @ P
+        above = (basis[N:] * measure.weights) @ np.conj(P if Q is None else Q).T
+        if not np.max(np.abs(above), initial=0.0) <= BIORTHOGONALITY_TOL:
+            table = None
+        return cls(measure, basis, N=N, Q_vals=Q, table=table, name=name)
 
     @classmethod
     def from_measure(cls, measure, N, pad=8, name=None):
@@ -129,31 +140,36 @@ class PolynomialEnsemble:
         return f"PolynomialEnsemble({self.name}, N={self.N}, {kind}, atoms={len(self.measure)})"
 
     def kernel_matrix(self):
-        """K(x_i, x_j) on all atom pairs, cached. Checked finite once, when
-        formed: an overflowing basis product is a NumericalBreakdownError
-        here rather than a non-finite density inside a sampling step."""
+        """K(x_i, x_j) on all atom pairs, cached. Checked once, when formed
+        (see _checked), rather than inside a sampling step."""
         if self._kernel is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 K = self.P_vals.T @ np.conj(self.q_values)
-            if not np.isfinite(K).all():
-                raise NumericalBreakdownError(
-                    f"kernel of N={self.N} points on {len(self.measure)} atoms "
-                    "is not finite: the basis product overflows"
-                )
-            self._kernel = K
+            self._kernel = self._checked(K, np.diagonal(K), "kernel")
         return self._kernel
 
     def kernel_diagonal(self):
         """K(x_i, x_i) at every atom, read from the basis rows in O(N n)
-        without forming the n x n kernel. Checked finite like kernel_matrix."""
+        without forming the n x n kernel. Checked like kernel_matrix."""
         with np.errstate(over="ignore", invalid="ignore"):
             d = np.einsum("ki,ki->i", self.P_vals, np.conj(self.q_values))
-        if not np.isfinite(d).all():
+        return self._checked(d, d, "kernel diagonal")
+
+    def _checked(self, values, diag, what):
+        """values, if finite (else NumericalBreakdownError: the basis product
+        overflowed) and, for a complex non-hermitian kernel, if the diagonal
+        is real to 1e-9 of its largest modulus (else the kernel defines no
+        point process: PositivityViolationError)."""
+        if not np.isfinite(values).all():
             raise NumericalBreakdownError(
-                f"kernel diagonal of N={self.N} points on {len(self.measure)} atoms "
+                f"{what} of N={self.N} points on {len(self.measure)} atoms "
                 "is not finite: the basis product overflows"
             )
-        return d
+        if np.iscomplexobj(diag) and not self.hermitian:
+            top, worst = np.max(np.abs(diag), initial=0.0), np.max(np.abs(diag.imag), initial=0.0)
+            if worst > 1e-9 * (top or 1.0):
+                raise PositivityViolationError(f"kernel diagonal has a non-real part, {worst:.3e} against {top:.3e}")
+        return values
 
     def biorthogonality_defect(self):
         """max |<P_i, Q_j> - delta_ij| over i, j < N."""
@@ -205,13 +221,7 @@ class PolynomialEnsemble:
         against mu. Integrates to 1; tiny negatives clamp, real ones raise."""
         if self.N == 0:
             return np.zeros(len(self.measure))
-        d = self.kernel_diagonal()
-        if np.iscomplexobj(d):
-            top = float(np.max(np.abs(d))) or 1.0
-            if np.max(np.abs(d.imag)) > 1e-9 * top:
-                raise EvaluationError("kernel diagonal has a non-real part")
-            d = d.real
-        d = d / self.N
+        d = np.real(self.kernel_diagonal()) / self.N
         top = float(np.max(d)) if len(d) else 0.0
         if top <= 0:
             raise NegativityError("mean density is nonpositive everywhere")
@@ -229,16 +239,8 @@ class PolynomialEnsemble:
         idx = self._as_indices(points)
         if len(idx) == 0:
             return 1.0
-        sub, sign, logdet = self._minor(idx)
-        det = sign * np.exp(logdet)
-        if np.iscomplexobj(sub):
-            scale = max(1.0, float(np.max(np.abs(sub))) ** len(idx))
-            if abs(det.imag) > 1e-9 * scale:
-                raise PositivityViolationError(
-                    f"joint density has non-real determinant {det!r}"
-                )
-            det = det.real
-        return float(det)
+        _, sign, logdet = self._minor(idx)
+        return float(sign * np.exp(logdet))
 
     def log_joint_density(self, points, normalized=True):
         """(sign, log|det K|) of the kernel minor at the points, from the
@@ -251,18 +253,27 @@ class PolynomialEnsemble:
         _, sign, logdet = self._minor(idx)
         if normalized:
             logdet -= math.lgamma(len(idx) + 1)
-        return (float(np.real(sign)), float(logdet))
+        return (float(sign), float(logdet))
 
     def _minor(self, idx):
-        """The minor K[idx, idx] and (sign, log|det|) of it. Row and column
-        i are divided by sqrt|K_ii| (by 1 where K_ii = 0) before slogdet:
-        the unweighted kernel's diagonal spans many decades on wide
-        supports, and unscaled elimination loses the small entries' digits."""
+        """The minor K[idx, idx] and the real (sign, log|det|) of it. Row and
+        column i are divided by sqrt|K_ii| (by 1 where K_ii = 0) before
+        slogdet: the unweighted kernel's diagonal spans many decades on wide
+        supports, and unscaled elimination loses the small entries' digits.
+        A complex determinant with |Im| > 1e-9 max(1, max|K_ij|)^k is a
+        PositivityViolationError."""
         sub = self.kernel_matrix()[np.ix_(idx, idx)]
         d = np.sqrt(np.abs(np.diagonal(sub)))
         d[d == 0] = 1.0
         sign, logdet = np.linalg.slogdet(sub / np.outer(d, d))
-        return sub, sign, logdet + 2.0 * np.sum(np.log(d))
+        logdet += 2.0 * np.sum(np.log(d))
+        if np.iscomplexobj(sub):
+            with np.errstate(divide="ignore"):
+                excess = np.log(abs(sign.imag) / 1e-9) + logdet - _log_scale(sub)
+            if excess > 0:
+                raise PositivityViolationError(f"kernel minor at atoms {sorted(idx.tolist())} has a non-real determinant")
+            sign = sign.real
+        return sub, sign, logdet
 
     def _as_indices(self, points):
         points = np.atleast_1d(np.asarray(points))
@@ -317,10 +328,8 @@ class PolynomialEnsemble:
             k = int(rng.integers(1, self.N + 1))
             idx = rng.choice(n, size=min(k, n), replace=False)
             sub, sign, logdet = self._minor(idx)
-            minor = np.real(sign * np.exp(logdet))
-            scale = max(1.0, float(np.max(np.abs(sub))) ** len(idx))
-            if minor < -1e-9 * scale:
+            if sign < 0 and logdet - _log_scale(sub) > np.log(1e-9):
                 raise PositivityViolationError(
-                    f"negative {len(idx)}-point minor {minor:.3e} at atoms {sorted(idx.tolist())}"
+                    f"negative {len(idx)}-point minor, log|det| {logdet:.3f}, at atoms {sorted(idx.tolist())}"
                 )
         return True

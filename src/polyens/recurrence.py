@@ -1,13 +1,11 @@
 """Recurrence tables and lattice-path moment formulas.
 
 A table stores the multiplication coefficients <x P_k, Q_m> of a biorthogonal
-family. Two storage forms:
-
-  * 'op'     -- orthonormal polynomials: a_k = <x P_k, P_{k+1}> > 0 and
-                b_k = <x P_k, P_k>, so x P_k = a_k P_{k+1} + b_k P_k
-                + a_{k-1} P_{k-1} with a_{-1} = 0.
-  * 'banded' -- lower bandwidth q: c[k][j] = <x P_k, Q_{k-j}> for
-                -1 <= j <= q, everything below the band zero.
+family as one banded array of lower bandwidth q: c[k][j+1] = <x P_k, Q_{k-j}>
+for -1 <= j <= q, everything below the band zero. Orthonormal polynomials are
+the symmetric q = 1 case: rows [a_k, b_k, a_{k-1}] with a_k > 0, so
+x P_k = a_k P_{k+1} + b_k P_k + a_{k-1} P_{k-1}. A table knows that it is
+one (`symmetric`) from its coefficients, not from how it was written.
 
 Powers <x^l P_k, Q_m> are sums over oriented lattice paths (0,k) -> (l,m)
 whose steps rise by at most one and fall by at most q, each path weighted by
@@ -34,49 +32,36 @@ ORTHONORMALITY_TOL = 1e-9
 
 
 class RecurrenceTable:
-    """Banded family of coefficients <x P_k, Q_m>, indices 0..N+pad."""
+    """Banded coefficients c[k][j+1] = <x P_k, Q_{k-j}>, indices 0..N+pad.
 
-    def __init__(self, N, form, a=None, b=None, c=None, q=None):
+    `symmetric` marks the table of orthonormal polynomials: q = 1, real,
+    up steps positive, each down step equal to the up step below it.
+    `a` and `b` are read-only views of the up steps and the diagonal.
+    """
+
+    def __init__(self, N, c, q):
         if N < 1:
             raise ValueError("N must be >= 1")
-        self.N = int(N)
-        self.form = form
-        if form == "op":
-            a = np.asarray(a, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if a.shape != b.shape or a.ndim != 1:
-                raise ValueError("a and b must be 1-d arrays of equal length")
-            if len(a) < N:
-                raise ValueError("table must store at least N coefficients")
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-                raise ValueError("coefficients must be finite")
-            if np.any(a <= 0):
-                raise ValueError("op form requires a_k > 0")
-            self.a = a
-            self.b = b
-            self.q = 1
-            self._steps = np.column_stack((a, b, np.concatenate(([0.0], a[:-1]))))
-        elif form == "banded":
-            c = np.asarray(c)
-            if c.ndim != 2 or q is None or c.shape[1] != q + 2:
-                raise ValueError("banded form needs c with q + 2 columns")
-            if len(c) < N:
-                raise ValueError("table must store at least N coefficient rows")
-            if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(np.imag(c))):
-                raise ValueError("coefficients must be finite")
-            c = c.copy()
-            for k in range(min(len(c), q + 1)):
-                c[k, k + 2:] = 0.0  # target index k-j < 0 does not exist
-            self.c = c
-            self.q = int(q)
-            self._steps = c
-        else:
-            raise ValueError(f"unknown table form {form!r}")
+        c = np.asarray(c)
+        if c.ndim != 2 or q < 0 or c.shape[1] != q + 2:
+            raise ValueError("a table needs q >= 0 and c with q + 2 columns")
+        if len(c) < N:
+            raise ValueError("table must store at least N coefficient rows")
+        if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(np.imag(c))):
+            raise ValueError("coefficients must be finite")
+        c = c.copy()
+        for k in range(min(len(c), q + 1)):
+            c[k, k + 2:] = 0.0  # target index k-j < 0 does not exist
+        self.N, self.c, self.q = int(N), c, int(q)
+        self.a, self.b = c[:, 0], c[:, 1]
+        self.a.flags.writeable = self.b.flags.writeable = False
+        self.symmetric = (q == 1 and not np.iscomplexobj(c) and bool(np.all(c[:, 0] > 0))
+                          and np.array_equal(c[1:, 2], c[:-1, 0]))
 
     @property
     def top(self):
         """Largest stored coefficient index, N + pad."""
-        return len(self._steps) - 1
+        return len(self.c) - 1
 
     @property
     def pad(self):
@@ -84,10 +69,10 @@ class RecurrenceTable:
 
     @property
     def is_complex(self):
-        return np.iscomplexobj(self._steps)
+        return np.iscomplexobj(self.c)
 
     def __repr__(self):
-        return f"RecurrenceTable({self.form}, N={self.N}, pad={self.pad}, q={self.q})"
+        return f"RecurrenceTable(N={self.N}, pad={self.pad}, q={self.q})"
 
     def coeff(self, k, m):
         """<x P_k, Q_m>; zero off the band, loud error past the pad."""
@@ -100,7 +85,7 @@ class RecurrenceTable:
                 f"coefficient index {k} exceeds stored range {self.top} "
                 f"(N={self.N}, pad={self.pad}); rebuild with a larger pad"
             )
-        out = self._steps[k, k - m + 1]
+        out = self.c[k, k - m + 1]
         return out if self.is_complex else float(out)
 
     def window_max(self, lo, hi):
@@ -116,17 +101,24 @@ class RecurrenceTable:
         k = np.arange(lo, hi + 1)[:, None]
         m = k - np.arange(-1, self.q + 1)
         inside = (lo <= m) & (m <= hi)
-        return float(np.max(np.abs(self._steps[lo : hi + 1]), where=inside, initial=0.0))
+        return float(np.max(np.abs(self.c[lo : hi + 1]), where=inside, initial=0.0))
 
 
 def op_table(a, b, N):
-    """OP-form table from coefficient arrays a_0..a_{N+pad}, b likewise."""
-    return RecurrenceTable(N, "op", a=a, b=b)
+    """Table of orthonormal polynomials from a_0..a_{N+pad} (all > 0) and b
+    likewise: the q = 1 rows [a_k, b_k, a_{k-1}], with a_{-1} = 0."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("a and b must be 1-d arrays of equal length")
+    if np.any(a <= 0):
+        raise ValueError("an OP table requires a_k > 0")
+    return RecurrenceTable(N, np.column_stack((a, b, np.concatenate(([0.0], a))[:-1])), 1)
 
 
 def banded_table(c, q, N):
     """General banded table from the coefficient array c[k][j+1] = <xP_k, Q_{k-j}>."""
-    return RecurrenceTable(N, "banded", c=c, q=q)
+    return RecurrenceTable(N, c, q)
 
 
 def classical_table(name, N, pad=DEFAULT_PAD, alpha=-1.0, beta=1.0):
@@ -143,7 +135,7 @@ def classical_table(name, N, pad=DEFAULT_PAD, alpha=-1.0, beta=1.0):
     K = N + pad
     if name == "gue":
         a = np.sqrt((np.arange(K + 1) + 1.0) / N)
-        return RecurrenceTable(N, "op", a=a, b=np.zeros(K + 1))
+        return op_table(a, np.zeros(K + 1), N)
     if name == "chebyshev":
         half = 0.5 * (beta - alpha)
         mid = 0.5 * (alpha + beta)
@@ -151,11 +143,11 @@ def classical_table(name, N, pad=DEFAULT_PAD, alpha=-1.0, beta=1.0):
             raise ValueError("need alpha < beta")
         a = np.full(K + 1, half / 2.0)
         a[0] = half / np.sqrt(2.0)
-        return RecurrenceTable(N, "op", a=a, b=np.full(K + 1, mid))
+        return op_table(a, np.full(K + 1, mid), N)
     if name in ("uniform-circle", "circle"):
         c = np.zeros((K + 1, 2))
         c[:, 0] = 1.0
-        return RecurrenceTable(N, "banded", c=c, q=0)
+        return RecurrenceTable(N, c, 0)
     raise ValueError(f"unknown classical table {name!r}")
 
 
@@ -205,7 +197,7 @@ def table_from_measure(m, N, pad=DEFAULT_PAD):
         raise OrthogonalityError(
             f"orthonormality drift {drift:.3e} exceeds {ORTHONORMALITY_TOL:g}"
         )
-    return RecurrenceTable(N, "op", a=a, b=b)
+    return op_table(a, b, N)
 
 
 def _walks(table, ell, starts, ceiling):
@@ -223,8 +215,8 @@ def _walks(table, ell, starts, ceiling):
         )
     q = table.q
     D = (q + 1) * ell + 1
-    steps = np.zeros((q + 2, ceiling + 2), dtype=table._steps.dtype)
-    steps[:, : ceiling + 1] = table._steps[: ceiling + 1].T
+    steps = np.zeros((q + 2, ceiling + 2), dtype=table.c.dtype)
+    steps[:, : ceiling + 1] = table.c[: ceiling + 1].T
     steps[0, ceiling] = 0.0  # no step up out of the ceiling
     h = np.asarray(starts) + np.arange(-q * ell, ell + 1)[:, None]
     h[(h < 0) | (h > ceiling)] = ceiling + 1  # the all-zero column
@@ -272,7 +264,7 @@ def mean_moment(table, ell):
 def hessenberg_matrix(table, size=None):
     """Matrix [<x P_j, Q_i>]_{i,j < size} of multiplication by x compressed
     to the span of P_0..P_{size-1}. Upper Hessenberg: entries vanish for
-    row > column + 1; symmetric tridiagonal in the OP form."""
+    row > column + 1; symmetric tridiagonal for a symmetric table."""
     n = table.N if size is None else int(size)
     if n < 1:
         raise ValueError("size must be >= 1")
@@ -280,11 +272,11 @@ def hessenberg_matrix(table, size=None):
         raise CoefficientRangeError(
             f"section size {n} exceeds stored range {table.top}"
         )
-    H = np.zeros((n, n), dtype=table._steps.dtype)
+    H = np.zeros((n, n), dtype=table.c.dtype)
     k = np.arange(n)
     for j in range(-1, table.q + 1):
         ok = (k - j >= 0) & (k - j < n)
-        H[k[ok] - j, k[ok]] = table._steps[k[ok], j + 1]
+        H[k[ok] - j, k[ok]] = table.c[k[ok], j + 1]
     return H
 
 
@@ -307,7 +299,7 @@ def eval_polynomials(table, x, upto, p0=1.0):
     out[0] = p0
     if upto == 0:
         return out
-    s = table._steps
+    s = table.c
     for k in range(upto):
         if s[k, 0] == 0:
             raise NumericalBreakdownError(

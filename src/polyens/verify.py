@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import DEFAULT_SEED, stream
-from .measure import atoms_measure, equilibrium_measure, scaled_hermite_measure
+from .measure import atoms_measure, equilibrium_measure
 from .recurrence import classical_table, eval_polynomials, mean_moment, op_table, path_sum_moment
 from .ensemble import PolynomialEnsemble
+from .config import build_ensemble
 from .sampler import conditional_density, sample, sample_replicas, spectral_from_ensemble, thin_contraction
 from .charpoly import log_potential, mean_measure, moment_gap, zeros
 from .variance import (
@@ -76,16 +77,6 @@ def _gauss_from_table(table):
 
     vals, vecs = eigh_tridiagonal(d, e)
     return atoms_measure(vals, vecs[0] ** 2, name="gauss-nodes")
-
-
-def _gue_ensemble(N, nodes=256, pad=2):
-    table = classical_table("gue", N, pad=pad)
-    return PolynomialEnsemble.from_table(table, scaled_hermite_measure(N, nodes), N=N, name="gue")
-
-
-def _chebyshev_ensemble(N, nodes=256, pad=2):
-    table = classical_table("chebyshev", N, pad=pad)
-    return PolynomialEnsemble.from_table(table, equilibrium_measure(-1.0, 1.0, nodes), N=N, name="chebyshev")
 
 
 # -- criteria ----------------------------------------------------------------
@@ -228,7 +219,7 @@ def check_variance(ctx):
         if v > bound + 1e-12:
             return False, f"N={N}: variance {v} above Lipschitz bound {bound}"
     R = 500 if ctx["quick"] else 10_000
-    ens = _gue_ensemble(50)
+    ens = build_ensemble({"classical": "gue", "N": 50, "nodes": 256, "pad": 2})
     vals, _ = sample_replicas(ens, R, seed=ctx["seed"] + 6000, statistic=lambda pts: float(np.sum(pts)))
     rep = cumulants(vals)
     dev = abs(rep.variance - 1.0)
@@ -238,7 +229,7 @@ def check_variance(ctx):
 
 def check_pair_measure(ctx):
     """7: top-pair correlation moments approach the limit pair measure."""
-    ens = _chebyshev_ensemble(200, nodes=512)
+    ens = build_ensemble({"classical": "chebyshev", "N": 200, "nodes": 512, "pad": 2})
     q00 = empirical_Q_moment(ens, 0, 0)
     q11 = empirical_Q_moment(ens, 1, 1)
     target = limiting_Q_moment(1, 1, a=0.5, b=0.0)
@@ -251,7 +242,7 @@ def check_pair_measure(ctx):
 def _shared_gue100(ctx):
     if "gue100_sumsq" not in ctx:
         R = 500 if ctx["quick"] else 10_000
-        ens = _gue_ensemble(100)
+        ens = build_ensemble({"classical": "gue", "N": 100, "nodes": 256, "pad": 2})
         vals, _ = sample_replicas(
             ens, R, seed=ctx["seed"] + 8000, statistic=lambda pts: float(np.sum(pts * pts))
         )
@@ -288,7 +279,7 @@ def check_potential(ctx):
     """10: log-potentials of mean measure and zero set agree off the support."""
     table = classical_table("chebyshev", 100, pad=2)
     zs = zeros(table, lmax=2)
-    ens = _chebyshev_ensemble(100)
+    ens = build_ensemble({"classical": "chebyshev", "N": 100, "nodes": 256, "pad": 2})
     mm = mean_measure(ens)
     zpts = 5.0 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
     worst = max(abs(log_potential(mm, z) - log_potential(zs, z)) for z in zpts)

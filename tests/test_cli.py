@@ -13,7 +13,7 @@ import pytest
 import polyens
 from polyens import cli
 from polyens.cli import main
-from polyens.config import build_ensemble
+from polyens.config import build_ensemble, config_hash
 from polyens.ensemble import PolynomialEnsemble
 
 
@@ -198,6 +198,99 @@ def test_tilted_ensemble_has_no_table_for_table_commands(capsys):
         assert out.out == ""
         err = out.err.strip().splitlines()
         assert len(err) == 1 and "recurrence table" in err[0], sub
+
+
+def _chebyshev_table_configs(N=6, pad=4, nodes=64):
+    """The arcsine-law OP coefficients written in both table spellings."""
+    K = N + pad
+    a = [2**-0.5] + [0.5] * K
+    measure = {"kind": "named", "name": "chebyshev-arcsine", "nodes": nodes}
+    op = {"form": "op", "a": a, "b": [0.0] * (K + 1)}
+    c = [[k, -1, a[k]] for k in range(K + 1)] + [[k, 1, a[k - 1]] for k in range(1, K + 1)]
+    banded = {"form": "banded", "q": 1, "c": c}
+    return [json.dumps({"measure": measure, "table": t, "N": N}) for t in (op, banded)]
+
+
+def _body(text):
+    """An output without its provenance: CSV minus the comment line, JSON
+    minus the config hash."""
+    if text.startswith("#"):
+        return text.split("\n", 1)[1]
+    payload = json.loads(text)
+    payload.pop("config")
+    return payload
+
+
+def test_op_and_banded_spellings_of_one_table_agree(capsys):
+    bodies = []
+    for cfg in _chebyshev_table_configs():
+        outs = []
+        for sub in (["zeros"], ["gap"], ["moments"], ["variance", "--power", "2", "--mc", "20"],
+                    ["sample", "--replicas", "4", "--seed", "3"]):
+            assert main(sub + ["--ensemble", cfg]) == 0, sub
+            outs.append(_body(capsys.readouterr().out))
+        bodies.append(outs)
+    assert bodies[0] == bodies[1]
+    variance = bodies[0][3]
+    assert variance["limiting"] is not None and abs(variance["exact"] - 0.125) < 1e-12
+
+
+def test_mismatched_op_table_has_no_table_for_table_commands(capsys):
+    # GUE coefficients on the arcsine atoms of [-2, 2] describe another
+    # family: the ensemble is built from its dual rows and carries no table
+    N = 6
+    a = [((k + 1) / N) ** 0.5 for k in range(N + 5)]
+    cfg = json.dumps({
+        "measure": {"kind": "named", "name": "chebyshev-arcsine", "alpha": -2, "beta": 2, "nodes": 64},
+        "table": {"form": "op", "a": a}, "N": N,
+    })
+    assert main(["variance", "--ensemble", cfg]) == 2
+    out = capsys.readouterr()
+    err = out.err.strip().splitlines()
+    assert out.out == "" and len(err) == 1 and "recurrence table" in err[0]
+    assert main(["sample", "--ensemble", cfg, "--replicas", "2"]) == 0
+
+
+def test_override_flags_apply_where_the_config_reads_them(tmp_path):
+    out = tmp_path / "s.csv"
+    cfg = {"classical": "gue", "N": 5}
+    assert main(["sample", "--ensemble", json.dumps(cfg), "--nodes", "16", "--out", str(out)]) == 0
+    want = build_ensemble({**cfg, "nodes": 16})
+    assert len(want.measure) < 64  # not the default 256 nodes
+    lines = out.read_text().splitlines()
+    assert f"config {config_hash({**cfg, 'nodes': 16})} " in lines[0]
+    assert all(float(x) in want.measure.points for x in lines[2].split(",")[:-1])
+    measure = {"kind": "named", "name": "chebyshev-arcsine", "nodes": 32}
+    assert main(["sample", "--ensemble", json.dumps({"measure": measure, "N": 6}), "--N", "3",
+                 "--out", str(out)]) == 0
+    assert read_csv(out)[0] == ["x_0", "x_1", "x_2", "log_density"]
+
+
+def test_override_flags_that_nothing_reads_exit_2(capsys):
+    tilt = np.zeros((6, 2))
+    tilt[5, 0] = 0.3
+    tilted = json.dumps({"base": {"classical": "chebyshev", "N": 6, "nodes": 64, "pad": 4},
+                         "tilt": tilt.tolist()})
+    measure = json.dumps({"measure": {"kind": "named", "name": "chebyshev-arcsine", "nodes": 32}, "N": 4})
+    for argv in (
+        ["sample", "--ensemble", tilted, "--N", "3"],
+        ["sample", "--ensemble", tilted, "--nodes", "32"],
+        ["moments", "--ensemble", measure, "--nodes", "16"],
+    ):
+        assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        err = out.err.strip().splitlines()
+        assert out.out == "" and len(err) == 1 and err[0].startswith("polyens: error: --"), argv
+
+
+def test_nonreal_kernel_is_refused(capsys):
+    cfg = json.dumps({"base": {"classical": "circle", "N": 4, "nodes": 16, "pad": 2},
+                      "tilt": [[0, 0], [0, 0], [0.3, 0], [0, 0.2]]})
+    for sub in (["sample"], ["moments"]):
+        assert main(sub + ["--ensemble", cfg]) == 2, sub
+        out = capsys.readouterr()
+        err = out.err.strip().splitlines()
+        assert out.out == "" and len(err) == 1 and "non-real" in err[0], sub
 
 
 def test_model_errors_exit_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from polyens import ConfigError
+from polyens import ConfigError, mean_moment
 from polyens.config import (
     build_ensemble,
     build_measure,
@@ -107,6 +107,21 @@ def test_measure_plus_table_ensemble_defaults_to_table_N():
     ens = build_ensemble(cfg)
     assert ens.N == 6
     assert ens.hermitian
+
+
+def test_attached_table_takes_the_ensemble_N():
+    # a table "N" that disagrees with the ensemble's: the table's moments
+    # must still be those of the N points the ensemble draws
+    cfg = {
+        "measure": {"kind": "named", "name": "chebyshev-arcsine", "nodes": 64},
+        "table": {"form": "op", "a": [2**-0.5] + [0.5] * 10, "N": 2},
+        "N": 5,
+    }
+    ens = build_ensemble(cfg)
+    assert ens.N == ens.table.N == 5 and ens.table.symmetric
+    x, w = ens.measure.points, ens.measure.weights
+    want = np.sum(x**2 * ens.kernel_diagonal() * w) / 5
+    assert abs(mean_moment(ens.table, 2) - want) < 1e-12
 
 
 def test_tilted_ensemble_config():

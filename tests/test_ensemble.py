@@ -7,8 +7,12 @@ from polyens import (
     PolynomialEnsemble,
     PositivityViolationError,
     RankError,
+    atoms_measure,
+    banded_table,
     classical_table,
     equilibrium_measure,
+    mean_moment,
+    sample,
     scaled_hermite_measure,
     stream,
     uniform_circle_measure,
@@ -120,8 +124,15 @@ def test_orthonormal_banded_table_never_inverts_the_gram(monkeypatch):
         raise AssertionError("the Gram matrix of orthonormal rows was inverted")
 
     monkeypatch.setattr(np.linalg, "inv", no_inverse)
-    ens = PolynomialEnsemble.from_table(classical_table("circle", 6, pad=2), uniform_circle_measure(16), N=6)
-    assert ens.Q_vals is None
+    for name, measure in (
+        ("circle", uniform_circle_measure(16)),
+        ("chebyshev", equilibrium_measure(-1, 1, 16)),
+        ("gue", scaled_hermite_measure(6, 64)),
+    ):
+        table = classical_table(name, 6, pad=2)
+        ens = PolynomialEnsemble.from_table(table, measure, N=6)
+        assert ens.Q_vals is None, name
+        assert ens.table is table, name
 
 
 def test_nonorthonormal_banded_table_gets_the_dual_rows():
@@ -134,6 +145,40 @@ def test_nonorthonormal_banded_table_gets_the_dual_rows():
     assert not ens.hermitian
     assert np.array_equal(ens.Q_vals, np.linalg.inv(G).conj().T @ P)
     assert ens.biorthogonality_defect() <= 1e-8
+
+
+def test_mismatched_op_table_gets_the_dual_rows_and_loses_its_table():
+    # GUE coefficients on the arcsine atoms of [-2, 2]: the rows span the
+    # right polynomials but are not orthonormal there, so Q is their dual
+    # and the table, which describes (P, P), is not kept
+    N = 6
+    table = classical_table("gue", N, pad=4)
+    ens = PolynomialEnsemble.from_table(table, equilibrium_measure(-2, 2, 64), N=N)
+    assert not ens.hermitian and ens.table is None
+    w = ens.measure.weights
+    assert abs(np.sum(ens.kernel_diagonal() * w) - N) < 1e-12
+    cfg = sample(ens, rng=stream(2), check_normalization=True)
+    assert len(cfg) == N
+
+
+def test_monic_banded_table_keeps_its_table_with_a_dual_q():
+    # monic Chebyshev polynomials of the arcsine law: x P_k = P_{k+1} +
+    # a_{k-1}^2 P_{k-1}. They are orthogonal but not normal, so Q_k =
+    # P_k / |P_k|^2 and the padded rows stay biorthogonal to Q.
+    N, pad = 8, 4
+    a = classical_table("chebyshev", N, pad=pad).a
+    c = np.zeros((N + pad + 1, 3))
+    c[:, 0] = 1.0
+    c[1:, 2] = a[:-1] ** 2
+    table = banded_table(c, 1, N)
+    assert not table.symmetric
+    ens = PolynomialEnsemble.from_table(table, equilibrium_measure(-1, 1, 64), N=N)
+    assert not ens.hermitian and ens.table is table
+    assert ens.biorthogonality_defect() <= 1e-8
+    x, w = ens.measure.points, ens.measure.weights
+    diag = ens.kernel_diagonal()
+    for ell in range(1, 9):
+        assert abs(mean_moment(table, ell) - np.sum(x**ell * diag * w) / N) < 1e-12, ell
 
 
 def test_gue_ensemble_defect_small():
@@ -162,6 +207,40 @@ def test_overflowing_kernel_is_a_breakdown_error():
         ens.kernel_matrix()
     with pytest.raises(NumericalBreakdownError, match="N=400 points on 732 atoms"):
         ens.kernel_diagonal()
+
+
+def test_nonreal_kernel_diagonal_is_refused_where_it_is_formed():
+    # a real tilt of the circle's complex basis: Im K(x, x) reaches 11% of
+    # max |K(x, x)|, so the kernel is no point process
+    base = PolynomialEnsemble.from_table(classical_table("circle", 4, pad=2), uniform_circle_measure(16), N=4)
+    tilted = base.tilt_nonorthogonal(np.array([[0, 0], [0, 0], [0.3, 0], [0, 0.2]]))
+    calls = (
+        tilted.kernel_matrix,
+        tilted.kernel_diagonal,
+        tilted.mean_density,
+        lambda: tilted.joint_density([0, 1, 2, 3]),
+        lambda: tilted.log_joint_density([0, 1, 2, 3]),
+        lambda: tilted.validate_positivity(rng=stream(1)),
+        lambda: sample(tilted, rng=stream(1)),
+    )
+    for call in calls:
+        with pytest.raises(PositivityViolationError, match="non-real"):
+            call()
+
+
+def test_nonreal_minor_is_refused_by_every_determinant_user():
+    # real diagonal, but det K = 1 - 0.25i
+    K = np.array([[1.0, 0.5], [0.5j, 1.0]])
+    ens = PolynomialEnsemble.from_values(atoms_measure([0.0, 1.0], [0.5, 0.5]), np.eye(2), np.conj(K))
+    assert np.array_equal(ens.kernel_matrix(), K)
+    for call in (
+        lambda: ens.joint_density([0, 1]),
+        lambda: ens.log_joint_density([0, 1]),
+        lambda: ens.validate_positivity(rng=stream(1)),
+    ):
+        with pytest.raises(PositivityViolationError, match="non-real determinant"):
+            call()
+    assert ens.joint_density([1]) == 1.0  # one-point minors are real
 
 
 def test_tilt_keeps_biorthogonality(cheb3):
@@ -200,6 +279,13 @@ def test_mild_tilt_passes_positivity():
         np.array([[0.05, 0.0], [0.0, 0.05]]), validate=True, rng=stream(3), trials=500
     )
     assert tilted.validate_positivity(rng=stream(4), trials=300)
+
+
+def test_positivity_scan_of_large_minors_does_not_overflow():
+    # max |K| = N = 200, so a k-point minor's scale 200^k passes the float
+    # range from k = 134 on; the scan compares in logs
+    ens = PolynomialEnsemble.from_table(classical_table("circle", 200, pad=1), uniform_circle_measure(400), N=200)
+    assert ens.validate_positivity(rng=stream(5), trials=12)
 
 
 def test_from_values_infers_hermitian():

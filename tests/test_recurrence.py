@@ -93,6 +93,30 @@ def test_op_table_rejects_nonpositive_up_step():
         op_table([0.5, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0], 2)
 
 
+def test_op_table_is_the_symmetric_q1_band():
+    t = random_op_table(5, N=4, pad=3)
+    assert t.q == 1 and t.symmetric
+    assert np.array_equal(t.c, np.column_stack((t.a, t.b, np.concatenate(([0.0], t.a[:-1])))))
+    with pytest.raises(ValueError):
+        t.a[0] = 1.0  # a and b are read-only views of c
+    with pytest.raises(ValueError):
+        t.b[0] = 1.0
+    # the same coefficients written as a banded table are the same table
+    assert banded_table(t.c, 1, t.N).symmetric
+
+
+def test_symmetry_is_read_from_the_coefficients():
+    t = random_op_table(6, N=4, pad=3)
+    lopsided = t.c.copy()
+    lopsided[3, 2] *= 1.5  # one down step no longer mirrors the up step below it
+    monic = t.c.copy()
+    monic[:, 0], monic[1:, 2] = 1.0, t.a[:-1] ** 2
+    for c in (lopsided, monic, t.c.astype(complex)):
+        assert not banded_table(c, 1, t.N).symmetric
+    assert not classical_table("circle", 4).symmetric
+    assert classical_table("gue", 4).symmetric and classical_table("chebyshev", 4).symmetric
+
+
 def test_path_sum_zero_steps():
     t = random_op_table(11, N=5)
     assert path_sum_moment(t, 0, 3, 3) == 1.0
