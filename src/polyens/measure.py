@@ -109,11 +109,8 @@ class ReferenceMeasure:
         No rejection step: works for any nonnegative density. Values below
         -NEGATIVITY_TOL * max raise; tiny negatives clamp to zero.
 
-        Each index is one inverse-CDF lookup of one rng.random() uniform,
-        which is the arithmetic and the stream use of
-        rng.choice(n, size=size, p=p). The mass is validated in one pass:
-        its minimum, maximum and sum; the per-atom scan that names a
-        non-finite atom runs only when one of them is not finite.
+        The mass density * w goes to sample_mass, the one validated draw
+        that the sampler also uses, under one np.errstate.
         """
         vals = self.values(density) if callable(density) else np.asarray(density)
         if vals.shape != self.points.shape or vals.dtype.kind == "c":
@@ -121,28 +118,49 @@ class ReferenceMeasure:
             if np.iscomplexobj(vals):
                 raise NegativityError("density is complex; cannot sample")
         with np.errstate(over="ignore", invalid="ignore"):
-            mass = vals * self.weights
-            top = mass.max()
-            low = mass.min()
-            if not (math.isfinite(top) and math.isfinite(low)):
-                self._check_values(vals)
-                where = self.points[~np.isfinite(mass)][0]
-                raise EvaluationError(f"density times weight overflows at atom x={where!r}")
-            if top <= 0:
-                raise DegenerateDensityError("density vanishes on every atom")
-            if low < 0:
-                if low < -NEGATIVITY_TOL * top:
-                    i = int(np.argmin(mass))
-                    raise NegativityError(
-                        f"density at atom x={self.points[i]!r} is {vals[i]:.3e}, "
-                        f"below the -{NEGATIVITY_TOL:g} clamp threshold"
-                    )
-                np.maximum(mass, 0.0, out=mass)
-            total = mass.sum()
-            if not math.isfinite(total):
-                raise NumericalBreakdownError(f"density mass sums to {total!r}; cannot normalize")
-        cdf = (mass / total).cumsum()
-        cdf /= cdf[-1]
+            return self.sample_mass(vals * self.weights, rng, size)
+
+    def sample_mass(self, mass, rng, size=None):
+        """Exact draw of atom indices with p_i proportional to mass_i.
+
+        Each index is one inverse-CDF lookup of one rng.random() uniform:
+        the stream use of rng.choice(n, size=size, p=p), and its CDF up to
+        roundoff (the cumulative mass divided by its last entry, which is
+        then exactly 1, so a zero-mass atom is never drawn).
+
+        The mass is checked before any uniform is drawn, in this order:
+        non-finite entries (the first is named), all mass <= 0, entries
+        below -NEGATIVITY_TOL * max, a sum that overflows. Tiny negatives
+        clamp to zero on a copy; mass itself is never written. A sum that
+        overflows warns before it raises, so callers hold
+        np.errstate(over="ignore", invalid="ignore").
+        """
+        if mass.dtype.kind == "c":
+            raise NegativityError("mass is complex; cannot sample")
+        top = mass.max()
+        low = mass.min()
+        if not (math.isfinite(top) and math.isfinite(low)):
+            i = int(np.flatnonzero(~np.isfinite(mass))[0])
+            raise EvaluationError(
+                f"density times weight is {float(mass[i])!r} at atom x={self.points[i]!r}"
+            )
+        if top <= 0:
+            raise DegenerateDensityError("density vanishes on every atom")
+        if low < 0:
+            if low < -NEGATIVITY_TOL * top:
+                i = int(np.argmin(mass))
+                raise NegativityError(
+                    f"density times weight at atom x={self.points[i]!r} is "
+                    f"{mass[i]:.3e}, below the -{NEGATIVITY_TOL:g} * max clamp threshold"
+                )
+            mass = np.maximum(mass, 0.0)
+        cdf = mass.cumsum()
+        total = cdf[-1]
+        if not math.isfinite(total):
+            raise NumericalBreakdownError(
+                f"density mass sums to {float(total)!r}; cannot normalize"
+            )
+        cdf /= total
         picked = cdf.searchsorted(rng.random(size), side="right")
         return picked if size is not None else int(picked)
 

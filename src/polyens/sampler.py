@@ -18,9 +18,13 @@ Every step draws exactly from the conditional density restricted to the
 atoms (categorical draw, no rejection). The chain multiplies to the DPP
 density: sum of log conditional densities = log det K[points] - log N!.
 
-Each point is one uniform, drawn as ReferenceMeasure.sample_categorical
-describes; each step validates its mass in one pass, and the kernel is
-checked finite once, when kernel_matrix() forms it.
+The state keeps the residual diagonal in the units the draw consumes, the
+residual mass w(x) R_k(x, x) of the next point, so each point is one
+uniform drawn straight from it by ReferenceMeasure.sample_mass, the one
+validated inverse-CDF draw (sample_categorical uses it too). A draw of N
+points enters np.errstate once. The rows E, C and the pivots stay
+unweighted. The kernel is checked finite once, when kernel_matrix() forms
+it.
 """
 
 from dataclasses import dataclass
@@ -53,12 +57,13 @@ class ConditionalState:
         self.ensemble = ensemble
         self.K = ensemble.kernel_matrix()
         self.Kdiag = np.ascontiguousarray(np.real(np.diag(self.K)))
+        self.w = ensemble.measure.weights
         self.selected = []
         self.heights = []  # pivots R_k(x_k, x_k), ratios of consecutive prefix minors
         shape = (ensemble.N, len(self.K))
         self._E = np.empty(shape, dtype=self.K.dtype)
         self._C = None if ensemble.hermitian else np.empty(shape, dtype=self.K.dtype)
-        self._diag = self.Kdiag.copy()  # R_k(x, x)
+        self._diag = self.w * self.Kdiag  # residual mass w(x) R_k(x, x)
         self._real = not np.iscomplexobj(self.K)
 
     @classmethod
@@ -77,7 +82,7 @@ class ConditionalState:
         N, k = self.ensemble.N, self.k
         if k >= N:
             raise ValueError("all N points are already conditioned on")
-        return self._diag / (N - k)
+        return self._diag / (self.w * (N - k))
 
     def push(self, idx):
         """Condition on the atom at index idx."""
@@ -98,11 +103,12 @@ class ConditionalState:
         if self._C is not None:
             col = (self.K[:, idx] - E[:, idx] @ self._C[:k]) / root
             self._C[k] = col
-            self._diag -= np.real(col * e)
+            drop = np.real(col * e)
         elif self._real:
-            self._diag -= e * e
+            drop = e * e
         else:
-            self._diag -= np.real(np.conj(e) * e)
+            drop = np.real(np.conj(e) * e)
+        self._diag -= self.w * drop
         self.heights.append(pivot)
         self.selected.append(idx)
 
@@ -110,7 +116,7 @@ class ConditionalState:
         """Rebuild the factors of the current prefix from K by replaying push."""
         prefix = self.selected
         self.selected, self.heights = [], []
-        self._diag = self.Kdiag.copy()
+        self._diag = self.w * self.Kdiag
         for idx in prefix:
             self.push(idx)
 
@@ -141,18 +147,21 @@ def sample(ensemble, rng=None, check_normalization=False):
 def _drive(state, rng, check_normalization=False):
     e = state.ensemble
     m = e.measure
+    w = state.w
     logdens = 0.0
-    for _ in range(e.N):
-        vals = state.density_all()
-        if check_normalization:
-            total = float(np.sum(vals * m.weights))
-            if abs(total - 1.0) > 1e-8:
-                raise NumericalBreakdownError(
-                    f"conditional density integrates to {total!r}, not 1"
-                )
-        idx = m.sample_categorical(vals, rng)
-        logdens += float(np.log(vals[idx]))
-        state.push(idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(state.k, e.N):
+            mass = state._diag
+            if check_normalization:
+                total = float(np.sum(mass)) / (e.N - k)
+                if abs(total - 1.0) > 1e-8:
+                    raise NumericalBreakdownError(
+                        f"conditional density integrates to {total!r}, not 1"
+                    )
+            idx = m.sample_mass(mass, rng)
+            # the density_all() entry, bit for bit
+            logdens += float(np.log(mass[idx] / (w[idx] * (e.N - k))))
+            state.push(idx)
     indices = np.array(state.selected, dtype=int)
     return PointConfiguration(indices, m.points[indices], logdens)
 

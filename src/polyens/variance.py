@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoefficientRangeError
+from .errors import CoefficientRangeError, EvaluationError
 from .recurrence import _walks
 
 
@@ -83,7 +83,13 @@ def lipschitz_variance_bound(a_top, lip):
 
 def empirical_Q_moment(ensemble, m, n):
     """Moment integral x^m y^n dQ_N of the pair-correlation remainder
-    measure, computed from P_{N-1} and P_N on the atoms. (0,0) gives 1."""
+    measure, computed from P_{N-1} and P_N on the atoms. (0,0) gives 1.
+    Needs an ensemble of orthonormal polynomials (a symmetric table)."""
+    if ensemble.table is None or not ensemble.table.symmetric:
+        raise EvaluationError(
+            "Q_N moments need an orthonormal-polynomial ensemble; "
+            "this one has no symmetric recurrence table"
+        )
     N = ensemble.N
     if N + 1 > len(ensemble.basis):
         raise CoefficientRangeError("needs the basis padded through P_N")

@@ -8,9 +8,11 @@ from polyens import (
     DegenerateDensityError,
     EvaluationError,
     NegativityError,
+    NumericalBreakdownError,
     OrthogonalityError,
     PolyensError,
     PolynomialEnsemble,
+    ReferenceMeasure,
     SpectralData,
     atoms_measure,
     classical_table,
@@ -162,6 +164,11 @@ def _poisoned_states():
     s = state()
     s._diag[4] = -0.5 * s._diag.max()
     yield s, NegativityError, re.escape(repr(x[4]))
+    # a non-finite mass is named before a negative one elsewhere
+    s = state()
+    s._diag[4] = -0.5 * s._diag.max()
+    s._diag[9] = np.inf
+    yield s, EvaluationError, re.escape(repr(x[9]))
     s = state()
     s._diag[:] = 0.0
     yield s, DegenerateDensityError, "vanishes"
@@ -178,6 +185,60 @@ def test_poisoned_state_refuses_to_draw():
             _drive(state, rng)
         assert state.k == 0
         assert rng.random() == stream(6).random()  # nothing was drawn
+
+
+def test_normalization_check_refuses_to_draw(e3):
+    state = ConditionalState(e3)
+    state._diag *= 1.5
+    rng = stream(6)
+    with pytest.raises(NumericalBreakdownError, match="integrates to"):
+        _drive(state, rng, check_normalization=True)
+    assert state.k == 0
+    assert rng.random() == stream(6).random()  # nothing was drawn
+
+
+class _TopUniform:
+    """Stub rng whose every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        u = np.nextafter(1.0, 0.0)
+        return u if size is None else np.full(size, u)
+
+
+def test_top_uniform_draws_the_last_atom_with_mass():
+    # zero-mass atoms before, between and after the ones with mass; the
+    # inverse CDF must stop at the last atom with mass, never past the end
+    zeros = [0, 2, 3, 5, 6, 7]
+    m = atoms_measure(np.arange(8.0), np.full(8, 0.5))
+    dens = np.array([0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+    assert m.sample_categorical(dens, _TopUniform()) == 4
+    assert m.sample_categorical(dens, _TopUniform(), size=3).tolist() == [4, 4, 4]
+    state = ConditionalState(cheb_ensemble(1, 8, pad=1))
+    state._diag[zeros] = 0.0
+    cfg = _drive(state, _TopUniform())
+    assert cfg.indices.tolist() == [4]
+    assert np.isfinite(cfg.log_density)
+
+
+def test_sampler_draws_from_the_residual_mass(monkeypatch):
+    # each step draws straight from the residual mass: neither the public
+    # conditional density nor the density-weighted draw is on the path
+    ensembles = [
+        build_ensemble({"classical": name, "N": 30}) for name in ("gue", "chebyshev", "circle")
+    ]
+    tilt = np.zeros((30, 2))
+    tilt[28, 0] = tilt[29, 1] = 0.01
+    ensembles.append(cheb_ensemble(30, 256, pad=2).tilt_nonorthogonal(tilt, validate=True))
+    want = [[sample(ens, rng=stream(23, r)).indices for r in range(3)] for ens in ensembles]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called while sampling")
+
+    monkeypatch.setattr(ConditionalState, "density_all", refuse)
+    monkeypatch.setattr(ReferenceMeasure, "sample_categorical", refuse)
+    for ens, rows in zip(ensembles, want):
+        for r, idx in enumerate(rows):
+            assert np.array_equal(sample(ens, rng=stream(23, r)).indices, idx), (ens.name, r)
 
 
 def test_chain_rule_reproduces_joint_density(e3):

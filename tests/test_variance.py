@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from polyens import (
     CoefficientRangeError,
+    EvaluationError,
     PolynomialEnsemble,
     banded_table,
     classical_table,
@@ -21,6 +22,7 @@ from polyens import (
     variance_power,
     variance_upper_bound,
 )
+from polyens.config import build_ensemble
 
 import oracles
 from test_recurrence import random_banded_table, random_op_table
@@ -142,6 +144,31 @@ def test_empirical_Q_moment_frozen_values():
         assert np.isclose(
             empirical_Q_moment(ens, 1, 2), empirical_Q_moment(ens, 2, 1), atol=1e-12
         )
+
+
+def test_empirical_Q_moment_needs_an_op_ensemble():
+    # Q_N is read from P_{N-1} and P_N, which describe neither a tilted
+    # kernel (its Var[sum x] is 0.2275, not the base's 0.25) nor a table of
+    # non-normal polynomials
+    base = {"classical": "chebyshev", "N": 6, "nodes": 64, "pad": 4}
+    tilt = np.zeros((6, 2))
+    tilt[5, 0], tilt[4, 1] = 0.3, 0.2
+    tilted = build_ensemble({"base": base, "tilt": tilt.tolist()})
+    K, x, w = tilted.kernel_matrix(), tilted.measure.points, tilted.measure.weights
+    var = np.sum(x**2 * np.diag(K) * w) - np.einsum("i,ij,j,ji,i,j->", x, K, x, K, w, w)
+    assert abs(var - 0.2275) < 1e-12
+    N, pad = 8, 4
+    c = np.zeros((N + pad + 1, 3))  # monic Chebyshev: x P_k = P_{k+1} + a_{k-1}^2 P_{k-1}
+    c[:, 0] = 1.0
+    c[1:, 2] = classical_table("chebyshev", N, pad=pad).a[:-1] ** 2
+    monic = PolynomialEnsemble.from_table(
+        banded_table(c, 1, N), equilibrium_measure(-1, 1, 64), N=N
+    )
+    assert monic.table is not None and not monic.table.symmetric
+    for ens in (tilted, monic):
+        with pytest.raises(EvaluationError, match="orthonormal"):
+            empirical_Q_moment(ens, 1, 1)
+    assert np.isclose(empirical_Q_moment(build_ensemble(base), 1, 1), -0.25, atol=1e-12)
 
 
 def test_limiting_Q_moment_frozen_values():
