@@ -228,7 +228,7 @@ class PolynomialEnsemble:
         if np.min(d) < -NEGATIVITY_TOL * top:
             i = int(np.argmin(d))
             raise NegativityError(
-                f"mean density at atom x={self.measure.points[i]!r} is {d[i]:.3e}"
+                f"mean density at atom x={self.measure.points[i].item()!r} is {d[i]:.3e}"
             )
         return np.clip(d, 0.0, None)
 

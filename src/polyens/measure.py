@@ -78,7 +78,7 @@ class ReferenceMeasure:
         bad = ~np.isfinite(vals.real) | ~np.isfinite(np.imag(vals))
         if np.any(bad):
             where = self.points[bad][0]
-            raise EvaluationError(f"f is not finite at atom x={where!r}")
+            raise EvaluationError(f"f is not finite at atom x={where.item()!r}")
         return vals
 
     def integrate(self, f):
@@ -98,7 +98,7 @@ class ReferenceMeasure:
             raise ValueError(f"expected {self.points.shape} atom values, got {vals.shape}")
         if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(np.imag(vals))):
             bad = ~np.isfinite(vals.real) | ~np.isfinite(np.imag(vals))
-            raise EvaluationError(f"non-finite value at atom x={self.points[bad][0]!r}")
+            raise EvaluationError(f"non-finite value at atom x={self.points[bad][0].item()!r}")
         return vals
 
     def sample_categorical(self, density, rng, size=None):
@@ -128,21 +128,35 @@ class ReferenceMeasure:
         roundoff (the cumulative mass divided by its last entry, which is
         then exactly 1, so a zero-mass atom is never drawn).
 
-        The mass is checked before any uniform is drawn, in this order:
-        non-finite entries (the first is named), all mass <= 0, entries
-        below -NEGATIVITY_TOL * max, a sum that overflows. Tiny negatives
-        clamp to zero on a copy; mass itself is never written. A sum that
-        overflows warns before it raises, so callers hold
-        np.errstate(over="ignore", invalid="ignore").
+        Mass with no negative entry and a positive finite sum is drawn from
+        after one reduction (its minimum) and the cumulative sum the draw
+        needs anyway. The sampler keeps that the common case: an atom it
+        has conditioned on holds residual mass exactly 0.0, not roundoff of
+        either sign. Any other mass gets the full validation before a
+        uniform is drawn, in this order: non-finite entries (the first is
+        named), all mass <= 0, entries below -NEGATIVITY_TOL * max, a sum
+        that overflows. Tiny negatives clamp to zero on a copy; mass itself
+        is never written. A sum that overflows warns before it raises, so
+        callers hold np.errstate(over="ignore", invalid="ignore").
         """
         if mass.dtype.kind == "c":
             raise NegativityError("mass is complex; cannot sample")
+        cdf = mass.cumsum() if mass.min() >= 0 else None
+        if cdf is None or not 0 < cdf[-1] < math.inf:
+            cdf = self._validated_cdf(mass)
+        cdf /= cdf[-1]
+        picked = cdf.searchsorted(rng.random(size), side="right")
+        return picked if size is not None else int(picked)
+
+    def _validated_cdf(self, mass):
+        """Cumulative sum of mass, tiny negatives clamped, after every check
+        of sample_mass."""
         top = mass.max()
         low = mass.min()
         if not (math.isfinite(top) and math.isfinite(low)):
             i = int(np.flatnonzero(~np.isfinite(mass))[0])
             raise EvaluationError(
-                f"density times weight is {float(mass[i])!r} at atom x={self.points[i]!r}"
+                f"density times weight is {float(mass[i])!r} at atom x={self.points[i].item()!r}"
             )
         if top <= 0:
             raise DegenerateDensityError("density vanishes on every atom")
@@ -150,19 +164,16 @@ class ReferenceMeasure:
             if low < -NEGATIVITY_TOL * top:
                 i = int(np.argmin(mass))
                 raise NegativityError(
-                    f"density times weight at atom x={self.points[i]!r} is "
+                    f"density times weight at atom x={self.points[i].item()!r} is "
                     f"{mass[i]:.3e}, below the -{NEGATIVITY_TOL:g} * max clamp threshold"
                 )
             mass = np.maximum(mass, 0.0)
         cdf = mass.cumsum()
-        total = cdf[-1]
-        if not math.isfinite(total):
+        if not math.isfinite(cdf[-1]):
             raise NumericalBreakdownError(
-                f"density mass sums to {float(total)!r}; cannot normalize"
+                f"density mass sums to {float(cdf[-1])!r}; cannot normalize"
             )
-        cdf /= total
-        picked = cdf.searchsorted(rng.random(size), side="right")
-        return picked if size is not None else int(picked)
+        return cdf
 
 
 def complex_or_float(z):

@@ -22,17 +22,35 @@ The state keeps the residual diagonal in the units the draw consumes, the
 residual mass w(x) R_k(x, x) of the next point, so each point is one
 uniform drawn straight from it by ReferenceMeasure.sample_mass, the one
 validated inverse-CDF draw (sample_categorical uses it too). A draw of N
-points enters np.errstate once. The rows E, C and the pivots stay
-unweighted. The kernel is checked finite once, when kernel_matrix() forms
-it.
+points enters np.errstate once and takes one log of the N drawn masses at
+its end. The rows E, C and the pivots stay unweighted. The kernel is
+checked finite once, when kernel_matrix() forms it.
+
+R_k vanishes on the atoms conditioned on, and the state holds that
+exactly: push writes 0.0 into the new row E_k at every earlier point and
+sets the new point's mass to 0.0. (The column C_k needs no such write:
+its entries at earlier points enter the downdate only times the row's
+zeros.) A conditioned atom therefore has mass exactly 0.0, never roundoff
+of either sign, so push refuses a repeated atom by one comparison, and
+sample_mass sees a nonnegative mass and draws after one reduction. Its
+full validation runs only when the mass has a negative entry, a
+non-finite entry or a sum that is not positive and finite; a negative
+beyond roundoff there means the kernel defines no point process, a
+PositivityViolationError.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdownError, OrthogonalityError
-from .measure import ReferenceMeasure
+from .errors import (
+    NegativityError,
+    NumericalBreakdownError,
+    OrthogonalityError,
+    PositivityViolationError,
+)
+from .measure import NEGATIVITY_TOL, ReferenceMeasure
 from .ensemble import PolynomialEnsemble
 from .rng import DEFAULT_SEED, stream
 
@@ -58,8 +76,8 @@ class ConditionalState:
         self.K = ensemble.kernel_matrix()
         self.Kdiag = np.ascontiguousarray(np.real(np.diag(self.K)))
         self.w = ensemble.measure.weights
-        self.selected = []
         self.heights = []  # pivots R_k(x_k, x_k), ratios of consecutive prefix minors
+        self._at = np.empty(ensemble.N, dtype=np.intp)  # atoms conditioned on, in order
         shape = (ensemble.N, len(self.K))
         self._E = np.empty(shape, dtype=self.K.dtype)
         self._C = None if ensemble.hermitian else np.empty(shape, dtype=self.K.dtype)
@@ -69,13 +87,18 @@ class ConditionalState:
     @classmethod
     def from_prefix(cls, ensemble, prefix):
         state = cls(ensemble)
-        state.selected = [int(idx) for idx in prefix]
-        state.refactor()
+        for idx in prefix:
+            state.push(idx)
         return state
 
     @property
     def k(self):
-        return len(self.selected)
+        return len(self.heights)
+
+    @property
+    def selected(self):
+        """Indices of the atoms conditioned on, in the order pushed."""
+        return self._at[: self.k].tolist()
 
     def density_all(self):
         """Conditional density (w.r.t. mu) of the next point at every atom."""
@@ -85,21 +108,34 @@ class ConditionalState:
         return self._diag / (self.w * (N - k))
 
     def push(self, idx):
-        """Condition on the atom at index idx."""
+        """Condition on the atom at index idx.
+
+        Raises ValueError when idx is not an atom index or its residual
+        mass is not positive (an atom already conditioned on has mass 0.0).
+        """
         N, k = self.ensemble.N, self.k
         if k >= N:
             raise ValueError("all N points are already conditioned on")
         idx = int(idx)
+        if not 0 <= idx < len(self._diag):
+            raise ValueError(f"atom {idx} is outside 0..{len(self._diag) - 1}")
+        if not self._diag[idx] > 0:
+            raise ValueError(
+                f"atom {idx} has residual mass {float(self._diag[idx]):.3e}: "
+                "it is conditioned on already or carries no mass"
+            )
         E = self._E[:k]
         if self._C is not None:
             row = self.K[idx] - self._C[:k, idx] @ E
         else:
+            # np.conj copies the strided column: BLAS rounds a strided view differently
             row = self.K[idx] - np.conj(E[:, idx]) @ E
-        pivot = float(np.real(row[idx]))
+        pivot = float(row[idx].real)
         if pivot <= 0:
             raise NumericalBreakdownError(f"degenerate pivot {pivot:.3e} at atom {idx}")
-        root = np.sqrt(pivot)
+        root = math.sqrt(pivot)
         e = np.divide(row, root, out=self._E[k])
+        e[self._at[:k]] = 0.0  # R_k(x_i, x_j) = 0 at every conditioned x_j
         if self._C is not None:
             col = (self.K[:, idx] - E[:, idx] @ self._C[:k]) / root
             self._C[k] = col
@@ -109,13 +145,14 @@ class ConditionalState:
         else:
             drop = np.real(np.conj(e) * e)
         self._diag -= self.w * drop
+        self._diag[idx] = 0.0
+        self._at[k] = idx
         self.heights.append(pivot)
-        self.selected.append(idx)
 
     def refactor(self):
         """Rebuild the factors of the current prefix from K by replaying push."""
         prefix = self.selected
-        self.selected, self.heights = [], []
+        self.heights = []
         self._diag = self.w * self.Kdiag
         for idx in prefix:
             self.push(idx)
@@ -123,7 +160,7 @@ class ConditionalState:
     def base_times_height_check(self):
         """Relative gap between det[K(x_i, x_j)] on the prefix and the
         product of the recorded pivots."""
-        if not self.selected:
+        if not self.k:
             return 0.0
         sign, logdet = self.ensemble.log_joint_density(self.selected, normalized=False)
         if sign <= 0:
@@ -147,10 +184,10 @@ def sample(ensemble, rng=None, check_normalization=False):
 def _drive(state, rng, check_normalization=False):
     e = state.ensemble
     m = e.measure
-    w = state.w
-    logdens = 0.0
+    start = state.k
+    picked = np.empty(e.N - start)  # residual mass of each point as it was drawn
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(state.k, e.N):
+        for k in range(start, e.N):
             mass = state._diag
             if check_normalization:
                 total = float(np.sum(mass)) / (e.N - k)
@@ -158,11 +195,26 @@ def _drive(state, rng, check_normalization=False):
                     raise NumericalBreakdownError(
                         f"conditional density integrates to {total!r}, not 1"
                     )
-            idx = m.sample_mass(mass, rng)
-            # the density_all() entry, bit for bit
-            logdens += float(np.log(mass[idx] / (w[idx] * (e.N - k))))
+            try:
+                idx = m.sample_mass(mass, rng)
+            except NegativityError:
+                if mass.dtype.kind == "c":  # an overwritten state, not a kernel at fault
+                    raise
+                i = int(np.argmin(mass))
+                raise PositivityViolationError(
+                    f"the kernel defines no point process after {k} points: residual "
+                    f"mass at atom x={m.points[i].item()!r} is {mass[i]:.3e}, below "
+                    f"-{NEGATIVITY_TOL:g} * max"
+                ) from None
+            picked[k - start] = mass[idx]
             state.push(idx)
-    indices = np.array(state.selected, dtype=int)
+        indices = state._at.copy()
+        drawn = indices[start:]
+        # each entry is the density_all() entry of its step, bit for bit
+        logs = np.log(picked / (state.w[drawn] * np.arange(e.N - start, 0, -1)))
+    logdens = 0.0
+    for v in logs.tolist():  # summed in draw order
+        logdens += v
     return PointConfiguration(indices, m.points[indices], logdens)
 
 

@@ -202,7 +202,11 @@ def test_sample_categorical_chi_square():
 
 def test_sample_categorical_matches_choice_oracle():
     # the inverse-CDF draw is Generator.choice's arithmetic on the same
-    # stream: equal indices, bit for bit, for single and batched draws
+    # stream: equal indices, bit for bit, for single and batched draws. One
+    # case in four is given no negative entry, so sample_mass draws after its
+    # one reduction; most others carry clamped negatives through the full
+    # validation
+    shares = {True: 0, False: 0}
     for s in range(400):
         g = stream(99, s)
         n = int(g.integers(1, 200))
@@ -214,6 +218,8 @@ def test_sample_categorical_matches_choice_oracle():
             d[top + 1 :] = 0.0  # trailing zero atoms
         tiny = g.random(n) < 0.1
         tiny[top] = False
+        if s % 4 == 0:
+            tiny[:] = False
         d[tiny] = -1e-13 * d[top]  # roundoff negatives, clamped
         if d.max() <= 0:
             d[top] = 1.0
@@ -222,6 +228,8 @@ def test_sample_categorical_matches_choice_oracle():
         want = oracles.draw_by_choice(m, d, stream(5, s), size=size)
         assert np.array_equal(got, want), s
         assert isinstance(got, int) == (size is None)
+        shares[bool(d.min() >= 0)] += 1
+    assert shares[True] and shares[False], shares
 
 
 def test_sample_categorical_consumes_one_uniform_per_index():
