@@ -42,17 +42,24 @@ def zeros(table, lmax=8):
     """Zeros of the average characteristic polynomial (eigenvalues of the
     N x N Hessenberg section), plus power sums up to lmax.
 
-    Symmetric (OP) tables use the tridiagonal eigensolver. A triangular
-    section (e.g. the uniform-circle shift) short-circuits to its diagonal,
-    which is exact; otherwise eigenvalues would be polluted by the
-    O(eps^(1/N)) sensitivity of a nilpotent matrix.
+    Symmetric (OP) tables use the tridiagonal eigensolver. So does any
+    real q = 1 table whose section has up_k * down_{k+1} > 0 for k < N - 1:
+    a diagonal similarity makes it symmetric with off-diagonal
+    sqrt(up_k * down_{k+1}) (e.g. monic OPs, whose dense non-normal
+    eigensolve loses digits fast in N). A triangular section (e.g. the
+    uniform-circle shift) short-circuits to its diagonal, which is exact;
+    otherwise eigenvalues would be polluted by the O(eps^(1/N))
+    sensitivity of a nilpotent matrix.
     """
     N, q = table.N, table.q
-    if table.symmetric:
+    c = table.c[:N]
+    pairs = c[:-1, 0] * c[1:, 2] if q == 1 and not table.is_complex else None
+    if table.symmetric or (pairs is not None and np.all(pairs > 0)):
         from scipy.linalg import eigvalsh_tridiagonal
 
-        zs = eigvalsh_tridiagonal(table.b[:N], table.a[: N - 1])
-    elif not np.any(table.c[:N, 2:]):  # no down steps: a triangular section
+        off = table.a[: N - 1] if table.symmetric else np.sqrt(pairs)
+        zs = eigvalsh_tridiagonal(table.b[:N], off)
+    elif not np.any(c[:, 2:]):  # no down steps: a triangular section
         zs = table.c[:N, 1].copy()
     else:
         zs = np.linalg.eigvals(hessenberg_matrix(table, N))

@@ -26,6 +26,14 @@ from .recurrence import RecurrenceTable, eval_polynomials, table_from_measure
 
 BIORTHOGONALITY_TOL = 1e-8
 
+# a phase gauge is real when it leaves |Im| <= this times max K(x, x)
+GAUGE_TOL = 1e-12
+
+# complex entries per row block of the gauge check (256 kB)
+_GAUGE_BLOCK = 1 << 14
+
+_UNCHECKED = object()
+
 
 def _check_rank(N, measure):
     atoms = np.unique(measure.points).size
@@ -71,6 +79,7 @@ class PolynomialEnsemble:
         self.table = table
         self.name = name or ("op-ensemble" if Q_vals is None else "biorthogonal-ensemble")
         self._kernel = None
+        self._gauge = _UNCHECKED
 
     # -- constructors ------------------------------------------------------
 
@@ -148,6 +157,39 @@ class PolynomialEnsemble:
             self._kernel = self._checked(K, np.diagonal(K), "kernel")
         return self._kernel
 
+    def real_gauge(self):
+        """Unit phases d with conj(d_i) K(x_i, x_j) d_j real at every atom
+        pair, or None. Cached.
+
+        A diagonal unitary similarity leaves every minor of K, and so the
+        process, unchanged; the sampler then runs on the real kernel
+        Re(conj(d_i) K_ij d_j). Only a complex hermitian kernel is tried,
+        with d_i = exp(i (N - 1) arg(x_i) / 2): by the Christoffel-Darboux
+        formula for polynomials orthogonal on the unit circle,
+        K(z, w) (z conj(w))^(-(N-1)/2) is real on |z| = |w| = 1. The phases
+        are accepted when max |Im(conj(d_i) K_ij d_j)| <= GAUGE_TOL max K_ii,
+        checked in row blocks so that no second n x n array is formed. A real
+        kernel needs no gauge, and a non-hermitian or failing one has none:
+        both give None.
+        """
+        if self._gauge is _UNCHECKED:
+            self._gauge = self._find_real_gauge()
+        return self._gauge
+
+    def _find_real_gauge(self):
+        K = self.kernel_matrix()
+        if not (self.hermitian and np.iscomplexobj(K)):
+            return None
+        d = np.exp(0.5j * (self.N - 1) * np.angle(self.measure.points))
+        tol = GAUGE_TOL * np.max(np.real(np.diagonal(K)), initial=0.0)
+        rows = max(1, _GAUGE_BLOCK // len(K))
+        for s in range(0, len(K), rows):
+            block = K[s : s + rows] * d
+            block *= np.conj(d[s : s + rows, None])
+            if np.max(np.abs(block.imag)) > tol:
+                return None
+        return d
+
     def kernel_diagonal(self):
         """K(x_i, x_i) at every atom, read from the basis rows in O(N n)
         without forming the n x n kernel. Checked like kernel_matrix."""
@@ -185,7 +227,7 @@ class PolynomialEnsemble:
         i = int(np.argmin(d))
         scale = max(1.0, float(np.max(np.abs(pts))))
         if d[i] > 1e-12 * scale:
-            raise EvaluationError(f"{x!r} is not an atom of the measure")
+            raise EvaluationError(f"{np.asarray(x).item()!r} is not an atom of the measure")
         return i
 
     # -- evaluation --------------------------------------------------------

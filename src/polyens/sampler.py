@@ -14,6 +14,16 @@ R_k(x, x)/(N - k). For a hermitian kernel C_k = conj(E_k) is not stored and
 the update is Gram-Schmidt on the functions K(x_i, .) (Hough, Krishnapur,
 Peres and Virag 2006).
 
+A complex hermitian kernel with a real gauge (PolynomialEnsemble.real_gauge:
+unit phases d with conj(d_i) K_ij d_j real, as for every OP ensemble on
+the unit circle) is factored in real arithmetic. The diagonal unitary
+similarity leaves every minor, pivot and residual mass unchanged, so the
+rows E are real, each step reads its kernel row as
+Re(conj(d_idx) K[idx] d) in O(n), and the rest of the step is the real
+path. Only the sampler's rows change: kernel_matrix() still returns the
+true complex K, and the minors of log_joint_density are read from it. A
+complex kernel without such a gauge keeps complex rows.
+
 Every step draws exactly from the conditional density restricted to the
 atoms (categorical draw, no rejection). The chain multiplies to the DPP
 density: sum of log conditional densities = log det K[points] - log N!.
@@ -78,11 +88,13 @@ class ConditionalState:
         self.w = ensemble.measure.weights
         self.heights = []  # pivots R_k(x_k, x_k), ratios of consecutive prefix minors
         self._at = np.empty(ensemble.N, dtype=np.intp)  # atoms conditioned on, in order
+        self._gauge = ensemble.real_gauge()  # rows of conj(d_i) K_ij d_j are real
+        dtype = float if self._gauge is not None else self.K.dtype
         shape = (ensemble.N, len(self.K))
-        self._E = np.empty(shape, dtype=self.K.dtype)
-        self._C = None if ensemble.hermitian else np.empty(shape, dtype=self.K.dtype)
+        self._E = np.empty(shape, dtype=dtype)
+        self._C = None if ensemble.hermitian else np.empty(shape, dtype=dtype)
         self._diag = self.w * self.Kdiag  # residual mass w(x) R_k(x, x)
-        self._real = not np.iscomplexobj(self.K)
+        self._real = not np.iscomplexobj(self._E)
 
     @classmethod
     def from_prefix(cls, ensemble, prefix):
@@ -125,11 +137,14 @@ class ConditionalState:
                 "it is conditioned on already or carries no mass"
             )
         E = self._E[:k]
+        krow = self.K[idx]
+        if self._gauge is not None:
+            krow = np.real(np.conj(self._gauge[idx]) * krow * self._gauge)
         if self._C is not None:
-            row = self.K[idx] - self._C[:k, idx] @ E
+            row = krow - self._C[:k, idx] @ E
         else:
             # np.conj copies the strided column: BLAS rounds a strided view differently
-            row = self.K[idx] - np.conj(E[:, idx]) @ E
+            row = krow - np.conj(E[:, idx]) @ E
         pivot = float(row[idx].real)
         if pivot <= 0:
             raise NumericalBreakdownError(f"degenerate pivot {pivot:.3e} at atom {idx}")

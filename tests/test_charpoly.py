@@ -4,6 +4,7 @@ import pytest
 from polyens import (
     PolynomialEnsemble,
     ZeroSet,
+    banded_table,
     classical_table,
     covariance_power,
     equilibrium_measure,
@@ -26,6 +27,19 @@ def test_chebyshev_zeros_closed_form():
         zs = zeros(classical_table("chebyshev", N, pad=1))
         assert np.allclose(np.sort(zs.zeros.real), oracles.chebyshev_zeros(N), atol=1e-12)
         assert np.max(np.abs(zs.zeros.imag)) < 1e-12
+
+
+def test_monic_chebyshev_zeros_by_symmetrizing_similarity():
+    # monic Chebyshev: up 1, down 1/4, first down 1/2; a dense eigensolve of
+    # this non-normal section misses cos((2k-1) pi / 2N) by O(0.1) at N=100
+    for N in (100, 200):
+        c = np.zeros((N + 2, 3))
+        c[:, 0] = 1.0
+        c[1:, 2] = 0.25
+        c[1, 2] = 0.5
+        zs = zeros(banded_table(c, 1, N))
+        assert not np.iscomplexobj(zs.zeros)
+        assert np.max(np.abs(zs.zeros - oracles.chebyshev_zeros(N))) < 1e-12
 
 
 def test_gue_zeros_confined_and_symmetric():

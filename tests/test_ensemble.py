@@ -109,6 +109,21 @@ def test_atom_index(cheb3):
         cheb3.atom_index(0.123456)
 
 
+def test_atom_errors_print_python_scalars(cheb3):
+    tilted = cheb3.tilt_nonorthogonal(np.array([[0.0], [0.0], [0.01]]))
+    calls = [
+        lambda x: tilted.eval_kernel(x, x),
+        lambda x: tilted.joint_density([x]),
+        cheb3.atom_index,
+    ]
+    for call in calls:
+        for x in (np.float64(0.123), np.complex128(0.123 + 0.5j)):
+            with pytest.raises(EvaluationError) as info:
+                call(x)
+            assert "np." not in str(info.value)
+            assert str(info.value).startswith(f"{x.item()!r} is not an atom")
+
+
 def test_circle_ensemble_geometric_kernel():
     table = classical_table("circle", 4, pad=1)
     ens = PolynomialEnsemble.from_table(table, uniform_circle_measure(12), N=4)

@@ -112,6 +112,65 @@ def test_minor_ratio_draw_matches_sample():
             assert abs(logp - cfg.log_density) <= 1e-10 * max(1.0, abs(logp))
 
 
+def _assert_draws_match_minor_ratios(ens, seed, replicas):
+    # the chain driven by determinant ratios of the complex K itself
+    K = ens.kernel_matrix()
+    for r in range(replicas):
+        cfg = sample(ens, rng=stream(seed, r))
+        rng = stream(seed, r)
+        prefix, logp = [], 0.0
+        for k in range(ens.N):
+            d = oracles.conditional_by_minors(K, prefix) / (ens.N - k)
+            idx = ens.measure.sample_categorical(d, rng)
+            logp += np.log(d[idx])
+            prefix.append(idx)
+        assert prefix == cfg.indices.tolist(), (ens.name, r)
+        assert abs(logp - cfg.log_density) <= 1e-10 * max(1.0, abs(logp)), (ens.name, r)
+
+
+def test_circle_ensembles_sample_on_real_rows():
+    # conj(d_i) K_ij d_j is real for d_i = exp(i (N-1) arg(x_i) / 2): the
+    # sampler keeps real rows, and its draws follow the true complex K
+    small = PolynomialEnsemble.from_table(
+        classical_table("circle", 3, pad=1), uniform_circle_measure(9), N=3
+    )
+    for ens, replicas in ((small, 8), (build_ensemble({"classical": "circle", "N": 30}), 3)):
+        K = ens.kernel_matrix()
+        assert np.iscomplexobj(K)
+        d = ens.real_gauge()
+        assert d is not None and np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-15)
+        gauged = np.conj(d)[:, None] * K * d
+        assert np.max(np.abs(gauged.imag)) <= 1e-12 * np.max(K.diagonal().real)
+        state = ConditionalState(ens)
+        assert state._E.dtype == np.float64
+        _assert_draws_match_minor_ratios(ens, 37, replicas)
+
+
+def test_kernel_without_real_gauge_samples_on_complex_rows():
+    # z^0, z^1, z^3 are orthonormal on 8 roots of unity, but the gauge turns
+    # K = 1 + u + u^3 (u = z conj(w)) into u^(-1) + 1 + u^2, which is complex
+    m = uniform_circle_measure(8)
+    ens = PolynomialEnsemble.from_values(m, np.array([m.points**k for k in (0, 1, 3)]))
+    assert ens.hermitian and ens.biorthogonality_defect() < 1e-12
+    assert ens.real_gauge() is None
+    assert ConditionalState(ens)._E.dtype == np.complex128
+    _assert_draws_match_minor_ratios(ens, 37, 8)
+
+
+def test_refactor_replays_a_real_gauge_state():
+    ens = build_ensemble({"classical": "circle", "N": 30})
+    state = ConditionalState(ens)
+    assert state._E.dtype == np.float64
+    rng = stream(43)
+    for _ in range(12):
+        state.push(ens.measure.sample_mass(state._diag, rng))
+    diag, heights, prefix = state._diag.copy(), list(state.heights), state.selected
+    state.refactor()
+    assert state.selected == prefix
+    assert state.heights == heights
+    assert np.array_equal(state._diag, diag)
+
+
 def test_sample_matches_choice_oracle_chain():
     # the chain driven step by step through Generator.choice draws the same
     # points with the same log density from the same stream
