@@ -36,8 +36,13 @@ from .measure import atoms_measure, grid_measure, named_measure
 from .recurrence import banded_table, classical_table, op_table, table_from_measure
 from .ensemble import PolynomialEnsemble
 from .asymptotics import CoefficientProfile, gue_profile, op_profile
+from .rng import stream
 
 CLASSICAL_NAMES = ("gue", "chebyshev", "uniform-circle", "circle")
+
+# a tilted config's kernel minors are scanned for positivity on this stream,
+# so the same config always passes or always fails
+TILT_CHECK_SEED = 0
 
 
 def _require(cond, msg):
@@ -139,7 +144,7 @@ def build_ensemble(cfg):
         _require("tilt" in cfg, "tilted ensemble needs a 'tilt' matrix")
         base = build_ensemble(cfg["base"])
         tilt = np.asarray(cfg["tilt"], dtype=float)
-        return base.tilt_nonorthogonal(tilt)
+        return base.tilt_nonorthogonal(tilt, validate=True, rng=stream(TILT_CHECK_SEED))
     if "classical" in cfg:
         name = cfg["classical"]
         _require(name in CLASSICAL_NAMES, f"unknown classical ensemble {name!r}")

@@ -32,6 +32,17 @@ GAUGE_TOL = 1e-12
 # complex entries per row block of the gauge check (256 kB)
 _GAUGE_BLOCK = 1 << 14
 
+# complex entries per row block of kernel_matrix (512 kB): on circle N=300 on
+# 1200 atoms, 256 kB blocks took 7 ms more than the one product, 512 kB ~1 ms
+_KERNEL_BLOCK = 1 << 15
+
+# kernel row blocks are at least this high, the last one taking the
+# remainder: numpy sends a 1-row product to a matrix-vector routine, which
+# rounds differently from the one-product K (a 1-row last block changed row
+# 1200 of K at N=300 on 1201 atoms); heights of 2 to 100 reproduced it bit
+# for bit
+_MIN_BLOCK_ROWS = 2
+
 _UNCHECKED = object()
 
 
@@ -45,6 +56,26 @@ def _log_scale(sub):
     """log of max(1, max|K_ij|)^k, the size scale of a k x k minor's
     determinant, in logs so that large minors do not overflow."""
     return len(sub) * np.log(max(1.0, np.max(np.abs(sub))))
+
+
+def _signed_logdet(sub, idx):
+    """(sign, log|det|) of the kernel minor sub at atoms idx, the sign
+    real. Row and column i are divided by sqrt|K_ii| (by 1 where K_ii = 0)
+    before slogdet: the unweighted kernel's diagonal spans many decades on
+    wide supports, and unscaled elimination loses the small entries' digits.
+    A complex determinant with |Im| > 1e-9 max(1, max|K_ij|)^k is a
+    PositivityViolationError."""
+    d = np.sqrt(np.abs(np.diagonal(sub)))
+    d[d == 0] = 1.0
+    sign, logdet = np.linalg.slogdet(sub / np.outer(d, d))
+    logdet += 2.0 * np.sum(np.log(d))
+    if np.iscomplexobj(sub):
+        with np.errstate(divide="ignore"):
+            excess = np.log(abs(sign.imag) / 1e-9) + logdet - _log_scale(sub)
+        if excess > 0:
+            raise PositivityViolationError(f"kernel minor at atoms {sorted(idx.tolist())} has a non-real determinant")
+        sign = sign.real
+    return sign, logdet
 
 
 class PolynomialEnsemble:
@@ -150,10 +181,25 @@ class PolynomialEnsemble:
 
     def kernel_matrix(self):
         """K(x_i, x_j) on all atom pairs, cached. Checked once, when formed
-        (see _checked), rather than inside a sampling step."""
+        (see _checked), rather than inside a sampling step. For a complex Q,
+        K[r] = conj(conj(P[:, r])^T Q) one row block r of about _KERNEL_BLOCK
+        entries at a time, so only one block of the basis is ever held
+        conjugated; rounding is symmetric in sign, so this is P^T conj(Q)
+        bit for bit."""
         if self._kernel is None:
+            P, Q = self.P_vals, self.q_values
             with np.errstate(over="ignore", invalid="ignore"):
-                K = self.P_vals.T @ np.conj(self.q_values)
+                if np.iscomplexobj(Q):
+                    n = P.shape[1]
+                    K = np.empty((n, Q.shape[1]), dtype=np.result_type(P, Q))
+                    rows = max(_MIN_BLOCK_ROWS, _KERNEL_BLOCK // max(1, len(P)))
+                    blocks = max(1, n // rows)
+                    for b in range(blocks):
+                        cut = slice(b * rows, n if b == blocks - 1 else (b + 1) * rows)
+                        np.matmul(np.conj(P[:, cut]).T, Q, out=K[cut])
+                        np.conjugate(K[cut], out=K[cut])
+                else:
+                    K = P.T @ Q
             self._kernel = self._checked(K, np.diagonal(K), "kernel")
         return self._kernel
 
@@ -298,24 +344,10 @@ class PolynomialEnsemble:
         return (float(sign), float(logdet))
 
     def _minor(self, idx):
-        """The minor K[idx, idx] and the real (sign, log|det|) of it. Row and
-        column i are divided by sqrt|K_ii| (by 1 where K_ii = 0) before
-        slogdet: the unweighted kernel's diagonal spans many decades on wide
-        supports, and unscaled elimination loses the small entries' digits.
-        A complex determinant with |Im| > 1e-9 max(1, max|K_ij|)^k is a
-        PositivityViolationError."""
+        """The minor K[idx, idx] of the cached kernel and the real
+        (sign, log|det|) of it (see _signed_logdet)."""
         sub = self.kernel_matrix()[np.ix_(idx, idx)]
-        d = np.sqrt(np.abs(np.diagonal(sub)))
-        d[d == 0] = 1.0
-        sign, logdet = np.linalg.slogdet(sub / np.outer(d, d))
-        logdet += 2.0 * np.sum(np.log(d))
-        if np.iscomplexobj(sub):
-            with np.errstate(divide="ignore"):
-                excess = np.log(abs(sign.imag) / 1e-9) + logdet - _log_scale(sub)
-            if excess > 0:
-                raise PositivityViolationError(f"kernel minor at atoms {sorted(idx.tolist())} has a non-real determinant")
-            sign = sign.real
-        return sub, sign, logdet
+        return (sub, *_signed_logdet(sub, idx))
 
     def _as_indices(self, points):
         points = np.atleast_1d(np.asarray(points))
@@ -361,7 +393,9 @@ class PolynomialEnsemble:
         return out
 
     def validate_positivity(self, rng=None, trials=200):
-        """Scan random k-point minors of the kernel for negativity."""
+        """Scan random k-point minors of the kernel for negativity. Each
+        minor is formed from the basis columns of its atoms, in O(N k^2),
+        so the scan never forms the n x n kernel."""
         from .rng import stream
 
         rng = rng or stream()
@@ -369,7 +403,9 @@ class PolynomialEnsemble:
         for _ in range(trials):
             k = int(rng.integers(1, self.N + 1))
             idx = rng.choice(n, size=min(k, n), replace=False)
-            sub, sign, logdet = self._minor(idx)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sub = self.P_vals[:, idx].T @ np.conj(self.q_values[:, idx])
+            sign, logdet = _signed_logdet(self._checked(sub, np.diagonal(sub), "kernel minor"), idx)
             if sign < 0 and logdet - _log_scale(sub) > np.log(1e-9):
                 raise PositivityViolationError(
                     f"negative {len(idx)}-point minor, log|det| {logdet:.3f}, at atoms {sorted(idx.tolist())}"

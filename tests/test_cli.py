@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -186,24 +187,26 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_tilt_that_is_no_point_process_fails_as_positivity(capsys):
-    # this tilt builds, but after a few points its residual mass goes
-    # negative beyond roundoff: the kernel defines no point process
+    # this tilt's kernel has negative minors, so it defines no point
+    # process: building the config scans minors and fails before any draw
     tilt = np.zeros((6, 2))
     tilt[5, 0], tilt[4, 1] = 0.3, 0.2
     cfg = json.dumps({"base": {"classical": "chebyshev", "N": 6, "nodes": 64, "pad": 4},
                       "tilt": tilt.tolist()})
     assert main(["sample", "--ensemble", cfg, "--replicas", "200", "--seed", "1"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = out.err.strip().splitlines()
     assert len(err) == 1
-    assert "the kernel defines no point process after" in err[0]
+    assert re.search(r"negative \d+-point minor", err[0])
     assert "np.float64" not in err[0]
 
 
 def test_tilted_ensemble_has_no_table_for_table_commands(capsys):
     # the table of the base ensemble describes (P, P), not the tilted (P, Q):
-    # Var[sum x] is 0.25 for the base but 0.2275 for this tilt
+    # Var[sum x] is 0.25 for the base but 0.261875 for this tilt
     tilt = np.zeros((6, 2))
-    tilt[5, 0], tilt[4, 1] = 0.3, 0.2
+    tilt[5, 0], tilt[5, 1] = 0.05, 0.05
     cfg = json.dumps({"base": {"classical": "chebyshev", "N": 6, "nodes": 64, "pad": 4},
                       "tilt": tilt.tolist()})
     for sub in (["variance", "--power", "1"], ["zeros"], ["gap"]):

@@ -213,14 +213,29 @@ def test_more_points_than_atoms_is_a_rank_error():
         )
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"classical": "uniform-circle", "N": 300, "nodes": 1200},  # 11 blocks of 109 rows, 1 over
+        {"classical": "uniform-circle", "N": 300, "nodes": 1243},
+        {"classical": "gue", "N": 100, "nodes": 256},
+    ],
+)
+def test_blocked_kernel_is_the_one_product(cfg):
+    from polyens.config import build_ensemble
+
+    ens = build_ensemble(cfg)
+    assert np.array_equal(ens.kernel_matrix(), ens.P_vals.T @ np.conj(ens.q_values))
+
+
 def test_overflowing_kernel_is_a_breakdown_error():
     from polyens.config import build_ensemble
 
     ens = build_ensemble({"classical": "gue", "N": 400, "nodes": 1024})
     assert np.isfinite(ens.P_vals).all()  # the basis itself is finite
-    with pytest.raises(NumericalBreakdownError, match="N=400 points on 732 atoms"):
+    with pytest.raises(NumericalBreakdownError, match="N=400 points on 734 atoms"):
         ens.kernel_matrix()
-    with pytest.raises(NumericalBreakdownError, match="N=400 points on 732 atoms"):
+    with pytest.raises(NumericalBreakdownError, match="N=400 points on 734 atoms"):
         ens.kernel_diagonal()
 
 

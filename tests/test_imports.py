@@ -1,5 +1,6 @@
 """Import footprint: the package and the command-line tool load on numpy
-alone, and so does sampling any ensemble that needs no Gauss-Hermite rule."""
+alone, and so does building and sampling every kind of ensemble, GUE and
+its Gauss-Hermite rule included."""
 
 import os
 import subprocess
@@ -28,6 +29,9 @@ ensembles = [
     ),
     base.tilt_nonorthogonal(tilt, validate=True, rng=polyens.stream(3)),
 ]
+for N, nodes in ((10, 64), (100, 256)):
+    table = polyens.classical_table("gue", N, pad=2)
+    ensembles.append(polyens.PolynomialEnsemble.from_table(table, polyens.scaled_hermite_measure(N, nodes), N=N))
 for i, ens in enumerate(ensembles):
     cfg = polyens.sample(ens, rng=polyens.stream(5, i))
     sign, _ = ens.log_joint_density(cfg.indices)

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from polyens import measure
 from polyens import (
     DegenerateDensityError,
     EvaluationError,
     InvalidIntervalError,
     NegativityError,
+    NumericalBreakdownError,
     PolyensError,
     ReferenceMeasure,
     atoms_measure,
@@ -63,7 +67,45 @@ def test_scaled_hermite_drops_dead_atoms():
     # far tail weights underflow to 0.0 and must not survive as atoms
     m = scaled_hermite_measure(100, 256)
     assert np.all(m.weights > 0)
-    assert len(m) <= 256
+    assert len(m) == 256
+    # at 1024 nodes the tails underflow: an atom stays iff its scaled weight is > 0
+    _, w = measure.gauss_hermite(1024)
+    m = scaled_hermite_measure(400, 1024)
+    assert len(m) == np.count_nonzero(np.sqrt(2 / 400) * w > 0) == 734
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 150, 151, 256, 257, 1024])
+def test_gauss_hermite_matches_scipy(n):
+    from scipy.special import roots_hermite
+
+    x, w = measure.gauss_hermite(n)
+    xs, ws = roots_hermite(n)
+    assert np.all(np.abs(x - xs) <= 1e-13 * np.maximum(1.0, np.abs(xs)))
+    normal = ws >= np.finfo(float).tiny
+    assert np.all(np.abs(w[normal] - ws[normal]) <= 1e-11 * ws[normal])
+    # where scipy's weight underflows, so does ours, to a subnormal at most
+    assert np.all(w[~normal] < np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("n", [5, 64])
+def test_gauss_hermite_is_exact_on_even_moments(n):
+    # integral x^(2j) exp(-x^2) dx = Gamma(j + 1/2), exact for 2j <= 2n - 1
+    x, w = measure.gauss_hermite(n)
+    for j in range(n):
+        assert math.isclose(np.sum(w * x ** (2 * j)), math.gamma(j + 0.5), rel_tol=1e-12), j
+
+
+def test_gauss_hermite_refuses_to_certify_a_bad_rule(monkeypatch):
+    guesses = measure._hermite_guesses
+    # two guesses on one zero: Newton lands both on it
+    monkeypatch.setattr(measure, "_hermite_guesses", lambda n: np.repeat(guesses(n)[::2], 2))
+    with pytest.raises(NumericalBreakdownError, match="not strictly increasing"):
+        measure.gauss_hermite(64)
+    monkeypatch.setattr(measure, "_hermite_guesses", guesses)
+    # unrefined guesses: the weights miss sqrt(pi)
+    monkeypatch.setattr(measure, "NEWTON_PASSES", 0)
+    with pytest.raises(NumericalBreakdownError, match="not sqrt"):
+        measure.gauss_hermite(64)
 
 
 def test_uniform_circle():

@@ -148,15 +148,15 @@ def test_empirical_Q_moment_frozen_values():
 
 def test_empirical_Q_moment_needs_an_op_ensemble():
     # Q_N is read from P_{N-1} and P_N, which describe neither a tilted
-    # kernel (its Var[sum x] is 0.2275, not the base's 0.25) nor a table of
+    # kernel (its Var[sum x] is 0.261875, not the base's 0.25) nor a table of
     # non-normal polynomials
     base = {"classical": "chebyshev", "N": 6, "nodes": 64, "pad": 4}
     tilt = np.zeros((6, 2))
-    tilt[5, 0], tilt[4, 1] = 0.3, 0.2
+    tilt[5, 0], tilt[5, 1] = 0.05, 0.05
     tilted = build_ensemble({"base": base, "tilt": tilt.tolist()})
     K, x, w = tilted.kernel_matrix(), tilted.measure.points, tilted.measure.weights
     var = np.sum(x**2 * np.diag(K) * w) - np.einsum("i,ij,j,ji,i,j->", x, K, x, K, w, w)
-    assert abs(var - 0.2275) < 1e-12
+    assert abs(var - 0.261875) < 1e-12
     N, pad = 8, 4
     c = np.zeros((N + pad + 1, 3))  # monic Chebyshev: x P_k = P_{k+1} + a_{k-1}^2 P_{k-1}
     c[:, 0] = 1.0
