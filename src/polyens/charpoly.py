@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalBreakdownError
 from .measure import ReferenceMeasure
-from .recurrence import _walks, hessenberg_matrix, mean_moment
+from .recurrence import _walk_steps, hessenberg_matrix, mean_moment
 
 POWER_SUM_TOL = 1e-8
 
@@ -42,23 +42,28 @@ def zeros(table, lmax=8):
     """Zeros of the average characteristic polynomial (eigenvalues of the
     N x N Hessenberg section), plus power sums up to lmax.
 
-    Symmetric (OP) tables use the tridiagonal eigensolver. So does any
-    real q = 1 table whose section has up_k * down_{k+1} > 0 for k < N - 1:
-    a diagonal similarity makes it symmetric with off-diagonal
-    sqrt(up_k * down_{k+1}) (e.g. monic OPs, whose dense non-normal
-    eigensolve loses digits fast in N). A triangular section (e.g. the
-    uniform-circle shift) short-circuits to its diagonal, which is exact;
-    otherwise eigenvalues would be polluted by the O(eps^(1/N))
-    sensitivity of a nilpotent matrix.
+    Symmetric (OP) tables take the tridiagonal route (_tridiagonal_zeros).
+    So does any real q = 1 table whose section has up_k * down_{k+1} > 0
+    for k < N - 1: a diagonal similarity makes it symmetric with
+    off-diagonal sqrt(up_k * down_{k+1}) (e.g. monic OPs, whose dense
+    non-normal eigensolve loses digits fast in N). On that route a constant
+    diagonal (a measure symmetric about a point: GUE, Chebyshev on any
+    interval, the monic Chebyshev table) is solved as the half-size
+    positive definite problem, any other diagonal by LAPACK dsterf. A
+    triangular section (e.g. the uniform-circle shift) short-circuits to
+    its diagonal, which is exact; otherwise eigenvalues would be polluted
+    by the O(eps^(1/N)) sensitivity of a nilpotent matrix.
+
+    The power sums are checked against the section traces, read from one
+    lmax-step walk (see recurrence._walk_steps); a disagreement raises
+    NumericalBreakdownError.
     """
     N, q = table.N, table.q
     c = table.c[:N]
     pairs = c[:-1, 0] * c[1:, 2] if q == 1 and not table.is_complex else None
     if table.symmetric or (pairs is not None and np.all(pairs > 0)):
-        from scipy.linalg import eigvalsh_tridiagonal
-
         off = table.a[: N - 1] if table.symmetric else np.sqrt(pairs)
-        zs = eigvalsh_tridiagonal(table.b[:N], off)
+        zs = _tridiagonal_zeros(table.b[:N], off)
     elif not np.any(c[:, 2:]):  # no down steps: a triangular section
         zs = table.c[:N, 1].copy()
     else:
@@ -66,8 +71,8 @@ def zeros(table, lmax=8):
     order = np.argsort(zs.real + 1e-12 * np.abs(zs.imag))
     zs = zs[order]
     ps = np.array([np.sum(zs**l) for l in range(lmax + 1)])
-    for l in range(1, lmax + 1):
-        tr = np.sum(_walks(table, l, np.arange(N), N - 1)[q * l])
+    for l, v in enumerate(_walk_steps(table, lmax, np.arange(N), N - 1)):
+        tr = np.sum(v[q * lmax])  # trace of the l-th section power
         if abs(ps[l] - tr) > POWER_SUM_TOL * max(1.0, abs(tr)):
             raise NumericalBreakdownError(
                 f"eigenvalue power sum p_{l}={ps[l]!r} disagrees with "
@@ -76,6 +81,43 @@ def zeros(table, lmax=8):
     if not np.iscomplexobj(zs):
         ps = ps.real
     return ZeroSet(zs, ps)
+
+
+def _tridiagonal_zeros(diag, off):
+    """Eigenvalues of the symmetric tridiagonal matrix T with diagonal diag
+    and off-diagonal off > 0.
+
+    When every diagonal entry equals one value b, permuting even and odd
+    indices turns T - b into the Golub-Kahan form [[0, C], [C^T, 0]] of the
+    lower bidiagonal C with C[i, i] = off[2i] and C[i+1, i] = off[2i+1]
+    (ceil(N/2) x floor(N/2)). The eigenvalues are then b -+ sqrt(lam), lam
+    running over the eigenvalues of the floor(N/2) positive definite
+    tridiagonal C^T C, and b itself when N is odd. The entries of C^T C,
+    off[2i]^2 + off[2i+1]^2 and off[2i+1] off[2i+2], are formed without
+    cancellation, and LAPACK dpteqr (LDL^T, then dqds) finds lam in about a
+    quarter of the work of dsterf on T. If dpteqr fails or returns some
+    lam <= 0 (a strongly graded off-diagonal makes C^T C numerically
+    indefinite), or the diagonal is not constant, T goes to
+    eigvalsh_tridiagonal (dsterf).
+    """
+    b, m = diag[0], len(diag) // 2
+    if np.all(diag == b):
+        from scipy.linalg.lapack import dpteqr
+
+        down = off[1::2]
+        d = off[0::2] ** 2
+        d[: len(down)] += down**2
+        if m < 2:  # dpteqr's wrapper refuses n = 1; a 1 x 1 C^T C is its eigenvalue
+            lam, info = d, 0
+        else:
+            e = down[: m - 1] * off[2::2]
+            lam, _, _, info = dpteqr(d, e, np.zeros((1, 1)), compute_z=0)
+        if info == 0 and np.all(lam > 0):
+            s = np.sqrt(lam)
+            return np.concatenate((b - s, [b] * (len(diag) % 2), b + s))
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    return eigvalsh_tridiagonal(diag, off)
 
 
 @dataclass

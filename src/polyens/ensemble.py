@@ -238,9 +238,20 @@ class PolynomialEnsemble:
 
     def kernel_diagonal(self):
         """K(x_i, x_i) at every atom, read from the basis rows in O(N n)
-        without forming the n x n kernel. Checked like kernel_matrix."""
+        without forming the n x n kernel. Checked like kernel_matrix. A
+        complex Q is conjugated one block of atoms (about _KERNEL_BLOCK
+        entries) at a time, so no conjugated copy of the basis is held."""
+        P, Q = self.P_vals, self.q_values
         with np.errstate(over="ignore", invalid="ignore"):
-            d = np.einsum("ki,ki->i", self.P_vals, np.conj(self.q_values))
+            if np.iscomplexobj(Q):
+                n = P.shape[1]
+                d = np.empty(n, dtype=np.result_type(P, Q))
+                cols = max(1, _KERNEL_BLOCK // max(1, len(P)))
+                for lo in range(0, n, cols):
+                    cut = slice(lo, lo + cols)
+                    np.einsum("ki,ki->i", P[:, cut], np.conj(Q[:, cut]), out=d[cut])
+            else:
+                d = np.einsum("ki,ki->i", P, Q)
         return self._checked(d, d, "kernel diagonal")
 
     def _checked(self, values, diag, what):

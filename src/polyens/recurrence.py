@@ -12,8 +12,10 @@ whose steps rise by at most one and fall by at most q, each path weighted by
 the product of its edge coefficients. We never enumerate paths: one banded
 walk, `_walks`, carries the path weights from many starting ordinates at
 once, and every table query here and in the variance and zero-set modules
-(moments, traces of sections, escape sums) reads its result. Indices run
-over 0..N+pad; access past the pad raises instead of extrapolating.
+(moments, traces of sections, escape sums) reads its result, or its weights
+after each step (`_walk_steps`) to read every power up to l at once.
+Indices run over 0..N+pad; access past the pad raises instead of
+extrapolating.
 """
 
 import numpy as np
@@ -208,6 +210,16 @@ def _walks(table, ell, starts, ceiling):
     Only the coefficients of those ordinates are read; a ceiling past the
     stored range raises. Costs O(q^2 ell^2 len(starts)).
     """
+    for v in _walk_steps(table, ell, starts, ceiling):
+        pass
+    return v
+
+
+def _walk_steps(table, ell, starts, ceiling):
+    """The weights of _walks after each of its 0..ell steps, laid out as its
+    result. Paths of s steps never reach the grid rows that the longer walk
+    adds, so the s-th yield holds, bit for bit, _walks(table, s, ...) at the
+    same displacements."""
     if ceiling > table.top:
         raise CoefficientRangeError(
             f"{ell}-step paths climb to ordinate {ceiling} but the table stores "
@@ -223,13 +235,14 @@ def _walks(table, ell, starts, ceiling):
     w = steps[:, h]  # w[j + 1, r, i]: weight of step j at ordinate h[r, i]
     v = np.zeros(h.shape, dtype=steps.dtype)
     v[q * ell] = 1.0
+    yield v
     for _ in range(ell):
         new = np.zeros_like(v)
         for j in range(-1, q + 1):  # step j moves ordinate h to h - j
             lo, hi = max(j, 0), D + min(j, 0)
             new[lo - j : hi - j] += v[lo:hi] * w[j + 1, lo:hi]
         v = new
-    return v
+        yield v
 
 
 def path_sum_moment(table, ell, k, m):

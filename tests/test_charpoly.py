@@ -19,6 +19,8 @@ from polyens import (
 )
 
 import oracles
+from polyens.measure import gauss_hermite
+from polyens.recurrence import _walk_steps, _walks
 from test_recurrence import TABLE_KINDS, random_table
 
 
@@ -40,6 +42,70 @@ def test_monic_chebyshev_zeros_by_symmetrizing_similarity():
         zs = zeros(banded_table(c, 1, N))
         assert not np.iscomplexobj(zs.zeros)
         assert np.max(np.abs(zs.zeros - oracles.chebyshev_zeros(N))) < 1e-12
+
+
+def _sine_zeros(N):
+    # cos((2k-1) pi / 2N) written as a sine, so the reference is exact near 0
+    k = np.arange(1, N + 1)
+    return np.sort(np.sin((N - 2 * k + 1) * np.pi / (2 * N)))
+
+
+@pytest.mark.parametrize("N", (1000, 1001))
+def test_constant_diagonal_zeros_from_half_size_problem(N):
+    zs = zeros(classical_table("chebyshev", N, pad=2)).zeros
+    assert np.max(np.abs(zs - _sine_zeros(N))) < 5e-15
+    shifted = zeros(classical_table("chebyshev", N, pad=2, alpha=0.0, beta=3.0)).zeros
+    assert np.max(np.abs(shifted - (1.5 + 1.5 * _sine_zeros(N)))) < 5e-15
+    if N % 2:  # the centre zero is the diagonal value itself
+        assert zs[N // 2] == 0.0 and shifted[N // 2] == 1.5
+
+
+def test_gue_zeros_are_scaled_hermite_nodes():
+    N = 1024
+    zs = zeros(classical_table("gue", N, pad=2)).zeros
+    nodes, _ = gauss_hermite(N)
+    assert np.max(np.abs(zs - nodes * np.sqrt(2.0 / N))) < 1e-13
+
+
+def test_graded_off_diagonal_falls_back_to_dsterf():
+    # C^T C of this section is numerically indefinite: dpteqr stops at info 20
+    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg.lapack import dpteqr
+
+    N = 40
+    a = np.where(np.arange(N + 1) % 2 == 0, 1e-3, 1.0)
+    off = a[: N - 1]
+    d = off[0::2] ** 2
+    d[:-1] += off[1::2] ** 2
+    assert dpteqr(d, off[1::2] * off[2::2], np.zeros((1, 1)), compute_z=0)[3] == 20
+    zs = zeros(op_table(a, np.zeros(N + 1), N))
+    assert np.array_equal(zs.zeros, eigvalsh_tridiagonal(np.zeros(N), off))
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_one_walk_traces_are_the_per_power_walks(kind):
+    t = random_table(kind, 1500)
+    N, q, lmax = t.N, t.q, 7
+    steps = list(_walk_steps(t, lmax, np.arange(N), N - 1))
+    assert len(steps) == lmax + 1
+    for ell, v in enumerate(steps):
+        assert np.sum(v[q * lmax]) == np.sum(_walks(t, ell, np.arange(N), N - 1)[q * ell])
+
+
+def test_constant_diagonal_sections_skip_dsterf(monkeypatch):
+    # GUE, Chebyshev and the symmetrized monic Chebyshev table must keep the
+    # half-size route, not fall back to the slower full tridiagonal solve
+    import scipy.linalg
+
+    def slow(*args, **kwargs):
+        raise AssertionError("full tridiagonal eigensolve")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", slow)
+    c = np.zeros((202, 3))
+    c[:, 0], c[1:, 2], c[1, 2] = 1.0, 0.25, 0.5
+    monic = banded_table(c, 1, 200)
+    for t in (classical_table("gue", 200), classical_table("chebyshev", 201), monic):
+        assert len(zeros(t)) == t.N
 
 
 def test_gue_zeros_confined_and_symmetric():

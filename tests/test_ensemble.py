@@ -228,6 +228,31 @@ def test_blocked_kernel_is_the_one_product(cfg):
     assert np.array_equal(ens.kernel_matrix(), ens.P_vals.T @ np.conj(ens.q_values))
 
 
+@pytest.mark.parametrize(
+    "cfg, peak_bytes",
+    [
+        ({"classical": "uniform-circle", "N": 300, "nodes": 1200}, 1 << 20),
+        ({"classical": "gue", "N": 100, "nodes": 256}, None),
+    ],
+)
+def test_kernel_diagonal_holds_no_conjugated_basis(cfg, peak_bytes):
+    import tracemalloc
+
+    from polyens.config import build_ensemble
+
+    ens = build_ensemble(cfg)
+    want = np.einsum("ki,ki->i", ens.P_vals, np.conj(ens.q_values))
+    tracemalloc.start()
+    try:
+        got = ens.kernel_diagonal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    if peak_bytes is not None:  # the conjugated circle basis alone is 5.76 MB
+        assert peak < peak_bytes
+
+
 def test_overflowing_kernel_is_a_breakdown_error():
     from polyens.config import build_ensemble
 
