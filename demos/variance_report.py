@@ -1,9 +1,10 @@
 """Linear-statistic fluctuations three ways: exact, limiting, Monte Carlo.
 
 Var[sum x_i] of the GUE ensemble equals 1 at every N; the demo contrasts
-the exact trace formula, the limiting double-integral functional, and a
-replica estimate with jackknife error bars, then prints the higher
-cumulants (the CLT says they vanish).
+the exact trace formula, the limiting Chebyshev sum (1/4) sum_k k c_k^2
+over the coefficients of f(2a cos t), and a replica estimate with
+jackknife error bars, then prints the higher cumulants (the CLT says they
+vanish).
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ def main():
         rep = cumulants(vals)
         print(f"statistic sum x^{ell}:")
         print(f"  exact variance      {exact:.6f}")
-        print(f"  limiting functional {lim:.6f}")
+        print(f"  Chebyshev limit     {lim:.6f}")
         print(f"  MC k2 ({REPLICAS} reps) {rep.variance:.4f} +- {rep.se[2]:.4f}")
         print(f"  MC k3               {rep.k[3]:+.4f} +- {rep.se[3]:.4f}")
         print(f"  MC k4               {rep.k[4]:+.4f} +- {rep.se[4]:.4f}")

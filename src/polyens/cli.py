@@ -180,8 +180,7 @@ def cmd_variance(args):
         "bound": float(variance_upper_bound(table, ell)),
     }
     if table.symmetric:
-        a_edge = float(table.coeff(table.N - 1, table.N)) if table.N <= table.top else 0.0
-        b_edge = float(table.coeff(table.N - 1, table.N - 1))
+        a_edge, b_edge = float(table.a[table.N - 1]), float(table.b[table.N - 1])
         payload["limiting"] = float(limiting_variance(lambda x: x**ell, a=a_edge, b=b_edge))
     else:
         payload["limiting"] = None
@@ -248,14 +247,23 @@ def cmd_verify(args):
     return EXIT_OK if payload["passed"] else EXIT_ACCEPT
 
 
-def _count(text):
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
-    return n
+def _at_least(least):
+    """argparse type: a whole number >= least."""
+
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = least - 1
+        if n < least:
+            raise argparse.ArgumentTypeError(f"expected a whole number >= {least}, got {text!r}")
+        return n
+
+    return parse
+
+
+_count = _at_least(0)
+_positive = _at_least(1)
 
 
 def _add_ensemble_opts(p, with_N=True):
@@ -279,7 +287,7 @@ def build_parser():
 
     p = sub.add_parser("moments", help="mean empirical moments to CSV")
     _add_ensemble_opts(p)
-    p.add_argument("--lmax", type=int, default=8)
+    p.add_argument("--lmax", type=_positive, default=8)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("zeros", help="zeros of the average characteristic polynomial to CSV")
@@ -288,12 +296,12 @@ def build_parser():
 
     p = sub.add_parser("gap", help="moment gap vs bound per power to CSV")
     _add_ensemble_opts(p)
-    p.add_argument("--lmax", type=int, default=4)
+    p.add_argument("--lmax", type=_positive, default=4)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("variance", help="linear-statistic variance report as JSON")
     _add_ensemble_opts(p)
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=_positive, default=1)
     p.add_argument("--mc", type=_count, default=0, help="Monte Carlo replicas (0 = skip)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_variance)
@@ -301,13 +309,15 @@ def build_parser():
     p = sub.add_parser("limit", help="finite-N vs limit moment report to CSV")
     _add_ensemble_opts(p)
     p.add_argument("--profile", required=True, help="profile config path or inline JSON")
-    p.add_argument("--lmax", type=int, default=8)
+    p.add_argument("--lmax", type=_positive, default=8)
     p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("verify", help="run the acceptance suite, emit pass/fail JSON")
     p.add_argument("--quick", action="store_true", help="smoke run with reduced replica counts")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--only", type=int, action="append", help="criterion number (repeatable)")
+    numbers = [number for number, _, _ in verify_mod.CRITERIA]
+    p.add_argument("--only", type=int, choices=numbers, action="append", metavar="NUMBER",
+                   help=f"criterion number {numbers[0]}..{numbers[-1]} (repeatable)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
     return top

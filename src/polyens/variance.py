@@ -20,7 +20,9 @@ coefficients a and b, to those of
                / (4 pi^2 a^2 sqrt(4a^2-(x-b)^2) sqrt(4a^2-(y-b)^2))
 
 on [b-2a, b+2a]^2, and Var[sum f(x_i)] -> a^2 integral of the squared
-divided difference of f against Q.
+divided difference of f against Q, which is (1/4) sum_k k c_k^2 over the
+Chebyshev coefficients of f(b + 2a u) = sum_k c_k T_k(u). One FFT of f at
+LIMIT_NODES points gives them, exactly for polynomials of lower degree.
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,9 @@ import numpy as np
 
 from .errors import CoefficientRangeError, EvaluationError
 from .recurrence import _walks
+
+# Chebyshev-Gauss sample count of the limit routes
+LIMIT_NODES = 512
 
 
 def _escape_sum(table, ell, m):
@@ -114,48 +119,41 @@ def empirical_Q_moment(ensemble, m, n):
     return 0.5 * (Am * Bn + Bm * An - 2.0 * Cm * Cn)
 
 
-def limiting_Q_moment(m, n, a=1.0, b=0.0, nodes=None):
+def _chebyshev_coefficients(f, a, b):
+    """c_0..c_{M-1} with f(b + 2a u) = sum_k c_k T_k(u), M = LIMIT_NODES:
+    one DCT-II, as the real FFT of the mirrored samples at the interior
+    Chebyshev-Gauss points u = cos((j+1/2)pi/M), so f is never read at a
+    support end. Exact for polynomials of degree below M."""
+    if a <= 0:
+        raise ValueError("a must be positive")
+    M = LIMIT_NODES
+    theta = (np.arange(M) + 0.5) * (np.pi / M)
+    g = np.asarray(f(b + 2.0 * a * np.cos(theta)), dtype=float)
+    Y = np.fft.rfft(np.concatenate((g, g[::-1])))[:M]
+    c = (np.exp(-0.5j * np.pi / M * np.arange(M)) * Y).real / M
+    c[0] /= 2.0
+    return c
+
+
+def limiting_Q_moment(m, n, a=1.0, b=0.0):
     """Moment integral x^m y^n dQ of the limiting pair measure on
-    [b-2a, b+2a]^2. Chebyshev-Gauss quadrature, exact for the polynomial
-    integrand once nodes > (max(m,n)+1)/2 + 1; (0,0) gives 1."""
-    if m < 0 or n < 0:
-        raise ValueError("moment orders must be >= 0")
-    if a <= 0:
-        raise ValueError("a must be positive")
-    nodes = nodes or max(64, 2 * (m + n) + 8)
-    u = np.cos((2 * np.arange(1, nodes + 1) - 1) * np.pi / (2 * nodes))
-    x = b + 2.0 * a * u
-    xm, xn = x**m, x**n
-    # (1 - u v) factorizes, so the double integral splits
-    S_m, T_m = xm.mean(), (xm * u).mean()
-    S_n, T_n = xn.mean(), (xn * u).mean()
-    return float(S_m * S_n - T_m * T_n)
+    [b-2a, b+2a]^2; (0,0) gives 1. With x = b + 2a u the weight 1 - uv
+    factorizes, so this is c_0(x^m) c_0(x^n) - c_1(x^m) c_1(x^n) / 4 in
+    Chebyshev coefficients: exact for orders below LIMIT_NODES."""
+    if min(m, n) < 0 or max(m, n) >= LIMIT_NODES:
+        raise ValueError(f"moment orders must lie in [0, {LIMIT_NODES})")
+    cm = _chebyshev_coefficients(lambda x: x**m, a, b)
+    cn = _chebyshev_coefficients(lambda x: x**n, a, b)
+    return float(cm[0] * cn[0] - cm[1] * cn[1] / 4.0)
 
 
-def limiting_variance(f, a=1.0, b=0.0, nodes=512, fprime=None):
-    """Limiting Var[sum f(x_i)] = a^2 integral of ((f(x)-f(y))/(x-y))^2 dQ.
-
-    Tensor Chebyshev-Gauss quadrature on the support square; the divided
-    difference falls back to f' (given, or a centered difference) within
-    1e-8 of the diagonal."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    u = np.cos((2 * np.arange(1, nodes + 1) - 1) * np.pi / (2 * nodes))
-    x = b + 2.0 * a * u
-    F = np.asarray(f(x), dtype=float)
-    dx = x[:, None] - x[None, :]
-    close = np.abs(dx) <= 1e-8 * max(1.0, float(np.max(np.abs(x))))
-    num = F[:, None] - F[None, :]
-    D = np.empty_like(dx)
-    np.divide(num, dx, out=D, where=~close)
-    if fprime is not None:
-        dvals = np.asarray(fprime(x), dtype=float)
-    else:
-        h = 1e-5 * np.maximum(1.0, np.abs(x))
-        dvals = (np.asarray(f(x + h), dtype=float) - np.asarray(f(x - h), dtype=float)) / (2 * h)
-    D[close] = np.broadcast_to(dvals[:, None], D.shape)[close]
-    Qw = 1.0 - u[:, None] * u[None, :]
-    return float(a**2 * np.mean(D * D * Qw))
+def limiting_variance(f, a=1.0, b=0.0):
+    """Limiting Var[sum f(x_i)] = (1/4) sum_k k c_k^2 over the Chebyshev
+    coefficients of f(b + 2a u) (Johansson 1998), which equals a^2 times
+    the squared divided difference of f integrated against Q. Exact for
+    polynomials f of degree below LIMIT_NODES."""
+    c = _chebyshev_coefficients(f, a, b)
+    return float(np.arange(len(c)) @ (c * c) / 4.0)
 
 
 @dataclass

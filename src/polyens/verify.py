@@ -234,7 +234,7 @@ def check_pair_measure(ctx):
     q11 = empirical_Q_moment(ens, 1, 1)
     target = limiting_Q_moment(1, 1, a=0.5, b=0.0)
     if abs(target - (-0.25)) > 1e-9:
-        return False, f"limit quadrature off: {target!r} vs -1/4"
+        return False, f"limit moment off: {target!r} vs -1/4"
     ok = abs(q00 - 1.0) <= 1e-8 and abs(q11 - target) <= 0.05
     return ok, f"(0,0) = {q00:.10f}, (1,1) = {q11:.6f} vs limit {target:.6f} (tol 0.05)"
 

@@ -186,6 +186,34 @@ def test_usage_errors_exit_1(capsys):
     assert "--mc: expected a whole number >= 0, got '-1'" in out.err
 
 
+@pytest.mark.parametrize("number", ["0", "12"])
+def test_verify_only_outside_the_criteria_is_a_usage_error(tmp_path, capsys, number):
+    # a mistyped criterion must not read as an empty, passing run
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--quick", "--only", "3", "--only", number, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"--only: invalid choice: {number}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sub",
+    [
+        ["moments", "--lmax"],
+        ["gap", "--lmax"],
+        ["limit", "--profile", '{"kind": "gue"}', "--lmax"],
+        ["variance", "--power"],
+    ],
+    ids=lambda sub: sub[0],
+)
+def test_nonpositive_power_is_a_usage_error(tmp_path, capsys, sub):
+    out = tmp_path / "out"
+    for value in ("-1", "0"):
+        argv = [sub[0], "--ensemble", "gue", "--N", "10", "--out", str(out), *sub[1:], value]
+        assert main(argv) == 1
+        assert f"{sub[-1]}: expected a whole number >= 1, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tilt_that_is_no_point_process_fails_as_positivity(capsys):
     # this tilt's kernel has negative minors, so it defines no point
     # process: building the config scans minors and fails before any draw

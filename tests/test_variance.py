@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -23,6 +25,7 @@ from polyens import (
     variance_upper_bound,
 )
 from polyens.config import build_ensemble
+from polyens.variance import LIMIT_NODES
 
 import oracles
 from test_recurrence import random_banded_table, random_op_table
@@ -195,12 +198,53 @@ def test_limiting_variance_frozen_values():
     assert np.isclose(limiting_variance(lambda x: x, a=0.5), variance_power(t, 1), atol=1e-10)
 
 
-def test_limiting_variance_explicit_derivative():
-    f = lambda x: x**3
-    fp = lambda x: 3 * x**2
-    v1 = limiting_variance(f, a=1.0)
-    v2 = limiting_variance(f, a=1.0, fprime=fp)
-    assert np.isclose(v1, v2, rtol=1e-6)
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: x, lambda x: x**2, lambda x: x**3, lambda x: x**4, np.exp, lambda x: np.sin(3 * x)],
+    ids=["x", "x^2", "x^3", "x^4", "exp", "sin3x"],
+)
+def test_limiting_variance_matches_divided_difference_quadrature(f):
+    for a, b in [(0.5, 0.3), (1.0, 0.0)]:
+        want = oracles.limiting_variance_by_quadrature(f, a=a, b=b)
+        assert abs(limiting_variance(f, a=a, b=b) - want) < 1e-9
+
+
+def test_limiting_variance_of_a_kink_matches_quadrature():
+    # |x| has Chebyshev coefficients of order k^-2: the truncated sums of
+    # both routes agree to the size of their tails
+    for a, b in [(0.5, 0.3), (1.0, 0.0)]:
+        want = oracles.limiting_variance_by_quadrature(np.abs, a=a, b=b)
+        assert abs(limiting_variance(np.abs, a=a, b=b) - want) < 1e-4
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_limiting_variance_of_chebyshev_polynomials(k):
+    # Var[sum T_k(x_i / 2)] -> k / 4 on the semicircle band (Johansson 1998)
+    T = np.polynomial.Chebyshev.basis(k)
+    assert abs(limiting_variance(lambda x: T(x / 2), a=1.0, b=0.0) - k / 4) < 1e-12
+
+
+def test_limiting_variance_is_the_large_N_exact_variance():
+    # the exact Var[sum p(x_i)] is c^T C c with C the covariance_power matrix
+    # of the powers; at GUE N = 1e4 it sits O(1/N^2) from the limit
+    N, L = 10_000, 8
+    t = classical_table("gue", N, pad=L)
+    C = np.array([[covariance_power(t, i, j) for j in range(1, L + 1)] for i in range(1, L + 1)])
+    for k in range(1, L + 1):
+        T = np.polynomial.Chebyshev.basis(k)
+        c = np.zeros(L + 1)
+        c[: k + 1] = np.polynomial.chebyshev.cheb2poly(T.coef) / 2.0 ** np.arange(k + 1)
+        exact = c[1:] @ C @ c[1:]
+        assert abs(limiting_variance(lambda x: T(x / 2)) - exact) < 1e-5
+
+
+def test_limiting_routes_take_no_tuning():
+    assert list(inspect.signature(limiting_variance).parameters) == ["f", "a", "b"]
+    assert list(inspect.signature(limiting_Q_moment).parameters) == ["m", "n", "a", "b"]
+    with pytest.raises(ValueError):
+        limiting_variance(lambda x: x, a=0.0)
+    with pytest.raises(ValueError):
+        limiting_Q_moment(1, LIMIT_NODES)
 
 
 def test_limiting_variance_translation_invariant_for_linear_f():
