@@ -29,19 +29,30 @@ BIORTHOGONALITY_TOL = 1e-8
 # a phase gauge is real when it leaves |Im| <= this times max K(x, x)
 GAUGE_TOL = 1e-12
 
-# complex entries per row block of the gauge check (256 kB)
-_GAUGE_BLOCK = 1 << 14
-
-# complex entries per row block of kernel_matrix (512 kB): on circle N=300 on
-# 1200 atoms, 256 kB blocks took 7 ms more than the one product, 512 kB ~1 ms
+# complex entries per row block of a kernel, Gram or gauge scan (512 kB): on
+# circle N=300 on 1200 atoms, 256 kB blocks of the full kernel took 7 ms more
+# than the one product, 512 kB ~1 ms
 _KERNEL_BLOCK = 1 << 15
 
-# kernel row blocks are at least this high, the last one taking the
-# remainder: numpy sends a 1-row product to a matrix-vector routine, which
-# rounds differently from the one-product K (a 1-row last block changed row
-# 1200 of K at N=300 on 1201 atoms); heights of 2 to 100 reproduced it bit
-# for bit
-_MIN_BLOCK_ROWS = 2
+# row blocks are a multiple of this high, but for the last one (see
+# _row_blocks). A hermitian kernel mirrors its blocks, which is exact only
+# where a block is tiled as the one product tiles it: on circle N=300
+# (OpenBLAS, Haswell kernels) heights that are multiples of 4 kept K bit for
+# bit at 1200, 1201 and 1243 atoms, while 2, 6, 109 and 110 changed about a
+# thousand entries. A 1-row block would also go to a matrix-vector routine,
+# which rounds differently.
+_BLOCK_ROWS = 8
+
+
+def _row_blocks(n, width):
+    """(lo, hi) bounds of the row blocks of an n-row array whose rows hold
+    width entries: about _KERNEL_BLOCK entries a block, with heights a
+    multiple of _BLOCK_ROWS, then a last block of the last
+    _BLOCK_ROWS + n mod _BLOCK_ROWS rows (all n rows when n < 2 _BLOCK_ROWS)."""
+    rows = max(_BLOCK_ROWS, _KERNEL_BLOCK // max(1, width) // _BLOCK_ROWS * _BLOCK_ROWS)
+    last = max(0, n - _BLOCK_ROWS - n % _BLOCK_ROWS)
+    return [(lo, min(lo + rows, last)) for lo in range(0, last, rows)] + [(last, n)]
+
 
 _UNCHECKED = object()
 
@@ -122,19 +133,30 @@ class PolynomialEnsemble:
         P_0..P_{N-1} in their span: P itself when their Gram matrix is within
         BIORTHOGONALITY_TOL of I (a NaN Gram is not), else inv(G)^H P. The
         table stays attached only if it describes (P, Q), i.e. the padded rows
-        are biorthogonal to Q within the same tolerance; else table=None."""
+        are biorthogonal to Q within the same tolerance; else table=None.
+
+        The Gram matrix is hermitian, so the check reads only its upper half,
+        G[lo:hi, lo:] for the row blocks of _row_blocks, each formed
+        conjugated as (conj(P[lo:hi]) w) P[lo:]^T; |G - I| is the same on
+        conjugates, and no conjugated copy of the basis is held. The padded
+        rows are checked conjugated the same way. Only a basis that fails the
+        check forms the full G."""
         N = table.N if N is None else int(N)
         if N != table.N:
             table = RecurrenceTable(N, table.c, table.q)
         _check_rank(N, measure)
         p0 = 1.0 / np.sqrt(measure.total_mass)
         basis = eval_polynomials(table, measure.points, table.top, p0=p0)
-        P = basis[:N]
-        G = (P * measure.weights) @ P.conj().T
+        P, w = basis[:N], measure.weights
         Q = None
-        if not np.max(np.abs(G - np.eye(N))) <= BIORTHOGONALITY_TOL:
-            Q = np.linalg.inv(G).conj().T @ P
-        above = (basis[N:] * measure.weights) @ np.conj(P if Q is None else Q).T
+        for lo, hi in _row_blocks(N, P.shape[1]):
+            G = (np.conj(P[lo:hi]) * w) @ P[lo:].T
+            G[:, : hi - lo] -= np.eye(hi - lo)
+            if not np.max(np.abs(G)) <= BIORTHOGONALITY_TOL:
+                G = (P * w) @ P.conj().T
+                Q = np.linalg.inv(G).conj().T @ P
+                break
+        above = (np.conj(basis[N:]) * w) @ (P if Q is None else Q).T
         if not np.max(np.abs(above), initial=0.0) <= BIORTHOGONALITY_TOL:
             table = None
         return cls(measure, basis, N=N, Q_vals=Q, table=table, name=name)
@@ -180,24 +202,37 @@ class PolynomialEnsemble:
         return f"PolynomialEnsemble({self.name}, N={self.N}, {kind}, atoms={len(self.measure)})"
 
     def kernel_matrix(self):
-        """K(x_i, x_j) on all atom pairs, cached. Checked once, when formed
-        (see _checked), rather than inside a sampling step. For a complex Q,
-        K[r] = conj(conj(P[:, r])^T Q) one row block r of about _KERNEL_BLOCK
-        entries at a time, so only one block of the basis is ever held
-        conjugated; rounding is symmetric in sign, so this is P^T conj(Q)
-        bit for bit."""
+        """K(x_i, x_j) on all atom pairs, cached; bit for bit P^T conj(Q).
+        Checked once, when formed (see _checked), rather than inside a
+        sampling step.
+
+        A real kernel is the one product (numpy sends the hermitian P^T P to
+        a symmetric rank-k routine). A complex one is formed in the row
+        blocks of _row_blocks, block r as conj(conj(P[:, r])^T Q), so only one
+        block of the basis is ever held conjugated; rounding is symmetric in
+        sign, so this is P^T conj(Q) bit for bit.
+
+        A complex hermitian kernel forms only its upper half. Block [lo, hi)
+        computes K[lo:hi, lo:], and before its conjugation, its part right of
+        the block is copied transposed into K[hi:, lo:hi], so no second n x n
+        array is held. The last block, the last 8 + n mod 8 rows, is full
+        width: the one product forms the last n mod 8 rows with remainder
+        tiles, whose rounding is not the mirror of the same columns', so
+        those rows are computed, not mirrored."""
         if self._kernel is None:
             P, Q = self.P_vals, self.q_values
             with np.errstate(over="ignore", invalid="ignore"):
                 if np.iscomplexobj(Q):
                     n = P.shape[1]
                     K = np.empty((n, Q.shape[1]), dtype=np.result_type(P, Q))
-                    rows = max(_MIN_BLOCK_ROWS, _KERNEL_BLOCK // max(1, len(P)))
-                    blocks = max(1, n // rows)
-                    for b in range(blocks):
-                        cut = slice(b * rows, n if b == blocks - 1 else (b + 1) * rows)
-                        np.matmul(np.conj(P[:, cut]).T, Q, out=K[cut])
-                        np.conjugate(K[cut], out=K[cut])
+                    blocks = _row_blocks(n, len(P))
+                    end = blocks[-1][0] if self.hermitian else 0  # no mirror into the full-width last block
+                    for lo, hi in blocks:
+                        left = lo if self.hermitian and hi < n else 0
+                        rows = K[lo:hi, left:]
+                        np.matmul(np.conj(P[:, lo:hi]).T, Q[:, left:], out=rows)
+                        K[hi:end, lo:hi] = K[lo:hi, hi:end].T  # K[j, i] = conj(K[i, j])
+                        np.conjugate(rows, out=rows)
                 else:
                     K = P.T @ Q
             self._kernel = self._checked(K, np.diagonal(K), "kernel")
@@ -213,10 +248,11 @@ class PolynomialEnsemble:
         with d_i = exp(i (N - 1) arg(x_i) / 2): by the Christoffel-Darboux
         formula for polynomials orthogonal on the unit circle,
         K(z, w) (z conj(w))^(-(N-1)/2) is real on |z| = |w| = 1. The phases
-        are accepted when max |Im(conj(d_i) K_ij d_j)| <= GAUGE_TOL max K_ii,
-        checked in row blocks so that no second n x n array is formed. A real
-        kernel needs no gauge, and a non-hermitian or failing one has none:
-        both give None.
+        are accepted when max |Im(conj(d_i) K_ij d_j)| <= GAUGE_TOL max K_ii.
+        That imaginary part is antisymmetric, so only the upper half is
+        scanned, K[lo:hi, lo:] for the row blocks of _row_blocks, and no
+        second n x n array is formed. A real kernel needs no gauge, and a
+        non-hermitian or failing one has none: both give None.
         """
         if self._gauge is _UNCHECKED:
             self._gauge = self._find_real_gauge()
@@ -228,10 +264,9 @@ class PolynomialEnsemble:
             return None
         d = np.exp(0.5j * (self.N - 1) * np.angle(self.measure.points))
         tol = GAUGE_TOL * np.max(np.real(np.diagonal(K)), initial=0.0)
-        rows = max(1, _GAUGE_BLOCK // len(K))
-        for s in range(0, len(K), rows):
-            block = K[s : s + rows] * d
-            block *= np.conj(d[s : s + rows, None])
+        for lo, hi in _row_blocks(len(K), len(K)):
+            block = K[lo:hi, lo:] * d[lo:]
+            block *= np.conj(d[lo:hi, None])
             if np.max(np.abs(block.imag)) > tol:
                 return None
         return d

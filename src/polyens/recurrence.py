@@ -38,7 +38,8 @@ class RecurrenceTable:
 
     `symmetric` marks the table of orthonormal polynomials: q = 1, real,
     up steps positive, each down step equal to the up step below it.
-    `a` and `b` are read-only views of the up steps and the diagonal.
+    `c` is read-only, and `a` and `b` are read-only views of its up steps
+    and diagonal.
     """
 
     def __init__(self, N, c, q):
@@ -54,9 +55,9 @@ class RecurrenceTable:
         c = c.copy()
         for k in range(min(len(c), q + 1)):
             c[k, k + 2:] = 0.0  # target index k-j < 0 does not exist
+        c.flags.writeable = False  # symmetric is read from c once, so c stays as read
         self.N, self.c, self.q = int(N), c, int(q)
         self.a, self.b = c[:, 0], c[:, 1]
-        self.a.flags.writeable = self.b.flags.writeable = False
         self.symmetric = (q == 1 and not np.iscomplexobj(c) and bool(np.all(c[:, 0] > 0))
                           and np.array_equal(c[1:, 2], c[:-1, 0]))
 

@@ -246,3 +246,16 @@ def op_polynomials_by_three_terms(table, x, upto, p0=1.0):
     for k in range(1, upto):
         out[k + 1] = ((pts - b[k]) * out[k] - a[k - 1] * out[k - 1]) / a[k]
     return out
+
+
+def real_gauge_by_full_scan(ensemble, tol):
+    """The unit-circle phase gauge d_i = exp(i (N-1) arg(x_i) / 2) if every
+    entry of conj(d_i) K_ij d_j, both halves of the kernel, has |Im| <= tol
+    max K_ii; else None. Only a complex hermitian kernel is tried."""
+    K = ensemble.kernel_matrix()
+    if not (ensemble.hermitian and np.iscomplexobj(K)):
+        return None
+    d = np.exp(0.5j * (ensemble.N - 1) * np.angle(ensemble.measure.points))
+    gauged = K * d
+    gauged *= np.conj(d[:, None])
+    return d if np.max(np.abs(gauged.imag)) <= tol * np.max(K.diagonal().real) else None

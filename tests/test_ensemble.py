@@ -213,19 +213,53 @@ def test_more_points_than_atoms_is_a_rank_error():
         )
 
 
+def _z_powers(powers, nodes):
+    """The hermitian ensemble of z^k, k in powers, on the nodes-th roots of
+    unity: orthonormal, complex, with no table."""
+    m = uniform_circle_measure(nodes)
+    return PolynomialEnsemble.from_values(m, np.array([m.points**k for k in powers]))
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
-        {"classical": "uniform-circle", "N": 300, "nodes": 1200},  # 11 blocks of 109 rows, 1 over
-        {"classical": "uniform-circle", "N": 300, "nodes": 1243},
+        {"classical": "uniform-circle", "N": 300, "nodes": 1200},  # 11 blocks of 104 rows, 48, then 8
+        {"classical": "uniform-circle", "N": 300, "nodes": 1243},  # n mod 8 = 3
         {"classical": "gue", "N": 100, "nodes": 256},
+        {"classical": "uniform-circle", "N": 300, "nodes": 1201},  # n mod 8 = 1
+        {"classical": "uniform-circle", "N": 300, "nodes": 1207},  # n mod 8 = 7
+        {"classical": "uniform-circle", "N": 6, "nodes": 30},  # one 16-row block, then the last 14
+        {"classical": "uniform-circle", "N": 4, "nodes": 5},  # fewer atoms than 8: one block
+        {"powers": (0, 1, 3), "nodes": 8},  # hermitian from values, with no real gauge
     ],
 )
 def test_blocked_kernel_is_the_one_product(cfg):
     from polyens.config import build_ensemble
 
-    ens = build_ensemble(cfg)
+    ens = _z_powers(cfg["powers"], cfg["nodes"]) if "powers" in cfg else build_ensemble(cfg)
     assert np.array_equal(ens.kernel_matrix(), ens.P_vals.T @ np.conj(ens.q_values))
+
+
+def test_hermitian_kernel_and_gram_check_hold_no_second_copy():
+    # circle N=300 on 1200 atoms: K is 21.97 MiB and the kept basis 5.66 MiB;
+    # a mirror through a transposed temporary, or a conjugated copy of the
+    # basis, would exceed these bounds
+    import tracemalloc
+
+    from polyens.config import build_ensemble
+
+    cfg = {"classical": "uniform-circle", "N": 300, "nodes": 1200}
+    tracemalloc.start()
+    try:
+        ens = build_ensemble(cfg)
+        built, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        K = ens.kernel_matrix()
+        kernel_peak = tracemalloc.get_traced_memory()[1] - built
+    finally:
+        tracemalloc.stop()
+    assert build_peak < ens.basis.nbytes + (3 << 20)
+    assert kernel_peak < K.nbytes + (2 << 20)
 
 
 @pytest.mark.parametrize(

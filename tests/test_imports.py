@@ -27,6 +27,10 @@ ensembles = [
     polyens.PolynomialEnsemble.from_table(
         polyens.classical_table("circle", 6, pad=2), polyens.uniform_circle_measure(30), N=6
     ),
+    # four row blocks of the kernel and four of the Gram check
+    polyens.PolynomialEnsemble.from_table(
+        polyens.classical_table("circle", 200, pad=2), polyens.uniform_circle_measure(400), N=200
+    ),
     base.tilt_nonorthogonal(tilt, validate=True, rng=polyens.stream(3)),
 ]
 for N, nodes in ((10, 64), (100, 256)):

@@ -105,6 +105,15 @@ def test_op_table_is_the_symmetric_q1_band():
     assert banded_table(t.c, 1, t.N).symmetric
 
 
+def test_table_coefficients_are_read_only():
+    # symmetric is read from c once; a write to c would leave it stale, and
+    # zeros would then take the symmetric route on a table that is not
+    t = classical_table("gue", 20, pad=4)
+    with pytest.raises(ValueError):
+        t.c[5, 2] = 0.9
+    assert t.symmetric and t.c[5, 2] == t.a[4]
+
+
 def test_symmetry_is_read_from_the_coefficients():
     t = random_op_table(6, N=4, pad=3)
     lopsided = t.c.copy()

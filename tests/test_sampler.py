@@ -28,6 +28,7 @@ from polyens import (
 )
 
 from polyens.config import build_ensemble
+from polyens.ensemble import GAUGE_TOL
 from polyens.sampler import _drive
 
 import oracles
@@ -155,6 +156,36 @@ def test_kernel_without_real_gauge_samples_on_complex_rows():
     assert ens.real_gauge() is None
     assert ConditionalState(ens)._E.dtype == np.complex128
     _assert_draws_match_minor_ratios(ens, 37, 8)
+
+
+def _same_gauge(ens):
+    want = oracles.real_gauge_by_full_scan(ens, GAUGE_TOL)
+    got = ens.real_gauge()
+    assert (got is None) == (want is None), ens
+    assert got is None or np.array_equal(got, want)
+    return got
+
+
+def test_real_gauge_scan_of_the_upper_half_matches_the_full_scan():
+    circle = {N: build_ensemble({"classical": "circle", "N": N}) for N in (30, 300)}
+    for ens in circle.values():
+        assert _same_gauge(ens) is not None
+    m = uniform_circle_measure(8)
+    assert _same_gauge(PolynomialEnsemble.from_values(m, np.array([m.points**k for k in (0, 1, 3)]))) is None
+    # column phases exp(i t u_i) move the gauged kernel G to G_ij exp(i t (u_i - u_j)),
+    # so max |Im| grows like t s: scale t to land either side of GAUGE_TOL. u is
+    # zero on the first half of the atoms, so the largest |Im| is not in the
+    # first row blocks of the scan
+    ens = circle[300]
+    n = len(ens.measure)
+    u = np.where(np.arange(n) < n // 2, 0.0, stream(44).uniform(-1.0, 1.0, n))
+    d = ens.real_gauge()
+    G = (np.conj(d)[:, None] * ens.kernel_matrix() * d).real
+    s = np.max(np.abs(G * (u[:, None] - u))) / np.max(np.diagonal(G))
+    for factor in (0.5, 0.9, 1.1, 2.0):
+        t = factor * GAUGE_TOL / s
+        tilted = PolynomialEnsemble.from_values(ens.measure, ens.P_vals * np.exp(1j * t * u))
+        assert (_same_gauge(tilted) is None) == (factor > 1), factor
 
 
 def test_refactor_replays_a_real_gauge_state():
