@@ -89,22 +89,22 @@ def arcsine_moment(ell, alpha=-1.0, beta=1.0):
 
 
 @functools.lru_cache(maxsize=None)
-def _gl_grid(nodes):
-    """Gauss-Legendre nodes and weights mapped to [0,1], built once per node
-    count. Every caller shares the arrays, so they are read-only."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _gl_grid():
+    """The GL_NODES Gauss-Legendre nodes and weights mapped to [0,1], built
+    once. Every caller shares the arrays, so they are read-only."""
+    x, w = np.polynomial.legendre.leggauss(GL_NODES)
     s, w = 0.5 * (x + 1.0), 0.5 * w
     s.flags.writeable = False
     w.flags.writeable = False
     return s, w
 
 
-def mu_ab_moment(profile, ell, nodes=GL_NODES):
+def mu_ab_moment(profile, ell):
     """l-th moment of the law of 2 a(U) xi + b(U) for an OP profile: the
     banded limit moment at q = 1."""
     if profile.q != 1:
         raise ValueError("mu_ab form needs an OP (q=1) profile")
-    return banded_limit_moment(profile, ell, nodes)
+    return banded_limit_moment(profile, ell)
 
 
 def mu_ab_sample(profile, rng, size):
@@ -116,7 +116,7 @@ def mu_ab_sample(profile, rng, size):
     return 2.0 * profile(-1, u) * xi + profile(0, u)
 
 
-def banded_limit_moment(profile, ell, nodes=GL_NODES):
+def banded_limit_moment(profile, ell):
     """Limit of the l-th mean empirical moment for a banded profile: the
     weight of l-step loops of the band frozen at s, integrated over s.
 
@@ -125,13 +125,13 @@ def banded_limit_moment(profile, ell, nodes=GL_NODES):
     one walk from every block counts the loops of every node.
     """
     q = profile.q
-    s, w = _gl_grid(nodes)
+    s, w = _gl_grid()
     rows = (q + 1) * ell + 1
-    band = np.empty((nodes, q + 2))
+    band = np.empty((GL_NODES, q + 2))
     for j in range(-1, q + 1):
         band[:, j + 1] = profile(j, s)
-    table = banded_table(np.repeat(band, rows, axis=0), q, nodes * rows)
-    starts = np.arange(nodes) * rows + q * ell
+    table = banded_table(np.repeat(band, rows, axis=0), q, GL_NODES * rows)
+    starts = np.arange(GL_NODES) * rows + q * ell
     loops = _walks(table, ell, starts, table.top)[q * ell]
     return float(w @ loops)
 

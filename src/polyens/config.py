@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .measure import atoms_measure, grid_measure, named_measure
-from .recurrence import banded_table, classical_table, op_table, table_from_measure
+from .recurrence import banded_table, classical_table, op_table
 from .ensemble import PolynomialEnsemble
 from .asymptotics import CoefficientProfile, gue_profile, op_profile
 from .rng import stream
@@ -151,13 +151,13 @@ def build_ensemble(cfg):
         _require("N" in cfg, "classical ensemble needs 'N'")
         N = _integer(cfg["N"], "ensemble N", 1)
         default_nodes = 256 if name in ("gue", "chebyshev") else max(4 * N, 64)
-        nodes = _integer(cfg.get("nodes", default_nodes), "nodes")
+        nodes = _integer(cfg.get("nodes", default_nodes), "nodes", 1)
         kwargs = {}
         if "alpha" in cfg:
             kwargs["alpha"] = _number(cfg["alpha"], "alpha")
         if "beta" in cfg:
             kwargs["beta"] = _number(cfg["beta"], "beta")
-        table = classical_table(name, N, pad=_integer(cfg.get("pad", 8), "pad"), **kwargs)
+        table = classical_table(name, N, pad=_integer(cfg.get("pad", 8), "pad", 0), **kwargs)
         if name == "gue":
             measure = named_measure("scaled-hermite", N=N, nodes=nodes)
         elif name == "chebyshev":
@@ -177,8 +177,7 @@ def build_ensemble(cfg):
         return PolynomialEnsemble.from_table(build_table(cfg["table"], N=N), measure, N=N)
     _require("N" in cfg, "ensemble needs 'N'")
     N = _integer(cfg["N"], "ensemble N", 1)
-    table = table_from_measure(measure, N, pad=_integer(cfg.get("pad", 8), "pad"))
-    return PolynomialEnsemble.from_table(table, measure, N=N)
+    return PolynomialEnsemble.from_measure(measure, N, pad=_integer(cfg.get("pad", 8), "pad", 0))
 
 
 def _profile_fn(raw, label):
@@ -214,6 +213,8 @@ def build_profile(cfg):
         _require("a" in cfg, "op profile needs 'a'")
         return op_profile(_profile_fn(cfg["a"], "a"), _profile_fn(cfg.get("b", 0.0), "b"))
     _require("funcs" in cfg and isinstance(cfg["funcs"], dict), "banded profile needs a 'funcs' object")
+    for j in cfg["funcs"]:
+        _require(j.removeprefix("-").isdecimal(), f"profile funcs key {j!r} must be an integer step index")
     funcs = {int(j): _profile_fn(f, f"funcs[{j}]") for j, f in cfg["funcs"].items()}
     try:
         return CoefficientProfile(funcs)

@@ -21,38 +21,13 @@ from .errors import (
     PositivityViolationError,
     RankError,
 )
-from .measure import NEGATIVITY_TOL
+from .measure import NEGATIVITY_TOL, _row_blocks
 from .recurrence import RecurrenceTable, eval_polynomials, table_from_measure
 
 BIORTHOGONALITY_TOL = 1e-8
 
 # a phase gauge is real when it leaves |Im| <= this times max K(x, x)
 GAUGE_TOL = 1e-12
-
-# complex entries per row block of a kernel, Gram or gauge scan (512 kB): on
-# circle N=300 on 1200 atoms, 256 kB blocks of the full kernel took 7 ms more
-# than the one product, 512 kB ~1 ms
-_KERNEL_BLOCK = 1 << 15
-
-# row blocks are a multiple of this high, but for the last one (see
-# _row_blocks). A hermitian kernel mirrors its blocks, which is exact only
-# where a block is tiled as the one product tiles it: on circle N=300
-# (OpenBLAS, Haswell kernels) heights that are multiples of 4 kept K bit for
-# bit at 1200, 1201 and 1243 atoms, while 2, 6, 109 and 110 changed about a
-# thousand entries. A 1-row block would also go to a matrix-vector routine,
-# which rounds differently.
-_BLOCK_ROWS = 8
-
-
-def _row_blocks(n, width):
-    """(lo, hi) bounds of the row blocks of an n-row array whose rows hold
-    width entries: about _KERNEL_BLOCK entries a block, with heights a
-    multiple of _BLOCK_ROWS, then a last block of the last
-    _BLOCK_ROWS + n mod _BLOCK_ROWS rows (all n rows when n < 2 _BLOCK_ROWS)."""
-    rows = max(_BLOCK_ROWS, _KERNEL_BLOCK // max(1, width) // _BLOCK_ROWS * _BLOCK_ROWS)
-    last = max(0, n - _BLOCK_ROWS - n % _BLOCK_ROWS)
-    return [(lo, min(lo + rows, last)) for lo in range(0, last, rows)] + [(last, n)]
-
 
 _UNCHECKED = object()
 
@@ -135,12 +110,9 @@ class PolynomialEnsemble:
         table stays attached only if it describes (P, Q), i.e. the padded rows
         are biorthogonal to Q within the same tolerance; else table=None.
 
-        The Gram matrix is hermitian, so the check reads only its upper half,
-        G[lo:hi, lo:] for the row blocks of _row_blocks, each formed
-        conjugated as (conj(P[lo:hi]) w) P[lo:]^T; |G - I| is the same on
-        conjugates, and no conjugated copy of the basis is held. The padded
-        rows are checked conjugated the same way. Only a basis that fails the
-        check forms the full G."""
+        The check is measure.gram_defect(P), the Gram's upper half in the row
+        blocks of _row_blocks; the padded rows are checked conjugated too, with
+        no conjugated copy of the basis. Only a failing basis forms the full G."""
         N = table.N if N is None else int(N)
         if N != table.N:
             table = RecurrenceTable(N, table.c, table.q)
@@ -149,13 +121,8 @@ class PolynomialEnsemble:
         basis = eval_polynomials(table, measure.points, table.top, p0=p0)
         P, w = basis[:N], measure.weights
         Q = None
-        for lo, hi in _row_blocks(N, P.shape[1]):
-            G = (np.conj(P[lo:hi]) * w) @ P[lo:].T
-            G[:, : hi - lo] -= np.eye(hi - lo)
-            if not np.max(np.abs(G)) <= BIORTHOGONALITY_TOL:
-                G = (P * w) @ P.conj().T
-                Q = np.linalg.inv(G).conj().T @ P
-                break
+        if not measure.gram_defect(P) <= BIORTHOGONALITY_TOL:
+            Q = np.linalg.inv((P * w) @ P.conj().T).conj().T @ P
         above = (np.conj(basis[N:]) * w) @ (P if Q is None else Q).T
         if not np.max(np.abs(above), initial=0.0) <= BIORTHOGONALITY_TOL:
             table = None
@@ -274,17 +241,14 @@ class PolynomialEnsemble:
     def kernel_diagonal(self):
         """K(x_i, x_i) at every atom, read from the basis rows in O(N n)
         without forming the n x n kernel. Checked like kernel_matrix. A
-        complex Q is conjugated one block of atoms (about _KERNEL_BLOCK
-        entries) at a time, so no conjugated copy of the basis is held."""
+        complex Q is conjugated one row block of atoms (_row_blocks) at a
+        time, so no conjugated copy of the basis is held."""
         P, Q = self.P_vals, self.q_values
         with np.errstate(over="ignore", invalid="ignore"):
             if np.iscomplexobj(Q):
-                n = P.shape[1]
-                d = np.empty(n, dtype=np.result_type(P, Q))
-                cols = max(1, _KERNEL_BLOCK // max(1, len(P)))
-                for lo in range(0, n, cols):
-                    cut = slice(lo, lo + cols)
-                    np.einsum("ki,ki->i", P[:, cut], np.conj(Q[:, cut]), out=d[cut])
+                d = np.empty(P.shape[1], dtype=np.result_type(P, Q))
+                for lo, hi in _row_blocks(P.shape[1], len(P)):
+                    np.einsum("ki,ki->i", P[:, lo:hi], np.conj(Q[:, lo:hi]), out=d[lo:hi])
             else:
                 d = np.einsum("ki,ki->i", P, Q)
         return self._checked(d, d, "kernel diagonal")
@@ -306,11 +270,10 @@ class PolynomialEnsemble:
         return values
 
     def biorthogonality_defect(self):
-        """max |<P_i, Q_j> - delta_ij| over i, j < N."""
-        if self.N == 0:
-            return 0.0
-        G = (self.P_vals * self.measure.weights) @ np.conj(self.q_values).T
-        return float(np.max(np.abs(G - np.eye(self.N))))
+        """max |<P_i, Q_j> - delta_ij| over i, j < N (NaN for a NaN Gram), by
+        measure.gram_defect in the row blocks of _row_blocks, upper half only
+        when hermitian."""
+        return self.measure.gram_defect(self.P_vals, None if self.hermitian else self.Q_vals)
 
     def atom_index(self, x):
         """Index of the atom at value x (within 1e-12 relative)."""
@@ -370,10 +333,7 @@ class PolynomialEnsemble:
         """det[K(x_i, x_j)] for a configuration given as atom indices (ints)
         or atom values. The normalized N-point probability density against
         mu^N is this divided by N! (see log_joint_density)."""
-        idx = self._as_indices(points)
-        if len(idx) == 0:
-            return 1.0
-        _, sign, logdet = self._minor(idx)
+        sign, logdet = self.log_joint_density(points, normalized=False)
         return float(sign * np.exp(logdet))
 
     def log_joint_density(self, points, normalized=True):

@@ -160,7 +160,7 @@ def table_from_measure(m, N, pad=DEFAULT_PAD):
 
     Needs at least N + pad + 2 distinct atoms (one degree past the stored
     range fixes a_{N+pad} as a residual norm). Raises OrthogonalityError if
-    the produced family drifts from orthonormality beyond 1e-9.
+    the produced family's m.gram_defect exceeds ORTHONORMALITY_TOL.
     """
     if m.is_complex:
         raise ValueError("table_from_measure needs a real-supported measure")
@@ -194,9 +194,8 @@ def table_from_measure(m, N, pad=DEFAULT_PAD):
             )
         a[k] = np.sqrt(nrm2)
         P[k + 1] = y / a[k]
-    G = (P * w) @ P.T
-    drift = float(np.max(np.abs(G - np.eye(K + 2))))
-    if drift > ORTHONORMALITY_TOL:
+    drift = m.gram_defect(P)
+    if not drift <= ORTHONORMALITY_TOL:
         raise OrthogonalityError(
             f"orthonormality drift {drift:.3e} exceeds {ORTHONORMALITY_TOL:g}"
         )

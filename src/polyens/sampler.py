@@ -61,7 +61,7 @@ from .errors import (
     PositivityViolationError,
 )
 from .measure import NEGATIVITY_TOL, ReferenceMeasure
-from .ensemble import PolynomialEnsemble
+from .ensemble import BIORTHOGONALITY_TOL, PolynomialEnsemble
 from .rng import DEFAULT_SEED, stream
 
 
@@ -278,8 +278,7 @@ class SpectralData:
             raise ValueError("phi and psi must be (rank, n_atoms)")
         if np.any(self.lambdas < 0) or np.any(self.lambdas > 1):
             raise ValueError("contraction needs 0 <= lambda_k <= 1")
-        G = (self.phi * self.measure.weights) @ np.conj(self.psi).T
-        if r and np.max(np.abs(G - np.eye(r))) > 1e-8:
+        if not self.measure.gram_defect(self.phi, self.psi) <= BIORTHOGONALITY_TOL:
             raise OrthogonalityError("phi and psi are not biorthogonal")
 
     @property

@@ -140,7 +140,6 @@ def check_arcsine(ctx):
 
 def check_gap_bound(ctx):
     """4: mean-vs-zero moment gap obeys the bound and decays like 1/N."""
-    slack_ok = True
     rates = []
     for name in ("gue", "chebyshev"):
         gap = {}
@@ -161,7 +160,7 @@ def check_gap_bound(ctx):
     if not rates:
         return False, "no nonzero gaps to rate-test"
     lo, hi = min(rates), max(rates)
-    ok = slack_ok and 1.6 <= lo and hi <= 2.4
+    ok = 1.6 <= lo and hi <= 2.4
     return ok, f"all gaps <= bound; doubling ratios in [{lo:.2f}, {hi:.2f}] (need [1.6, 2.4])"
 
 

@@ -1,3 +1,4 @@
+import inspect
 import time
 
 import numpy as np
@@ -184,3 +185,8 @@ def test_odd_moment_vanish_gue(ell):
 def test_mu_ab_even_moment_positive(a, ell):
     if ell % 2 == 0:
         assert mu_ab_moment(op_profile(float(a), 0.0), ell) > 0
+
+
+def test_limit_moments_take_no_node_count():
+    assert list(inspect.signature(banded_limit_moment).parameters) == ["profile", "ell"]
+    assert list(inspect.signature(mu_ab_moment).parameters) == ["profile", "ell"]

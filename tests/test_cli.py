@@ -357,6 +357,20 @@ def test_model_errors_exit_2(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("polyens: error:"), argv
 
 
+def test_profile_key_that_is_no_step_index_exits_2(capsys):
+    profile = json.dumps({"kind": "banded", "funcs": {"-1": 1.0, "a": 1}})
+    assert main(["limit", "--ensemble", "gue", "--N", "20", "--profile", profile]) == 2
+    out = capsys.readouterr()
+    err = out.err.strip().splitlines()
+    assert out.out == "" and err == ["polyens: error: profile funcs key 'a' must be an integer step index"]
+
+
+def test_negative_pad_exits_2_at_parse_time(capsys):
+    assert main(["variance", "--ensemble", '{"classical": "gue", "N": 5, "pad": -1}']) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["polyens: error: pad must be >= 0"]
+
+
 def test_kernel_overflow_is_one_error_line(capsys):
     # GUE N=400 on 1024 nodes: the basis is finite, its kernel product is not
     with warnings.catch_warnings(record=True) as caught:

@@ -174,3 +174,26 @@ def test_load_config_inline_file_and_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"classical": "gue", "N": 5, "pad": -1}, "pad must be >= 0"),
+        ({"classical": "gue", "N": 5, "pad": -3}, "pad must be >= 0"),
+        ({"measure": {"kind": "named", "name": "chebyshev-arcsine", "nodes": 64}, "N": 5, "pad": -2},
+         "pad must be >= 0"),
+        ({"classical": "chebyshev", "N": 5, "nodes": 0}, "nodes must be >= 1"),
+    ],
+    ids=["classical-pad-1", "classical-pad-3", "measure-pad-2", "nodes-0"],
+)
+def test_pad_and_nodes_outside_their_range_are_config_errors(cfg, message):
+    with pytest.raises(ConfigError, match=message):
+        build_ensemble(cfg)
+
+
+def test_zero_pad_is_in_range():
+    for cfg in ({"classical": "gue", "N": 5, "pad": 0},
+                {"measure": {"kind": "named", "name": "chebyshev-arcsine", "nodes": 64}, "N": 5, "pad": 0}):
+        ens = build_ensemble(cfg)
+        assert len(ens.basis) == 6 and ens.table is not None

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from polyens import (
     banded_table,
     classical_table,
     equilibrium_measure,
+    eval_polynomials,
     mean_moment,
     sample,
     scaled_hermite_measure,
@@ -410,3 +413,40 @@ def test_ordered_tuple_mass_full_enumeration():
             idx = list(tup)
             total += ens.joint_density(idx) / math.factorial(N) * np.prod(w[idx])
         assert abs(total - 1.0) < 1e-6
+
+
+def test_biorthogonality_defect_of_a_nan_basis_is_nan():
+    measure = equilibrium_measure(-1, 1, 16)
+    P = PolynomialEnsemble.from_table(classical_table("chebyshev", 4, pad=0), measure, N=4).P_vals.copy()
+    P[2, 5] = np.nan
+    assert math.isnan(PolynomialEnsemble.from_values(measure, P).biorthogonality_defect())
+    assert math.isnan(PolynomialEnsemble.from_values(measure, P, P + 0.0).biorthogonality_defect())
+
+
+def test_a_nan_gram_is_not_within_tolerance():
+    # on atoms at +-1e199 and +-1e200 the Chebyshev basis overflows: P_2 is
+    # +inf everywhere and P_1 changes sign, so <P_1, P_2> is inf - inf
+    measure = atoms_measure(np.array([-1e200, -1e199, 1e199, 1e200]), np.full(4, 0.25))
+    table = classical_table("chebyshev", 3, pad=1)
+    with np.errstate(all="ignore"):
+        assert math.isnan(measure.gram_defect(eval_polynomials(table, measure.points, 2)))
+        ens = PolynomialEnsemble.from_table(table, measure, N=3)
+    assert not ens.hermitian and ens.table is None
+
+
+def test_biorthogonality_defect_holds_no_full_gram():
+    # circle N=300 on 1200 atoms: the weighted or conjugated basis alone is
+    # 5.49 MiB, and the full Gram check peaked at 12.36 MiB
+    import tracemalloc
+
+    from polyens.config import build_ensemble
+
+    ens = build_ensemble({"classical": "uniform-circle", "N": 300, "nodes": 1200})
+    tracemalloc.start()
+    try:
+        defect = ens.biorthogonality_defect()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defect < 1e-12
+    assert peak < 2 << 20

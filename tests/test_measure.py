@@ -304,3 +304,40 @@ def test_sample_categorical_rejects_bad_masses():
             with pytest.raises(err, match=match):
                 m.sample_categorical(np.array(dens), rng, size=size)
             assert rng.random() == stream(4).random()  # nothing was drawn
+
+
+@pytest.mark.parametrize("atoms, rows", [(7, 3), (1200, 30), (1201, 61)])
+def test_gram_defect_matches_the_full_gram(atoms, rows):
+    # one block (7 atoms) and several (24-row blocks at 1200 atoms), real and
+    # complex, with Q = P (upper half only) and with a Q of its own
+    rng = np.random.default_rng(atoms)
+    w = rng.random(atoms) + 0.1
+    m = atoms_measure(np.arange(atoms, dtype=float), w)
+    P = rng.standard_normal((rows, atoms)) + 1j * rng.standard_normal((rows, atoms))
+    Q = rng.standard_normal((rows, atoms))
+    for p, q in ((P, None), (P.real, None), (P, Q), (P.real, Q)):
+        G = (p * w) @ np.conj(p if q is None else q).T
+        want = np.max(np.abs(G - np.eye(rows)))
+        assert np.isclose(m.gram_defect(p, q), want, rtol=1e-12, atol=0)
+
+
+def test_gram_defect_sees_both_halves_of_a_non_hermitian_gram():
+    # monomials on 64 roots of unity are orthonormal; Q_0 = P_0 + 0.5 P_40
+    # puts the defect at <P_40, Q_0>, below the diagonal, and Q_40 =
+    # P_40 + 0.25 P_0 at <P_0, Q_40>, above it
+    m = uniform_circle_measure(64)
+    P = m.points ** np.arange(48)[:, None]
+    assert m.gram_defect(P) < 1e-14
+    for i, j, size in ((0, 40, 0.5), (40, 0, 0.25)):
+        Q = P.copy()
+        Q[i] += size * P[j]
+        assert abs(m.gram_defect(P, Q) - size) < 1e-14
+
+
+def test_gram_defect_of_no_rows_and_of_nan():
+    m = equilibrium_measure(-1.0, 1.0, 16)
+    assert m.gram_defect(np.empty((0, 16))) == 0.0
+    P = np.ones((20, 16)) / 4.0
+    P[17, 3] = np.nan  # in the last row block, not the first
+    assert math.isnan(m.gram_defect(P))
+    assert math.isnan(m.gram_defect(P, np.ones((20, 16))))

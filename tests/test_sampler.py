@@ -553,3 +553,29 @@ def test_one_point_intensity_matches_kernel_diagonal():
     p = np.real(np.diag(ens.kernel_matrix())) * ens.measure.weights
     se = np.sqrt(p * (1.0 - p) / R)
     assert np.all(np.abs(freq - p) <= 3.0 * se)
+
+
+def test_spectral_data_refuses_a_nan_family(e3):
+    phi = e3.P_vals.copy()
+    phi[1, 4] = np.nan
+    with pytest.raises(OrthogonalityError):
+        SpectralData(np.full(3, 0.5), phi, e3.P_vals, e3.measure)
+    with pytest.raises(OrthogonalityError):
+        SpectralData(np.full(3, 0.5), phi, phi, e3.measure)
+
+
+def test_spectral_data_check_holds_no_full_gram():
+    # circle N=300 on 1200 atoms: the weighted or conjugated family alone is
+    # 5.49 MiB, and the full Gram check peaked at 12.36 MiB
+    import tracemalloc
+
+    ens = build_ensemble({"classical": "uniform-circle", "N": 300, "nodes": 1200})
+    P = ens.P_vals
+    tracemalloc.start()
+    try:
+        sd = SpectralData(np.full(300, 0.5), P, P, ens.measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sd.rank == 300
+    assert peak < 2 << 20
