@@ -23,6 +23,9 @@ ensemble::
 
 Banded ``c`` entries are triplets ``[k, j, value]`` where ``j = -1`` is the
 coefficient on the step up and ``j = 0..q`` the steps down.
+
+A key that a shape does not read, and an entry of a numeric field that is
+not a number, are ConfigErrors that name the key or the field.
 """
 
 import hashlib
@@ -66,17 +69,42 @@ def _number(value, what):
     return float(value)
 
 
+def _reals(value, what):
+    """A JSON array of real numbers, or of such arrays, as a float array;
+    any other entry, or rows of unequal length, are config errors naming
+    the field."""
+    _require(isinstance(value, list), f"{what} must be an array, got {value!r}")
+    todo = list(value)
+    while todo:
+        v = todo.pop()
+        if isinstance(v, list):
+            todo.extend(v)
+        else:
+            _number(v, f"{what} entry")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        raise ConfigError(f"{what} rows must be of equal length") from None
+
+
 def _point(p):
     """A measure atom: a number, or an [re, im] pair of numbers."""
     if isinstance(p, list):
         _require(len(p) == 2, f"atoms point {p!r} must be a number or an [re, im] pair")
         return complex(_number(p[0], "atoms point re"), _number(p[1], "atoms point im"))
-    return complex(p)
+    return complex(_number(p, "atoms point"))
 
 
 def _as_dict(obj, what):
     _require(isinstance(obj, dict), f"{what} config must be a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def _only(cfg, what, keys):
+    """Refuse a key that the builder does not read: misspelt or misplaced,
+    it would be dropped silently, and the config mean something else."""
+    for k in cfg:
+        _require(k in keys, f"{what} config takes no key {k!r}")
 
 
 def build_measure(cfg):
@@ -85,22 +113,29 @@ def build_measure(cfg):
     kind = cfg.get("kind")
     _require(kind in ("named", "atoms", "grid"), f"unknown measure kind {kind!r}")
     if kind == "named":
-        params = {k: v for k, v in cfg.items() if k not in ("kind", "name")}
         _require("name" in cfg, "named measure needs a 'name' field")
+        params = {  # N, nodes and n count atoms
+            k: _integer(v, f"measure {k}", 1) if k in ("N", "nodes", "n") else _number(v, f"measure {k}")
+            for k, v in cfg.items()
+            if k not in ("kind", "name")
+        }
         try:
             return named_measure(cfg["name"], **params)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad named measure: {exc}") from exc
     if kind == "atoms":
+        _only(cfg, "atoms measure", ("kind", "points", "weights"))
         _require("points" in cfg and "weights" in cfg, "atoms measure needs 'points' and 'weights'")
         _require(isinstance(cfg["points"], list), "atoms measure 'points' must be an array")
-        points = np.asarray(cfg["points"])
-        if np.iscomplexobj(points) or any(isinstance(p, list) for p in cfg["points"]):
-            # allow [re, im] pairs for circle-like supports
+        if any(isinstance(p, list) for p in cfg["points"]):
+            # [re, im] pairs for circle-like supports
             points = np.asarray([_point(p) for p in cfg["points"]])
-        return atoms_measure(points, np.asarray(cfg["weights"], dtype=float))
+        else:
+            points = _reals(cfg["points"], "atoms 'points'")
+        return atoms_measure(points, _reals(cfg["weights"], "atoms 'weights'"))
+    _only(cfg, "grid measure", ("kind", "points", "density"))
     _require("points" in cfg and "density" in cfg, "grid measure needs 'points' and 'density'")
-    return grid_measure(np.asarray(cfg["points"], dtype=float), np.asarray(cfg["density"], dtype=float))
+    return grid_measure(_reals(cfg["points"], "grid 'points'"), _reals(cfg["density"], "grid 'density'"))
 
 
 def build_table(cfg, N=None):
@@ -109,11 +144,13 @@ def build_table(cfg, N=None):
     form = cfg.get("form")
     _require(form in ("op", "banded"), f"unknown table form {form!r}")
     if form == "op":
+        _only(cfg, "op table", ("form", "a", "b", "N"))
         _require("a" in cfg, "op table needs an 'a' array")
-        a = np.asarray(cfg["a"], dtype=float)
-        b = np.asarray(cfg.get("b", np.zeros(a.size)), dtype=float)
+        a = _reals(cfg["a"], "op table 'a'")
+        b = _reals(cfg["b"], "op table 'b'") if "b" in cfg else np.zeros(a.size)
         n = _integer(cfg.get("N", N if N is not None else a.size), "table N", 1)
         return op_table(a, b, n)
+    _only(cfg, "banded table", ("form", "q", "K", "c", "N"))
     _require("q" in cfg and "c" in cfg, "banded table needs 'q' and 'c'")
     q = _integer(cfg["q"], "banded table q", 0)
     _require(isinstance(cfg["c"], list) and len(cfg["c"]) > 0, "banded table needs at least one 'c' entry")
@@ -127,8 +164,9 @@ def build_table(cfg, N=None):
         k, j = _integer(entry[0], "banded 'c' row"), _integer(entry[1], "banded 'c' step")
         _require(0 <= k <= K, f"banded 'c' row {k} outside 0..{K}")
         _require(-1 <= j <= q, f"banded 'c' step {j} outside -1..{q}")
-        val = complex(entry[2], entry[3]) if len(entry) == 4 else float(entry[2])
+        val = _number(entry[2], "banded 'c' value")
         if len(entry) == 4:
+            val = complex(val, _number(entry[3], "banded 'c' imaginary part"))
             complex_seen = True
         if complex_seen and not np.iscomplexobj(c):
             c = c.astype(complex)
@@ -141,13 +179,16 @@ def build_ensemble(cfg):
     """Construct a PolynomialEnsemble from its JSON description."""
     cfg = _as_dict(cfg, "ensemble")
     if "base" in cfg:
+        _only(cfg, "tilted ensemble", ("base", "tilt"))
         _require("tilt" in cfg, "tilted ensemble needs a 'tilt' matrix")
         base = build_ensemble(cfg["base"])
-        tilt = np.asarray(cfg["tilt"], dtype=float)
+        tilt = _reals(cfg["tilt"], "tilt")
         return base.tilt_nonorthogonal(tilt, validate=True, rng=stream(TILT_CHECK_SEED))
     if "classical" in cfg:
         name = cfg["classical"]
         _require(name in CLASSICAL_NAMES, f"unknown classical ensemble {name!r}")
+        interval = ("alpha", "beta") if name == "chebyshev" else ()
+        _only(cfg, f"{name} ensemble", ("classical", "N", "nodes", "pad") + interval)
         _require("N" in cfg, "classical ensemble needs 'N'")
         N = _integer(cfg["N"], "ensemble N", 1)
         default_nodes = 256 if name in ("gue", "chebyshev") else max(4 * N, 64)
@@ -171,6 +212,7 @@ def build_ensemble(cfg):
             measure = named_measure("uniform-circle", n=nodes)
         return PolynomialEnsemble.from_table(table, measure, N=N, name=name)
     _require("measure" in cfg, "ensemble needs 'classical', 'measure', or 'base'")
+    _only(cfg, "measure ensemble", ("measure", "table", "N") if "table" in cfg else ("measure", "N", "pad"))
     measure = build_measure(cfg["measure"])
     if "table" in cfg:
         N = _integer(cfg["N"], "ensemble N") if "N" in cfg else None
@@ -186,8 +228,9 @@ def _profile_fn(raw, label):
     if raw == "sqrt":
         return np.sqrt
     if isinstance(raw, dict) and "s" in raw and "value" in raw:
-        s = np.asarray(raw["s"], dtype=float)
-        v = np.asarray(raw["value"], dtype=float)
+        _only(raw, f"profile {label}", ("s", "value"))
+        s = _reals(raw["s"], f"profile {label} 's'")
+        v = _reals(raw["value"], f"profile {label} 'value'")
         _require(
             s.ndim == 1 and s.shape == v.shape and s.size >= 2 and np.all(np.diff(s) > 0),
             f"profile {label}: piecewise-linear table needs increasing 's' and matching 'value'",
@@ -207,6 +250,7 @@ def build_profile(cfg):
     cfg = _as_dict(cfg, "profile")
     kind = cfg.get("kind")
     _require(kind in ("gue", "op", "banded"), f"unknown profile kind {kind!r}")
+    _only(cfg, f"{kind} profile", {"gue": ("kind",), "op": ("kind", "a", "b"), "banded": ("kind", "funcs")}[kind])
     if kind == "gue":
         return gue_profile()
     if kind == "op":

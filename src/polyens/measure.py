@@ -415,8 +415,22 @@ def grid_measure(points, density):
     return ReferenceMeasure(x[keep], w[keep], name="grid")
 
 
+# the parameters each named measure takes
+NAMED_MEASURES = {
+    "chebyshev-arcsine": ("alpha", "beta", "nodes"),
+    "scaled-hermite": ("N", "nodes"),
+    "uniform-circle": ("n",),
+}
+
+
 def named_measure(name, **params):
-    """Dispatch on the classical measure names used in configs."""
+    """Dispatch on the classical measure names used in configs; an unknown
+    name, or a parameter the named measure does not take, is a ValueError."""
+    if not (isinstance(name, str) and name in NAMED_MEASURES):
+        raise ValueError(f"unknown measure name {name!r}")
+    for key in params:
+        if key not in NAMED_MEASURES[name]:
+            raise ValueError(f"{name} measure takes no parameter {key!r}")
     if name == "chebyshev-arcsine":
         return equilibrium_measure(
             params.get("alpha", -1.0),
@@ -425,6 +439,4 @@ def named_measure(name, **params):
         )
     if name == "scaled-hermite":
         return scaled_hermite_measure(params["N"], params.get("nodes", DEFAULT_NODES))
-    if name == "uniform-circle":
-        return uniform_circle_measure(params.get("n", DEFAULT_NODES))
-    raise ValueError(f"unknown measure name {name!r}")
+    return uniform_circle_measure(params.get("n", DEFAULT_NODES))

@@ -259,3 +259,27 @@ def real_gauge_by_full_scan(ensemble, tol):
     gauged = K * d
     gauged *= np.conj(d[:, None])
     return d if np.max(np.abs(gauged.imag)) <= tol * np.max(K.diagonal().real) else None
+
+
+def stieltjes_by_two_passes(m, N, pad=8):
+    """(a, b) of the orthonormal polynomials of a real atomic measure, by the
+    discretized Stieltjes procedure on unweighted values with two full
+    Gram-Schmidt passes at every degree."""
+    K = N + pad
+    x, w = m.points, m.weights
+    P = np.empty((K + 2, len(x)))
+    P[0] = 1.0 / np.sqrt(w.sum())
+    a = np.zeros(K + 1)
+    b = np.zeros(K + 1)
+    for k in range(K + 1):
+        xp = x * P[k]
+        b[k] = float(np.sum(w * xp * P[k]))
+        y = xp - b[k] * P[k]
+        if k > 0:
+            y -= a[k - 1] * P[k - 1]
+        for _ in range(2):
+            coefs = P[: k + 1] @ (w * y)
+            y -= coefs @ P[: k + 1]
+        a[k] = np.sqrt(float(np.sum(w * y * y)))
+        P[k + 1] = y / a[k]
+    return a, b

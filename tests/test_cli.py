@@ -431,3 +431,17 @@ def test_python_m_polyens_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"polyens {polyens.__version__}"
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"classical": "gue", "N": 5, "tilt": 3}, "gue ensemble config takes no key 'tilt'"),
+        ({"base": {"classical": "gue", "N": 5}, "tilt": [[1, "a"]]}, "tilt entry must be a number, got 'a'"),
+    ],
+    ids=["unread-key", "non-numeric"],
+)
+def test_config_the_builder_cannot_read_exits_2_naming_the_field(capsys, cfg, message):
+    assert main(["moments", "--ensemble", json.dumps(cfg), "--lmax", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [f"polyens: error: {message}"]

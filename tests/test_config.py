@@ -197,3 +197,71 @@ def test_zero_pad_is_in_range():
                 {"measure": {"kind": "named", "name": "chebyshev-arcsine", "nodes": 64}, "N": 5, "pad": 0}):
         ens = build_ensemble(cfg)
         assert len(ens.basis) == 6 and ens.table is not None
+
+
+ARCSINE = {"kind": "named", "name": "chebyshev-arcsine", "nodes": 64}
+OP_TABLE = {"form": "op", "a": [2**-0.5] + [0.5] * 6}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"classical": "gue", "N": 5, "tilt": 3}, "tilt"),
+        ({"classical": "gue", "N": 5, "pads": 3}, "pads"),
+        ({"classical": "gue", "N": 5, "alpha": 0.0}, "alpha"),
+        ({"measure": {"kind": "named", "name": "chebyshev-arcsine", "nodez": 32}, "N": 5}, "nodez"),
+        ({"measure": {"kind": "named", "name": "uniform-circle", "nodes": 32}, "N": 5}, "nodes"),
+        ({"measure": ARCSINE, "table": OP_TABLE, "N": 4, "pad": 2}, "pad"),
+        ({"measure": ARCSINE, "table": {**OP_TABLE, "q": 1}, "N": 4}, "q"),
+        ({"measure": {"kind": "atoms", "points": [0, 1], "weights": [1, 1], "density": [1, 1]}, "N": 1},
+         "density"),
+        ({"base": {"classical": "chebyshev", "N": 2, "pad": 2}, "tilt": [[0.0, 0.0]] * 2, "N": 2}, "N"),
+    ],
+    ids=["tilt-without-base", "pads", "gue-alpha", "nodez", "circle-nodes", "table-pad", "op-q",
+         "atoms-density", "tilted-N"],
+)
+def test_keys_the_builder_does_not_read_are_config_errors(cfg, key):
+    with pytest.raises(ConfigError, match=f"takes no (key|parameter) '{key}'"):
+        build_ensemble(cfg)
+
+
+def test_profile_keys_it_does_not_read_are_config_errors():
+    with pytest.raises(ConfigError, match="takes no key 'a'"):
+        build_profile({"kind": "gue", "a": 1.0})
+    with pytest.raises(ConfigError, match="takes no key 't'"):
+        build_profile({"kind": "op", "a": {"s": [0, 1], "value": [1, 2], "t": [0, 1]}})
+
+
+def _atoms(points, weights):
+    return {"measure": {"kind": "atoms", "points": points, "weights": weights}, "N": 1}
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"base": {"classical": "gue", "N": 5}, "tilt": [[1, "a"]]}, "tilt"),
+        ({"base": {"classical": "gue", "N": 2}, "tilt": [[0.0], [None]]}, "tilt"),
+        ({"base": {"classical": "gue", "N": 2}, "tilt": [[0.0], [0.0, 0.0]]}, "tilt"),
+        (_atoms([0.0, 1.0], ["x", 1.0]), "atoms 'weights'"),
+        (_atoms([0.0, True], [1.0, 1.0]), "atoms 'points'"),
+        (_atoms([[0.0, 1.0], "1"], [1.0, 1.0]), "atoms point"),
+        ({"measure": {"kind": "grid", "points": [0, "1"], "density": [1, 1]}, "N": 1}, "grid 'points'"),
+        ({"measure": {"kind": "grid", "points": [0, 1], "density": [1, [1]]}, "N": 1}, "grid 'density'"),
+        ({"measure": ARCSINE, "table": {"form": "op", "a": [0.5, "0.5"]}}, "op table 'a'"),
+        ({"measure": ARCSINE, "table": {"form": "op", "a": [0.5, 0.5], "b": 0}}, "op table 'b'"),
+        ({"measure": ARCSINE, "table": {"form": "banded", "q": 0, "c": [[0, -1, "1"]]}}, "banded 'c' value"),
+        ({"measure": {**ARCSINE, "alpha": "-1"}, "N": 2}, "measure alpha"),
+    ],
+    ids=["tilt-string", "tilt-null", "tilt-ragged", "atoms-weight", "atoms-bool", "atoms-pair-string",
+         "grid-points", "grid-density", "op-a", "op-b", "banded-value", "named-alpha"],
+)
+def test_non_numeric_fields_are_config_errors_naming_the_field(cfg, field):
+    with pytest.raises(ConfigError) as err:
+        build_ensemble(cfg)
+    assert str(err.value).startswith(field), str(err.value)
+
+
+@pytest.mark.parametrize("fn", [{"s": [0, "1"], "value": [1, 2]}, {"s": [0, 1], "value": [1, None]}])
+def test_non_numeric_profile_tables_are_config_errors_naming_the_field(fn):
+    with pytest.raises(ConfigError, match=r"^profile a '(s|value)'"):
+        build_profile({"kind": "op", "a": fn})

@@ -1,6 +1,6 @@
 """Import footprint: the package and the command-line tool load on numpy
 alone, and so does building and sampling every kind of ensemble, GUE and
-its Gauss-Hermite rule included."""
+its Gauss-Hermite rule included, and a measure config's Stieltjes table."""
 
 import os
 import subprocess
@@ -44,10 +44,33 @@ print(" ".join(sorted(m for m in ("scipy.linalg", "scipy.special") if m in sys.m
 """
 
 
-def test_import_and_sampling_load_no_scipy_submodule():
+def _printed_by(script):
     src = str(Path(polyens.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "", f"loaded: {proc.stdout.strip()}"
+    return proc.stdout.strip()
+
+
+def test_import_and_sampling_load_no_scipy_submodule():
+    loaded = _printed_by(SCRIPT)
+    assert loaded == "", f"loaded: {loaded}"
+
+
+MEASURE_SCRIPT = """
+import sys
+
+import polyens
+import polyens.config
+
+cfg = {"measure": {"kind": "named", "name": "chebyshev-arcsine", "nodes": 64}, "N": 10}
+ens = polyens.config.build_ensemble(cfg)
+polyens.sample(ens, rng=polyens.stream(5))
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_measure_config_loads_no_scipy_module():
+    loaded = _printed_by(MEASURE_SCRIPT)
+    assert loaded == "", f"loaded: {loaded}"

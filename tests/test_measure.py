@@ -127,6 +127,8 @@ def test_named_measure_dispatch():
     assert len(m) == 8
     with pytest.raises(ValueError):
         named_measure("lebesgue")
+    with pytest.raises(ValueError, match="uniform-circle measure takes no parameter 'nodes'"):
+        named_measure("uniform-circle", nodes=8)
 
 
 def test_atoms_validation():

@@ -15,6 +15,7 @@ from polyens import (
     mean_moment,
     op_table,
     path_sum_moment,
+    scaled_hermite_measure,
     stream,
     table_from_measure,
 )
@@ -284,6 +285,32 @@ def test_table_from_measure_orthonormality():
     for k in range(5):
         assert np.isclose(t.coeff(k, k + 1), ref.coeff(k, k + 1), rtol=1e-9, atol=1e-12)
         assert np.isclose(t.coeff(k, k), 0.0, atol=1e-12)
+
+
+def _clustered_measure():
+    rng = stream(7)
+    x = np.concatenate([rng.normal(0, 1e-3, 200), rng.normal(1, 1e-2, 200), rng.uniform(-1, 2, 200)])
+    return atoms_measure(np.sort(x), rng.uniform(0.1, 1.0, 600))
+
+
+@pytest.mark.parametrize(
+    "measure, N",
+    [
+        # subnormal tail weights: a start vector sqrt(w / w.sum()) is off by 5.6e-6
+        (lambda: scaled_hermite_measure(400, 1024), 400),
+        (lambda: equilibrium_measure(-1, 1, 256), 240),
+        # K + 2 = n: with no reorthogonalization the drift is 0.39
+        (lambda: atoms_measure(np.linspace(-1, 1, 500), np.full(500, 1 / 500)), 490),
+        (_clustered_measure, 300),
+    ],
+    ids=["hermite-400-1024", "arcsine-240-256", "uniform-490-500", "clustered-300-600"],
+)
+def test_table_from_measure_matches_two_pass_oracle(measure, N):
+    m = measure()
+    t = table_from_measure(m, N)
+    a, b = oracles.stieltjes_by_two_passes(m, N)
+    assert np.max(np.abs(t.a - a) / a) < 1e-10
+    assert np.max(np.abs(t.b - b)) < 1e-12
 
 
 def test_table_from_measure_needs_enough_atoms():
