@@ -31,12 +31,13 @@ not a number, are ConfigErrors that name the key or the field.
 import hashlib
 import json
 import numbers
+import sys
 
 import numpy as np
 
 from .errors import ConfigError
 from .measure import atoms_measure, grid_measure, named_measure
-from .recurrence import banded_table, classical_table, op_table
+from .recurrence import DEFAULT_PAD, banded_table, classical_table, op_table
 from .ensemble import PolynomialEnsemble
 from .asymptotics import CoefficientProfile, gue_profile, op_profile
 from .rng import stream
@@ -63,9 +64,12 @@ def _integer(value, what, least=None):
 
 
 def _number(value, what):
-    """A real-number field; null, arrays, strings and booleans are config errors."""
+    """A finite real-number field; null, arrays, strings, booleans, the NaN
+    and Infinity literals that Python's json reads and integers too large for
+    a float are config errors."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     _require(real, f"{what} must be a number, got {value!r}")
+    _require(abs(value) <= sys.float_info.max, f"{what} must be finite, got {value!r}")
     return float(value)
 
 
@@ -198,7 +202,7 @@ def build_ensemble(cfg):
             kwargs["alpha"] = _number(cfg["alpha"], "alpha")
         if "beta" in cfg:
             kwargs["beta"] = _number(cfg["beta"], "beta")
-        table = classical_table(name, N, pad=_integer(cfg.get("pad", 8), "pad", 0), **kwargs)
+        table = classical_table(name, N, pad=_integer(cfg.get("pad", DEFAULT_PAD), "pad", 0), **kwargs)
         if name == "gue":
             measure = named_measure("scaled-hermite", N=N, nodes=nodes)
         elif name == "chebyshev":
@@ -219,12 +223,12 @@ def build_ensemble(cfg):
         return PolynomialEnsemble.from_table(build_table(cfg["table"], N=N), measure, N=N)
     _require("N" in cfg, "ensemble needs 'N'")
     N = _integer(cfg["N"], "ensemble N", 1)
-    return PolynomialEnsemble.from_measure(measure, N, pad=_integer(cfg.get("pad", 8), "pad", 0))
+    return PolynomialEnsemble.from_measure(measure, N, pad=_integer(cfg.get("pad", DEFAULT_PAD), "pad", 0))
 
 
 def _profile_fn(raw, label):
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
+    if isinstance(raw, numbers.Real):
+        return _number(raw, f"profile {label}")
     if raw == "sqrt":
         return np.sqrt
     if isinstance(raw, dict) and "s" in raw and "value" in raw:

@@ -22,7 +22,7 @@ from .errors import (
     RankError,
 )
 from .measure import NEGATIVITY_TOL, _row_blocks
-from .recurrence import RecurrenceTable, eval_polynomials, table_from_measure
+from .recurrence import DEFAULT_PAD, RecurrenceTable, eval_polynomials, table_from_measure
 
 BIORTHOGONALITY_TOL = 1e-8
 
@@ -129,7 +129,7 @@ class PolynomialEnsemble:
         return cls(measure, basis, N=N, Q_vals=Q, table=table, name=name)
 
     @classmethod
-    def from_measure(cls, measure, N, pad=8, name=None):
+    def from_measure(cls, measure, N, pad=DEFAULT_PAD, name=None):
         """Orthonormal-polynomial ensemble of the measure itself."""
         table = table_from_measure(measure, N, pad=pad)
         return cls.from_table(table, measure, N=N, name=name)
@@ -240,17 +240,16 @@ class PolynomialEnsemble:
 
     def kernel_diagonal(self):
         """K(x_i, x_i) at every atom, read from the basis rows in O(N n)
-        without forming the n x n kernel. Checked like kernel_matrix. A
-        complex Q is conjugated one row block of atoms (_row_blocks) at a
-        time, so no conjugated copy of the basis is held."""
+        without forming the n x n kernel. Checked like kernel_matrix. One
+        einsum per row block of atoms (_row_blocks), real or complex: a
+        complex Q is conjugated one block at a time, so no conjugated copy
+        of the basis is held, and each block's sums are the one-shot
+        einsum's bit for bit."""
         P, Q = self.P_vals, self.q_values
+        d = np.empty(P.shape[1], dtype=np.result_type(P, Q))
         with np.errstate(over="ignore", invalid="ignore"):
-            if np.iscomplexobj(Q):
-                d = np.empty(P.shape[1], dtype=np.result_type(P, Q))
-                for lo, hi in _row_blocks(P.shape[1], len(P)):
-                    np.einsum("ki,ki->i", P[:, lo:hi], np.conj(Q[:, lo:hi]), out=d[lo:hi])
-            else:
-                d = np.einsum("ki,ki->i", P, Q)
+            for lo, hi in _row_blocks(P.shape[1], len(P)):
+                np.einsum("ki,ki->i", P[:, lo:hi], np.conj(Q[:, lo:hi]), out=d[lo:hi])
         return self._checked(d, d, "kernel diagonal")
 
     def _checked(self, values, diag, what):

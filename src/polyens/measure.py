@@ -95,9 +95,12 @@ class ReferenceMeasure:
         return np.iscomplexobj(self.points)
 
     def values(self, f):
-        """Evaluate f on the atoms, rejecting non-finite results loudly."""
-        vals = np.asarray(f(self.points))
+        """f at the atoms, f a callable (its scalar result broadcast) or an array
+        of atom values, checked once: shape (ValueError), finiteness (EvaluationError)."""
+        vals = np.asarray(f(self.points) if callable(f) else f)
         if vals.shape != self.points.shape:
+            if not callable(f):
+                raise ValueError(f"expected {self.points.shape} atom values, got {vals.shape}")
             vals = np.broadcast_to(vals, self.points.shape)
         bad = ~np.isfinite(vals.real) | ~np.isfinite(np.imag(vals))
         if np.any(bad):
@@ -106,15 +109,12 @@ class ReferenceMeasure:
         return vals
 
     def integrate(self, f):
-        """integral f dmu = sum_i w_i f(x_i); f is a callable or an atom-value array."""
-        vals = self.values(f) if callable(f) else self._check_values(f)
-        return complex_or_float(np.sum(self.weights * vals))
+        """integral f dmu = sum_i w_i f(x_i); f as for values."""
+        return complex_or_float(np.sum(self.weights * self.values(f)))
 
     def inner_product(self, f, g):
         """<f, g> = integral f * conj(g) dmu, conjugate-linear in g."""
-        fv = self.values(f) if callable(f) else self._check_values(f)
-        gv = self.values(g) if callable(g) else self._check_values(g)
-        return complex_or_float(np.sum(self.weights * fv * np.conj(gv)))
+        return complex_or_float(np.sum(self.weights * self.values(f) * np.conj(self.values(g))))
 
     def gram_defect(self, P, Q=None):
         """max |<P_i, Q_j> - delta_ij| over the rows of two families of atom
@@ -133,31 +133,20 @@ class ReferenceMeasure:
             defect = np.maximum(defect, np.max(np.abs(G), initial=0.0))
         return float(defect)
 
-    def _check_values(self, vals):
-        vals = np.asarray(vals)
-        if vals.shape != self.points.shape:
-            raise ValueError(f"expected {self.points.shape} atom values, got {vals.shape}")
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(np.imag(vals))):
-            bad = ~np.isfinite(vals.real) | ~np.isfinite(np.imag(vals))
-            raise EvaluationError(f"non-finite value at atom x={self.points[bad][0].item()!r}")
-        return vals
-
     def sample_categorical(self, density, rng, size=None):
         """Exact draw of atom indices from the density-weighted measure.
 
-        density gives values relative to mu (callable or per-atom array);
-        the draw is categorical with p_i proportional to density_i * w_i.
+        density gives values relative to mu, as for values; the draw is
+        categorical with p_i proportional to density_i * w_i.
         No rejection step: works for any nonnegative density. Values below
         -NEGATIVITY_TOL * max raise; tiny negatives clamp to zero.
 
         The mass density * w goes to sample_mass, the one validated draw
         that the sampler also uses, under one np.errstate.
         """
-        vals = self.values(density) if callable(density) else np.asarray(density)
-        if vals.shape != self.points.shape or vals.dtype.kind == "c":
-            vals = np.real_if_close(self._check_values(vals), tol=1000)
-            if np.iscomplexobj(vals):
-                raise NegativityError("density is complex; cannot sample")
+        vals = np.real_if_close(self.values(density), tol=1000)
+        if np.iscomplexobj(vals):
+            raise NegativityError("density is complex; cannot sample")
         with np.errstate(over="ignore", invalid="ignore"):
             return self.sample_mass(vals * self.weights, rng, size)
 

@@ -84,7 +84,6 @@ class ConditionalState:
     def __init__(self, ensemble):
         self.ensemble = ensemble
         self.K = ensemble.kernel_matrix()
-        self.Kdiag = np.ascontiguousarray(np.real(np.diag(self.K)))
         self.w = ensemble.measure.weights
         self.heights = []  # pivots R_k(x_k, x_k), ratios of consecutive prefix minors
         self._at = np.empty(ensemble.N, dtype=np.intp)  # atoms conditioned on, in order
@@ -93,7 +92,7 @@ class ConditionalState:
         shape = (ensemble.N, len(self.K))
         self._E = np.empty(shape, dtype=dtype)
         self._C = None if ensemble.hermitian else np.empty(shape, dtype=dtype)
-        self._diag = self.w * self.Kdiag  # residual mass w(x) R_k(x, x)
+        self._diag = self.w * np.real(np.diagonal(self.K))  # residual mass w(x) R_k(x, x)
         self._real = not np.iscomplexobj(self._E)
 
     @classmethod
@@ -165,10 +164,9 @@ class ConditionalState:
         self.heights.append(pivot)
 
     def refactor(self):
-        """Rebuild the factors of the current prefix from K by replaying push."""
+        """Rebuild the factors of the current prefix from K: push replayed on a fresh state."""
         prefix = self.selected
-        self.heights = []
-        self._diag = self.w * self.Kdiag
+        self.__init__(self.ensemble)
         for idx in prefix:
             self.push(idx)
 
@@ -293,7 +291,11 @@ class SpectralData:
 
 def spectral_from_ensemble(ensemble, lambdas):
     """Spectral data of a hermitian ensemble contracted by the given
-    coefficients: phi_k = psi_k = P_k."""
+    coefficients: phi_k = psi_k = P_k. A non-hermitian ensemble is a
+    ValueError: its P_k are not its own duals, and a thinned biorthogonal
+    projection need not be a point process."""
+    if not ensemble.hermitian:
+        raise ValueError("spectral thinning needs a hermitian ensemble")
     lambdas = np.asarray(lambdas, dtype=float)
     if len(lambdas) > ensemble.N:
         raise ValueError("more coefficients than kernel rank")

@@ -81,7 +81,11 @@ def variance_upper_bound(table, ell):
 
 def lipschitz_variance_bound(a_top, lip):
     """(a_{N-1} * lip)^2: bound on Var[sum f(x_i)] for lip-Lipschitz f.
-    a_top may be a table (its a_{N-1} is used) or the number itself."""
+    a_top may be the number itself or a table of orthonormal polynomials
+    (a symmetric table), whose a_{N-1} is used; any other table has no
+    a_{N-1} to read, an EvaluationError."""
+    if not (np.isscalar(a_top) or a_top.symmetric):
+        raise EvaluationError("the Lipschitz bound needs a symmetric recurrence table")
     a = a_top if np.isscalar(a_top) else float(a_top.a[a_top.N - 1])
     return float((a * lip) ** 2)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .rng import DEFAULT_SEED, stream
 from .measure import atoms_measure, equilibrium_measure
-from .recurrence import classical_table, eval_polynomials, mean_moment, op_table, path_sum_moment
+from .recurrence import classical_table, eval_polynomials, hessenberg_matrix, mean_moment, op_table, path_sum_moment
 from .ensemble import PolynomialEnsemble
 from .config import build_ensemble
 from .sampler import conditional_density, sample, sample_replicas, spectral_from_ensemble, thin_contraction
@@ -69,13 +69,9 @@ def _enumerate_paths(table, ell, k, m):
 
 def _gauss_from_table(table):
     """Discrete measure whose orthonormal polynomials have the table's
-    coefficients: eigen-decomposition of the symmetric Jacobi section."""
-    M = table.top + 1
-    d = np.array([table.coeff(j, j) for j in range(M)], dtype=float)
-    e = np.array([table.coeff(j, j + 1) for j in range(M - 1)], dtype=float)
-    from scipy.linalg import eigh_tridiagonal
-
-    vals, vecs = eigh_tridiagonal(d, e)
+    coefficients (Golub & Welsch 1969): the eigenvalues and first-component
+    squares of its Jacobi section, hessenberg_matrix through index top."""
+    vals, vecs = np.linalg.eigh(hessenberg_matrix(table, table.top + 1))
     return atoms_measure(vals, vecs[0] ** 2, name="gauss-nodes")
 
 

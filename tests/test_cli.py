@@ -445,3 +445,28 @@ def test_config_the_builder_cannot_read_exits_2_naming_the_field(capsys, cfg, me
     assert main(["moments", "--ensemble", json.dumps(cfg), "--lmax", "2"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.strip().splitlines() == [f"polyens: error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the NaN density dropped its atom: 5 grid points built 4 atoms
+        (
+            '{"measure": {"kind": "grid", "points": [0, 1, 2, 3, 4], "density": [1, NaN, 1, 1, 1]}, "N": 2}',
+            "grid 'density' entry must be finite, got nan",
+        ),
+        # reported as an overflowing basis product
+        (
+            '{"base": {"classical": "chebyshev", "N": 4, "nodes": 16, "pad": 2}, '
+            '"tilt": [[0, 0], [0, 0], [NaN, 0], [0, 0.1]]}',
+            "tilt entry must be finite, got nan",
+        ),
+        # an untyped "coefficients must be finite"
+        ('{"classical": "chebyshev", "N": 4, "alpha": -Infinity}', "alpha must be finite, got -inf"),
+    ],
+    ids=["grid-density", "tilt", "alpha"],
+)
+def test_non_finite_json_literals_exit_2_naming_the_field(capsys, text, message):
+    assert main(["moments", "--ensemble", text, "--lmax", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [f"polyens: error: {message}"]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,23 @@ def test_non_numeric_fields_are_config_errors_naming_the_field(cfg, field):
     with pytest.raises(ConfigError) as err:
         build_ensemble(cfg)
     assert str(err.value).startswith(field), str(err.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -(10**400)], ids=["nan", "inf", "huge-int"])
+def test_non_finite_numbers_are_config_errors_naming_the_field(value):
+    cases = [
+        ({"classical": "chebyshev", "N": 4, "beta": value}, "beta"),
+        ({"measure": {"kind": "atoms", "points": [0.0, value], "weights": [1, 1]}, "N": 1}, "atoms 'points'"),
+        ({"measure": {**ARCSINE, "alpha": value}, "N": 2}, "measure alpha"),
+        ({"measure": ARCSINE, "table": {"form": "banded", "q": 0, "c": [[0, -1, value]]}}, "banded 'c' value"),
+    ]
+    for cfg, field in cases:
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}.* must be finite"):
+            build_ensemble(cfg)
+    with pytest.raises(ConfigError, match="^profile b must be finite"):
+        build_profile({"kind": "op", "a": 1.0, "b": value})
+    with pytest.raises(ConfigError, match=r"^profile a 'value' entry must be finite"):
+        build_profile({"kind": "op", "a": {"s": [0, 1], "value": [1, value]}})
 
 
 @pytest.mark.parametrize("fn", [{"s": [0, "1"], "value": [1, 2]}, {"s": [0, 1], "value": [1, None]}])

@@ -270,6 +270,7 @@ def test_hermitian_kernel_and_gram_check_hold_no_second_copy():
     [
         ({"classical": "uniform-circle", "N": 300, "nodes": 1200}, 1 << 20),
         ({"classical": "gue", "N": 100, "nodes": 256}, None),
+        ({"classical": "chebyshev", "N": 200, "nodes": 5000}, None),  # real, 33 row blocks
     ],
 )
 def test_kernel_diagonal_holds_no_conjugated_basis(cfg, peak_bytes):

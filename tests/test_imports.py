@@ -1,6 +1,7 @@
 """Import footprint: the package and the command-line tool load on numpy
 alone, and so does building and sampling every kind of ensemble, GUE and
-its Gauss-Hermite rule included, and a measure config's Stieltjes table."""
+its Gauss-Hermite rule included, a measure config's Stieltjes table, and
+acceptance criterion 1's Gauss rule."""
 
 import os
 import subprocess
@@ -73,4 +74,20 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 def test_measure_config_loads_no_scipy_module():
     loaded = _printed_by(MEASURE_SCRIPT)
+    assert loaded == "", f"loaded: {loaded}"
+
+
+VERIFY_SCRIPT = """
+import sys
+
+from polyens import verify
+
+(result,) = verify.run_all(only=[1])
+assert result.passed, result.detail
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy.linalg"))))
+"""
+
+
+def test_path_sum_criterion_loads_no_scipy_linalg():
+    loaded = _printed_by(VERIFY_SCRIPT)
     assert loaded == "", f"loaded: {loaded}"

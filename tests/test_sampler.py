@@ -202,6 +202,24 @@ def test_refactor_replays_a_real_gauge_state():
     assert np.array_equal(state._diag, diag)
 
 
+def test_refactor_replays_a_non_hermitian_state():
+    tilt = np.zeros((20, 2))
+    tilt[18, 0] = tilt[19, 1] = 0.01
+    ens = cheb_ensemble(20, 256, pad=4).tilt_nonorthogonal(tilt)
+    state = ConditionalState(ens)
+    assert state._C is not None
+    rng = stream(44)
+    for _ in range(12):
+        state.push(ens.measure.sample_mass(state._diag, rng))
+    diag, heights, prefix = state._diag.copy(), list(state.heights), state.selected
+    state.refactor()
+    assert state.selected == prefix
+    assert state.heights == heights
+    assert np.array_equal(state._diag, diag)
+    state.push(ens.measure.sample_mass(state._diag, rng))  # and the state goes on
+    assert state.k == 13
+
+
 def test_sample_matches_choice_oracle_chain():
     # the chain driven step by step through Generator.choice draws the same
     # points with the same log density from the same stream
@@ -494,6 +512,16 @@ def test_spectral_data_validation(e3):
         SpectralData(np.array([0.5, 0.5, 0.5]), P, P + 0.3, e3.measure)
     sd = spectral_from_ensemble(e3, [1.0, 1.0, 1.0])
     assert np.allclose(sd.intensity(), e3.mean_density() * 3, rtol=1e-10)
+
+
+def test_spectral_thinning_refuses_a_non_hermitian_ensemble():
+    # P paired with P would not be this kernel: at every lambda = 1/2 its
+    # spectral kernel is 0.18 away from K / 2
+    tilt = np.zeros((4, 2))
+    tilt[2, 0] = tilt[3, 1] = 0.1
+    tilted = cheb_ensemble(4, 16, pad=2).tilt_nonorthogonal(tilt)
+    with pytest.raises(ValueError, match="hermitian"):
+        spectral_from_ensemble(tilted, [0.5] * 4)
 
 
 def test_thinning_edge_probabilities(e3):

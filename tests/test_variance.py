@@ -122,6 +122,18 @@ def test_lipschitz_bound_scalar_and_table():
     assert np.isclose(variance_power(t, 1), lipschitz_variance_bound(t, 1.0), rtol=1e-12)
 
 
+def test_lipschitz_bound_refuses_a_table_that_is_not_symmetric():
+    # q = 2, up step 1, down steps 2.0 and 0.1: Var[sum x_i] is exactly 2.0,
+    # while a_{N-1} = 1 would give a "bound" of 1.0
+    N, pad = 6, 4
+    c = np.zeros((N + pad + 1, 4))
+    c[:, 0], c[:, 2], c[:, 3] = 1.0, 2.0, 0.1
+    t = banded_table(c, 2, N)
+    assert not t.symmetric and variance_power(t, 1) == 2.0
+    with pytest.raises(EvaluationError, match="symmetric"):
+        lipschitz_variance_bound(t, 1.0)
+
+
 def test_gue_variance_against_matrix_model():
     # independent route: eigenvalues of actual random matrices
     rng = stream(123)
