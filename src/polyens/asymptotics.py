@@ -139,7 +139,7 @@ def banded_limit_moment(profile, ell):
 @dataclass
 class LimitRow:
     ell: int
-    finite_moment: float
+    finite_moment: float | complex  # complex for a complex table
     limit_moment: float
     gap: float
 
@@ -150,7 +150,6 @@ def limit_report(table, profile, lmax):
     rows = []
     for ell in range(1, lmax + 1):
         fin = mean_moment(table, ell)
-        fin = float(np.real(fin))
         lim = banded_limit_moment(profile, ell)
         rows.append(LimitRow(ell, fin, lim, abs(fin - lim)))
     return rows

@@ -123,8 +123,8 @@ def _tridiagonal_zeros(diag, off):
 @dataclass
 class GapResult:
     ell: int
-    mean_moment: float
-    zero_moment: float
+    mean_moment: float | complex  # complex for a complex table
+    zero_moment: float | complex
     gap: float
     bound: float
 
@@ -142,12 +142,7 @@ def moment_gap(table, ell, zero_set=None):
     gap = abs(mean - zmom)
     wmax = table.window_max(N - ell, N + ell)
     bound = (2.0 * ell) ** ell / N * wmax**ell
-    return GapResult(ell, _as_real(mean), _as_real(zmom), float(gap), float(bound))
-
-
-def _as_real(z):
-    z = complex(z)
-    return z.real if abs(z.imag) <= 1e-12 * max(1.0, abs(z)) else z
+    return GapResult(ell, mean, table.value(zmom), float(gap), float(bound))
 
 
 def log_potential(target, z):

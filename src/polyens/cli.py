@@ -2,10 +2,12 @@
 
 Subcommands: sample, moments, zeros, gap, variance, limit, verify.
 Ensembles are described by JSON configs (a file path, an inline JSON
-string, or a classical shorthand like ``gue`` plus --N).  Point and zero
-data are emitted as CSV with one record per row after a single ``#``
-provenance comment; scalar reports are JSON.  Outputs carry no
-timestamps, so a fixed seed reproduces files byte for byte.
+string, or a classical shorthand like ``gue`` plus --N).  Every report
+goes through `_emit`, to --out or, when it is missing or ``-``, to stdout.
+Point and zero data are streamed as CSV with one record per row after a
+single ``#`` provenance comment; scalar reports are JSON, complex values
+written as in CSV.  Outputs carry no timestamps, so a fixed seed
+reproduces files byte for byte.
 
 Exit codes: 0 ok, 1 usage, 2 config/model/numerical error (an unexpected
 exception is reported as ``internal``, also with 2), 3 acceptance failure.
@@ -38,11 +40,7 @@ class _Parser(argparse.ArgumentParser):
     # errors, so remap.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _ensemble_config(args):
@@ -68,13 +66,14 @@ def _ensemble_config(args):
     return cfg
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    try:
-        return open(path, "w"), True
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+def _built(args, table=False):
+    """The --ensemble config and its ensemble. With table=True an ensemble
+    without a recurrence table is refused: the table subcommands read it."""
+    cfg = _ensemble_config(args)
+    ens = build_ensemble(cfg)
+    if table and ens.table is None:
+        raise ConfigError("this subcommand needs an ensemble with a recurrence table")
+    return cfg, ens
 
 
 def _fmt(v, force_complex=False):
@@ -84,39 +83,35 @@ def _fmt(v, force_complex=False):
     return repr(float(v))
 
 
-def _write_csv(out, header, rows, provenance):
-    fh, close = _open_out(out)
+def _csv(cfg, header, rows, seed=None):
+    """The lines of a CSV report: provenance, header, then one per row."""
+    seed = "" if seed is None else f" seed {seed}"
+    yield f"# polyens {__version__} config {config_hash(cfg)}{seed}\n"
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(row) + "\n"
+
+
+def _json(payload):
+    """The text of a JSON report, for _emit; complex values as in CSV."""
+    return [json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n"]
+
+
+def _emit(out, lines):
+    """Stream lines to the file out, or to stdout when out is None or "-"."""
+    if out in (None, "-"):
+        sys.stdout.writelines(lines)
+        return EXIT_OK
     try:
-        fh.write(f"# {provenance}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    finally:
-        if close:
-            fh.close()
+        with open(out, "w") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
     return EXIT_OK
-
-
-def _write_json(out, payload):
-    fh, close = _open_out(out)
-    try:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
-    return EXIT_OK
-
-
-def _need_table(ens):
-    if ens.table is None:
-        raise ConfigError("this subcommand needs an ensemble with a recurrence table")
-    return ens.table
 
 
 def cmd_sample(args):
-    cfg = _ensemble_config(args)
-    ens = build_ensemble(cfg)
+    cfg, ens = _built(args)
     indices, logs = sample_replicas(ens, args.replicas, seed=args.seed)
     pts = ens.measure.points[indices]
     cplx = ens.measure.is_complex
@@ -125,13 +120,11 @@ def cmd_sample(args):
         [_fmt(v, force_complex=cplx) for v in pts[r]] + [_fmt(logs[r])]
         for r in range(args.replicas)
     )
-    prov = f"polyens {__version__} config {config_hash(cfg)} seed {args.seed}"
-    return _write_csv(args.out, header, rows, prov)
+    return _emit(args.out, _csv(cfg, header, rows, seed=args.seed))
 
 
 def cmd_moments(args):
-    cfg = _ensemble_config(args)
-    ens = build_ensemble(cfg)
+    cfg, ens = _built(args)
     if ens.table is not None:
         vals = [mean_moment(ens.table, ell) for ell in range(1, args.lmax + 1)]
     else:
@@ -141,49 +134,43 @@ def cmd_moments(args):
         vals = [np.sum(x**ell * diag * w) / ens.N for ell in range(1, args.lmax + 1)]
     cplx = any(np.iscomplexobj(v) or isinstance(v, complex) for v in vals)
     rows = [[str(ell), _fmt(v, force_complex=cplx)] for ell, v in enumerate(vals, start=1)]
-    prov = f"polyens {__version__} config {config_hash(cfg)}"
-    return _write_csv(args.out, ["ell", "moment"], rows, prov)
+    return _emit(args.out, _csv(cfg, ["ell", "moment"], rows))
 
 
 def cmd_zeros(args):
-    cfg = _ensemble_config(args)
-    table = _need_table(build_ensemble(cfg))
-    zs = zeros(table, lmax=2)
+    cfg, ens = _built(args, table=True)
+    zs = zeros(ens.table, lmax=2)
     z = np.asarray(zs.zeros, dtype=complex)
     rows = [[str(i), repr(float(z[i].real)), repr(float(z[i].imag))] for i in range(len(z))]
-    prov = f"polyens {__version__} config {config_hash(cfg)}"
-    return _write_csv(args.out, ["index", "re", "im"], rows, prov)
+    return _emit(args.out, _csv(cfg, ["index", "re", "im"], rows))
 
 
 def cmd_gap(args):
-    cfg = _ensemble_config(args)
-    table = _need_table(build_ensemble(cfg))
-    zs = zeros(table, lmax=args.lmax)
+    cfg, ens = _built(args, table=True)
+    zs = zeros(ens.table, lmax=args.lmax)
     rows = []
     for ell in range(1, args.lmax + 1):
-        r = moment_gap(table, ell, zero_set=zs)
+        r = moment_gap(ens.table, ell, zero_set=zs)
         rows.append([str(ell), repr(float(r.gap)), repr(float(r.bound))])
-    prov = f"polyens {__version__} config {config_hash(cfg)}"
-    return _write_csv(args.out, ["ell", "gap", "bound"], rows, prov)
+    return _emit(args.out, _csv(cfg, ["ell", "gap", "bound"], rows))
 
 
 def cmd_variance(args):
-    cfg = _ensemble_config(args)
-    ens = build_ensemble(cfg)
-    table = _need_table(ens)
+    cfg, ens = _built(args, table=True)
+    table = ens.table
     ell = args.power
     payload = {
         "polyens": __version__,
         "config": config_hash(cfg),
         "power": ell,
-        "exact": float(variance_power(table, ell)),
+        "exact": variance_power(table, ell),
         "bound": float(variance_upper_bound(table, ell)),
+        "limiting": None,
+        "mc": None,
     }
     if table.symmetric:
         a_edge, b_edge = float(table.a[table.N - 1]), float(table.b[table.N - 1])
         payload["limiting"] = float(limiting_variance(lambda x: x**ell, a=a_edge, b=b_edge))
-    else:
-        payload["limiting"] = None
     if args.mc:
         if ens.measure.is_complex:
             raise ConfigError("--mc needs a real-supported ensemble")
@@ -197,17 +184,14 @@ def cmd_variance(args):
             "estimate": float(rep.variance),
             "se": float(rep.se[2]),
         }
-    else:
-        payload["mc"] = None
-    return _write_json(args.out, payload)
+    return _emit(args.out, _json(payload))
 
 
 def cmd_limit(args):
-    cfg = _ensemble_config(args)
-    table = _need_table(build_ensemble(cfg))
+    cfg, ens = _built(args, table=True)
     profile = build_profile(load_config(args.profile))
     rows = []
-    for row in limit_report(table, profile, args.lmax):
+    for row in limit_report(ens.table, profile, args.lmax):
         rows.append(
             [
                 str(row.ell),
@@ -216,8 +200,7 @@ def cmd_limit(args):
                 repr(float(row.gap)),
             ]
         )
-    prov = f"polyens {__version__} config {config_hash(cfg)}"
-    return _write_csv(args.out, ["ell", "finite_moment", "limit_moment", "gap"], rows, prov)
+    return _emit(args.out, _csv(cfg, ["ell", "finite_moment", "limit_moment", "gap"], rows))
 
 
 def cmd_verify(args):
@@ -243,7 +226,7 @@ def cmd_verify(args):
             for r in results
         ],
     }
-    _write_json(args.out, payload)
+    _emit(args.out, _json(payload))
     return EXIT_OK if payload["passed"] else EXIT_ACCEPT
 
 
@@ -330,10 +313,7 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:  # argparse --help/--version or usage error
         return exc.code if exc.code is not None else EXIT_OK
-    except PolyensError as exc:
-        print(f"polyens: error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (PolyensError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
         print(f"polyens: error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except Exception as exc:  # a defect, still reported in the one-line contract

@@ -378,6 +378,10 @@ class PolynomialEnsemble:
         tilt = np.atleast_2d(np.asarray(tilt, dtype=float))
         if tilt.shape[0] != self.N:
             raise ValueError(f"tilt must have N={self.N} rows")
+        bad = np.argwhere(~np.isfinite(tilt))
+        if len(bad):
+            k, j = bad[0]
+            raise ValueError(f"tilt[{k}][{j}] must be finite, got {tilt[k, j]}")
         d = tilt.shape[1]
         if self.N + d > len(self.basis):
             raise ValueError(

@@ -58,10 +58,10 @@ class ReferenceMeasure:
         Atom locations, real or complex.
     weights : array_like
         Strictly positive masses, same length as points.
-    name, params : optional metadata recording how the measure was built.
+    name : optional label recording how the measure was built.
     """
 
-    def __init__(self, points, weights, name=None, params=None):
+    def __init__(self, points, weights, name=None):
         points = np.asarray(points)
         weights = np.asarray(weights, dtype=float)
         if points.ndim != 1 or weights.ndim != 1 or len(points) != len(weights):
@@ -77,7 +77,6 @@ class ReferenceMeasure:
         self.points = points
         self.weights = weights
         self.name = name
-        self.params = dict(params) if params else {}
 
     def __len__(self):
         return len(self.points)
@@ -225,7 +224,6 @@ def equilibrium_measure(alpha, beta, nodes=DEFAULT_NODES):
         mid + half * u,
         np.full(nodes, 1.0 / nodes),
         name="chebyshev-arcsine",
-        params={"alpha": float(alpha), "beta": float(beta), "nodes": int(nodes)},
     )
 
 
@@ -241,12 +239,7 @@ def scaled_hermite_measure(N, nodes=DEFAULT_NODES):
     pts = s * x
     wts = s * w
     keep = wts > 0.0
-    return ReferenceMeasure(
-        pts[keep],
-        wts[keep],
-        name="scaled-hermite",
-        params={"N": int(N), "nodes": int(nodes)},
-    )
+    return ReferenceMeasure(pts[keep], wts[keep], name="scaled-hermite")
 
 
 # Newton passes from the asymptotic guesses, which are within ~3e-3 relative
@@ -371,9 +364,7 @@ def uniform_circle_measure(n=DEFAULT_NODES):
     if n < 1:
         raise ValueError("need at least one atom")
     z = np.exp(2j * np.pi * np.arange(n) / n)
-    return ReferenceMeasure(
-        z, np.full(n, 1.0 / n), name="uniform-circle", params={"n": int(n)}
-    )
+    return ReferenceMeasure(z, np.full(n, 1.0 / n), name="uniform-circle")
 
 
 def atoms_measure(points, weights, name=None):

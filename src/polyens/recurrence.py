@@ -14,8 +14,9 @@ walk, `_walks`, carries the path weights from many starting ordinates at
 once, and every table query here and in the variance and zero-set modules
 (moments, traces of sections, escape sums) reads its result, or its weights
 after each step (`_walk_steps`) to read every power up to l at once.
-Indices run over 0..N+pad; access past the pad raises instead of
-extrapolating.
+Every such query returns a complex for a complex table and a float
+otherwise (`RecurrenceTable.value`). Indices run over 0..N+pad; access
+past the pad raises instead of extrapolating.
 """
 
 import math
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import (
     CoefficientRangeError,
+    InvalidIntervalError,
     NumericalBreakdownError,
     OrthogonalityError,
     RankError,
@@ -85,22 +87,24 @@ class RecurrenceTable:
     def is_complex(self):
         return np.iscomplexobj(self.c)
 
+    def value(self, x):
+        """x as the result of a query of this table: a complex for a complex
+        table, a float otherwise (where any imaginary part is roundoff)."""
+        return complex(x) if self.is_complex else float(np.real(x))
+
     def __repr__(self):
         return f"RecurrenceTable(N={self.N}, pad={self.pad}, q={self.q})"
 
     def coeff(self, k, m):
         """<x P_k, Q_m>; zero off the band, loud error past the pad."""
-        if k < 0 or m < 0:
-            return 0.0
-        if m > k + 1 or m < k - self.q:
-            return 0.0
+        if k < 0 or m < 0 or m > k + 1 or m < k - self.q:
+            return self.value(0.0)
         if k > self.top:
             raise CoefficientRangeError(
                 f"coefficient index {k} exceeds stored range {self.top} "
                 f"(N={self.N}, pad={self.pad}); rebuild with a larger pad"
             )
-        out = self.c[k, k - m + 1]
-        return out if self.is_complex else float(out)
+        return self.value(self.c[k, k - m + 1])
 
     def window_max(self, lo, hi):
         """max |<x P_k, Q_m>| over lo <= k, m <= hi (clipped to the stored
@@ -151,10 +155,10 @@ def classical_table(name, N, pad=DEFAULT_PAD, alpha=-1.0, beta=1.0):
         a = np.sqrt((np.arange(K + 1) + 1.0) / N)
         return op_table(a, np.zeros(K + 1), N)
     if name == "chebyshev":
+        if not (np.isfinite(alpha) and np.isfinite(beta)) or alpha >= beta:
+            raise InvalidIntervalError(f"need alpha < beta, got [{alpha}, {beta}]")
         half = 0.5 * (beta - alpha)
         mid = 0.5 * (alpha + beta)
-        if half <= 0:
-            raise ValueError("need alpha < beta")
         a = np.full(K + 1, half / 2.0)
         a[0] = half / np.sqrt(2.0)
         return op_table(a, np.full(K + 1, mid), N)
@@ -304,13 +308,12 @@ def path_sum_moment(table, ell, k, m):
     if ell < 0 or k < 0 or m < 0:
         raise ValueError("ell, k, m must be nonnegative")
     if ell == 0:
-        return 1.0 if k == m else 0.0
+        return table.value(1.0 if k == m else 0.0)
     q = table.q
     if m > k + ell or m < k - q * ell:
-        return 0.0
+        return table.value(0.0)
     hi = (q * (ell + k) + m) // (q + 1)  # highest ordinate of a path k -> m
-    out = _walks(table, ell, [k], hi)[m - k + q * ell, 0]
-    return out if table.is_complex else float(out)
+    return table.value(_walks(table, ell, [k], hi)[m - k + q * ell, 0])
 
 
 def mean_moment(table, ell):
@@ -320,8 +323,7 @@ def mean_moment(table, ell):
         raise ValueError("ell must be nonnegative")
     N, q = table.N, table.q
     hi = N - 1 + (q * ell) // (q + 1)  # highest ordinate of a loop from N - 1
-    out = np.sum(_walks(table, ell, np.arange(N), hi)[q * ell]) / N
-    return out if table.is_complex else float(out)
+    return table.value(np.sum(_walks(table, ell, np.arange(N), hi)[q * ell]) / N)
 
 
 def hessenberg_matrix(table, size=None):

@@ -197,10 +197,9 @@ def sample(ensemble, rng=None, check_normalization=False):
 def _drive(state, rng, check_normalization=False):
     e = state.ensemble
     m = e.measure
-    start = state.k
-    picked = np.empty(e.N - start)  # residual mass of each point as it was drawn
+    picked = np.empty(e.N)  # residual mass of each point as it was drawn
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(start, e.N):
+        for k in range(e.N):
             mass = state._diag
             if check_normalization:
                 total = float(np.sum(mass)) / (e.N - k)
@@ -219,12 +218,11 @@ def _drive(state, rng, check_normalization=False):
                     f"mass at atom x={m.points[i].item()!r} is {mass[i]:.3e}, below "
                     f"-{NEGATIVITY_TOL:g} * max"
                 ) from None
-            picked[k - start] = mass[idx]
+            picked[k] = mass[idx]
             state.push(idx)
         indices = state._at.copy()
-        drawn = indices[start:]
         # each entry is the density_all() entry of its step, bit for bit
-        logs = np.log(picked / (state.w[drawn] * np.arange(e.N - start, 0, -1)))
+        logs = np.log(picked / (state.w[indices] * np.arange(e.N, 0, -1)))
     logdens = 0.0
     for v in logs.tolist():  # summed in draw order
         logdens += v
@@ -274,7 +272,7 @@ class SpectralData:
         n = len(self.measure)
         if self.phi.shape != (r, n) or self.psi.shape != (r, n):
             raise ValueError("phi and psi must be (rank, n_atoms)")
-        if np.any(self.lambdas < 0) or np.any(self.lambdas > 1):
+        if not np.all((self.lambdas >= 0) & (self.lambdas <= 1)):  # NaN included
             raise ValueError("contraction needs 0 <= lambda_k <= 1")
         if not self.measure.gram_defect(self.phi, self.psi) <= BIORTHOGONALITY_TOL:
             raise OrthogonalityError("phi and psi are not biorthogonal")

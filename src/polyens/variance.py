@@ -48,7 +48,7 @@ def _escape_sum(table, ell, m):
     for d in range(1, min(ell, q * m) + 1):
         lo = max(k0, N - d)  # k in [lo, N) climbs to k + d >= N, column k + d - N of back
         total += up[q * ell + d, lo - k0 :] @ back[q * m - d, lo + d - N : d]
-    return float(np.real(total))
+    return table.value(total)
 
 
 def variance_power(table, ell):

@@ -14,6 +14,7 @@ from polyens import (
     equilibrium_measure,
     gue_profile,
     limit_report,
+    mean_moment,
     mu_ab_moment,
     mu_ab_sample,
     op_profile,
@@ -21,6 +22,7 @@ from polyens import (
 )
 
 import oracles
+from test_recurrence import complex_q1_table
 
 
 def test_catalan_values():
@@ -165,6 +167,15 @@ def test_limit_report_chebyshev_constant_profile():
     by_ell = {r.ell: r for r in rows}
     assert by_ell[4].gap <= 0.02
     assert np.isclose(by_ell[4].limit_moment, 0.375, atol=1e-10)
+
+
+def test_limit_report_of_a_complex_table_keeps_the_finite_moments():
+    table = complex_q1_table()
+    rows = limit_report(table, gue_profile(), 4)
+    for row in rows:
+        assert row.finite_moment == mean_moment(table, row.ell)
+        assert abs(row.finite_moment.imag) > 0.01
+        assert row.gap == abs(row.finite_moment - row.limit_moment)
 
 
 def test_limit_report_shrinks_when_N_doubles():

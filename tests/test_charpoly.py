@@ -8,11 +8,14 @@ from polyens import (
     classical_table,
     covariance_power,
     equilibrium_measure,
+    gue_profile,
+    limit_report,
     log_potential,
     mean_measure,
     mean_moment,
     moment_gap,
     op_table,
+    path_sum_moment,
     stream,
     variance_power,
     zeros,
@@ -137,6 +140,24 @@ def test_power_sums_match_dense_section_traces(kind, seed):
     for ell in range(1, 6):
         want = oracles.section_power_trace(t, ell, t.N)
         assert np.isclose(zs.power_sums[ell], want, rtol=1e-9, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_table_queries_return_the_table_scalar(kind):
+    # complex for a complex table, float otherwise: no query drops an
+    # imaginary part, and a real table's zero moments stay floats although
+    # a real q = 2 section has complex zeros
+    t = random_table(kind, 1400)
+    want = complex if t.is_complex else float
+    zs = zeros(t, lmax=3)
+    gaps = [moment_gap(t, ell, zero_set=zs) for ell in (1, 2, 3)]
+    values = [t.coeff(1, 0), t.coeff(0, 3), path_sum_moment(t, 2, 0, 0), path_sum_moment(t, 0, 1, 1)]
+    values += [mean_moment(t, 2), variance_power(t, 1), covariance_power(t, 1, 2)]
+    values += [g.mean_moment for g in gaps] + [g.zero_moment for g in gaps]
+    values += [r.finite_moment for r in limit_report(t, gue_profile(), 2)]
+    assert all(isinstance(v, want) for v in values), [type(v) for v in values]
+    if not t.is_complex:
+        assert all(g.zero_moment == float(np.real(zs.mean_power(g.ell))) for g in gaps)
 
 
 def test_table_algebra_needs_no_dense_powers(monkeypatch):

@@ -392,6 +392,18 @@ def test_unexpected_exception_exits_2(monkeypatch, capsys):
     assert err == ["polyens: error: internal: KeyError: 'boom'"]
 
 
+@pytest.mark.parametrize("exc", [ValueError("bad value"), np.linalg.LinAlgError("singular")],
+                         ids=["ValueError", "LinAlgError"])
+def test_value_and_linalg_errors_exit_2(monkeypatch, capsys, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_moments", broken)
+    assert main(["moments", "--ensemble", "gue", "--N", "5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [f"polyens: error: {exc}"]
+
+
 def test_interrupt_is_not_mapped(monkeypatch):
     def interrupted(args):
         raise KeyboardInterrupt
@@ -421,6 +433,40 @@ def test_stdout_default(capsys):
     got = sorted(float(line.split(",")[1]) for line in lines[2:])
     want = np.sort(np.cos((2 * np.arange(1, 5) - 1) * np.pi / 8))
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--ensemble", "circle", "--N", "3", "--replicas", "4", "--seed", "7"],
+        ["moments", "--ensemble", "gue", "--N", "10"],
+        ["zeros", "--ensemble", "chebyshev", "--N", "5"],
+        ["gap", "--ensemble", "gue", "--N", "10"],
+        ["variance", "--ensemble", "gue", "--N", "6", "--power", "2", "--mc", "20"],
+        ["limit", "--ensemble", "gue", "--N", "10", "--profile", '{"kind": "gue"}'],
+        ["verify", "--only", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys, argv):
+    def seconds_apart(text):
+        return re.sub(r'"seconds": [0-9.]+', '"seconds": S', text)
+
+    out = tmp_path / "out"
+    assert main(argv) == 0
+    stdout = seconds_apart(capsys.readouterr().out)
+    assert main(argv + ["--out", "-"]) == 0
+    assert seconds_apart(capsys.readouterr().out) == stdout
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert seconds_apart(out.read_bytes().decode()) == stdout
+
+
+def test_json_writes_a_complex_value_as_csv_does(monkeypatch, capsys):
+    # a complex table's variance is complex; its real part alone is wrong
+    monkeypatch.setattr(cli, "variance_power", lambda table, ell: 0.25 + 0.3j)
+    assert main(["variance", "--ensemble", "gue", "--N", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["exact"] == cli._fmt(0.25 + 0.3j) == "0.25+0.3j"
 
 
 def test_python_m_polyens_runs_the_cli():

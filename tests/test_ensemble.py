@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,6 +351,15 @@ def test_tilt_shape_and_padding_errors(cheb3):
         cheb3.tilt_nonorthogonal(np.zeros((2, 1)))  # wrong row count
     with pytest.raises(ValueError):
         cheb3.tilt_nonorthogonal(np.zeros((3, 5)))  # needs rows past the pad
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_tilt_refuses_a_non_finite_entry(cheb3, value):
+    # a NaN tilt built, then read as "the basis product overflows"
+    tilt = np.zeros((3, 2))
+    tilt[2, 1] = value
+    with pytest.raises(ValueError, match=re.escape(f"tilt[2][1] must be finite, got {value}")):
+        cheb3.tilt_nonorthogonal(tilt)
 
 
 def test_tilt_positivity_scan_catches_bad_kernels(cheb3):

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from polyens import (
     CoefficientRangeError,
+    InvalidIntervalError,
     NumericalBreakdownError,
     RankError,
     atoms_measure,
@@ -45,6 +46,18 @@ def random_banded_table(seed, q, N=None, pad=6, imag=False):
     return banded_table(c, q, N)
 
 
+def complex_q1_table():
+    """q = 1, N = 6, pad 6: up steps 1, a complex diagonal and complex down
+    steps, so every loop weight has an imaginary part."""
+    rng = np.random.default_rng(1)
+    N, K = 6, 12
+    c = np.zeros((K + 1, 3), dtype=complex)
+    c[:, 0] = 1.0
+    c[:, 1] = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+    c[:, 2] = rng.uniform(0.2, 0.5, size=K + 1) + 0.3j
+    return banded_table(c, 1, N)
+
+
 # every storage form the table algebra serves: op, real banded with q = 0, 2
 # and 3, and complex banded
 TABLE_KINDS = ("op", "q0", "q2", "q3", "complex-q2")
@@ -72,6 +85,18 @@ def test_chebyshev_coefficients():
     t = classical_table("chebyshev", 5, pad=1, alpha=1.0, beta=5.0)
     assert np.isclose(t.coeff(0, 0), 3.0)  # b_k = midpoint
     assert np.isclose(t.coeff(2, 3), 1.0)  # a_k = half-width / 2
+
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, -2.0), (np.nan, 1.0), (-np.inf, 1.0)])
+def test_chebyshev_table_refuses_a_bad_interval_as_its_measure_does(alpha, beta):
+    # one interval, one error: the table raised a plain ValueError
+    for build in (
+        lambda: classical_table("chebyshev", 4, alpha=alpha, beta=beta),
+        lambda: equilibrium_measure(alpha, beta, 8),
+    ):
+        with pytest.raises(InvalidIntervalError, match=r"need alpha < beta, got \["):
+            build()
 
 
 def test_circle_table_is_pure_shift():

@@ -508,6 +508,8 @@ def test_spectral_data_validation(e3):
     P = e3.P_vals
     with pytest.raises(ValueError):
         SpectralData(np.array([0.5, 1.5, 0.5]), P, P, e3.measure)
+    with pytest.raises(ValueError, match="contraction needs"):
+        spectral_from_ensemble(e3, [np.nan, 0.5, 0.5])
     with pytest.raises(OrthogonalityError):
         SpectralData(np.array([0.5, 0.5, 0.5]), P, P + 0.3, e3.measure)
     sd = spectral_from_ensemble(e3, [1.0, 1.0, 1.0])

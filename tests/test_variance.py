@@ -28,7 +28,7 @@ from polyens.config import build_ensemble
 from polyens.variance import LIMIT_NODES
 
 import oracles
-from test_recurrence import random_banded_table, random_op_table
+from test_recurrence import complex_q1_table, random_banded_table, random_op_table
 
 
 def test_gue_linear_variance_is_one():
@@ -81,6 +81,21 @@ def test_covariance_diagonal_and_symmetry():
     t = random_op_table(33, N=5, pad=6)
     assert np.isclose(covariance_power(t, 2, 2), variance_power(t, 2), rtol=1e-12)
     assert np.isclose(covariance_power(t, 1, 3), covariance_power(t, 3, 1), rtol=1e-10)
+
+
+def test_complex_table_variances_keep_their_imaginary_part():
+    # the only escape of Var[sum x] is up from N-1 and down from N
+    t = complex_q1_table()
+    N, c = t.N, t.c
+    cases = [
+        (variance_power(t, 1), c[N - 1, 0] * c[N, 2]),
+        (variance_power(t, 1), oracles.variance_by_escape(t, 1)),
+        (variance_power(t, 2), oracles.variance_by_escape(t, 2)),
+        (covariance_power(t, 2, 3), oracles.covariance_by_escape(t, 2, 3)),
+    ]
+    for got, want in cases:
+        assert isinstance(got, complex) and abs(want.imag) > 0.1
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_gue_closed_forms_at_large_N():
