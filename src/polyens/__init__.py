@@ -73,8 +73,6 @@ from .asymptotics import (
     catalan_moment,
     gue_profile,
     limit_report,
-    mu_ab_moment,
-    mu_ab_sample,
     op_profile,
 )
 

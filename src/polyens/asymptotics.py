@@ -99,23 +99,6 @@ def _gl_grid():
     return s, w
 
 
-def mu_ab_moment(profile, ell):
-    """l-th moment of the law of 2 a(U) xi + b(U) for an OP profile: the
-    banded limit moment at q = 1."""
-    if profile.q != 1:
-        raise ValueError("mu_ab form needs an OP (q=1) profile")
-    return banded_limit_moment(profile, ell)
-
-
-def mu_ab_sample(profile, rng, size):
-    """Draws of 2 a(U) xi + b(U), xi = cos(pi V) arcsine on [-1,1]."""
-    if profile.q != 1:
-        raise ValueError("mu_ab form needs an OP (q=1) profile")
-    u = rng.random(size)
-    xi = np.cos(np.pi * rng.random(size))
-    return 2.0 * profile(-1, u) * xi + profile(0, u)
-
-
 def banded_limit_moment(profile, ell):
     """Limit of the l-th mean empirical moment for a banded profile: the
     weight of l-step loops of the band frozen at s, integrated over s.

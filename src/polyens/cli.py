@@ -11,10 +11,13 @@ reproduces files byte for byte.
 
 Exit codes: 0 ok, 1 usage, 2 config/model/numerical error (an unexpected
 exception is reported as ``internal``, also with 2), 3 acceptance failure.
+A reader that closes stdout early (``polyens sample ... | head``) ends
+the report with 0, not an error.
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -98,9 +101,15 @@ def _json(payload):
 
 
 def _emit(out, lines):
-    """Stream lines to the file out, or to stdout when out is None or "-"."""
+    """Stream lines to the file out, or to stdout when out is None or "-".
+    A closed stdout (flushed here, for reports shorter than its buffer)
+    ends the stream, and is pointed at os.devnull for the flush at exit."""
     if out in (None, "-"):
-        sys.stdout.writelines(lines)
+        try:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     try:
         with open(out, "w") as fh:

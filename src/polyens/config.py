@@ -16,7 +16,7 @@ table::
 
 ensemble::
 
-    {"classical": "gue", "N": 50}
+    {"classical": "gue", "N": 50}               # refused if its atoms do not carry its table
     {"measure": {...}, "N": 20}                  # table built from atoms
     {"measure": {...}, "table": {...}, "N": 20}  # explicit recurrence
     {"base": {...}, "tilt": [[...], ...]}        # non-orthogonal Q family
@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, OrthogonalityError
 from .measure import atoms_measure, grid_measure, named_measure
 from .recurrence import DEFAULT_PAD, banded_table, classical_table, op_table
 from .ensemble import PolynomialEnsemble
@@ -214,7 +214,13 @@ def build_ensemble(cfg):
             )
         else:
             measure = named_measure("uniform-circle", n=nodes)
-        return PolynomialEnsemble.from_table(table, measure, N=N, name=name)
+        ens = PolynomialEnsemble.from_table(table, measure, N=N, name=name)
+        if not ens.hermitian:  # from_table re-dualized: this is not the named ensemble
+            raise OrthogonalityError(
+                f"{name} N={N} on {nodes} nodes: its table is not orthonormal on the "
+                f"{len(measure)} atoms kept (Gram defect {measure.gram_defect(ens.P_vals):.3g})"
+            )
+        return ens
     _require("measure" in cfg, "ensemble needs 'classical', 'measure', or 'base'")
     _only(cfg, "measure ensemble", ("measure", "table", "N") if "table" in cfg else ("measure", "N", "pad"))
     measure = build_measure(cfg["measure"])

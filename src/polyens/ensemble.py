@@ -33,7 +33,7 @@ _UNCHECKED = object()
 
 
 def _check_rank(N, measure):
-    atoms = np.unique(measure.points).size
+    atoms = measure.distinct_atoms
     if N > atoms:
         raise RankError(f"N={N} points need {N} distinct atoms; the measure has {atoms}")
 
@@ -170,8 +170,8 @@ class PolynomialEnsemble:
 
     def kernel_matrix(self):
         """K(x_i, x_j) on all atom pairs, cached; bit for bit P^T conj(Q).
-        Checked once, when formed (see _checked), rather than inside a
-        sampling step.
+        Only the sampler needs it: minors come from the basis (_minor).
+        Checked once, when formed (see _checked), not inside a step.
 
         A real kernel is the one product (numpy sends the hermitian P^T P to
         a symmetric rank-k routine). A complex one is formed in the row
@@ -255,8 +255,8 @@ class PolynomialEnsemble:
     def _checked(self, values, diag, what):
         """values, if finite (else NumericalBreakdownError: the basis product
         overflowed) and, for a complex non-hermitian kernel, if the diagonal
-        is real to 1e-9 of its largest modulus (else the kernel defines no
-        point process: PositivityViolationError)."""
+        diag, unless None, is real to 1e-9 of its largest modulus (else the
+        kernel defines no point process: PositivityViolationError)."""
         if not np.isfinite(values).all():
             raise NumericalBreakdownError(
                 f"{what} of N={self.N} points on {len(self.measure)} atoms "
@@ -306,7 +306,9 @@ class PolynomialEnsemble:
         """
         if not self.hermitian or self.table is None:
             i, j = self.atom_index(x), self.atom_index(y)
-            return self.kernel_matrix()[i, j]
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = self.P_vals[:, i] @ np.conj(self.q_values[:, j])
+            return self._checked(value, None, "kernel value")
         vx = self.eval_P(x)
         vy = self.eval_P(y)
         out = np.sum(vx[:, 0] * np.conj(vy[:, 0]))
@@ -349,9 +351,12 @@ class PolynomialEnsemble:
         return (float(sign), float(logdet))
 
     def _minor(self, idx):
-        """The minor K[idx, idx] of the cached kernel and the real
-        (sign, log|det|) of it (see _signed_logdet)."""
-        sub = self.kernel_matrix()[np.ix_(idx, idx)]
+        """The minor K[idx, idx], formed from the basis columns of its atoms
+        in O(N k^2) and checked (see _checked), and the real (sign, log|det|)
+        of it (see _signed_logdet). No n x n kernel is formed."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            sub = self.P_vals[:, idx].T @ np.conj(self.q_values[:, idx])
+        sub = self._checked(sub, np.diagonal(sub), "kernel minor")
         return (sub, *_signed_logdet(sub, idx))
 
     def _as_indices(self, points):
@@ -402,9 +407,8 @@ class PolynomialEnsemble:
         return out
 
     def validate_positivity(self, rng=None, trials=200):
-        """Scan random k-point minors of the kernel for negativity. Each
-        minor is formed from the basis columns of its atoms, in O(N k^2),
-        so the scan never forms the n x n kernel."""
+        """Scan random k-point minors of the kernel (see _minor) for
+        negativity."""
         from .rng import stream
 
         rng = rng or stream()
@@ -412,9 +416,7 @@ class PolynomialEnsemble:
         for _ in range(trials):
             k = int(rng.integers(1, self.N + 1))
             idx = rng.choice(n, size=min(k, n), replace=False)
-            with np.errstate(over="ignore", invalid="ignore"):
-                sub = self.P_vals[:, idx].T @ np.conj(self.q_values[:, idx])
-            sign, logdet = _signed_logdet(self._checked(sub, np.diagonal(sub), "kernel minor"), idx)
+            sub, sign, logdet = self._minor(idx)
             if sign < 0 and logdet - _log_scale(sub) > np.log(1e-9):
                 raise PositivityViolationError(
                     f"negative {len(idx)}-point minor, log|det| {logdet:.3f}, at atoms {sorted(idx.tolist())}"

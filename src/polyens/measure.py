@@ -93,6 +93,11 @@ class ReferenceMeasure:
     def is_complex(self):
         return np.iscomplexobj(self.points)
 
+    @property
+    def distinct_atoms(self):
+        """Number of distinct atom values, by one sort (np.unique imports numpy.ma)."""
+        return int(np.count_nonzero(np.diff(np.sort(self.points)))) + 1
+
     def values(self, f):
         """f at the atoms, f a callable (its scalar result broadcast) or an array
         of atom values, checked once: shape (ValueError), finiteness (EvaluationError)."""

@@ -191,11 +191,9 @@ def table_from_measure(m, N, pad=DEFAULT_PAD):
         raise ValueError("table_from_measure needs a real-supported measure")
     K = N + pad
     x, w = m.points, m.weights
-    if np.unique(x).size < K + 2:
-        raise RankError(
-            f"measure has {np.unique(x).size} distinct atoms; "
-            f"need at least {K + 2} for N={N}, pad={pad}"
-        )
+    atoms = m.distinct_atoms
+    if atoms < K + 2:
+        raise RankError(f"measure has {atoms} distinct atoms; need at least {K + 2} for N={N}, pad={pad}")
     n = len(x)
     root = np.sqrt(w)
     U = np.empty((K + 2, n))

@@ -21,8 +21,8 @@ similarity leaves every minor, pivot and residual mass unchanged, so the
 rows E are real, each step reads its kernel row as
 Re(conj(d_idx) K[idx] d) in O(n), and the rest of the step is the real
 path. Only the sampler's rows change: kernel_matrix() still returns the
-true complex K, and the minors of log_joint_density are read from it. A
-complex kernel without such a gauge keeps complex rows.
+true complex K, and log_joint_density reads its complex minors from the
+basis columns. A complex kernel without such a gauge keeps complex rows.
 
 Every step draws exactly from the conditional density restricted to the
 atoms (categorical draw, no rejection). The chain multiplies to the DPP

@@ -122,6 +122,14 @@ def mu_ab_by_binomials(profile, ell, nodes=256):
     return total
 
 
+def mu_ab_sample(profile, rng, size):
+    """Draws of 2 a(U) xi + b(U) for an OP profile, U uniform on [0, 1] and
+    xi = cos(pi V) arcsine on [-1, 1]."""
+    u = rng.random(size)
+    xi = np.cos(np.pi * rng.random(size))
+    return 2.0 * profile(-1, u) * xi + profile(0, u)
+
+
 def limiting_variance_by_quadrature(f, a=1.0, b=0.0, nodes=512):
     """Limiting Var[sum f(x_i)] = a^2 integral of ((f(x)-f(y))/(x-y))^2 dQ
     by tensor Chebyshev-Gauss quadrature on the support square; within

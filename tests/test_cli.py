@@ -372,14 +372,31 @@ def test_negative_pad_exits_2_at_parse_time(capsys):
 
 
 def test_kernel_overflow_is_one_error_line(capsys):
-    # GUE N=400 on 1024 nodes: the basis is finite, its kernel product is not
+    # the GUE N=400 table, given explicitly, on the scaled-Hermite atoms of
+    # 1024 nodes: the basis is finite, its kernel product is not
+    a = np.sqrt(np.arange(1, 405) / 400).tolist()
+    cfg = {
+        "measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024},
+        "table": {"form": "op", "a": a, "N": 400},
+    }
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["sample", "--ensemble", "gue", "--N", "400", "--nodes", "1024"])
+        code = main(["sample", "--ensemble", json.dumps(cfg)])
     assert code == 2
     assert caught == []
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("polyens: error: kernel of N=400"), err
+
+
+def test_classical_atoms_that_do_not_carry_the_table_exit_2(capsys):
+    # GUE N=400 on 1024 nodes keeps the 734 atoms whose weight does not
+    # underflow; the GUE table is not orthonormal on them
+    assert main(["sample", "--ensemble", "gue", "--N", "400", "--nodes", "1024"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [
+        "polyens: error: gue N=400 on 1024 nodes: its table is not orthonormal "
+        "on the 734 atoms kept (Gram defect 0.176)"
+    ]
 
 
 def test_unexpected_exception_exits_2(monkeypatch, capsys):
@@ -477,6 +494,25 @@ def test_python_m_polyens_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"polyens {polyens.__version__}"
+
+
+def test_a_reader_that_closes_the_pipe_early_is_no_error():
+    # `polyens sample ... | head -c 100`: the report is about 1.6 MB, far
+    # more than a pipe buffers, so the write meets the closed pipe
+    src = str(Path(polyens.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polyens", "sample", "--ensemble", "gue", "--N", "30", "--replicas", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from polyens import ConfigError, mean_moment
+from polyens import ConfigError, OrthogonalityError, mean_moment, sample, stream
 from polyens.config import (
     build_ensemble,
     build_measure,
@@ -86,6 +86,23 @@ def test_classical_ensemble_configs():
         build_ensemble({"classical": "goe", "N": 4})
     with pytest.raises(ConfigError):
         build_ensemble({"classical": "gue"})
+
+
+@pytest.mark.parametrize("N, nodes, kept", [(340, 1024, 734), (400, 1024, 734), (354, 512, 478)])
+def test_classical_atoms_that_do_not_carry_the_table_are_refused(N, nodes, kept):
+    # the atoms whose Hermite weight underflows are dropped; the GUE table is
+    # not orthonormal on those kept, and a re-dualized "gue" is no GUE
+    with pytest.raises(OrthogonalityError, match=f"gue N={N} on {nodes} nodes: .* {kept} atoms kept"):
+        build_ensemble({"classical": "gue", "N": N, "nodes": nodes})
+
+
+def test_classical_ensemble_whose_padded_rows_alone_fail_builds_and_samples():
+    # Chebyshev N=256 on its 256 nodes: P_0..P_255 are orthonormal there, the
+    # padded rows are not, so the table is dropped and the ensemble kept
+    ens = build_ensemble({"classical": "chebyshev", "N": 256, "nodes": 256})
+    assert ens.hermitian and ens.table is None
+    cfg = sample(ens, rng=stream(3), check_normalization=True)
+    assert sorted(cfg.indices.tolist()) == list(range(256))
 
 
 def test_measure_plus_N_ensemble_config():

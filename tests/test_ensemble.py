@@ -293,9 +293,10 @@ def test_kernel_diagonal_holds_no_conjugated_basis(cfg, peak_bytes):
 
 
 def test_overflowing_kernel_is_a_breakdown_error():
-    from polyens.config import build_ensemble
-
-    ens = build_ensemble({"classical": "gue", "N": 400, "nodes": 1024})
+    # the GUE table on the 734 atoms of 1024 nodes that keep a weight: not
+    # orthonormal there, so re-dualized with no table
+    ens = PolynomialEnsemble.from_table(classical_table("gue", 400), scaled_hermite_measure(400, 1024))
+    assert not ens.hermitian and ens.table is None
     assert np.isfinite(ens.P_vals).all()  # the basis itself is finite
     with pytest.raises(NumericalBreakdownError, match="N=400 points on 734 atoms"):
         ens.kernel_matrix()
@@ -461,3 +462,38 @@ def test_biorthogonality_defect_holds_no_full_gram():
         tracemalloc.stop()
     assert defect < 1e-12
     assert peak < 2 << 20
+
+
+def test_densities_and_positivity_read_minors_not_the_kernel():
+    # circle N=300 on 1200 atoms: the n x n kernel is 23 MB; every 4th atom
+    # gives the DFT minor K = 300 I, so log det K = 300 log 300
+    import tracemalloc
+
+    from polyens.config import build_ensemble
+
+    tracemalloc.start()
+    try:
+        ens = build_ensemble({"classical": "uniform-circle", "N": 300, "nodes": 1200})
+        idx = np.arange(0, 1200, 4)
+        sign, logdet = ens.log_joint_density(idx)
+        with np.errstate(over="ignore"):
+            det = ens.joint_density(idx)  # 300^300 passes the float range
+        z = ens.measure.points
+        diag, off = ens.eval_kernel(z[3], z[3]), ens.eval_kernel(z[3], z[7])
+        ens.validate_positivity(rng=stream(21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sign == 1.0 and np.isclose(logdet, 300 * math.log(300) - math.lgamma(301), rtol=1e-12)
+    assert det == math.inf
+    assert np.isclose(diag, 300.0, rtol=1e-12) and abs(off) < 1e-10
+    assert ens._kernel is None
+    assert peak < len(z) ** 2 * 16
+
+
+def test_more_points_than_atoms_is_a_rank_error_before_the_gram():
+    # N = 4 on 3 atoms: an exactly singular Gram, which inverting would
+    # report as numpy's "Singular matrix"
+    measure = atoms_measure(np.array([-1.0, 0.0, 1.0]), np.full(3, 1 / 3))
+    with pytest.raises(RankError, match="N=4 points need 4 distinct atoms; the measure has 3"):
+        PolynomialEnsemble.from_table(classical_table("chebyshev", 4), measure)
