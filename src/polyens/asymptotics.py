@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .recurrence import _walks, banded_table, mean_moment
+from .recurrence import _mean_moments, _walk_steps, banded_table
 
 GL_NODES = 256
 
@@ -101,22 +101,29 @@ def _gl_grid():
 
 def banded_limit_moment(profile, ell):
     """Limit of the l-th mean empirical moment for a banded profile: the
-    weight of l-step loops of the band frozen at s, integrated over s.
+    weight of l-step loops of the band frozen at s, integrated over s."""
+    return float(_limit_moments(profile, ell)[ell])
 
-    Each Gauss-Legendre node gets a block of (q+1) l + 1 rows of its frozen
-    band; a loop that starts at ordinate q l of a block never leaves it, so
-    one walk from every block counts the loops of every node.
+
+def _limit_moments(profile, lmax):
+    """The profile limits of orders 0..lmax from one walk.
+
+    Each Gauss-Legendre node gets a block of (q+1) lmax + 1 rows of its
+    frozen band; a loop of l <= lmax steps that starts at ordinate q lmax of
+    a block never leaves it, so one walk from every block counts the loops
+    of every node and order. The band is constant within a block, so each
+    order equals, bit for bit, a walk of its own on blocks of (q+1) l + 1
+    rows.
     """
     q = profile.q
     s, w = _gl_grid()
-    rows = (q + 1) * ell + 1
+    rows = (q + 1) * lmax + 1
     band = np.empty((GL_NODES, q + 2))
     for j in range(-1, q + 1):
         band[:, j + 1] = profile(j, s)
     table = banded_table(np.repeat(band, rows, axis=0), q, GL_NODES * rows)
-    starts = np.arange(GL_NODES) * rows + q * ell
-    loops = _walks(table, ell, starts, table.top)[q * ell]
-    return float(w @ loops)
+    starts = np.arange(GL_NODES) * rows + q * lmax
+    return np.array([w @ v[q * lmax] for v in _walk_steps(table, lmax, starts, table.top)])
 
 
 @dataclass
@@ -129,10 +136,12 @@ class LimitRow:
 
 def limit_report(table, profile, lmax):
     """Side-by-side finite-N mean moments (from the table) and their
-    profile limits, with gaps."""
+    profile limits, with gaps; every order of each from one walk."""
+    if lmax < 1:
+        return []
+    finite, limit = _mean_moments(table, lmax), _limit_moments(profile, lmax)
     rows = []
     for ell in range(1, lmax + 1):
-        fin = mean_moment(table, ell)
-        lim = banded_limit_moment(profile, ell)
+        fin, lim = table.value(finite[ell]), float(limit[ell])
         rows.append(LimitRow(ell, fin, lim, abs(fin - lim)))
     return rows

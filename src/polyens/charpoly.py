@@ -1,13 +1,13 @@
 """Average characteristic polynomial via Hessenberg sections.
 
 The degree-N average characteristic polynomial of an ensemble equals the
-characteristic polynomial of the N x N section [<x P_j, Q_i>], so its zeros
-are that section's eigenvalues. The eigensolve is the only dense step: the
-trace of the l-th section power, which cross-checks the zeros' power sums,
-is the weight of the l-step loops that stay below N, counted by the same
-banded walk as the mean moments. The zero-set's moments track the mean
+characteristic polynomial of the N x N section H_N = [<x P_j, Q_i>], so its
+zeros are that section's eigenvalues. Their l-th power sum is tr(H_N^l), the
+weight of the l-step loops that stay below N, counted by the same banded
+walk as the mean moments. So the zero set's moments, which track the mean
 empirical moments with an O(1/N) gap controlled by coefficients in a window
-around index N.
+around index N, need no eigensolve. The zeros themselves do: it is the only
+dense step, and it runs only when the locations are read.
 """
 
 from dataclasses import dataclass
@@ -16,31 +16,64 @@ import numpy as np
 
 from .errors import NumericalBreakdownError
 from .measure import ReferenceMeasure
-from .recurrence import _walk_steps, hessenberg_matrix, mean_moment
+from .recurrence import _loop_sums, hessenberg_matrix, mean_moment
 
 POWER_SUM_TOL = 1e-8
 
 
-@dataclass
 class ZeroSet:
     """Zeros of the average characteristic polynomial with their power sums
-    p_l = sum_i z_i^l, cross-checked against the section traces, i.e. the
-    weight of the l-step loops below N that the banded walk counts."""
+    p_l = sum_i z_i^l, l = 0..lmax.
 
-    zeros: np.ndarray
-    power_sums: np.ndarray  # index l = 0..lmax
+    From zeros(table, lmax), power_sums are the section traces tr(H_N^l):
+    exact, real for a real table and complex for a complex one, and len()
+    is N. The locations are solved on the first read of `zeros` and cached;
+    that read runs the eigensolve and its cross-check against the traces,
+    so a NumericalBreakdownError surfaces there. ZeroSet(points,
+    power_sums) wraps points that are already known.
+    """
+
+    def __init__(self, zeros, power_sums):
+        self._zeros, self.power_sums = zeros, power_sums
+        self._table, self._n = None, len(zeros)
+
+    @classmethod
+    def _of_section(cls, table, traces):
+        """The zero set of table's N x N section, its locations unsolved."""
+        zs = cls.__new__(cls)
+        zs._zeros, zs.power_sums = None, traces
+        zs._table, zs._n = table, table.N
+        return zs
+
+    @property
+    def zeros(self):
+        if self._zeros is None:
+            self._zeros = _section_zeros(self._table, self.power_sums)
+        return self._zeros
 
     def __len__(self):
-        return len(self.zeros)
+        return self._n
 
     def mean_power(self, ell):
         """p_l / N."""
-        return self.power_sums[ell] / len(self.zeros)
+        return self.power_sums[ell] / self._n
 
 
 def zeros(table, lmax=8):
-    """Zeros of the average characteristic polynomial (eigenvalues of the
-    N x N Hessenberg section), plus power sums up to lmax.
+    """Zero set of the average characteristic polynomial (the eigenvalues of
+    the N x N Hessenberg section), with power sums up to lmax.
+
+    The power sums are the section traces, read from one lmax-step walk
+    (see recurrence._loop_sums). The locations are solved when
+    ZeroSet.zeros is first read (see _section_zeros), so errors of the
+    eigensolve surface on that read.
+    """
+    return ZeroSet._of_section(table, _loop_sums(table, lmax, table.N - 1))
+
+
+def _section_zeros(table, traces):
+    """Eigenvalues of table's N x N section, sorted by real part, with
+    sum z^l checked against traces[l].
 
     Symmetric (OP) tables take the tridiagonal route (_tridiagonal_zeros).
     So does any real q = 1 table whose section has up_k * down_{k+1} > 0
@@ -52,11 +85,11 @@ def zeros(table, lmax=8):
     positive definite problem, any other diagonal by LAPACK dsterf. A
     triangular section (e.g. the uniform-circle shift) short-circuits to
     its diagonal, which is exact; otherwise eigenvalues would be polluted
-    by the O(eps^(1/N)) sensitivity of a nilpotent matrix.
+    by the O(eps^(1/N)) sensitivity of a nilpotent matrix. Any other
+    section goes to a dense eigensolve.
 
-    The power sums are checked against the section traces, read from one
-    lmax-step walk (see recurrence._walk_steps); a disagreement raises
-    NumericalBreakdownError.
+    A power sum that misses its trace by more than POWER_SUM_TOL (relative
+    to max(1, |trace|)) raises NumericalBreakdownError.
     """
     N, q = table.N, table.q
     c = table.c[:N]
@@ -68,19 +101,15 @@ def zeros(table, lmax=8):
         zs = table.c[:N, 1].copy()
     else:
         zs = np.linalg.eigvals(hessenberg_matrix(table, N))
-    order = np.argsort(zs.real + 1e-12 * np.abs(zs.imag))
-    zs = zs[order]
-    ps = np.array([np.sum(zs**l) for l in range(lmax + 1)])
-    for l, v in enumerate(_walk_steps(table, lmax, np.arange(N), N - 1)):
-        tr = np.sum(v[q * lmax])  # trace of the l-th section power
-        if abs(ps[l] - tr) > POWER_SUM_TOL * max(1.0, abs(tr)):
+    zs = zs[np.argsort(zs.real + 1e-12 * np.abs(zs.imag))]
+    for l, tr in enumerate(traces):
+        p = np.sum(zs**l)
+        if abs(p - tr) > POWER_SUM_TOL * max(1.0, abs(tr)):
             raise NumericalBreakdownError(
-                f"eigenvalue power sum p_{l}={ps[l]!r} disagrees with "
+                f"eigenvalue power sum p_{l}={p!r} disagrees with "
                 f"trace {tr!r}; eigensolve is unreliable"
             )
-    if not np.iscomplexobj(zs):
-        ps = ps.real
-    return ZeroSet(zs, ps)
+    return zs
 
 
 def _tridiagonal_zeros(diag, off):
@@ -132,7 +161,10 @@ class GapResult:
 def moment_gap(table, ell, zero_set=None):
     """Gap |mean_moment(l) - p_l/N| together with its theoretical bound
     (2l)^l / N * max^l, the max running over |<x P_k, Q_m>| with k and m
-    within l of N. The bound needs pad >= l."""
+    within l of N. The bound needs pad >= l.
+
+    p_l is read from zero_set's power sums, or else from zeros(table, l):
+    the section trace, so no zero location is solved."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     N = table.N

@@ -29,6 +29,13 @@ BIORTHOGONALITY_TOL = 1e-8
 # a phase gauge is real when it leaves |Im| <= this times max K(x, x)
 GAUGE_TOL = 1e-12
 
+# a complex minor whose unit sign has |Im| above this has a determinant at
+# roundoff, whatever its size. On the uniform circle, N=300 on 1200 atoms,
+# drawn configurations keep |Im sign| <= 7.4e-11 (30 draws), while the
+# numerically singular minors at atoms 0..299 and at 300 random atoms read
+# 0.92 and 0.95
+SIGN_IMAG_TOL = 1e-6
+
 _UNCHECKED = object()
 
 
@@ -45,12 +52,13 @@ def _log_scale(sub):
 
 
 def _signed_logdet(sub, idx):
-    """(sign, log|det|) of the kernel minor sub at atoms idx, the sign
-    real. Row and column i are divided by sqrt|K_ii| (by 1 where K_ii = 0)
+    """(sign, log|det|) of the kernel minor sub at atoms idx, the sign -1,
+    0 or 1. Row and column i are divided by sqrt|K_ii| (by 1 where K_ii = 0)
     before slogdet: the unweighted kernel's diagonal spans many decades on
     wide supports, and unscaled elimination loses the small entries' digits.
     A complex determinant with |Im| > 1e-9 max(1, max|K_ij|)^k is a
-    PositivityViolationError."""
+    PositivityViolationError; below that, one whose phase is more than
+    SIGN_IMAG_TOL off the real axis is roundoff, (0, -inf)."""
     d = np.sqrt(np.abs(np.diagonal(sub)))
     d[d == 0] = 1.0
     sign, logdet = np.linalg.slogdet(sub / np.outer(d, d))
@@ -60,7 +68,9 @@ def _signed_logdet(sub, idx):
             excess = np.log(abs(sign.imag) / 1e-9) + logdet - _log_scale(sub)
         if excess > 0:
             raise PositivityViolationError(f"kernel minor at atoms {sorted(idx.tolist())} has a non-real determinant")
-        sign = sign.real
+        if abs(sign.imag) > SIGN_IMAG_TOL:
+            return 0.0, -np.inf
+        sign = np.sign(sign.real)
     return sign, logdet
 
 

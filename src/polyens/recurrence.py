@@ -319,9 +319,26 @@ def mean_moment(table, ell):
     measure, straight from the table: the loops of one walk from every k < N."""
     if ell < 0:
         raise ValueError("ell must be nonnegative")
+    return table.value(_mean_moments(table, ell)[ell])
+
+
+def _loop_sums(table, lmax, ceiling):
+    """Total weight of the l-step loops from every k < N that stay at
+    ordinates 0..ceiling, for l = 0..lmax, from one walk. At ceiling N - 1
+    these are the section traces tr(H_N^l)."""
     N, q = table.N, table.q
-    hi = N - 1 + (q * ell) // (q + 1)  # highest ordinate of a loop from N - 1
-    return table.value(np.sum(_walks(table, ell, np.arange(N), hi)[q * ell]) / N)
+    return np.array([np.sum(v[q * lmax]) for v in _walk_steps(table, lmax, np.arange(N), ceiling)])
+
+
+def _mean_moments(table, lmax):
+    """The mean moments of orders 0..lmax (unconverted, see mean_moment)
+    from one walk. A loop of l steps from k climbs at most floor(q l /
+    (q + 1)), so the walk stops there for lmax; the shorter loops never
+    reach the rows that adds, and each order equals, bit for bit, its own
+    walk (see _walk_steps)."""
+    N, q = table.N, table.q
+    hi = N - 1 + (q * lmax) // (q + 1)  # highest ordinate of a loop from N - 1
+    return _loop_sums(table, lmax, hi) / N
 
 
 def hessenberg_matrix(table, size=None):

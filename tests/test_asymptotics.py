@@ -9,6 +9,7 @@ from polyens import (
     CoefficientProfile,
     arcsine_moment,
     banded_limit_moment,
+    banded_table,
     catalan_moment,
     classical_table,
     equilibrium_measure,
@@ -20,7 +21,9 @@ from polyens import (
 )
 
 import oracles
-from test_recurrence import complex_q1_table
+from polyens.asymptotics import GL_NODES, _gl_grid
+from polyens.recurrence import _walks
+from test_recurrence import TABLE_KINDS, complex_q1_table, random_table
 
 
 def test_catalan_values():
@@ -182,6 +185,39 @@ def test_limit_report_shrinks_when_N_doubles():
     g200 = {r.ell: r.gap for r in limit_report(classical_table("gue", 200, pad=5), p, 6)}
     for ell in (4, 6):
         assert g200[ell] < g100[ell]
+
+
+def _own_walk_mean_moment(t, ell):
+    # one walk per order, capped where a loop of that order can climb
+    N, q = t.N, t.q
+    return np.sum(_walks(t, ell, np.arange(N), N - 1 + (q * ell) // (q + 1))[q * ell]) / N
+
+
+def _own_walk_limit(profile, ell):
+    # one walk per order, on Gauss-Legendre blocks of (q+1) l + 1 rows
+    q = profile.q
+    s, w = _gl_grid()
+    rows = (q + 1) * ell + 1
+    band = np.column_stack([profile(j, s) for j in range(-1, q + 1)])
+    table = banded_table(np.repeat(band, rows, axis=0), q, GL_NODES * rows)
+    starts = np.arange(GL_NODES) * rows + q * ell
+    return float(w @ _walks(table, ell, starts, table.top)[q * ell])
+
+
+BAND_PROFILE = CoefficientProfile(
+    {-1: 1.0, 0: lambda s: 0.1 + 0.2 * s, 1: lambda s: 0.3 - 0.1 * s, 2: lambda s: 0.05 + 0.1 * s}
+)
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_limit_report_is_bit_identical_to_one_walk_per_order(kind):
+    t = random_table(kind, 1700, N=40, pad=12)
+    for profile in (gue_profile(), BAND_PROFILE):
+        rows = limit_report(t, profile, 8)
+        assert [r.ell for r in rows] == list(range(1, 9))
+        for r in rows:
+            assert r.finite_moment == t.value(_own_walk_mean_moment(t, r.ell)) == mean_moment(t, r.ell)
+            assert r.limit_moment == _own_walk_limit(profile, r.ell) == banded_limit_moment(profile, r.ell)
 
 
 @given(st.integers(1, 8))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyens import (
+    NumericalBreakdownError,
     PolynomialEnsemble,
     ZeroSet,
     banded_table,
@@ -108,7 +109,57 @@ def test_constant_diagonal_sections_skip_dsterf(monkeypatch):
     c[:, 0], c[1:, 2], c[1, 2] = 1.0, 0.25, 0.5
     monic = banded_table(c, 1, 200)
     for t in (classical_table("gue", 200), classical_table("chebyshev", 201), monic):
-        assert len(zeros(t)) == t.N
+        assert len(zeros(t).zeros) == t.N
+
+
+def _band_q2(N):
+    # a real q = 2 band: its section goes to the dense eigensolve
+    c = np.empty((N + 9, 4))
+    c[:, 0] = 1.0
+    c[:, 1:] = np.linspace(0.05, 0.3, N + 9)[:, None] * [1.0, 0.6, 0.3]
+    return banded_table(c, 2, N)
+
+
+def test_zero_set_statistics_solve_no_zero(monkeypatch):
+    import polyens.charpoly
+
+    class Solved(Exception):
+        pass
+
+    def solve(*args, **kwargs):
+        raise Solved
+
+    monkeypatch.setattr(np.linalg, "eigvals", solve)
+    monkeypatch.setattr(polyens.charpoly, "_tridiagonal_zeros", solve)
+    for t in (classical_table("gue", 300, pad=8), _band_q2(200)):
+        zs = zeros(t, lmax=6)
+        assert len(zs) == t.N and zs.power_sums[0] == t.N
+        assert zs.mean_power(2) == zs.power_sums[2] / t.N
+        for ell in (1, 2, 6):
+            assert moment_gap(t, ell).gap == moment_gap(t, ell, zero_set=zs).gap
+        assert len(limit_report(t, gue_profile(), 6)) == 6
+        with pytest.raises(Solved):
+            zs.zeros
+
+
+def test_zeros_are_solved_once_on_first_read(monkeypatch):
+    import polyens.charpoly
+
+    solves = []
+    solve = polyens.charpoly._tridiagonal_zeros
+    monkeypatch.setattr(polyens.charpoly, "_tridiagonal_zeros", lambda *a: solves.append(1) or solve(*a))
+    zs = zeros(classical_table("gue", 50, pad=2))
+    assert solves == []
+    assert zs.zeros is zs.zeros and solves == [1]
+    assert log_potential(zs, 3.0) == log_potential(zs.zeros, 3.0) and solves == [1]
+
+
+def test_perturbed_eigensolve_fails_on_read(monkeypatch):
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda H: eigvals(H) + 1e-3)
+    zs = zeros(_band_q2(60), lmax=4)  # the traces need no eigensolve
+    with pytest.raises(NumericalBreakdownError, match="disagrees with trace"):
+        zs.zeros
 
 
 def test_gue_zeros_confined_and_symmetric():
@@ -134,9 +185,12 @@ def test_power_sums_match_zero_powers():
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_power_sums_match_dense_section_traces(kind, seed):
-    # zeros() raises unless its banded loop count agrees with the power sums
+    # power_sums are the banded loop counts; reading the zeros raises
+    # unless the zeros' power sums agree with them
     t = random_table(kind, 1400 + seed)
     zs = zeros(t, lmax=5)
+    assert len(zs.zeros) == t.N
+    assert zs.power_sums.dtype == t.c.dtype  # real for a real table, whatever its zeros
     for ell in range(1, 6):
         want = oracles.section_power_trace(t, ell, t.N)
         assert np.isclose(zs.power_sums[ell], want, rtol=1e-9, atol=1e-10)
@@ -188,6 +242,9 @@ def test_moment_gap_gue_second_power_closed_form():
         r = moment_gap(classical_table("gue", N, pad=3), 2)
         assert np.isclose(r.gap, 1.0 / N, rtol=1e-10)
         assert r.gap <= r.bound
+    # the zero moment is the trace, not an eigenvalue sum
+    assert moment_gap(classical_table("gue", 100, pad=3), 2).gap == 0.010000000000000009
+    assert moment_gap(classical_table("chebyshev", 60, pad=3), 1).gap == 0.0
 
 
 def test_moment_gap_matches_escape_enumeration():

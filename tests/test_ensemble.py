@@ -338,6 +338,31 @@ def test_nonreal_minor_is_refused_by_every_determinant_user():
     assert ens.joint_density([1]) == 1.0  # one-point minors are real
 
 
+@pytest.fixture(scope="module")
+def circle300():
+    from polyens.config import build_ensemble
+
+    return build_ensemble({"classical": "uniform-circle", "N": 300, "nodes": 1200})
+
+
+@pytest.mark.parametrize("idx", [np.arange(300), stream(7).choice(1200, 300, replace=False)], ids=["first", "stream7"])
+def test_roundoff_complex_minor_has_sign_zero(circle300, idx):
+    # numerically singular 300-point minors of the circle kernel: numpy's
+    # unit sign reads -0.39 - 0.92i and -0.30 - 0.95i, a phase, not a sign
+    assert circle300.log_joint_density(idx, normalized=False) == (0.0, -np.inf)
+    assert circle300.joint_density(idx) == 0.0
+
+
+def test_drawn_complex_minor_keeps_sign_one_and_its_logdet(circle300):
+    for i in range(4):
+        idx = sample(circle300, rng=stream(11, i)).indices
+        sub, sign, logdet = circle300._minor(idx)
+        d = np.sqrt(np.abs(np.diagonal(sub)))
+        phase, scaled = np.linalg.slogdet(sub / np.outer(d, d))
+        assert abs(phase.imag) < 1e-9
+        assert sign == 1.0 and logdet == scaled + 2.0 * np.sum(np.log(d))
+
+
 def test_tilt_keeps_biorthogonality(cheb3):
     tilted = cheb3.tilt_nonorthogonal(np.array([[0.2, 0.0], [0.0, 0.1], [0.05, 0.0]]))
     assert not tilted.hermitian

@@ -2,7 +2,8 @@
 alone, and so does building and sampling every kind of ensemble, GUE and
 its Gauss-Hermite rule included, a measure config's Stieltjes table, and
 acceptance criterion 1's Gauss rule. None of them loads numpy.ma either,
-which np.unique imports on its first call."""
+which np.unique imports on its first call. The zero set's moments load no
+scipy.linalg; reading the zero locations does."""
 
 import os
 import subprocess
@@ -92,3 +93,23 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy.linalg") or 
 def test_path_sum_criterion_loads_no_scipy_linalg():
     loaded = _printed_by(VERIFY_SCRIPT)
     assert loaded == "", f"loaded: {loaded}"
+
+
+ZEROS_SCRIPT = """
+import sys
+
+import polyens
+
+table = polyens.classical_table("gue", 2000, pad=16)
+zs = polyens.zeros(table, lmax=8)
+gaps = [polyens.moment_gap(table, ell, zero_set=zs) for ell in range(1, 9)]
+assert all(g.gap <= g.bound for g in gaps)
+polyens.limit_report(table, polyens.gue_profile(), 8)
+before = "scipy.linalg" in sys.modules
+assert len(zs.zeros) == 2000
+print(before, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_zero_set_moments_load_no_scipy_linalg_until_the_zeros_are_read():
+    assert _printed_by(ZEROS_SCRIPT) == "False True"
