@@ -185,8 +185,9 @@ def test_power_sums_match_zero_powers():
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_power_sums_match_dense_section_traces(kind, seed):
-    # power_sums are the banded loop counts; reading the zeros raises
-    # unless the zeros' power sums agree with them
+    # power_sums are the banded loop counts, and the zeros' power sums
+    # match the dense trace too (reading the zeros checks them against
+    # power_sums only at the looser POWER_SUM_TOL)
     t = random_table(kind, 1400 + seed)
     zs = zeros(t, lmax=5)
     assert len(zs.zeros) == t.N
@@ -194,6 +195,7 @@ def test_power_sums_match_dense_section_traces(kind, seed):
     for ell in range(1, 6):
         want = oracles.section_power_trace(t, ell, t.N)
         assert np.isclose(zs.power_sums[ell], want, rtol=1e-9, atol=1e-10)
+        assert np.isclose(np.sum(zs.zeros**ell), want, rtol=1e-9, atol=1e-10)
 
 
 @pytest.mark.parametrize("kind", TABLE_KINDS)
