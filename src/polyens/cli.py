@@ -2,7 +2,9 @@
 
 Subcommands: sample, moments, zeros, gap, variance, limit, verify.
 Ensembles are described by JSON configs (a file path, an inline JSON
-string, or a classical shorthand like ``gue`` plus --N).  Every report
+string, or a classical shorthand like ``gue`` plus --N).  The table
+subcommands read a classical config's closed-form table and build no
+atoms; only sample and variance --mc draw on them.  Every report
 goes through `_emit`, to --out or, when it is missing or ``-``, to stdout.
 Point and zero data are streamed as CSV with one record per row after a
 single ``#`` provenance comment; scalar reports are JSON, complex values
@@ -25,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, PolyensError
 from .rng import DEFAULT_SEED
-from .config import CLASSICAL_NAMES, build_ensemble, build_profile, config_hash, load_config
+from .config import CLASSICAL_NAMES, _classical, build_ensemble, build_profile, config_hash, load_config
 from .recurrence import mean_moment
 from .charpoly import moment_gap, zeros
 from .variance import cumulants, limiting_variance, variance_power, variance_upper_bound
@@ -59,7 +61,7 @@ def _ensemble_config(args):
         cfg = load_config(raw)
         if not isinstance(cfg, dict):
             return cfg  # build_ensemble reports it
-    kind = next((k for k in ("base", "classical", "measure") if k in cfg), "unknown")
+    kind = _kind(cfg)
     for flag, kinds in (("N", ("classical", "measure")), ("nodes", ("classical",))):
         value = getattr(args, flag, None)
         if value is not None:
@@ -69,14 +71,23 @@ def _ensemble_config(args):
     return cfg
 
 
-def _built(args, table=False):
-    """The --ensemble config and its ensemble. With table=True an ensemble
-    without a recurrence table is refused: the table subcommands read it."""
+def _kind(cfg):
+    """The shape of an ensemble config, in build_ensemble's order."""
+    return next((k for k in ("base", "classical", "measure") if k in cfg), "unknown")
+
+
+def _table(args, required=True):
+    """The --ensemble config, the recurrence table the table subcommands read,
+    and its ensemble: None for a classical config, whose table is its closed
+    form (atoms serve only sampling). Another config's table is its ensemble's,
+    checked on the atoms; an ensemble without one is refused if required."""
     cfg = _ensemble_config(args)
+    if isinstance(cfg, dict) and _kind(cfg) == "classical":
+        return cfg, _classical(cfg)[0], None
     ens = build_ensemble(cfg)
-    if table and ens.table is None:
+    if required and ens.table is None:
         raise ConfigError("this subcommand needs an ensemble with a recurrence table")
-    return cfg, ens
+    return cfg, ens.table, ens
 
 
 def _fmt(v, force_complex=False):
@@ -120,7 +131,8 @@ def _emit(out, lines):
 
 
 def cmd_sample(args):
-    cfg, ens = _built(args)
+    cfg = _ensemble_config(args)
+    ens = build_ensemble(cfg)
     indices, logs = sample_replicas(ens, args.replicas, seed=args.seed)
     pts = ens.measure.points[indices]
     cplx = ens.measure.is_complex
@@ -133,9 +145,9 @@ def cmd_sample(args):
 
 
 def cmd_moments(args):
-    cfg, ens = _built(args)
-    if ens.table is not None:
-        vals = [mean_moment(ens.table, ell) for ell in range(1, args.lmax + 1)]
+    cfg, table, ens = _table(args, required=False)
+    if table is not None:
+        vals = [mean_moment(table, ell) for ell in range(1, args.lmax + 1)]
     else:
         diag = ens.kernel_diagonal()
         x = ens.measure.points
@@ -147,26 +159,27 @@ def cmd_moments(args):
 
 
 def cmd_zeros(args):
-    cfg, ens = _built(args, table=True)
-    zs = zeros(ens.table, lmax=2)
+    cfg, table, _ = _table(args)
+    zs = zeros(table, lmax=2)
     z = np.asarray(zs.zeros, dtype=complex)
     rows = [[str(i), repr(float(z[i].real)), repr(float(z[i].imag))] for i in range(len(z))]
     return _emit(args.out, _csv(cfg, ["index", "re", "im"], rows))
 
 
 def cmd_gap(args):
-    cfg, ens = _built(args, table=True)
-    zs = zeros(ens.table, lmax=args.lmax)
+    cfg, table, _ = _table(args)
+    zs = zeros(table, lmax=args.lmax)
     rows = []
     for ell in range(1, args.lmax + 1):
-        r = moment_gap(ens.table, ell, zero_set=zs)
+        r = moment_gap(table, ell, zero_set=zs)
         rows.append([str(ell), repr(float(r.gap)), repr(float(r.bound))])
     return _emit(args.out, _csv(cfg, ["ell", "gap", "bound"], rows))
 
 
 def cmd_variance(args):
-    cfg, ens = _built(args, table=True)
-    table = ens.table
+    cfg, table, ens = _table(args)
+    if args.mc and ens is None:
+        ens = build_ensemble(cfg)
     ell = args.power
     payload = {
         "polyens": __version__,
@@ -197,10 +210,10 @@ def cmd_variance(args):
 
 
 def cmd_limit(args):
-    cfg, ens = _built(args, table=True)
+    cfg, table, _ = _table(args)
     profile = build_profile(load_config(args.profile))
     rows = []
-    for row in limit_report(ens.table, profile, args.lmax):
+    for row in limit_report(table, profile, args.lmax):
         rows.append(
             [
                 str(row.ell),
@@ -258,11 +271,18 @@ _count = _at_least(0)
 _positive = _at_least(1)
 
 
-def _add_ensemble_opts(p, with_N=True):
+def _replicas(text):
+    """argparse type of --mc: 0 (skip), or the >= 5 replicas cumulants need."""
+    n = _count(text)
+    if 0 < n < 5:
+        raise argparse.ArgumentTypeError(f"expected 0 or a whole number >= 5, got {text!r}")
+    return n
+
+
+def _add_ensemble_opts(p):
     p.add_argument("--ensemble", required=True, help="config path, inline JSON, or gue/chebyshev/circle")
-    if with_N:
-        p.add_argument("--N", type=int, default=None, help="points; overrides the config")
-        p.add_argument("--nodes", type=int, default=None, help="quadrature nodes of a classical ensemble")
+    p.add_argument("--N", type=int, default=None, help="points; overrides the config")
+    p.add_argument("--nodes", type=int, default=None, help="quadrature nodes of a classical ensemble")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -294,7 +314,7 @@ def build_parser():
     p = sub.add_parser("variance", help="linear-statistic variance report as JSON")
     _add_ensemble_opts(p)
     p.add_argument("--power", type=_positive, default=1)
-    p.add_argument("--mc", type=_count, default=0, help="Monte Carlo replicas (0 = skip)")
+    p.add_argument("--mc", type=_replicas, default=0, help="Monte Carlo replicas, 0 or >= 5 (0 = skip)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_variance)
 

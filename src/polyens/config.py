@@ -16,7 +16,7 @@ table::
 
 ensemble::
 
-    {"classical": "gue", "N": 50}               # refused if its atoms do not carry its table
+    {"classical": "gue", "N": 50}                # closed-form table; sampling atoms must carry it
     {"measure": {...}, "N": 20}                  # table built from atoms
     {"measure": {...}, "table": {...}, "N": 20}  # explicit recurrence
     {"base": {...}, "tilt": [[...], ...]}        # non-orthogonal Q family
@@ -179,6 +179,21 @@ def build_table(cfg, N=None):
     return banded_table(c, q, n)
 
 
+def _classical(cfg):
+    """A classical ensemble config, checked: its closed-form table, and the
+    node count of the atoms that carry it when the ensemble is built."""
+    name = cfg["classical"]
+    _require(name in CLASSICAL_NAMES, f"unknown classical ensemble {name!r}")
+    interval = ("alpha", "beta") if name == "chebyshev" else ()
+    _only(cfg, f"{name} ensemble", ("classical", "N", "nodes", "pad") + interval)
+    _require("N" in cfg, "classical ensemble needs 'N'")
+    N = _integer(cfg["N"], "ensemble N", 1)
+    default_nodes = 256 if name in ("gue", "chebyshev") else max(4 * N, 64)
+    nodes = _integer(cfg.get("nodes", default_nodes), "nodes", 1)
+    ends = {k: _number(cfg[k], k) for k in interval if k in cfg}
+    return classical_table(name, N, pad=_integer(cfg.get("pad", DEFAULT_PAD), "pad", 0), **ends), nodes
+
+
 def build_ensemble(cfg):
     """Construct a PolynomialEnsemble from its JSON description."""
     cfg = _as_dict(cfg, "ensemble")
@@ -189,27 +204,15 @@ def build_ensemble(cfg):
         tilt = _reals(cfg["tilt"], "tilt")
         return base.tilt_nonorthogonal(tilt, validate=True, rng=stream(TILT_CHECK_SEED))
     if "classical" in cfg:
-        name = cfg["classical"]
-        _require(name in CLASSICAL_NAMES, f"unknown classical ensemble {name!r}")
-        interval = ("alpha", "beta") if name == "chebyshev" else ()
-        _only(cfg, f"{name} ensemble", ("classical", "N", "nodes", "pad") + interval)
-        _require("N" in cfg, "classical ensemble needs 'N'")
-        N = _integer(cfg["N"], "ensemble N", 1)
-        default_nodes = 256 if name in ("gue", "chebyshev") else max(4 * N, 64)
-        nodes = _integer(cfg.get("nodes", default_nodes), "nodes", 1)
-        kwargs = {}
-        if "alpha" in cfg:
-            kwargs["alpha"] = _number(cfg["alpha"], "alpha")
-        if "beta" in cfg:
-            kwargs["beta"] = _number(cfg["beta"], "beta")
-        table = classical_table(name, N, pad=_integer(cfg.get("pad", DEFAULT_PAD), "pad", 0), **kwargs)
+        table, nodes = _classical(cfg)
+        name, N = cfg["classical"], table.N
         if name == "gue":
             measure = named_measure("scaled-hermite", N=N, nodes=nodes)
         elif name == "chebyshev":
             measure = named_measure(
                 "chebyshev-arcsine",
-                alpha=kwargs.get("alpha", -1.0),
-                beta=kwargs.get("beta", 1.0),
+                alpha=float(cfg.get("alpha", -1.0)),
+                beta=float(cfg.get("beta", 1.0)),
                 nodes=nodes,
             )
         else:

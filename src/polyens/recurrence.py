@@ -112,7 +112,8 @@ class RecurrenceTable:
         lo = max(lo, 0)
         if hi > self.top:
             raise CoefficientRangeError(
-                f"window [{lo}, {hi}] exceeds stored range {self.top}"
+                f"window [{lo}, {hi}] exceeds stored range {self.top} "
+                f"(N={self.N}, pad={self.pad}); rebuild with pad >= {hi - self.N}"
             )
         if hi < lo:
             raise ValueError("empty window")

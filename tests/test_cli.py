@@ -16,6 +16,7 @@ from polyens import cli
 from polyens.cli import main
 from polyens.config import build_ensemble, config_hash
 from polyens.ensemble import PolynomialEnsemble
+from polyens.recurrence import classical_table, mean_moment
 
 
 def read_csv(path):
@@ -552,3 +553,73 @@ def test_non_finite_json_literals_exit_2_naming_the_field(capsys, text, message)
     assert main(["moments", "--ensemble", text, "--lmax", "2"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.strip().splitlines() == [f"polyens: error: {message}"]
+
+
+def test_classical_table_subcommands_build_no_measure(monkeypatch, capsys):
+    # a classical config's table is its closed form: only sampling needs atoms
+    def no_atoms(*args, **kwargs):
+        raise RuntimeError("atoms built")
+
+    monkeypatch.setattr("polyens.config.named_measure", no_atoms)
+    for sub in (["moments"], ["zeros"], ["gap"], ["variance"], ["limit", "--profile", '{"kind": "gue"}']):
+        assert main(sub + ["--ensemble", "gue", "--N", "50"]) == 0, sub
+        assert capsys.readouterr().err == "", sub
+    assert main(["sample", "--ensemble", "gue", "--N", "50"]) == 2
+    assert "atoms built" in capsys.readouterr().err
+
+
+def test_table_subcommands_run_where_the_atoms_do_not_carry_the_table(tmp_path, capsys):
+    # GUE N=400 on 1024 nodes keeps 734 atoms, on which its table is not
+    # orthonormal; sampling is refused, the table queries are not
+    gue = ["--ensemble", "gue", "--N", "400", "--nodes", "1024"]
+    assert main(["variance"] + gue) == 0
+    assert json.loads(capsys.readouterr().out)["exact"] == 1.0
+    out = tmp_path / "z.csv"
+    assert main(["zeros"] + gue + ["--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 400
+    for sub in (["gap"], ["limit", "--profile", '{"kind": "gue"}'], ["moments"]):
+        assert main(sub + gue) == 0, sub
+        assert capsys.readouterr().err == "", sub
+    # 300 points on the 256 default nodes: a RankError for the ensemble
+    assert main(["zeros", "--ensemble", "chebyshev", "--N", "300", "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 300
+
+
+def test_moments_of_a_classical_config_read_the_closed_form(capsys):
+    # Chebyshev N=256 on its 256 nodes builds an ensemble without a table;
+    # the moments are still the closed form's, not the atoms' kernel diagonal
+    assert main(["moments", "--ensemble", "chebyshev", "--N", "256"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    table = classical_table("chebyshev", 256)
+    assert [float(v) for _, v in rows] == [mean_moment(table, ell) for ell in range(1, 9)]
+
+
+def test_table_subcommands_at_gue_n_100000(capsys):
+    big = ["--ensemble", "gue", "--N", "100000"]
+    assert main(["variance", "--power", "2"] + big) == 0
+    assert json.loads(capsys.readouterr().out)["exact"] == 2.0
+    assert main(["limit", "--profile", '{"kind": "gue"}', "--lmax", "4"] + big) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+@pytest.mark.parametrize("replicas", ["1", "4"])
+def test_too_few_mc_replicas_is_a_usage_error(monkeypatch, capsys, replicas):
+    # the cumulants of a Monte Carlo estimate need 5 replicas; fewer is
+    # refused by the parser, before any ensemble is built or drawn
+    monkeypatch.setattr(cli, "build_ensemble", lambda cfg: pytest.fail("built"))
+    assert main(["variance", "--ensemble", "gue", "--N", "5", "--mc", replicas]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"--mc: expected 0 or a whole number >= 5, got '{replicas}'" in out.err
+
+
+@pytest.mark.parametrize("sub", [["variance", "--power", "9"], ["gap", "--lmax", "9"]],
+                         ids=["variance", "gap"])
+def test_a_query_past_the_pad_names_the_pad_it_needs(capsys, sub):
+    assert main(sub + ["--ensemble", "gue", "--N", "50"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [
+        "polyens: error: window [41, 59] exceeds stored range 58 (N=50, pad=8); "
+        "rebuild with pad >= 9"
+    ]
+    assert main(sub + ["--ensemble", '{"classical": "gue", "N": 50, "pad": 9}']) == 0

@@ -6,6 +6,7 @@ import pytest
 
 from polyens import ConfigError, OrthogonalityError, mean_moment, sample, stream
 from polyens.config import (
+    _classical,
     build_ensemble,
     build_measure,
     build_profile,
@@ -103,6 +104,28 @@ def test_classical_ensemble_whose_padded_rows_alone_fail_builds_and_samples():
     assert ens.hermitian and ens.table is None
     cfg = sample(ens, rng=stream(3), check_normalization=True)
     assert sorted(cfg.indices.tolist()) == list(range(256))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"classical": "gue", "N": 100, "nodes": 256},
+        {"classical": "chebyshev", "N": 60, "alpha": -2, "beta": 3},
+        {"classical": "circle", "N": 8},
+        {"classical": "uniform-circle", "N": 300, "nodes": 1200},
+    ],
+    ids=["gue", "chebyshev", "circle", "uniform-circle"],
+)
+def test_closed_form_table_is_the_ensembles_table_bit_for_bit(cfg):
+    # the table subcommands read the closed form and build no atoms; where
+    # the built ensemble keeps its table, the two are one, bit for bit
+    table, nodes = _classical(cfg)
+    ens = build_ensemble(cfg)
+    assert (table.N, table.q) == (ens.table.N, ens.table.q)
+    assert table.N == cfg["N"]
+    assert table.c.dtype == ens.table.c.dtype and table.c.shape == ens.table.c.shape
+    assert table.c.tobytes() == ens.table.c.tobytes()
+    assert len(ens.measure) <= nodes == cfg.get("nodes", nodes)
 
 
 def test_measure_plus_N_ensemble_config():
