@@ -30,7 +30,7 @@ from .rng import DEFAULT_SEED
 from .config import CLASSICAL_NAMES, _classical, build_ensemble, build_profile, config_hash, load_config
 from .recurrence import mean_moment
 from .charpoly import moment_gap, zeros
-from .variance import cumulants, limiting_variance, variance_power, variance_upper_bound
+from .variance import MIN_SAMPLE, cumulants, limiting_variance, variance_power, variance_upper_bound
 from .sampler import sample_replicas
 from .asymptotics import limit_report
 from . import verify as verify_mod
@@ -76,13 +76,14 @@ def _kind(cfg):
     return next((k for k in ("base", "classical", "measure") if k in cfg), "unknown")
 
 
-def _table(args, required=True):
+def _table(args, required=True, build=False):
     """The --ensemble config, the recurrence table the table subcommands read,
-    and its ensemble: None for a classical config, whose table is its closed
-    form (atoms serve only sampling). Another config's table is its ensemble's,
-    checked on the atoms; an ensemble without one is refused if required."""
+    and its ensemble: None for a classical config not asked to build, whose
+    table is its closed form (atoms serve only sampling). Another config's
+    table is its ensemble's, checked on the atoms; an ensemble without one
+    is refused if required."""
     cfg = _ensemble_config(args)
-    if isinstance(cfg, dict) and _kind(cfg) == "classical":
+    if not build and isinstance(cfg, dict) and _kind(cfg) == "classical":
         return cfg, _classical(cfg)[0], None
     ens = build_ensemble(cfg)
     if required and ens.table is None:
@@ -177,9 +178,8 @@ def cmd_gap(args):
 
 
 def cmd_variance(args):
-    cfg, table, ens = _table(args)
-    if args.mc and ens is None:
-        ens = build_ensemble(cfg)
+    # a Monte Carlo run draws the ensemble, so it must carry the table read
+    cfg, table, ens = _table(args, build=bool(args.mc))
     ell = args.power
     payload = {
         "polyens": __version__,
@@ -272,10 +272,10 @@ _positive = _at_least(1)
 
 
 def _replicas(text):
-    """argparse type of --mc: 0 (skip), or the >= 5 replicas cumulants need."""
+    """argparse type of --mc: 0 (skip), or the MIN_SAMPLE replicas cumulants need."""
     n = _count(text)
-    if 0 < n < 5:
-        raise argparse.ArgumentTypeError(f"expected 0 or a whole number >= 5, got {text!r}")
+    if 0 < n < MIN_SAMPLE:
+        raise argparse.ArgumentTypeError(f"expected 0 or a whole number >= {MIN_SAMPLE}, got {text!r}")
     return n
 
 

@@ -35,6 +35,9 @@ from .recurrence import _walks
 # Chebyshev-Gauss sample count of the limit routes
 LIMIT_NODES = 512
 
+# smallest sample cumulants takes: k_4 divides by n - 3, the jackknife by n - 4
+MIN_SAMPLE = 5
+
 
 def _escape_sum(table, ell, m):
     """Weight of the (l+m)-step loops from ordinates k < N whose ordinate
@@ -203,8 +206,8 @@ def cumulants(samples):
     """k-statistics k_1..k_4 (unbiased cumulant estimators) of a 1-d sample,
     with leave-one-out jackknife standard errors."""
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or len(x) < 5:
-        raise ValueError("need a 1-d sample of size >= 5")
+    if x.ndim != 1 or len(x) < MIN_SAMPLE:
+        raise ValueError(f"need a 1-d sample of size >= {MIN_SAMPLE}")
     n = len(x)
     # center for conditioning; cumulants above k1 are shift-invariant
     shift = x.mean()

@@ -613,6 +613,18 @@ def test_too_few_mc_replicas_is_a_usage_error(monkeypatch, capsys, replicas):
     assert f"--mc: expected 0 or a whole number >= 5, got '{replicas}'" in out.err
 
 
+def test_mc_refuses_a_classical_ensemble_built_without_its_table(capsys):
+    # chebyshev N=256 on its 256 default nodes is built without a table:
+    # every replica holds all the atoms, so its draws say nothing of the
+    # closed form that exact and bound read
+    assert main(["variance", "--ensemble", "chebyshev", "--N", "256", "--mc", "20"]) == 2
+    out = capsys.readouterr()
+    err = out.err.strip().splitlines()
+    assert out.out == "" and len(err) == 1
+    assert "this subcommand needs an ensemble with a recurrence table" in err[0]
+    assert main(["variance", "--ensemble", "chebyshev", "--N", "256"]) == 0
+
+
 @pytest.mark.parametrize("sub", [["variance", "--power", "9"], ["gap", "--lmax", "9"]],
                          ids=["variance", "gap"])
 def test_a_query_past_the_pad_names_the_pad_it_needs(capsys, sub):
