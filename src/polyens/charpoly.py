@@ -55,7 +55,12 @@ class ZeroSet:
         return self._n
 
     def mean_power(self, ell):
-        """p_l / N."""
+        """p_l / N; an order past the stored power sums raises ValueError."""
+        if not 0 <= ell < len(self.power_sums):
+            raise ValueError(
+                f"power sum of order {ell} is not stored: this zero set has "
+                f"orders 0..{len(self.power_sums) - 1}"
+            )
         return self.power_sums[ell] / self._n
 
 
@@ -68,6 +73,8 @@ def zeros(table, lmax=8):
     ZeroSet.zeros is first read (see _section_zeros), so errors of the
     eigensolve surface on that read.
     """
+    if lmax < 0:
+        raise ValueError(f"lmax must be >= 0, got {lmax}")
     return ZeroSet._of_section(table, _loop_sums(table, lmax, table.N - 1))
 
 
@@ -169,8 +176,8 @@ def moment_gap(table, ell, zero_set=None):
         raise ValueError("ell must be >= 1")
     N = table.N
     zs = zero_set if zero_set is not None else zeros(table, lmax=ell)
-    mean = mean_moment(table, ell)
     zmom = zs.mean_power(ell)
+    mean = mean_moment(table, ell)
     gap = abs(mean - zmom)
     wmax = table.window_max(N - ell, N + ell)
     bound = (2.0 * ell) ** ell / N * wmax**ell

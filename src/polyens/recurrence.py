@@ -10,10 +10,15 @@ one (`symmetric`) from its coefficients, not from how it was written.
 Powers <x^l P_k, Q_m> are sums over oriented lattice paths (0,k) -> (l,m)
 whose steps rise by at most one and fall by at most q, each path weighted by
 the product of its edge coefficients. We never enumerate paths: one banded
-walk, `_walks`, carries the path weights from many starting ordinates at
-once, and every table query here and in the variance and zero-set modules
-(moments, traces of sections, escape sums) reads its result, or its weights
-after each step (`_walk_steps`) to read every power up to l at once.
+walk, `_walks`, carries the path weights from an arithmetic progression of
+starting ordinates at once, and every table query here and in the variance,
+zero-set and limit modules (moments, traces of sections, escape sums) reads
+its result, or its weights after each step (`_walk_steps`) to read every
+power up to l at once. An l-step walk costs about (q+1)(q+2) l^2 / 2
+multiply-adds per start, reads each step's weights from a strided view of
+the band, and holds a few grids of (q+1) l + 1 rows by its starts. The loop
+sums over every k < N walk the starts in blocks, so beside the (l+1) x N
+loop weights they sum, their grids stay a few MB at any N.
 Every such query returns a complex for a complex table and a float
 otherwise (`RecurrenceTable.value`). Indices run over 0..N+pad; access
 past the pad raises instead of extrapolating.
@@ -44,6 +49,10 @@ ORTHONORMALITY_TOL = 1e-9
 _REORTH_TOL = 1e-11
 
 _EPS = np.finfo(float).eps
+
+# starts per walk in _loop_sums: its grids of (q+1) lmax + 1 rows stay a few
+# MB at any N, and N <= _LOOP_BLOCK is walked in one block
+_LOOP_BLOCK = 4096
 
 
 class RecurrenceTable:
@@ -260,8 +269,9 @@ def _walks(table, ell, starts, ceiling):
 
     out[d + q*ell, i] is the total weight of the paths starts[i] ->
     starts[i] + d, -q*ell <= d <= ell, that stay at ordinates 0..ceiling.
-    Only the coefficients of those ordinates are read; a ceiling past the
-    stored range raises. Costs O(q^2 ell^2 len(starts)).
+    starts is an arithmetic progression (see _walk_steps). Only the
+    coefficients of those ordinates are read; a ceiling past the stored
+    range raises. Costs about (q+1)(q+2) ell^2 / 2 multiply-adds per start.
     """
     for v in _walk_steps(table, ell, starts, ceiling):
         pass
@@ -270,30 +280,53 @@ def _walks(table, ell, starts, ceiling):
 
 def _walk_steps(table, ell, starts, ceiling):
     """The weights of _walks after each of its 0..ell steps, laid out as its
-    result. Paths of s steps never reach the grid rows that the longer walk
-    adds, so the s-th yield holds, bit for bit, _walks(table, s, ...) at the
-    same displacements."""
+    result, each yield a fresh array. Paths of s steps never reach the grid
+    rows that the longer walk adds, so the s-th yield holds, bit for bit,
+    _walks(table, s, ...) at the same displacements.
+
+    The starts must form an arithmetic progression start0 + i*stride, so the
+    weight of step j at ordinate starts[i] + d is read from a strided view
+    of one zero-padded copy of the band over the ordinates the paths can
+    reach, with no per-start gather. Step s updates only the rows of
+    displacements -q*s..s that s-step paths can reach; every other row is
+    an exact zero, and adding it would change no bit. So a walk holds the
+    band copy and about three grids of (q+1) ell + 1 rows by len(starts).
+    """
+    if ell < 0:
+        raise ValueError(f"a walk needs ell >= 0, got {ell}")
     if ceiling > table.top:
         raise CoefficientRangeError(
             f"{ell}-step paths climb to ordinate {ceiling} but the table stores "
             f"indices up to {table.top} (N={table.N}, pad={table.pad})"
         )
-    q = table.q
-    D = (q + 1) * ell + 1
-    steps = np.zeros((q + 2, ceiling + 2), dtype=table.c.dtype)
-    steps[:, : ceiling + 1] = table.c[: ceiling + 1].T
-    steps[0, ceiling] = 0.0  # no step up out of the ceiling
-    h = np.asarray(starts) + np.arange(-q * ell, ell + 1)[:, None]
-    h[(h < 0) | (h > ceiling)] = ceiling + 1  # the all-zero column
-    w = steps[:, h]  # w[j + 1, r, i]: weight of step j at ordinate h[r, i]
-    v = np.zeros(h.shape, dtype=steps.dtype)
-    v[q * ell] = 1.0
+    starts = np.asarray(starts)
+    n, q = len(starts), table.q
+    first = int(starts[0]) if n else 0
+    stride = int(starts[1] - starts[0]) if n > 1 else 1
+    if not np.array_equal(starts, first + stride * np.arange(n)):
+        raise ValueError("walk starts must form an arithmetic progression")
+    D, o = (q + 1) * ell + 1, q * ell  # rows of the grid, row of displacement 0
+    span = stride * max(n - 1, 0)
+    lo = first + min(span, 0) - o  # lowest ordinate a path reads
+    band = np.zeros((q + 2, D + abs(span)), dtype=table.c.dtype)
+    a, b = max(lo, 0), min(lo + band.shape[1] - 1, ceiling)  # stored rows reached
+    if a <= b:
+        band[:, a - lo : b - lo + 1] = table.c[a : b + 1].T
+        if b == ceiling:
+            band[0, b - lo] = 0.0  # no step up out of the ceiling
+    # w[j + 1, r, i]: weight of step j at ordinate starts[i] + r - o
+    w = np.lib.stride_tricks.as_strided(
+        band[:, first - o - lo :], shape=(q + 2, D, n),
+        strides=(band.strides[0], band.itemsize, stride * band.itemsize), writeable=False,
+    )
+    v = np.zeros((D, n), dtype=band.dtype)
+    v[o] = 1.0
     yield v
-    for _ in range(ell):
+    for s in range(ell):
         new = np.zeros_like(v)
-        for j in range(-1, q + 1):  # step j moves ordinate h to h - j
-            lo, hi = max(j, 0), D + min(j, 0)
-            new[lo - j : hi - j] += v[lo:hi] * w[j + 1, lo:hi]
+        top, bot = o - q * s, o + s + 1  # live rows of v; step j moves row r to r - j
+        for j in range(-1, q + 1):
+            new[top - j : bot - j] += v[top:bot] * w[j + 1, top:bot]
         v = new
         yield v
 
@@ -326,9 +359,19 @@ def mean_moment(table, ell):
 def _loop_sums(table, lmax, ceiling):
     """Total weight of the l-step loops from every k < N that stay at
     ordinates 0..ceiling, for l = 0..lmax, from one walk. At ceiling N - 1
-    these are the section traces tr(H_N^l)."""
+    these are the section traces tr(H_N^l).
+
+    The walk runs over blocks of _LOOP_BLOCK starts, so its grids and band
+    copy stay a few MB at any N. Each start's loop weights are its own, so the
+    (lmax+1) x N array of them, each row summed once, holds the sums of a
+    single walk from every k < N, bit for bit."""
     N, q = table.N, table.q
-    return np.array([np.sum(v[q * lmax]) for v in _walk_steps(table, lmax, np.arange(N), ceiling)])
+    loops = np.empty((lmax + 1, N), dtype=table.c.dtype)
+    for k in range(0, N, _LOOP_BLOCK):
+        block = np.arange(k, min(k + _LOOP_BLOCK, N))
+        for ell, v in enumerate(_walk_steps(table, lmax, block, ceiling)):
+            loops[ell, k : k + len(block)] = v[q * lmax]
+    return np.array([np.sum(row) for row in loops])
 
 
 def _mean_moments(table, lmax):

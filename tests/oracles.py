@@ -80,6 +80,31 @@ def covariance_by_escape(table, ell, m):
     return total
 
 
+def walk_steps_by_gather(table, ell, starts, ceiling):
+    """The banded walk as a gather: the weights of every ell-step path from
+    each start after each of its 0..ell steps, out[d + q*ell, i] over all
+    -q*ell <= d <= ell, every grid row updated at every step, each step's
+    weights gathered per start and displacement from a zero-padded band."""
+    q = table.q
+    D = (q + 1) * ell + 1
+    steps = np.zeros((q + 2, ceiling + 2), dtype=table.c.dtype)
+    steps[:, : ceiling + 1] = table.c[: ceiling + 1].T
+    steps[0, ceiling] = 0.0  # no step up out of the ceiling
+    h = np.asarray(starts, dtype=int) + np.arange(-q * ell, ell + 1)[:, None]
+    h[(h < 0) | (h > ceiling)] = ceiling + 1  # the all-zero column
+    w = steps[:, h]  # w[j + 1, r, i]: weight of step j at ordinate h[r, i]
+    v = np.zeros(h.shape, dtype=steps.dtype)
+    v[q * ell] = 1.0
+    yield v
+    for _ in range(ell):
+        new = np.zeros_like(v)
+        for j in range(-1, q + 1):  # step j moves ordinate h to h - j
+            lo, hi = max(j, 0), D + min(j, 0)
+            new[lo - j : hi - j] += v[lo:hi] * w[j + 1, lo:hi]
+        v = new
+        yield v
+
+
 def _gl_grid(nodes):
     x, w = np.polynomial.legendre.leggauss(nodes)
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0,1]

@@ -238,6 +238,17 @@ def test_zero_set_from_plain_array():
     assert zs.mean_power(2) == 1.0
 
 
+def test_zeros_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="lmax must be >= 0, got -1"):
+        zeros(classical_table("gue", 10), lmax=-1)
+
+
+def test_moment_gap_refuses_an_order_its_zero_set_lacks():
+    t = classical_table("gue", 10)
+    with pytest.raises(ValueError, match="order 1 is not stored: this zero set has orders 0..0"):
+        moment_gap(t, 1, zero_set=zeros(t, lmax=0))
+
+
 def test_moment_gap_gue_second_power_closed_form():
     # mean moment 1 exactly; zero moment 1 - 1/N exactly
     for N in (3, 10, 50, 200):

@@ -600,6 +600,10 @@ def test_table_subcommands_at_gue_n_100000(capsys):
     assert json.loads(capsys.readouterr().out)["exact"] == 2.0
     assert main(["limit", "--profile", '{"kind": "gue"}', "--lmax", "4"] + big) == 0
     assert len(capsys.readouterr().out.splitlines()) == 6
+    assert main(["gap", "--lmax", "8"] + big) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert main(["moments"] + big) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
 
 
 @pytest.mark.parametrize("replicas", ["1", "4"])

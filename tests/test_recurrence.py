@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +25,7 @@ from polyens import (
 )
 
 import oracles
+from polyens.recurrence import _walk_steps
 
 
 def random_op_table(seed, N=None, pad=5):
@@ -271,6 +275,49 @@ def test_mean_moment_needs_pad():
     assert np.isclose(mean_moment(t, 4), 2.0 + 1.0 / 100, rtol=1e-12)
     with pytest.raises(CoefficientRangeError):
         mean_moment(t, 6)
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS + ("complex-q1",))
+def test_walk_steps_are_the_gather_walk(kind):
+    # every yield, bit for bit, is the gather walk's, which updates every
+    # grid row: for each start layout the callers use (all of 0..N-1, one
+    # start, an empty window, strided blocks, windows at and above N) and
+    # at each ceiling they pass
+    t = complex_q1_table() if kind == "complex-q1" else random_table(kind, 1600, N=9)
+    N, q, lmax = t.N, t.q, 5
+    layouts = (np.arange(N), [N // 2], np.arange(N, N), np.arange(1, t.top + 1, 3),
+               np.arange(N - lmax, N), np.arange(N, t.top + 1))
+    for ceiling in (N - 1, N - 1 + (q * lmax) // (q + 1), t.top):
+        for starts, ell in itertools.product(layouts, (0, 2, lmax)):
+            got = list(_walk_steps(t, ell, starts, ceiling))
+            want = list(oracles.walk_steps_by_gather(t, ell, starts, ceiling))
+            assert len(got) == len(want) == ell + 1
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(got, 2))
+
+
+def test_walk_steps_refuse_a_bad_order_or_start_set():
+    t = random_table("q2", 1601, N=9)
+    with pytest.raises(ValueError, match="ell >= 0, got -1"):
+        next(_walk_steps(t, -1, np.arange(t.N), t.N - 1))
+    with pytest.raises(ValueError, match="arithmetic progression"):
+        next(_walk_steps(t, 2, [0, 1, 3], t.N - 1))
+
+
+def test_mean_moment_memory_is_bounded_at_large_n():
+    # the loop weights walk blocks of starts, each over the band rows it
+    # reaches: at N = 1e5 the peak is the (lmax+1) x N loop weights and one
+    # block's grids, not grids and a band gather of N columns
+    t = classical_table("gue", 100000)
+    tracemalloc.start()
+    try:
+        m8 = mean_moment(t, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isclose(m8, 14.0, rtol=1e-8)  # Catalan C_4 + O(1/N^2)
+    assert peak < 16e6
 
 
 def test_mean_moment_chebyshev_second():
