@@ -16,7 +16,13 @@ import numpy as np
 
 from .errors import NumericalBreakdownError
 from .measure import ReferenceMeasure
-from .recurrence import _loop_sums, hessenberg_matrix, mean_moment
+from .recurrence import (
+    _loop_weights,
+    _mean_moment_from_section,
+    _row_sums,
+    hessenberg_matrix,
+    mean_moment,
+)
 
 POWER_SUM_TOL = 1e-8
 
@@ -27,22 +33,25 @@ class ZeroSet:
 
     From zeros(table, lmax), power_sums are the section traces tr(H_N^l):
     exact, real for a real table and complex for a complex one, and len()
-    is N. The locations are solved on the first read of `zeros` and cached;
-    that read runs the eigensolve and its cross-check against the traces,
-    so a NumericalBreakdownError surfaces there. ZeroSet(points,
-    power_sums) wraps points that are already known.
+    is N. Such a zero set keeps its table and the per-start loop weights
+    the traces sum, so moment_gap reads the mean moment from them. The
+    locations are solved on the first read of `zeros` and cached; that read
+    runs the eigensolve and its cross-check against the traces, so a
+    NumericalBreakdownError surfaces there. ZeroSet(points, power_sums)
+    wraps points that are already known, with no table behind them.
     """
 
     def __init__(self, zeros, power_sums):
         self._zeros, self.power_sums = zeros, power_sums
-        self._table, self._n = None, len(zeros)
+        self._table, self._loops, self._n = None, None, len(zeros)
 
     @classmethod
-    def _of_section(cls, table, traces):
-        """The zero set of table's N x N section, its locations unsolved."""
+    def _of_section(cls, table, loops):
+        """The zero set of table's N x N section from its loop weights
+        (recurrence._loop_weights at ceiling N - 1), locations unsolved."""
         zs = cls.__new__(cls)
-        zs._zeros, zs.power_sums = None, traces
-        zs._table, zs._n = table, table.N
+        zs._zeros, zs.power_sums = None, _row_sums(loops)
+        zs._table, zs._loops, zs._n = table, loops, table.N
         return zs
 
     @property
@@ -68,14 +77,16 @@ def zeros(table, lmax=8):
     """Zero set of the average characteristic polynomial (the eigenvalues of
     the N x N Hessenberg section), with power sums up to lmax.
 
-    The power sums are the section traces, read from one lmax-step walk
-    (see recurrence._loop_sums). The locations are solved when
+    The power sums are the section traces, summed from the per-start loop
+    weights of one lmax-step walk at ceiling N - 1 (see
+    recurrence._loop_weights). The zero set keeps those weights, an
+    (lmax+1) x N array, for moment_gap. The locations are solved when
     ZeroSet.zeros is first read (see _section_zeros), so errors of the
     eigensolve surface on that read.
     """
     if lmax < 0:
         raise ValueError(f"lmax must be >= 0, got {lmax}")
-    return ZeroSet._of_section(table, _loop_sums(table, lmax, table.N - 1))
+    return ZeroSet._of_section(table, _loop_weights(table, lmax, table.N - 1))
 
 
 def _section_zeros(table, traces):
@@ -171,17 +182,37 @@ def moment_gap(table, ell, zero_set=None):
     within l of N. The bound needs pad >= l.
 
     p_l is read from zero_set's power sums, or else from zeros(table, l):
-    the section trace, so no zero location is solved."""
+    the section trace, so no zero location is solved. The mean moment of a
+    zero set from zeros() reads its section walk: only the starts within
+    floor(q l / (q + 1)) of N, whose l-loops can leave the section, are
+    walked again, and the result equals mean_moment bit for bit. Such a
+    zero set must be that of the given table's section (else ValueError).
+    A ZeroSet(points, power_sums) has no walk, and mean_moment walks every
+    start."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     N = table.N
     zs = zero_set if zero_set is not None else zeros(table, lmax=ell)
     zmom = zs.mean_power(ell)
-    mean = mean_moment(table, ell)
+    if zs._loops is None:
+        mean = mean_moment(table, ell)
+    elif _same_section(zs._table, table):
+        mean = table.value(_mean_moment_from_section(table, ell, zs._loops))
+    else:
+        raise ValueError(
+            f"zero_set is the zero set of {zs._table!r}, whose N x N section "
+            f"differs from that of the given {table!r}"
+        )
     gap = abs(mean - zmom)
     wmax = table.window_max(N - ell, N + ell)
     bound = (2.0 * ell) ** ell / N * wmax**ell
     return GapResult(ell, mean, table.value(zmom), float(gap), float(bound))
+
+
+def _same_section(t, u):
+    """Whether tables t and u share N, dtype and the coefficient rows 0..N-1,
+    so their loop weights at ceiling N - 1 are the same."""
+    return t.N == u.N and t.c.dtype == u.c.dtype and np.array_equal(t.c[: t.N], u.c[: u.N])
 
 
 def log_potential(target, z):

@@ -28,7 +28,7 @@ from . import __version__
 from .errors import ConfigError, PolyensError
 from .rng import DEFAULT_SEED
 from .config import CLASSICAL_NAMES, _classical, build_ensemble, build_profile, config_hash, load_config
-from .recurrence import mean_moment
+from .recurrence import _mean_moments
 from .charpoly import moment_gap, zeros
 from .variance import MIN_SAMPLE, cumulants, limiting_variance, variance_power, variance_upper_bound
 from .sampler import sample_replicas
@@ -148,7 +148,7 @@ def cmd_sample(args):
 def cmd_moments(args):
     cfg, table, ens = _table(args, required=False)
     if table is not None:
-        vals = [mean_moment(table, ell) for ell in range(1, args.lmax + 1)]
+        vals = [table.value(m) for m in _mean_moments(table, args.lmax)[1:]]
     else:
         diag = ens.kernel_diagonal()
         x = ens.measure.points

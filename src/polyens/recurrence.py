@@ -50,7 +50,7 @@ _REORTH_TOL = 1e-11
 
 _EPS = np.finfo(float).eps
 
-# starts per walk in _loop_sums: its grids of (q+1) lmax + 1 rows stay a few
+# starts per walk in _loop_weights: its grids of (q+1) lmax + 1 rows stay a few
 # MB at any N, and N <= _LOOP_BLOCK is walked in one block
 _LOOP_BLOCK = 4096
 
@@ -356,21 +356,25 @@ def mean_moment(table, ell):
     return table.value(_mean_moments(table, ell)[ell])
 
 
-def _loop_sums(table, lmax, ceiling):
-    """Total weight of the l-step loops from every k < N that stay at
-    ordinates 0..ceiling, for l = 0..lmax, from one walk. At ceiling N - 1
-    these are the section traces tr(H_N^l).
+def _loop_weights(table, lmax, ceiling):
+    """Weight of the l-step loops from each k < N that stay at ordinates
+    0..ceiling, for l = 0..lmax: an (lmax+1) x N array from one walk, whose
+    row l sums (_row_sums) at ceiling N - 1 to the section trace tr(H_N^l).
 
     The walk runs over blocks of _LOOP_BLOCK starts, so its grids and band
-    copy stay a few MB at any N. Each start's loop weights are its own, so the
-    (lmax+1) x N array of them, each row summed once, holds the sums of a
-    single walk from every k < N, bit for bit."""
+    copy stay a few MB at any N. Each start's loop weights are its own, so
+    they equal, bit for bit, those of a single walk from every k < N."""
     N, q = table.N, table.q
     loops = np.empty((lmax + 1, N), dtype=table.c.dtype)
     for k in range(0, N, _LOOP_BLOCK):
         block = np.arange(k, min(k + _LOOP_BLOCK, N))
         for ell, v in enumerate(_walk_steps(table, lmax, block, ceiling)):
             loops[ell, k : k + len(block)] = v[q * lmax]
+    return loops
+
+
+def _row_sums(loops):
+    """Each row of _loop_weights summed once, by np.sum."""
     return np.array([np.sum(row) for row in loops])
 
 
@@ -382,7 +386,25 @@ def _mean_moments(table, lmax):
     walk (see _walk_steps)."""
     N, q = table.N, table.q
     hi = N - 1 + (q * lmax) // (q + 1)  # highest ordinate of a loop from N - 1
-    return _loop_sums(table, lmax, hi) / N
+    return _row_sums(_loop_weights(table, lmax, hi)) / N
+
+
+def _mean_moment_from_section(table, ell, loops):
+    """mean_moment(table, ell), unconverted, from the section loop weights
+    `loops` of _loop_weights(table, lmax >= ell, N - 1).
+
+    An l-loop from k climbs at most floor(q l / (q + 1)), so only the starts
+    that close to N can leave the section; only they are walked again, at
+    mean_moment's ceiling. Every other start's loops stay in the section and
+    its weight is already in row l. Each start's weight is its own, so the
+    result equals mean_moment, bit for bit."""
+    N, q = table.N, table.q
+    climb = (q * ell) // (q + 1)
+    row = loops[ell].copy()
+    k = max(N - climb, 0)  # first start whose loops can climb past N - 1
+    if k < N:
+        row[k:] = _walks(table, ell, np.arange(k, N), N - 1 + climb)[q * ell]
+    return np.sum(row) / N
 
 
 def hessenberg_matrix(table, size=None):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,75 @@ def test_moment_gap_refuses_an_order_its_zero_set_lacks():
     t = classical_table("gue", 10)
     with pytest.raises(ValueError, match="order 1 is not stored: this zero set has orders 0..0"):
         moment_gap(t, 1, zero_set=zeros(t, lmax=0))
+
+
+def _walk_spy(monkeypatch):
+    """Record the number of starts of every recurrence walk."""
+    import polyens.recurrence
+
+    walked = []
+    walk = polyens.recurrence._walk_steps
+
+    def spy(table, ell, starts, ceiling):
+        walked.append(len(starts))
+        return walk(table, ell, starts, ceiling)
+
+    monkeypatch.setattr(polyens.recurrence, "_walk_steps", spy)
+    return walked
+
+
+GAP_TABLES = {
+    **{
+        f"{kind}-N{N}": lambda kind=kind, N=N: random_table(kind, 1800, N=N, pad=12)
+        for kind in TABLE_KINDS + ("complex-q1",)
+        for N in (40, 3)
+    },
+    "gue-N100": lambda: classical_table("gue", 100),
+    "band-q2-N40": lambda: _band_q2(40),
+}
+
+
+@pytest.mark.parametrize("name", GAP_TABLES)
+def test_moment_gap_reads_its_zero_set_bit_for_bit(name):
+    # the section walk plus the starts next to N give mean_moment exactly,
+    # for orders below the zero set's and at it; at N = 3 every start is
+    # walked again for the longer loops of q >= 1
+    table = GAP_TABLES[name]()
+    L, N = 8, table.N
+    zs = zeros(table, L)
+    for ell in range(1, L + 1):
+        want = mean_moment(table, ell)
+        for r in (moment_gap(table, ell, zero_set=zs), moment_gap(table, ell)):
+            assert repr(r.mean_moment) == repr(want)
+            assert r.gap == float(abs(want - zs.power_sums[ell] / N))
+
+
+def test_moment_gap_walks_only_the_starts_next_to_N(monkeypatch):
+    t = classical_table("gue", 2000)
+    zs = zeros(t, 8)
+    walked = _walk_spy(monkeypatch)
+    for ell in range(1, 9):
+        moment_gap(t, ell, zero_set=zs)
+        assert sum(walked) <= ell + 1
+        walked.clear()
+
+
+def test_moment_gap_refuses_the_zero_set_of_another_table():
+    t = classical_table("gue", 20)
+    for other in (classical_table("chebyshev", 20), classical_table("gue", 21)):
+        with pytest.raises(ValueError, match=rf"zero set of {re.escape(repr(other))}, whose N x N section differs"):
+            moment_gap(t, 2, zero_set=zeros(other, 4))
+    # the same section, rebuilt with another pad, is the same zero set
+    assert moment_gap(t, 2, zero_set=zeros(classical_table("gue", 20, pad=3), 4)) == moment_gap(t, 2)
+
+
+def test_moment_gap_of_a_plain_zero_set_walks_every_start(monkeypatch):
+    t = classical_table("gue", 10)
+    zs = ZeroSet(np.zeros(10), np.array([10.0, 0.0, 9.0]))
+    walked = _walk_spy(monkeypatch)
+    r = moment_gap(t, 2, zero_set=zs)
+    assert walked == [10]
+    assert r.mean_moment == mean_moment(t, 2) and r.zero_moment == 0.9
 
 
 def test_moment_gap_gue_second_power_closed_form():

@@ -67,6 +67,20 @@ def test_moments_gue(tmp_path):
     assert abs(vals[4] - (2.0 + 1.0 / 200**2)) < 1e-9
 
 
+def test_moments_on_a_table_walk_once(tmp_path, monkeypatch):
+    import polyens.recurrence
+
+    walked = []
+    walk = polyens.recurrence._walk_steps
+    monkeypatch.setattr(polyens.recurrence, "_walk_steps", lambda *a: walked.append(1) or walk(*a))
+    out = tmp_path / "m.csv"
+    assert main(["moments", "--ensemble", "gue", "--N", "2000", "--lmax", "8",
+                 "--out", str(out)]) == 0
+    assert walked == [1]
+    _, rows = read_csv(out)
+    assert [float(r[1]) for r in rows] == [mean_moment(classical_table("gue", 2000), ell) for ell in range(1, 9)]
+
+
 def test_moments_inline_json(tmp_path):
     out = tmp_path / "m.csv"
     cfg = '{"classical": "chebyshev", "N": 50}'
