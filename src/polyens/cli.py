@@ -80,8 +80,8 @@ def _table(args, required=True, build=False):
     """The --ensemble config, the recurrence table the table subcommands read,
     and its ensemble: None for a classical config not asked to build, whose
     table is its closed form (atoms serve only sampling). Another config's
-    table is its ensemble's, checked on the atoms; an ensemble without one
-    is refused if required."""
+    table is its ensemble's (for an explicit table not orthonormal on real
+    atoms, the atoms' own); an ensemble without one is refused if required."""
     cfg = _ensemble_config(args)
     if not build and isinstance(cfg, dict) and _kind(cfg) == "classical":
         return cfg, _classical(cfg)[0], None

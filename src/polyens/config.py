@@ -18,7 +18,8 @@ ensemble::
 
     {"classical": "gue", "N": 50}                # closed-form table; sampling atoms must carry it
     {"measure": {...}, "N": 20}                  # table built from atoms
-    {"measure": {...}, "table": {...}, "N": 20}  # explicit recurrence
+    {"measure": {...}, "table": {...}, "N": 20}  # explicit recurrence; the atoms' own
+                                                 # table where it is not orthonormal on real atoms
     {"base": {...}, "tilt": [[...], ...]}        # non-orthogonal Q family
 
 Banded ``c`` entries are triplets ``[k, j, value]`` where ``j = -1`` is the
@@ -217,19 +218,23 @@ def build_ensemble(cfg):
             )
         else:
             measure = named_measure("uniform-circle", n=nodes)
-        ens = PolynomialEnsemble.from_table(table, measure, N=N, name=name)
-        if not ens.hermitian:  # from_table re-dualized: this is not the named ensemble
-            raise OrthogonalityError(
-                f"{name} N={N} on {nodes} nodes: its table is not orthonormal on the "
-                f"{len(measure)} atoms kept (Gram defect {measure.gram_defect(ens.P_vals):.3g})"
-            )
-        return ens
+        try:
+            return PolynomialEnsemble.from_table(table, measure, N=N, name=name)
+        except OrthogonalityError as exc:  # these atoms do not carry the named ensemble
+            raise OrthogonalityError(f"{name} N={N} on {nodes} nodes: {exc}") from None
     _require("measure" in cfg, "ensemble needs 'classical', 'measure', or 'base'")
     _only(cfg, "measure ensemble", ("measure", "table", "N") if "table" in cfg else ("measure", "N", "pad"))
     measure = build_measure(cfg["measure"])
     if "table" in cfg:
         N = _integer(cfg["N"], "ensemble N") if "N" in cfg else None
-        return PolynomialEnsemble.from_table(build_table(cfg["table"], N=N), measure, N=N)
+        table = build_table(cfg["table"], N=N)
+        try:
+            return PolynomialEnsemble.from_table(table, measure, N=N)
+        except OrthogonalityError:  # P spans the polynomials of degree < N: the OP ensemble's span
+            if measure.is_complex:
+                raise
+            N = table.N if N is None else N
+            return PolynomialEnsemble.from_measure(measure, N, pad=table.top - N)
     _require("N" in cfg, "ensemble needs 'N'")
     N = _integer(cfg["N"], "ensemble N", 1)
     return PolynomialEnsemble.from_measure(measure, N, pad=_integer(cfg.get("pad", DEFAULT_PAD), "pad", 0))

@@ -3,8 +3,9 @@
 An ensemble is N biorthogonal pairs (P_k, Q_k) against a reference measure:
 <P_j, Q_k> = delta_jk, with kernel K(x, y) = sum_{k<N} P_k(x) conj(Q_k(y)).
 The N-point process has joint density det[K(x_i, x_j)] / N! against mu^N.
-When Q = P (orthonormal polynomials of mu) the kernel is hermitian and the
-process is the usual orthogonal-polynomial ensemble.
+A table builds only Q = P, orthonormal polynomials of mu, whose hermitian
+kernel gives the orthogonal-polynomial ensemble; Q != P comes from a tilt
+or from explicit value rows.
 
 P values live on the atoms of the measure; evaluation at arbitrary points
 uses the recurrence when a table is attached.
@@ -18,6 +19,7 @@ from .errors import (
     EvaluationError,
     NegativityError,
     NumericalBreakdownError,
+    OrthogonalityError,
     PositivityViolationError,
     RankError,
 )
@@ -87,8 +89,9 @@ class PolynomialEnsemble:
     basis : (rows, n_atoms) values of P_0, P_1, ... at the atoms; at least
         N rows, more when a padded table allows (used for tilts and for the
         pair-correlation machinery that needs P_N).
-    Q_vals : None for a hermitian ensemble (Q = P), else (N, n_atoms).
-    table : optional RecurrenceTable of the pair (P, Q).
+    Q_vals : None for a hermitian ensemble (Q = P, also when given equal to
+        P bit for bit), else (N, n_atoms), from a tilt or explicit values.
+    table : optional RecurrenceTable of P.
     """
 
     def __init__(self, measure, basis, N=None, Q_vals=None, table=None, name=None):
@@ -105,6 +108,8 @@ class PolynomialEnsemble:
             Q_vals = np.asarray(Q_vals)
             if Q_vals.shape != (self.N, len(measure)):
                 raise ValueError("Q_vals must be (N, n_atoms)")
+            if np.array_equal(Q_vals, basis[: self.N]):
+                Q_vals = None
         self.Q_vals = Q_vals
         self.table = table
         self.name = name or ("op-ensemble" if Q_vals is None else "biorthogonal-ensemble")
@@ -115,31 +120,29 @@ class PolynomialEnsemble:
 
     @classmethod
     def from_table(cls, table, measure, N=None, name=None):
-        """Ensemble whose P_k follow the table's recurrence over the measure,
-        with the full padded basis evaluated at the atoms; an N other than
-        table.N is written into the attached table. Q is the dual of
-        P_0..P_{N-1} in their span: P itself when their Gram matrix is within
-        BIORTHOGONALITY_TOL of I (a NaN Gram is not), else inv(G)^H P. The
-        table stays attached only if it describes (P, Q), i.e. the padded rows
-        are biorthogonal to Q within the same tolerance; else table=None.
-
-        The check is measure.gram_defect(P), the Gram's upper half in the row
-        blocks of _row_blocks; the padded rows are checked conjugated too, with
-        no conjugated copy of the basis. Only a failing basis forms the full G."""
+        """Hermitian ensemble whose P_k follow the table's recurrence over
+        the measure, with the full padded basis evaluated at the atoms; an N
+        other than table.N is written into the attached table. P_0..P_{N-1}
+        must be orthonormal on the atoms, measure.gram_defect(P) within
+        BIORTHOGONALITY_TOL (a NaN Gram is not), else OrthogonalityError.
+        The table stays attached only if the padded rows are orthogonal to P
+        within the same tolerance, checked conjugated with no conjugated copy
+        of the basis; else table=None."""
         N = table.N if N is None else int(N)
         if N != table.N:
             table = RecurrenceTable(N, table.c, table.q)
         _check_rank(N, measure)
         p0 = 1.0 / np.sqrt(measure.total_mass)
         basis = eval_polynomials(table, measure.points, table.top, p0=p0)
-        P, w = basis[:N], measure.weights
-        Q = None
-        if not measure.gram_defect(P) <= BIORTHOGONALITY_TOL:
-            Q = np.linalg.inv((P * w) @ P.conj().T).conj().T @ P
-        above = (np.conj(basis[N:]) * w) @ (P if Q is None else Q).T
+        P = basis[:N]
+        defect = measure.gram_defect(P)
+        if not defect <= BIORTHOGONALITY_TOL:
+            n = len(measure)
+            raise OrthogonalityError(f"its table is not orthonormal on the {n} atoms kept (Gram defect {defect:.3g})")
+        above = (np.conj(basis[N:]) * measure.weights) @ P.T
         if not np.max(np.abs(above), initial=0.0) <= BIORTHOGONALITY_TOL:
             table = None
-        return cls(measure, basis, N=N, Q_vals=Q, table=table, name=name)
+        return cls(measure, basis, N=N, table=table, name=name)
 
     @classmethod
     def from_measure(cls, measure, N, pad=DEFAULT_PAD, name=None):
@@ -152,16 +155,7 @@ class PolynomialEnsemble:
         """Ensemble from explicit biorthogonal value rows (e.g. a thinned
         kernel). Only atom-level evaluation is available."""
         P_vals = np.asarray(P_vals)
-        herm = Q_vals is None or (
-            np.shape(Q_vals) == P_vals.shape and np.array_equal(P_vals, Q_vals)
-        )
-        return cls(
-            measure,
-            P_vals,
-            N=len(P_vals),
-            Q_vals=None if herm else Q_vals,
-            name=name,
-        )
+        return cls(measure, P_vals, N=len(P_vals), Q_vals=Q_vals, name=name)
 
     # -- basic structure ---------------------------------------------------
 
@@ -385,11 +379,11 @@ class PolynomialEnsemble:
 
         The added directions are orthogonal to span(P_0..P_{N-1}), so
         biorthogonality <P_i, Q_k> = delta is preserved while the kernel
-        loses hermitian symmetry. Requires a padded basis covering the tilt
-        columns. With validate=True, random principal minors of the new
-        kernel are scanned and a PositivityViolationError is raised if any
-        is negative beyond tolerance (the tilt then defines no point
-        process).
+        loses hermitian symmetry, unless the tilt is all zero. Requires a
+        padded basis covering the tilt columns. With validate=True, random
+        principal minors of the new kernel are scanned and a
+        PositivityViolationError is raised if any is negative beyond
+        tolerance (the tilt then defines no point process).
         """
         if not self.hermitian:
             raise ValueError("tilting starts from a hermitian ensemble")
@@ -411,7 +405,7 @@ class PolynomialEnsemble:
             self.measure,
             self.basis,
             N=self.N,
-            Q_vals=Q,
+            Q_vals=Q,  # an all-zero tilt leaves Q = P: hermitian
             table=None,  # self.table describes (P, P), not (P, Q)
             name=f"{self.name}+tilt",
         )

@@ -14,7 +14,7 @@ import pytest
 import polyens
 from polyens import cli
 from polyens.cli import main
-from polyens.config import build_ensemble, config_hash
+from polyens.config import build_ensemble, build_measure, config_hash
 from polyens.ensemble import PolynomialEnsemble
 from polyens.recurrence import classical_table, mean_moment
 
@@ -295,20 +295,54 @@ def test_op_and_banded_spellings_of_one_table_agree(capsys):
     assert variance["limiting"] is not None and abs(variance["exact"] - 0.125) < 1e-12
 
 
-def test_mismatched_op_table_has_no_table_for_table_commands(capsys):
-    # GUE coefficients on the arcsine atoms of [-2, 2] describe another
-    # family: the ensemble is built from its dual rows and carries no table
+def test_mismatched_op_table_answers_table_commands_from_its_atoms(capsys):
+    # GUE coefficients on the arcsine atoms of [-2, 2] are not orthonormal
+    # there: the ensemble is the OP ensemble of the atoms, and every
+    # subcommand answers as for the measure config with the table's pad
     N = 6
     a = [((k + 1) / N) ** 0.5 for k in range(N + 5)]
-    cfg = json.dumps({
-        "measure": {"kind": "named", "name": "chebyshev-arcsine", "alpha": -2, "beta": 2, "nodes": 64},
-        "table": {"form": "op", "a": a}, "N": N,
-    })
-    assert main(["variance", "--ensemble", cfg]) == 2
+    measure = {"kind": "named", "name": "chebyshev-arcsine", "alpha": -2, "beta": 2, "nodes": 64}
+    bodies = []
+    for cfg in ({"measure": measure, "table": {"form": "op", "a": a}, "N": N},
+                {"measure": measure, "N": N, "pad": 4}):
+        outs = []
+        for sub in (["zeros"], ["gap"], ["moments"], ["variance", "--power", "2"],
+                    ["sample", "--replicas", "2", "--seed", "3"]):
+            assert main(sub + ["--ensemble", json.dumps(cfg)]) == 0, sub
+            out = capsys.readouterr()
+            assert out.err == "", sub
+            outs.append(_body(out.out))
+        bodies.append(outs)
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("N", [12, 20, 30, 100])
+def test_mismatched_table_samples_the_op_ensemble_of_its_atoms(N, capsys):
+    # GUE coefficients on 256 arcsine nodes of [-2, 2]: their Gram matrix
+    # there has condition number 4e9 at N=12 and 1e25 at N=30, so no dual of
+    # these rows reaches the OP kernel of the atoms to 1e-12
+    measure = {"kind": "named", "name": "chebyshev-arcsine", "alpha": -2, "beta": 2, "nodes": 256}
+    cfg = {"measure": measure, "table": {"form": "op", "a": [((k + 1) / N) ** 0.5 for k in range(N + 5)]}, "N": N}
+    assert main(["sample", "--ensemble", json.dumps(cfg), "--replicas", "2"]) == 0
+    assert capsys.readouterr().err == ""
+    ens = build_ensemble(cfg)
+    assert repr(ens) == f"PolynomialEnsemble(op-ensemble, N={N}, hermitian, atoms=256)"
+    want = PolynomialEnsemble.from_measure(build_measure(measure), N).kernel_matrix()
+    assert np.max(np.abs(ens.kernel_matrix() - want)) <= 1e-12
+
+
+def test_table_not_orthonormal_on_complex_atoms_exits_2(capsys):
+    # P_1 = x/2 on the atoms +-1, +-i has norm 1/2; no Lanczos serves
+    # complex atoms, so the table is refused
+    points = [1, -1, [0, 1], [0, -1]]
+    c = [[0, -1, 2], [1, -1, 1], [2, -1, 1]]
+    cfg = {"measure": {"kind": "atoms", "points": points, "weights": [0.25] * 4},
+           "table": {"form": "banded", "q": 0, "c": c}, "N": 2}
+    assert main(["sample", "--ensemble", json.dumps(cfg)]) == 2
     out = capsys.readouterr()
-    err = out.err.strip().splitlines()
-    assert out.out == "" and len(err) == 1 and "recurrence table" in err[0]
-    assert main(["sample", "--ensemble", cfg, "--replicas", "2"]) == 0
+    assert out.out == "" and out.err.strip().splitlines() == [
+        "polyens: error: its table is not orthonormal on the 4 atoms kept (Gram defect 0.75)"
+    ]
 
 
 def test_override_flags_apply_where_the_config_reads_them(tmp_path):
@@ -388,7 +422,8 @@ def test_negative_pad_exits_2_at_parse_time(capsys):
 
 def test_kernel_overflow_is_one_error_line(capsys):
     # the GUE N=400 table, given explicitly, on the scaled-Hermite atoms of
-    # 1024 nodes: the basis is finite, its kernel product is not
+    # 1024 nodes is not orthonormal there, so the config builds the OP
+    # ensemble of the atoms: its basis is finite, its kernel product is not
     a = np.sqrt(np.arange(1, 405) / 400).tolist()
     cfg = {
         "measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024},

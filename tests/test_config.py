@@ -92,7 +92,7 @@ def test_classical_ensemble_configs():
 @pytest.mark.parametrize("N, nodes, kept", [(340, 1024, 734), (400, 1024, 734), (354, 512, 478)])
 def test_classical_atoms_that_do_not_carry_the_table_are_refused(N, nodes, kept):
     # the atoms whose Hermite weight underflows are dropped; the GUE table is
-    # not orthonormal on those kept, and a re-dualized "gue" is no GUE
+    # not orthonormal on those kept, and their OP ensemble is no GUE
     with pytest.raises(OrthogonalityError, match=f"gue N={N} on {nodes} nodes: .* {kept} atoms kept"):
         build_ensemble({"classical": "gue", "N": N, "nodes": nodes})
 

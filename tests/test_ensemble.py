@@ -7,6 +7,7 @@ import pytest
 from polyens import (
     EvaluationError,
     NumericalBreakdownError,
+    OrthogonalityError,
     PolynomialEnsemble,
     PositivityViolationError,
     RankError,
@@ -21,6 +22,8 @@ from polyens import (
     stream,
     uniform_circle_measure,
 )
+
+from polyens.ensemble import BIORTHOGONALITY_TOL
 
 import oracles
 
@@ -138,7 +141,27 @@ def test_circle_ensemble_geometric_kernel():
     assert np.max(np.abs(K - want)) < 1e-12
 
 
+def _monic_chebyshev_c(N, pad):
+    """Monic Chebyshev polynomials of the arcsine law: x P_k = P_{k+1} +
+    a_{k-1}^2 P_{k-1}, orthogonal but not normal."""
+    a = classical_table("chebyshev", N, pad=pad).a
+    c = np.zeros((N + pad + 1, 3))
+    c[:, 0] = 1.0
+    c[1:, 2] = a[:-1] ** 2
+    return c
+
+
+def _table_config(measure, c, q, N):
+    entries = [[k, j, float(c[k, j + 1])] for k in range(len(c)) for j in range(-1, q + 1) if c[k, j + 1]]
+    return {"measure": measure, "table": {"form": "banded", "q": q, "c": entries}, "N": N}
+
+
 def test_orthonormal_banded_table_never_inverts_the_gram(monkeypatch):
+    # no config reaches the sampler with a Q that misses biorthogonality:
+    # every shape builds within BIORTHOGONALITY_TOL, and all but the tilt
+    # build hermitian
+    from polyens.config import build_ensemble
+
     def no_inverse(a):
         raise AssertionError("the Gram matrix of orthonormal rows was inverted")
 
@@ -152,52 +175,99 @@ def test_orthonormal_banded_table_never_inverts_the_gram(monkeypatch):
         ens = PolynomialEnsemble.from_table(table, measure, N=6)
         assert ens.Q_vals is None, name
         assert ens.table is table, name
+    arcsine = {"kind": "named", "name": "chebyshev-arcsine", "nodes": 64}
+    wide = {**arcsine, "alpha": -2, "beta": 2}
+    tilt = np.zeros((6, 2))
+    tilt[5, 0], tilt[5, 1] = 0.05, 0.05
+    configs = {
+        "gue": {"classical": "gue", "N": 6, "nodes": 64},
+        "chebyshev": {"classical": "chebyshev", "N": 6, "nodes": 64, "pad": 4},
+        "uniform-circle": {"classical": "uniform-circle", "N": 6},
+        "measure": {"measure": arcsine, "N": 6},
+        "orthonormal table": {"measure": arcsine, "table": {"form": "op", "a": [2**-0.5] + [0.5] * 10}, "N": 6},
+        "mismatched table": {"measure": wide, "table": {"form": "op", "a": [((k + 1) / 6) ** 0.5 for k in range(11)]},
+                             "N": 6},
+        "monic table": _table_config(arcsine, _monic_chebyshev_c(8, 4), 1, 8),
+        "tilt": {"base": {"classical": "chebyshev", "N": 6, "nodes": 64, "pad": 4}, "tilt": tilt.tolist()},
+    }
+    for shape, cfg in configs.items():
+        ens = build_ensemble(cfg)
+        assert ens.biorthogonality_defect() <= BIORTHOGONALITY_TOL, shape
+        assert ens.hermitian == (shape != "tilt"), shape
 
 
-def test_nonorthonormal_banded_table_gets_the_dual_rows():
-    # the circle's power basis is not orthonormal on the arcsine atoms of [-1, 1]
+def test_nonorthonormal_banded_table_is_refused_or_rebuilt_from_its_atoms():
+    # the circle's power basis is not orthonormal on the arcsine atoms of
+    # [-1, 1]: from_table refuses it, and a config on these real atoms builds
+    # the OP ensemble of the atoms, the projection onto the same span
+    from polyens.config import build_ensemble
+
     measure = equilibrium_measure(-1, 1, 48)
-    ens = PolynomialEnsemble.from_table(classical_table("circle", 4, pad=2), measure, N=4)
-    P = ens.P_vals
-    G = (P * measure.weights) @ P.conj().T
-    assert np.max(np.abs(G - np.eye(4))) > 1e-2
-    assert not ens.hermitian
-    assert np.array_equal(ens.Q_vals, np.linalg.inv(G).conj().T @ P)
+    table = classical_table("circle", 4, pad=2)
+    P = eval_polynomials(table, measure.points, 3)
+    assert measure.gram_defect(P) > 1e-2
+    with pytest.raises(OrthogonalityError, match=r"^its table is not orthonormal on the 48 atoms kept \(Gram defect"):
+        PolynomialEnsemble.from_table(table, measure, N=4)
+    cfg = _table_config({"kind": "named", "name": "chebyshev-arcsine", "nodes": 48}, table.c, 0, 4)
+    ens = build_ensemble(cfg)
+    assert ens.hermitian and ens.table.symmetric
     assert ens.biorthogonality_defect() <= 1e-8
+    assert np.max(np.abs(ens.kernel_matrix() - PolynomialEnsemble.from_measure(measure, 4).kernel_matrix())) < 1e-12
 
 
-def test_mismatched_op_table_gets_the_dual_rows_and_loses_its_table():
+def test_mismatched_op_table_builds_the_op_ensemble_of_its_atoms():
     # GUE coefficients on the arcsine atoms of [-2, 2]: the rows span the
-    # right polynomials but are not orthonormal there, so Q is their dual
-    # and the table, which describes (P, P), is not kept
+    # right polynomials but are not orthonormal there, so the config builds
+    # the OP ensemble of the atoms, which carries the atoms' own table
+    from polyens.config import build_ensemble
+
     N = 6
     table = classical_table("gue", N, pad=4)
-    ens = PolynomialEnsemble.from_table(table, equilibrium_measure(-2, 2, 64), N=N)
-    assert not ens.hermitian and ens.table is None
+    measure = equilibrium_measure(-2, 2, 64)
+    with pytest.raises(OrthogonalityError, match="Gram defect"):
+        PolynomialEnsemble.from_table(table, measure, N=N)
+    arcsine = {"kind": "named", "name": "chebyshev-arcsine", "alpha": -2, "beta": 2, "nodes": 64}
+    ens = build_ensemble({"measure": arcsine, "table": {"form": "op", "a": table.a.tolist()}, "N": N})
+    want = PolynomialEnsemble.from_measure(measure, N, pad=4)
+    assert ens.hermitian and ens.table.symmetric
+    assert np.array_equal(ens.table.c, want.table.c)
+    assert np.array_equal(ens.kernel_matrix(), want.kernel_matrix())
     w = ens.measure.weights
     assert abs(np.sum(ens.kernel_diagonal() * w) - N) < 1e-12
     cfg = sample(ens, rng=stream(2), check_normalization=True)
     assert len(cfg) == N
 
 
-def test_monic_banded_table_keeps_its_table_with_a_dual_q():
-    # monic Chebyshev polynomials of the arcsine law: x P_k = P_{k+1} +
-    # a_{k-1}^2 P_{k-1}. They are orthogonal but not normal, so Q_k =
-    # P_k / |P_k|^2 and the padded rows stay biorthogonal to Q.
+def test_monic_banded_table_builds_an_ensemble_with_its_moments():
+    # monic Chebyshev polynomials are orthogonal but not normal on the
+    # arcsine atoms: the config builds the OP ensemble of the atoms, whose
+    # kernel diagonal has the monic table's mean moments
+    from polyens.config import build_ensemble
+
     N, pad = 8, 4
-    a = classical_table("chebyshev", N, pad=pad).a
-    c = np.zeros((N + pad + 1, 3))
-    c[:, 0] = 1.0
-    c[1:, 2] = a[:-1] ** 2
-    table = banded_table(c, 1, N)
+    table = banded_table(_monic_chebyshev_c(N, pad), 1, N)
     assert not table.symmetric
-    ens = PolynomialEnsemble.from_table(table, equilibrium_measure(-1, 1, 64), N=N)
-    assert not ens.hermitian and ens.table is table
+    measure = {"kind": "named", "name": "chebyshev-arcsine", "nodes": 64}
+    ens = build_ensemble(_table_config(measure, table.c, 1, N))
+    assert ens.hermitian and ens.table.symmetric
     assert ens.biorthogonality_defect() <= 1e-8
     x, w = ens.measure.points, ens.measure.weights
     diag = ens.kernel_diagonal()
     for ell in range(1, 9):
         assert abs(mean_moment(table, ell) - np.sum(x**ell * diag * w) / N) < 1e-12, ell
+
+
+def test_an_all_zero_tilt_is_hermitian():
+    # Q = P bit for bit: the base ensemble, which spectral thinning accepts
+    from polyens import spectral_from_ensemble
+    from polyens.config import build_ensemble
+
+    base = {"classical": "chebyshev", "N": 4, "nodes": 32, "pad": 2}
+    ens = build_ensemble({"base": base, "tilt": [[0, 0]] * 4})
+    assert repr(ens) == "PolynomialEnsemble(chebyshev+tilt, N=4, hermitian, atoms=32)"
+    assert np.array_equal(ens.kernel_matrix(), build_ensemble(base).kernel_matrix())
+    assert np.array_equal(sample(ens, rng=stream(3)).indices, sample(build_ensemble(base), rng=stream(3)).indices)
+    assert np.array_equal(spectral_from_ensemble(ens, [0.5] * 4).phi, ens.P_vals)
 
 
 def test_gue_ensemble_defect_small():
@@ -293,10 +363,17 @@ def test_kernel_diagonal_holds_no_conjugated_basis(cfg, peak_bytes):
 
 
 def test_overflowing_kernel_is_a_breakdown_error():
-    # the GUE table on the 734 atoms of 1024 nodes that keep a weight: not
-    # orthonormal there, so re-dualized with no table
-    ens = PolynomialEnsemble.from_table(classical_table("gue", 400), scaled_hermite_measure(400, 1024))
-    assert not ens.hermitian and ens.table is None
+    # the GUE table on the 734 atoms of 1024 nodes that keep a weight is not
+    # orthonormal there, so the config builds the OP ensemble of the atoms:
+    # its basis is finite, its kernel product is not
+    from polyens.config import build_ensemble
+
+    cfg = {
+        "measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024},
+        "table": {"form": "op", "a": np.sqrt(np.arange(1, 405) / 400).tolist(), "N": 400},
+    }
+    ens = build_ensemble(cfg)
+    assert ens.hermitian and ens.table.symmetric
     assert np.isfinite(ens.P_vals).all()  # the basis itself is finite
     with pytest.raises(NumericalBreakdownError, match="N=400 points on 734 atoms"):
         ens.kernel_matrix()
@@ -467,8 +544,8 @@ def test_a_nan_gram_is_not_within_tolerance():
     table = classical_table("chebyshev", 3, pad=1)
     with np.errstate(all="ignore"):
         assert math.isnan(measure.gram_defect(eval_polynomials(table, measure.points, 2)))
-        ens = PolynomialEnsemble.from_table(table, measure, N=3)
-    assert not ens.hermitian and ens.table is None
+        with pytest.raises(OrthogonalityError, match=r"\(Gram defect nan\)$"):
+            PolynomialEnsemble.from_table(table, measure, N=3)
 
 
 def test_biorthogonality_defect_holds_no_full_gram():

@@ -178,8 +178,8 @@ def test_empirical_Q_moment_frozen_values():
 
 def test_empirical_Q_moment_needs_an_op_ensemble():
     # Q_N is read from P_{N-1} and P_N, which describe neither a tilted
-    # kernel (its Var[sum x] is 0.261875, not the base's 0.25) nor a table of
-    # non-normal polynomials
+    # kernel (its Var[sum x] is 0.261875, not the base's 0.25) nor a table
+    # whose padded polynomials are not normal
     base = {"classical": "chebyshev", "N": 6, "nodes": 64, "pad": 4}
     tilt = np.zeros((6, 2))
     tilt[5, 0], tilt[5, 1] = 0.05, 0.05
@@ -188,14 +188,17 @@ def test_empirical_Q_moment_needs_an_op_ensemble():
     var = np.sum(x**2 * np.diag(K) * w) - np.einsum("i,ij,j,ji,i,j->", x, K, x, K, w, w)
     assert abs(var - 0.261875) < 1e-12
     N, pad = 8, 4
-    c = np.zeros((N + pad + 1, 3))  # monic Chebyshev: x P_k = P_{k+1} + a_{k-1}^2 P_{k-1}
-    c[:, 0] = 1.0
-    c[1:, 2] = classical_table("chebyshev", N, pad=pad).a[:-1] ** 2
-    monic = PolynomialEnsemble.from_table(
+    # the arcsine OP table with P_k doubled for k >= N: x P_{N-1} = (a/2) P_N
+    # + ..., x P_N = ... + 2a P_{N-1}, so P_N.. stay orthogonal to P_0..P_{N-1}
+    c = classical_table("chebyshev", N, pad=pad).c.copy()
+    c[N - 1, 0] /= 2
+    c[N, 2] *= 2
+    doubled = PolynomialEnsemble.from_table(
         banded_table(c, 1, N), equilibrium_measure(-1, 1, 64), N=N
     )
-    assert monic.table is not None and not monic.table.symmetric
-    for ens in (tilted, monic):
+    assert doubled.table is not None and not doubled.table.symmetric
+    assert abs(np.sum(doubled.basis[N] ** 2 * doubled.measure.weights) - 4) < 1e-12
+    for ens in (tilted, doubled):
         with pytest.raises(EvaluationError, match="orthonormal"):
             empirical_Q_moment(ens, 1, 1)
     assert np.isclose(empirical_Q_moment(build_ensemble(base), 1, 1), -0.25, atol=1e-12)
