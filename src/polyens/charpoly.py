@@ -3,11 +3,11 @@
 The degree-N average characteristic polynomial of an ensemble equals the
 characteristic polynomial of the N x N section H_N = [<x P_j, Q_i>], so its
 zeros are that section's eigenvalues. Their l-th power sum is tr(H_N^l), the
-weight of the l-step loops that stay below N, counted by the same banded
-walk as the mean moments. So the zero set's moments, which track the mean
-empirical moments with an O(1/N) gap controlled by coefficients in a window
-around index N, need no eigensolve. The zeros themselves do: it is the only
-dense step, and it runs only when the locations are read.
+weight of the l-step loops that stay below N, while the mean moment counts
+every l-loop from k < N. Their gap is the weight of the loops that climb
+past N - 1, over N, read from the few starts next to N. Neither needs an
+eigensolve. The zeros do: it is the only dense step, and it runs only when
+the locations are read.
 """
 
 from dataclasses import dataclass
@@ -16,43 +16,25 @@ import numpy as np
 
 from .errors import NumericalBreakdownError
 from .measure import ReferenceMeasure
-from .recurrence import (
-    _loop_weights,
-    _mean_moment_from_section,
-    _row_sums,
-    hessenberg_matrix,
-    mean_moment,
-)
+from .recurrence import _escape_weight, _loop_weights, _row_sums, hessenberg_matrix
 
 POWER_SUM_TOL = 1e-8
 
 
 class ZeroSet:
-    """Zeros of the average characteristic polynomial with their power sums
-    p_l = sum_i z_i^l, l = 0..lmax.
+    """Zeros of the average characteristic polynomial of a table, with their
+    power sums p_l = sum_i z_i^l, l = 0..lmax; built by zeros().
 
-    From zeros(table, lmax), power_sums are the section traces tr(H_N^l):
-    exact, real for a real table and complex for a complex one, and len()
-    is N. Such a zero set keeps its table and the per-start loop weights
-    the traces sum, so moment_gap reads the mean moment from them. The
-    locations are solved on the first read of `zeros` and cached; that read
-    runs the eigensolve and its cross-check against the traces, so a
-    NumericalBreakdownError surfaces there. ZeroSet(points, power_sums)
-    wraps points that are already known, with no table behind them.
+    power_sums are the section traces tr(H_N^l): exact, real for a real
+    table and complex for a complex one, and len() is N. The locations are
+    solved on the first read of `zeros` and cached; that read runs the
+    eigensolve and its cross-check against the traces, so a
+    NumericalBreakdownError surfaces there.
     """
 
-    def __init__(self, zeros, power_sums):
-        self._zeros, self.power_sums = zeros, power_sums
-        self._table, self._loops, self._n = None, None, len(zeros)
-
-    @classmethod
-    def _of_section(cls, table, loops):
-        """The zero set of table's N x N section from its loop weights
-        (recurrence._loop_weights at ceiling N - 1), locations unsolved."""
-        zs = cls.__new__(cls)
-        zs._zeros, zs.power_sums = None, _row_sums(loops)
-        zs._table, zs._loops, zs._n = table, loops, table.N
-        return zs
+    def __init__(self, table, power_sums, edge):
+        self._table, self.power_sums, self._edge = table, power_sums, edge
+        self._zeros = None
 
     @property
     def zeros(self):
@@ -61,7 +43,7 @@ class ZeroSet:
         return self._zeros
 
     def __len__(self):
-        return self._n
+        return self._table.N
 
     def mean_power(self, ell):
         """p_l / N; an order past the stored power sums raises ValueError."""
@@ -70,7 +52,7 @@ class ZeroSet:
                 f"power sum of order {ell} is not stored: this zero set has "
                 f"orders 0..{len(self.power_sums) - 1}"
             )
-        return self.power_sums[ell] / self._n
+        return self.power_sums[ell] / len(self)
 
 
 def zeros(table, lmax=8):
@@ -79,14 +61,16 @@ def zeros(table, lmax=8):
 
     The power sums are the section traces, summed from the per-start loop
     weights of one lmax-step walk at ceiling N - 1 (see
-    recurrence._loop_weights). The zero set keeps those weights, an
-    (lmax+1) x N array, for moment_gap. The locations are solved when
-    ZeroSet.zeros is first read (see _section_zeros), so errors of the
-    eigensolve surface on that read.
+    recurrence._loop_weights). For moment_gap the zero set keeps them for
+    the last floor(q lmax / (q + 1)) starts, the only ones whose loops can
+    leave the section. The locations are solved when ZeroSet.zeros is first
+    read (see _section_zeros), so errors of the eigensolve surface there.
     """
     if lmax < 0:
         raise ValueError(f"lmax must be >= 0, got {lmax}")
-    return ZeroSet._of_section(table, _loop_weights(table, lmax, table.N - 1))
+    loops = _loop_weights(table, lmax, table.N - 1)
+    edge = loops[:, max(table.N - (table.q * lmax) // (table.q + 1), 0):].copy()
+    return ZeroSet(table, _row_sums(loops), edge)
 
 
 def _section_zeros(table, traces):
@@ -182,37 +166,25 @@ def moment_gap(table, ell, zero_set=None):
     within l of N. The bound needs pad >= l.
 
     p_l is read from zero_set's power sums, or else from zeros(table, l):
-    the section trace, so no zero location is solved. The mean moment of a
-    zero set from zeros() reads its section walk: only the starts within
-    floor(q l / (q + 1)) of N, whose l-loops can leave the section, are
-    walked again, and the result equals mean_moment bit for bit. Such a
-    zero set must be that of the given table's section (else ValueError).
-    A ZeroSet(points, power_sums) has no walk, and mean_moment walks every
-    start."""
+    the section trace, so no zero location is solved. The gap is |w| / N
+    for the weight w of the l-loops from k < N that climb past N - 1
+    (recurrence._escape_weight), and the mean moment is p_l/N + w/N.
+    zero_set must be that of a table with the same N, dtype and rows
+    0..N-1, the rows its section weights read (else ValueError)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     N = table.N
     zs = zero_set if zero_set is not None else zeros(table, lmax=ell)
-    zmom = zs.mean_power(ell)
-    if zs._loops is None:
-        mean = mean_moment(table, ell)
-    elif _same_section(zs._table, table):
-        mean = table.value(_mean_moment_from_section(table, ell, zs._loops))
-    else:
+    zmom, t = zs.mean_power(ell), zs._table
+    if not (t.N == N and t.c.dtype == table.c.dtype and np.array_equal(t.c[:N], table.c[:N])):
         raise ValueError(
-            f"zero_set is the zero set of {zs._table!r}, whose N x N section "
+            f"zero_set is the zero set of {t!r}, whose N x N section "
             f"differs from that of the given {table!r}"
         )
-    gap = abs(mean - zmom)
+    escape = _escape_weight(table, ell, zs._edge[ell]) / N
     wmax = table.window_max(N - ell, N + ell)
     bound = (2.0 * ell) ** ell / N * wmax**ell
-    return GapResult(ell, mean, table.value(zmom), float(gap), float(bound))
-
-
-def _same_section(t, u):
-    """Whether tables t and u share N, dtype and the coefficient rows 0..N-1,
-    so their loop weights at ceiling N - 1 are the same."""
-    return t.N == u.N and t.c.dtype == u.c.dtype and np.array_equal(t.c[: t.N], u.c[: u.N])
+    return GapResult(ell, table.value(zmom + escape), table.value(zmom), float(abs(escape)), float(bound))
 
 
 def log_potential(target, z):
@@ -224,11 +196,8 @@ def log_potential(target, z):
     """
     if isinstance(target, ReferenceMeasure):
         pts, wts = target.points, target.weights
-    elif isinstance(target, ZeroSet):
-        pts = target.zeros
-        wts = np.full(len(pts), 1.0 / len(pts))
     else:
-        pts = np.asarray(target)
+        pts = target.zeros if isinstance(target, ZeroSet) else np.asarray(target)
         wts = np.full(len(pts), 1.0 / len(pts))
     z = np.asarray(z)
     scalar = z.ndim == 0

@@ -234,7 +234,8 @@ def build_ensemble(cfg):
             if measure.is_complex:
                 raise
             N = table.N if N is None else N
-            return PolynomialEnsemble.from_measure(measure, N, pad=table.top - N)
+            pad = max(min(table.top, measure.distinct_atoms - 2) - N, -1)  # Lanczos needs N + pad + 2 atoms
+            return PolynomialEnsemble.from_measure(measure, N, pad=pad)
     _require("N" in cfg, "ensemble needs 'N'")
     N = _integer(cfg["N"], "ensemble N", 1)
     return PolynomialEnsemble.from_measure(measure, N, pad=_integer(cfg.get("pad", DEFAULT_PAD), "pad", 0))

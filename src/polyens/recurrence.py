@@ -18,7 +18,8 @@ power up to l at once. An l-step walk costs about (q+1)(q+2) l^2 / 2
 multiply-adds per start, reads each step's weights from a strided view of
 the band, and holds a few grids of (q+1) l + 1 rows by its starts. The loop
 sums over every k < N walk the starts in blocks, so beside the (l+1) x N
-loop weights they sum, their grids stay a few MB at any N.
+loop weights they sum, their grids stay a few MB at any N; the loops that
+leave the section (`_escape_weight`) walk only the starts next to N.
 Every such query returns a complex for a complex table and a float
 otherwise (`RecurrenceTable.value`). Indices run over 0..N+pad; access
 past the pad raises instead of extrapolating.
@@ -389,22 +390,18 @@ def _mean_moments(table, lmax):
     return _row_sums(_loop_weights(table, lmax, hi)) / N
 
 
-def _mean_moment_from_section(table, ell, loops):
-    """mean_moment(table, ell), unconverted, from the section loop weights
-    `loops` of _loop_weights(table, lmax >= ell, N - 1).
+def _escape_weight(table, ell, inside):
+    """Weight of the l-loops from k < N that climb past N - 1, unconverted.
 
     An l-loop from k climbs at most floor(q l / (q + 1)), so only the starts
-    that close to N can leave the section; only they are walked again, at
-    mean_moment's ceiling. Every other start's loops stay in the section and
-    its weight is already in row l. Each start's weight is its own, so the
-    result equals mean_moment, bit for bit."""
+    that close to N can leave the section. They are walked at mean_moment's
+    ceiling, less `inside`, the section loop weights of order l of (at
+    least) those last starts: a sum of a few terms, with no O(N) one."""
     N, q = table.N, table.q
     climb = (q * ell) // (q + 1)
-    row = loops[ell].copy()
     k = max(N - climb, 0)  # first start whose loops can climb past N - 1
-    if k < N:
-        row[k:] = _walks(table, ell, np.arange(k, N), N - 1 + climb)[q * ell]
-    return np.sum(row) / N
+    loops = _walks(table, ell, np.arange(k, N), N - 1 + climb)[q * ell]
+    return np.sum(loops - inside[len(inside) - (N - k):])
 
 
 def hessenberg_matrix(table, size=None):

@@ -6,7 +6,6 @@ import pytest
 from polyens import (
     NumericalBreakdownError,
     PolynomialEnsemble,
-    ZeroSet,
     banded_table,
     classical_table,
     covariance_power,
@@ -235,11 +234,6 @@ def test_table_algebra_needs_no_dense_powers(monkeypatch):
     assert moment_gap(t, 4, zero_set=zs).gap <= moment_gap(t, 4).bound
 
 
-def test_zero_set_from_plain_array():
-    zs = ZeroSet(np.array([1.0, -1.0]), np.array([2.0, 0.0, 2.0]))
-    assert zs.mean_power(2) == 1.0
-
-
 def test_zeros_refuses_a_negative_order():
     with pytest.raises(ValueError, match="lmax must be >= 0, got -1"):
         zeros(classical_table("gue", 10), lmax=-1)
@@ -279,17 +273,20 @@ GAP_TABLES = {
 
 @pytest.mark.parametrize("name", GAP_TABLES)
 def test_moment_gap_reads_its_zero_set_bit_for_bit(name):
-    # the section walk plus the starts next to N give mean_moment exactly,
-    # for orders below the zero set's and at it; at N = 3 every start is
-    # walked again for the longer loops of q >= 1
+    # for orders below the zero set's and at it, the gap is bit for bit that
+    # of a fresh zero set, and the mean moment, p_l / N plus the weight of
+    # the loops that leave the section over N, is mean_moment's sum over
+    # every start to roundoff; at N = 3 the longer loops of q >= 1 can leave
+    # the section from every start
     table = GAP_TABLES[name]()
-    L, N = 8, table.N
+    L = 8
     zs = zeros(table, L)
     for ell in range(1, L + 1):
         want = mean_moment(table, ell)
-        for r in (moment_gap(table, ell, zero_set=zs), moment_gap(table, ell)):
-            assert repr(r.mean_moment) == repr(want)
-            assert r.gap == float(abs(want - zs.power_sums[ell] / N))
+        r = moment_gap(table, ell, zero_set=zs)
+        assert r == moment_gap(table, ell)
+        assert abs(r.mean_moment - want) <= 1e-14 * max(1.0, abs(want))
+        assert r.zero_moment == table.value(zs.mean_power(ell))
 
 
 def test_moment_gap_walks_only_the_starts_next_to_N(monkeypatch):
@@ -311,39 +308,38 @@ def test_moment_gap_refuses_the_zero_set_of_another_table():
     assert moment_gap(t, 2, zero_set=zeros(classical_table("gue", 20, pad=3), 4)) == moment_gap(t, 2)
 
 
-def test_moment_gap_of_a_plain_zero_set_walks_every_start(monkeypatch):
-    t = classical_table("gue", 10)
-    zs = ZeroSet(np.zeros(10), np.array([10.0, 0.0, 9.0]))
-    walked = _walk_spy(monkeypatch)
-    r = moment_gap(t, 2, zero_set=zs)
-    assert walked == [10]
-    assert r.mean_moment == mean_moment(t, 2) and r.zero_moment == 0.9
-
-
 def test_moment_gap_gue_second_power_closed_form():
     # mean moment 1 exactly; zero moment 1 - 1/N exactly
     for N in (3, 10, 50, 200):
         r = moment_gap(classical_table("gue", N, pad=3), 2)
         assert np.isclose(r.gap, 1.0 / N, rtol=1e-10)
         assert r.gap <= r.bound
-    # the zero moment is the trace, not an eigenvalue sum
-    assert moment_gap(classical_table("gue", 100, pad=3), 2).gap == 0.010000000000000009
+    # the gap is the escaping weight, not a difference of two O(N)-term sums
+    assert moment_gap(classical_table("gue", 100, pad=3), 2).gap == 0.01
     assert moment_gap(classical_table("chebyshev", 60, pad=3), 1).gap == 0.0
 
 
 def test_moment_gap_matches_escape_enumeration():
-    for seed, N in ((1, 4), (2, 6), (3, 9)):
-        rng = stream(seed)
-        a = rng.uniform(0.3, 1.2, size=N + 6)
-        b = rng.uniform(-0.5, 0.5, size=N + 6)
-        from polyens import op_table
+    for kind in TABLE_KINDS + ("complex-q1",):
+        for N in (3, 9):
+            t = random_table(kind, 1900 + N, N=N, pad=6)
+            zs = zeros(t, lmax=5)
+            for ell in range(1, 6):
+                want = abs(oracles.gap_by_escape(t, ell)) / N
+                assert abs(moment_gap(t, ell, zero_set=zs).gap - want) <= 1e-13 * want, (kind, N, ell)
 
-        t = op_table(a, b, N)
-        zs = zeros(t, lmax=4)
-        for ell in range(1, 5):
-            want = abs(oracles.gap_by_escape(t, ell)) / N
-            got = moment_gap(t, ell, zero_set=zs).gap
-            assert np.isclose(got, want, rtol=1e-9, atol=1e-12)
+
+@pytest.mark.parametrize("N", (3, 7, 20, 2000, 10**5))
+def test_gue_gaps_are_exact(N):
+    # the l = 2 and l = 4 loops that leave the GUE section weigh 1 and
+    # (5N - 2)/N, and no odd loop exists; a difference of the two O(N)-term
+    # sums missed 1/N by 508 ulps at N = 2000
+    t = classical_table("gue", N)
+    zs = zeros(t, lmax=5)
+    gaps = [moment_gap(t, ell, zero_set=zs).gap for ell in range(1, 6)]
+    for got, want in ((gaps[1], 1.0 / N), (gaps[3], (5.0 * N - 2.0) / N**2)):
+        assert abs(got - want) <= 4 * np.spacing(want)
+    assert gaps[0] == gaps[2] == gaps[4] == 0.0
 
 
 def test_moment_gap_bound_scales_like_inverse_N():
@@ -368,12 +364,13 @@ def test_log_potential_arcsine_closed_form():
 
 
 def test_log_potential_of_zero_set_is_mean_log_distance():
-    zs = ZeroSet(np.array([1.0, -1.0, 0.0]), {})
+    # Chebyshev N = 3: the zeros are 0 and +-sqrt(3)/2
+    zs = zeros(classical_table("chebyshev", 3))
     z = 3.0
-    want = -np.mean(np.log(np.abs(z - np.array([1.0, -1.0, 0.0]))))
+    want = -np.mean(np.log(np.abs(z - np.array([-np.sqrt(0.75), 0.0, np.sqrt(0.75)]))))
     assert np.isclose(log_potential(zs, z), want, rtol=1e-14)
     # at an atom the potential is +inf
-    assert log_potential(zs, 1.0) == np.inf
+    assert zs.zeros[1] == 0.0 and log_potential(zs, 0.0) == np.inf
 
 
 def test_potentials_agree_outside_support():

@@ -345,6 +345,23 @@ def test_table_not_orthonormal_on_complex_atoms_exits_2(capsys):
     ]
 
 
+def test_table_not_orthonormal_on_few_real_atoms_samples_what_they_allow(capsys):
+    # four atoms fix the OP table only through a_2 (pad -1 at N = 3), short
+    # of the pad 0 of four `a` entries: the ensemble is that of three entries
+    measure = {"kind": "atoms", "points": [-1, -0.3, 0.3, 1], "weights": [0.25] * 4}
+    outs = []
+    for a in ([0.5] * 4, [0.5] * 3):
+        cfg = {"measure": measure, "table": {"form": "op", "a": a}, "N": 3}
+        assert main(["sample", "--ensemble", json.dumps(cfg), "--replicas", "3", "--seed", "2"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        outs.append(out.out.splitlines()[1:])
+    assert outs[0] == outs[1]
+    cfg = {"measure": measure, "table": {"form": "op", "a": [0.5] * 4}, "N": 4}
+    assert main(["sample", "--ensemble", json.dumps(cfg)]) == 2
+    assert "need at least 5" in capsys.readouterr().err
+
+
 def test_override_flags_apply_where_the_config_reads_them(tmp_path):
     out = tmp_path / "s.csv"
     cfg = {"classical": "gue", "N": 5}
