@@ -159,8 +159,10 @@ class ReferenceMeasure:
 
         Each index is one inverse-CDF lookup of one rng.random() uniform:
         the stream use of rng.choice(n, size=size, p=p), and its CDF up to
-        roundoff (the cumulative mass divided by its last entry, which is
-        then exactly 1, so a zero-mass atom is never drawn).
+        roundoff (the cumulative mass, accumulated in float64, divided by
+        its last entry, which is then exactly 1, so a zero-mass atom is
+        never drawn). Integer and boolean masses are drawn as their float
+        copies are.
 
         Mass with no negative entry and a positive finite sum is drawn from
         after one reduction (its minimum) and the cumulative sum the draw
@@ -172,19 +174,27 @@ class ReferenceMeasure:
         that overflows. Tiny negatives clamp to zero on a copy; mass itself
         is never written. A sum that overflows warns before it raises, so
         callers hold np.errstate(over="ignore", invalid="ignore").
+
+        The sampler draws each point through the same routine
+        (_inverse_cdf), with a CDF buffer its state owns.
         """
-        if mass.dtype.kind == "c":
-            raise NegativityError("mass is complex; cannot sample")
-        cdf = mass.cumsum() if mass.min() >= 0 else None
-        if cdf is None or not 0 < cdf[-1] < math.inf:
-            cdf = self._validated_cdf(mass)
-        cdf /= cdf[-1]
-        picked = cdf.searchsorted(rng.random(size), side="right")
+        picked = self._inverse_cdf(mass, rng, np.empty(len(mass)), size)
         return picked if size is not None else int(picked)
 
+    def _inverse_cdf(self, mass, rng, cdf, size=None):
+        """sample_mass's draw, writing the cumulative mass into cdf, a
+        float64 buffer of len(mass), so that a valid mass allocates no
+        array. Returns searchsorted's index (an np.intp for size None)."""
+        if mass.dtype.kind == "c":
+            raise NegativityError("mass is complex; cannot sample")
+        if not (np.minimum.reduce(mass) >= 0 and 0 < np.add.accumulate(mass, out=cdf)[-1] < math.inf):
+            cdf = self._validated_cdf(mass)
+        cdf /= cdf[-1]
+        return cdf.searchsorted(rng.random(size), side="right")
+
     def _validated_cdf(self, mass):
-        """Cumulative sum of mass, tiny negatives clamped, after every check
-        of sample_mass."""
+        """Cumulative sum of mass in float64, tiny negatives clamped, after
+        every check of sample_mass."""
         top = mass.max()
         low = mass.min()
         if not (math.isfinite(top) and math.isfinite(low)):
@@ -202,7 +212,7 @@ class ReferenceMeasure:
                     f"{mass[i]:.3e}, below the -{NEGATIVITY_TOL:g} * max clamp threshold"
                 )
             mass = np.maximum(mass, 0.0)
-        cdf = mass.cumsum()
+        cdf = mass.cumsum(dtype=float)
         if not math.isfinite(cdf[-1]):
             raise NumericalBreakdownError(
                 f"density mass sums to {float(cdf[-1])!r}; cannot normalize"

@@ -30,11 +30,19 @@ density: sum of log conditional densities = log det K[points] - log N!.
 
 The state keeps the residual diagonal in the units the draw consumes, the
 residual mass w(x) R_k(x, x) of the next point, so each point is one
-uniform drawn straight from it by ReferenceMeasure.sample_mass, the one
-validated inverse-CDF draw (sample_categorical uses it too). A draw of N
-points enters np.errstate once and takes one log of the N drawn masses at
-its end. The rows E, C and the pivots stay unweighted. The kernel is
-checked finite once, when kernel_matrix() forms it.
+uniform drawn straight from it by the inverse-CDF routine of
+ReferenceMeasure.sample_mass, the one validated draw (sample_categorical
+uses it too). A draw of N points enters np.errstate once and takes one log
+of the N drawn masses at its end. The rows E, C and the pivots stay
+unweighted. The kernel is checked finite once, when kernel_matrix() forms
+it.
+
+A step allocates no array. The state owns its work buffers, made once next
+to E and C: the draw's cumulative mass, the mass downdate, a contiguous
+copy of the column the row product reads and, for a complex kernel, a
+complex row. push forms the residual row in E[k] and a non-hermitian
+column in C[k], by the operations a step on fresh arrays runs, in the same
+order, so rows, pivots, masses and draws do not move by a bit.
 
 R_k vanishes on the atoms conditioned on, and the state holds that
 exactly: push writes 0.0 into the new row E_k at every earlier point and
@@ -50,6 +58,7 @@ PositivityViolationError.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +103,11 @@ class ConditionalState:
         self._C = None if ensemble.hermitian else np.empty(shape, dtype=dtype)
         self._diag = self.w * np.real(np.diagonal(self.K))  # residual mass w(x) R_k(x, x)
         self._real = not np.iscomplexobj(self._E)
+        # work buffers, so that a step allocates no array
+        self._col = np.empty(ensemble.N, dtype=dtype)  # contiguous conj(E[:k, idx])
+        self._crow = np.empty(shape[1], dtype=complex) if np.iscomplexobj(self.K) else None
+        self._tmp = np.empty(shape[1])  # the mass downdate
+        self._cdf = np.empty(shape[1])  # the draw's cumulative mass
 
     @classmethod
     def from_prefix(cls, ensemble, prefix):
@@ -121,13 +135,16 @@ class ConditionalState:
     def push(self, idx):
         """Condition on the atom at index idx.
 
-        Raises ValueError when idx is not an atom index or its residual
-        mass is not positive (an atom already conditioned on has mass 0.0).
+        Raises ValueError when idx is not an integer (Python or numpy; an
+        atom value goes through PolynomialEnsemble.atom_index first), is
+        not an atom index, or its residual mass is not positive (an atom
+        already conditioned on has mass 0.0). The row, the column and the
+        downdate are written into the state's own buffers.
         """
         N, k = self.ensemble.N, self.k
         if k >= N:
             raise ValueError("all N points are already conditioned on")
-        idx = int(idx)
+        idx = _atom_number(idx)
         if not 0 <= idx < len(self._diag):
             raise ValueError(f"atom {idx} is outside 0..{len(self._diag) - 1}")
         if not self._diag[idx] > 0:
@@ -136,29 +153,34 @@ class ConditionalState:
                 "it is conditioned on already or carries no mass"
             )
         E = self._E[:k]
+        e = self._E[k]
         krow = self.K[idx]
         if self._gauge is not None:
-            krow = np.real(np.conj(self._gauge[idx]) * krow * self._gauge)
+            krow = np.multiply(np.conj(self._gauge[idx]), krow, out=self._crow)
+            krow = np.multiply(krow, self._gauge, out=krow).real
         if self._C is not None:
-            row = krow - self._C[:k, idx] @ E
+            np.matmul(self._C[:k, idx], E, out=e)
         else:
-            # np.conj copies the strided column: BLAS rounds a strided view differently
-            row = krow - np.conj(E[:, idx]) @ E
-        pivot = float(row[idx].real)
+            # the strided column is copied: BLAS rounds a strided view differently
+            np.matmul(np.conjugate(E[:, idx], out=self._col[:k]), E, out=e)
+        np.subtract(krow, e, out=e)
+        pivot = float(e[idx].real)
         if pivot <= 0:
             raise NumericalBreakdownError(f"degenerate pivot {pivot:.3e} at atom {idx}")
         root = math.sqrt(pivot)
-        e = np.divide(row, root, out=self._E[k])
+        np.divide(e, root, out=e)
         e[self._at[:k]] = 0.0  # R_k(x_i, x_j) = 0 at every conditioned x_j
         if self._C is not None:
-            col = (self.K[:, idx] - E[:, idx] @ self._C[:k]) / root
-            self._C[k] = col
-            drop = np.real(col * e)
+            col = np.matmul(E[:, idx], self._C[:k], out=self._C[k])
+            np.subtract(self.K[:, idx], col, out=col)
+            np.divide(col, root, out=col)
+            # col * e is complex exactly when K is, as is the buffer _crow
+            drop = np.multiply(col, e, out=self._tmp if self._crow is None else self._crow)
         elif self._real:
-            drop = e * e
+            drop = np.multiply(e, e, out=self._tmp)
         else:
-            drop = np.real(np.conj(e) * e)
-        self._diag -= self.w * drop
+            drop = np.multiply(np.conjugate(e, out=self._crow), e, out=self._crow)
+        self._diag -= np.multiply(self.w, drop.real, out=self._tmp)
         self._diag[idx] = 0.0
         self._at[k] = idx
         self.heights.append(pivot)
@@ -182,6 +204,21 @@ class ConditionalState:
         return abs(float(np.expm1(logdet - logprod)))
 
 
+def _atom_number(idx):
+    """idx as a Python int, for an integer of Python or numpy; a bool, a float
+    or a string is a ValueError, never truncated to an index."""
+    if not isinstance(idx, bool):
+        try:
+            return operator.index(idx)
+        except TypeError:
+            pass
+    shown = idx.item() if isinstance(idx, np.generic) else idx
+    raise ValueError(
+        f"atom index {shown!r} is not an integer; "
+        "PolynomialEnsemble.atom_index gives the index of an atom value"
+    )
+
+
 def conditional_density(ensemble, prefix):
     """Density vector (over atoms, w.r.t. mu) of the next point given a
     prefix of atom indices."""
@@ -197,10 +234,10 @@ def sample(ensemble, rng=None, check_normalization=False):
 def _drive(state, rng, check_normalization=False):
     e = state.ensemble
     m = e.measure
+    mass, cdf = state._diag, state._cdf  # push downdates mass in place
     picked = np.empty(e.N)  # residual mass of each point as it was drawn
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(e.N):
-            mass = state._diag
             if check_normalization:
                 total = float(np.sum(mass)) / (e.N - k)
                 if abs(total - 1.0) > 1e-8:
@@ -208,7 +245,7 @@ def _drive(state, rng, check_normalization=False):
                         f"conditional density integrates to {total!r}, not 1"
                     )
             try:
-                idx = m.sample_mass(mass, rng)
+                idx = m._inverse_cdf(mass, rng, cdf)
             except NegativityError:
                 if mass.dtype.kind == "c":  # an overwritten state, not a kernel at fault
                     raise

@@ -316,3 +316,77 @@ def stieltjes_by_two_passes(m, N, pad=8):
         a[k] = np.sqrt(float(np.sum(w * y * y)))
         P[k + 1] = y / a[k]
     return a, b
+
+
+class AllocatingChain:
+    """The chain-rule sampler step with every product, row and downdate a
+    fresh array: the step as it stood before the state owned its work
+    buffers. ConditionalState.push and the draw of sampler._drive must
+    reproduce it bit for bit, in rows, pivots, residual masses, indices and
+    log densities."""
+
+    def __init__(self, ensemble):
+        self.ensemble = ensemble
+        self.K = ensemble.kernel_matrix()
+        self.w = ensemble.measure.weights
+        self.heights = []
+        self.at = []
+        self.gauge = ensemble.real_gauge()
+        dtype = float if self.gauge is not None else self.K.dtype
+        shape = (ensemble.N, len(self.K))
+        self.E = np.empty(shape, dtype=dtype)
+        self.C = None if ensemble.hermitian else np.empty(shape, dtype=dtype)
+        self.diag = self.w * np.real(np.diagonal(self.K))
+
+    def push(self, idx):
+        k = len(self.heights)
+        E = self.E[:k]
+        krow = self.K[idx]
+        if self.gauge is not None:
+            krow = np.real(np.conj(self.gauge[idx]) * krow * self.gauge)
+        if self.C is not None:
+            row = krow - self.C[:k, idx] @ E
+        else:
+            row = krow - np.conj(E[:, idx]) @ E
+        pivot = float(row[idx].real)
+        assert pivot > 0, pivot
+        root = math.sqrt(pivot)
+        e = np.divide(row, root, out=self.E[k])
+        e[self.at] = 0.0
+        if self.C is not None:
+            col = (self.K[:, idx] - E[:, idx] @ self.C[:k]) / root
+            self.C[k] = col
+            drop = np.real(col * e)
+        elif not np.iscomplexobj(e):
+            drop = e * e
+        else:
+            drop = np.real(np.conj(e) * e)
+        self.diag -= self.w * drop
+        self.diag[idx] = 0.0
+        self.at.append(idx)
+        self.heights.append(pivot)
+
+    def draw(self, rng):
+        """One inverse-CDF lookup on a fresh cumulative sum of the mass."""
+        mass = self.diag
+        assert mass.min() >= 0
+        cdf = mass.cumsum()
+        assert 0 < cdf[-1] < math.inf
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
+
+    def sample(self, rng):
+        """(indices, log density) of one draw of the N points."""
+        N = self.ensemble.N
+        picked = np.empty(N)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(N):
+                idx = self.draw(rng)
+                picked[k] = self.diag[idx]
+                self.push(idx)
+            indices = np.array(self.at)
+            logs = np.log(picked / (self.w[indices] * np.arange(N, 0, -1)))
+        logdens = 0.0
+        for v in logs.tolist():
+            logdens += v
+        return indices, logdens

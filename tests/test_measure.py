@@ -276,6 +276,23 @@ def test_sample_categorical_matches_choice_oracle():
     assert shares[True] and shares[False], shares
 
 
+def test_sample_mass_draws_an_integer_or_boolean_mass_as_its_float_copy():
+    m = atoms_measure([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0])
+    masses = [np.array([0, 1, 2, 0]), np.array([False, True, True, False])]
+    masses.append(np.array([-1, 10**10, 0, 3]))  # a clamped negative: the full validation
+    for mass in masses:
+        for size in (None, 5):
+            got = m.sample_mass(mass, stream(1), size=size)
+            assert np.array_equal(got, m.sample_mass(mass.astype(float), stream(1), size=size))
+    assert m.sample_mass(np.array([0, 1, 2, 0]), stream(1)) == m.sample_mass(
+        np.array([0.0, 1.0, 2.0, 0.0]), stream(1)
+    )
+    with pytest.raises(NegativityError):
+        m.sample_mass(np.array([0, -1, 2, 0]), stream(1))
+    with pytest.raises(DegenerateDensityError):
+        m.sample_mass(np.zeros(4, dtype=int), stream(1))
+
+
 def test_sample_categorical_consumes_one_uniform_per_index():
     m = atoms_measure([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
     for size in (None, 4):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,118 @@ def test_sample_matches_choice_oracle_chain():
             assert logp == cfg.log_density, (ens.name, r)
 
 
+def _tilted_chebyshev(N, nodes, pad):
+    """The benchmark's non-hermitian shape: Q_{N-2} = P_{N-2} + 0.01 P_N and
+    Q_{N-1} = P_{N-1} + 0.01 P_{N+1}."""
+    tilt = np.zeros((N, 2))
+    tilt[N - 2, 0] = tilt[N - 1, 1] = 0.01
+    base = build_ensemble({"classical": "chebyshev", "N": N, "nodes": nodes, "pad": pad})
+    return base.tilt_nonorthogonal(tilt, validate=True)
+
+
+def _phase_tilted_circle():
+    # per-atom phases exp(i u_i) are a diagonal unitary similarity of K that
+    # the unit-circle gauge does not undo: complex rows
+    circle = build_ensemble({"classical": "circle", "N": 30})
+    u = stream(44).uniform(-1.0, 1.0, len(circle.measure))
+    return PolynomialEnsemble.from_values(circle.measure, circle.P_vals * np.exp(1j * u))
+
+
+# (row kind, builder): every kind of sampler row, three of them at the
+# benchmark's sampling shapes
+STEP_ENSEMBLES = {
+    "gue-100-256": ("real", lambda: build_ensemble({"classical": "gue", "N": 100, "nodes": 256})),
+    "circle-300-1200": (
+        "gauge-real",
+        lambda: build_ensemble({"classical": "circle", "N": 300, "nodes": 1200}),
+    ),
+    "phase-tilted-circle-30": ("complex", _phase_tilted_circle),
+    "tilted-chebyshev-100-256": ("non-hermitian", lambda: _tilted_chebyshev(100, 256, 4)),
+    "chebyshev-30": ("real", lambda: build_ensemble({"classical": "chebyshev", "N": 30})),
+}
+
+
+def _row_kind(state):
+    if state._C is not None:
+        return "non-hermitian"
+    if state._gauge is not None:
+        return "gauge-real"
+    return "real" if state._E.dtype == np.float64 else "complex"
+
+
+@pytest.mark.parametrize("name", list(STEP_ENSEMBLES))
+def test_sample_matches_the_allocating_step_bit_for_bit(name):
+    # the in-place step against the step that allocates every row, product
+    # and downdate: the same draws, pivots, residual masses and rows
+    kind, make = STEP_ENSEMBLES[name]
+    ens = make()
+    assert _row_kind(ConditionalState(ens)) == kind
+    for r in range(5):
+        ref = oracles.AllocatingChain(ens)
+        indices, log_density = ref.sample(stream(19, r))
+        cfg = sample(ens, rng=stream(19, r))
+        assert np.array_equal(cfg.indices, indices), r
+        assert cfg.log_density == log_density, r
+        state = ConditionalState(ens)
+        again = _drive(state, stream(19, r))
+        assert np.array_equal(again.indices, indices) and again.log_density == log_density, r
+        assert state.heights == ref.heights, r
+        assert np.array_equal(state._diag, ref.diag), r
+        assert np.array_equal(state._E, ref.E), r
+        assert state._C is None or np.array_equal(state._C, ref.C), r
+
+
+def test_consecutive_draws_from_one_stream_match_the_allocating_step():
+    for name in ("gue-100-256", "phase-tilted-circle-30", "tilted-chebyshev-100-256"):
+        ens = STEP_ENSEMBLES[name][1]()
+        rng, ref_rng = stream(21), stream(21)
+        for draw in range(2):
+            cfg = sample(ens, rng=rng)
+            indices, log_density = oracles.AllocatingChain(ens).sample(ref_rng)
+            assert np.array_equal(cfg.indices, indices), (name, draw)
+            assert cfg.log_density == log_density, (name, draw)
+
+
+@pytest.mark.parametrize("name", list(STEP_ENSEMBLES))
+def test_a_draw_reads_one_uniform_per_point(name):
+    # a batched sampler must keep this: replica r's N points read the first
+    # N uniforms of stream(seed, r), and nothing else
+    ens = STEP_ENSEMBLES[name][1]()
+    for r in range(3):
+        rng = stream(29, r)
+        sample(ens, rng=rng)
+        assert rng.random() == stream(29, r).random(ens.N + 1)[ens.N], r
+
+
+def _traced_peak(step):
+    """Bytes by which step() raises tracemalloc's peak above what was
+    traced just before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_step_allocates_less_than_one_row():
+    # the step writes into buffers the state owns: at k=50 on the gue_mc
+    # shape neither the draw nor push raises the peak by a row of n doubles
+    ens = build_ensemble({"classical": "gue", "N": 100, "nodes": 256})
+    m = ens.measure
+    state = ConditionalState(ens)
+    rng = stream(47)
+    for _ in range(50):
+        state.push(m._inverse_cdf(state._diag, rng, state._cdf))
+    row = 8 * len(m)
+    assert _traced_peak(lambda: m._inverse_cdf(state._diag, rng, state._cdf)) < row
+    idx = m._inverse_cdf(state._diag, rng, state._cdf)
+    assert _traced_peak(lambda: state.push(idx)) < row
+    assert state.k == 51
+
+
 def test_conditioned_atoms_hold_exactly_zero_mass():
     # R_k vanishes on the atoms conditioned on, so their residual mass is
     # exactly 0.0, and no step of a draw meets a negative mass: real and
@@ -281,6 +394,26 @@ def test_push_refuses_a_repeated_or_unknown_atom():
             with pytest.raises(ValueError, match=f"atom {idx} is outside 0..63"):
                 state.push(idx)
         assert state.k == 0
+
+
+def test_push_refuses_an_index_that_is_not_an_integer():
+    # an atom value is not an index: truncated, 1.0592 (atom 40) would
+    # condition on atom 1
+    ens = build_ensemble({"classical": "gue", "N": 10, "nodes": 64})
+    state = ConditionalState(ens)
+    for idx, shown in ((3.7, "3.7"), ("5", "'5'"), (True, "True"), (np.float64(3.0), "3.0"), (np.True_, "True")):
+        with pytest.raises(ValueError, match=re.escape(f"atom index {shown} is not an integer")) as info:
+            state.push(idx)
+        assert "PolynomialEnsemble.atom_index" in str(info.value)
+    assert state.k == 0
+    for idx in (np.int64(3), np.uint8(5), np.array(7), 9):
+        state.push(idx)
+    assert state.selected == [3, 5, 7, 9]
+    x = ens.measure.points[40].item()
+    assert abs(x - 1.0592) < 1e-4
+    with pytest.raises(ValueError, match=re.escape(f"atom index {x!r} is not an integer")):
+        conditional_density(ens, [x])
+    assert conditional_density(ens, [ens.atom_index(x)])[40] == 0.0
 
 
 def _poisoned_states():
