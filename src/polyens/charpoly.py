@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalBreakdownError
 from .measure import ReferenceMeasure
-from .recurrence import _escape_weight, _loop_weights, _row_sums, hessenberg_matrix
+from .recurrence import _escape_weight, _loop_sums, hessenberg_matrix
 
 POWER_SUM_TOL = 1e-8
 
@@ -59,18 +59,18 @@ def zeros(table, lmax=8):
     """Zero set of the average characteristic polynomial (the eigenvalues of
     the N x N Hessenberg section), with power sums up to lmax.
 
-    The power sums are the section traces, summed from the per-start loop
-    weights of one lmax-step walk at ceiling N - 1 (see
-    recurrence._loop_weights). For moment_gap the zero set keeps them for
-    the last floor(q lmax / (q + 1)) starts, the only ones whose loops can
-    leave the section. The locations are solved when ZeroSet.zeros is first
-    read (see _section_zeros), so errors of the eigensolve surface there.
+    The power sums are the section traces, the loop sums of one lmax-step
+    walk at ceiling N - 1 (see recurrence._loop_sums), which holds one
+    block of starts at a time. For moment_gap the zero set keeps the loop
+    weights of the last floor(q lmax / (q + 1)) starts, the only ones whose
+    loops can leave the section. The locations are solved when
+    ZeroSet.zeros is first read (see _section_zeros), so errors of the
+    eigensolve surface there.
     """
     if lmax < 0:
         raise ValueError(f"lmax must be >= 0, got {lmax}")
-    loops = _loop_weights(table, lmax, table.N - 1)
-    edge = loops[:, max(table.N - (table.q * lmax) // (table.q + 1), 0):].copy()
-    return ZeroSet(table, _row_sums(loops), edge)
+    traces, edge = _loop_sums(table, lmax, table.N - 1, keep=(table.q * lmax) // (table.q + 1))
+    return ZeroSet(table, traces, edge)
 
 
 def _section_zeros(table, traces):

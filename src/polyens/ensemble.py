@@ -150,13 +150,6 @@ class PolynomialEnsemble:
         table = table_from_measure(measure, N, pad=pad)
         return cls.from_table(table, measure, N=N, name=name)
 
-    @classmethod
-    def from_values(cls, measure, P_vals, Q_vals=None, name=None):
-        """Ensemble from explicit biorthogonal value rows (e.g. a thinned
-        kernel). Only atom-level evaluation is available."""
-        P_vals = np.asarray(P_vals)
-        return cls(measure, P_vals, N=len(P_vals), Q_vals=Q_vals, name=name)
-
     # -- basic structure ---------------------------------------------------
 
     @property

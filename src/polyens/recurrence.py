@@ -17,9 +17,10 @@ its result, or its weights after each step (`_walk_steps`) to read every
 power up to l at once. An l-step walk costs about (q+1)(q+2) l^2 / 2
 multiply-adds per start, reads each step's weights from a strided view of
 the band, and holds a few grids of (q+1) l + 1 rows by its starts. The loop
-sums over every k < N walk the starts in blocks, so beside the (l+1) x N
-loop weights they sum, their grids stay a few MB at any N; the loops that
-leave the section (`_escape_weight`) walk only the starts next to N.
+sums over every k < N (`_loop_sums`) walk the starts in blocks and add up
+each block as it is walked, so they hold one block's grids, a few MB, at
+any N; the loops that leave the section (`_escape_weight`) walk only the
+starts next to N.
 Every such query returns a complex for a complex table and a float
 otherwise (`RecurrenceTable.value`). Indices run over 0..N+pad; access
 past the pad raises instead of extrapolating.
@@ -51,8 +52,8 @@ _REORTH_TOL = 1e-11
 
 _EPS = np.finfo(float).eps
 
-# starts per walk in _loop_weights: its grids of (q+1) lmax + 1 rows stay a few
-# MB at any N, and N <= _LOOP_BLOCK is walked in one block
+# starts per walk in _loop_sums: its grids of (q+1) lmax + 1 rows stay a few
+# MB at any N, and N <= _LOOP_BLOCK is walked and summed in one block
 _LOOP_BLOCK = 4096
 
 
@@ -73,7 +74,7 @@ class RecurrenceTable:
             raise ValueError("a table needs q >= 0 and c with q + 2 columns")
         if len(c) < N:
             raise ValueError("table must store at least N coefficient rows")
-        if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(np.imag(c))):
+        if not np.all(np.isfinite(c)):  # both parts of a complex table
             raise ValueError("coefficients must be finite")
         c = c.copy()
         for k in range(min(len(c), q + 1)):
@@ -142,7 +143,9 @@ def op_table(a, b, N):
         raise ValueError("a and b must be 1-d arrays of equal length")
     if np.any(a <= 0):
         raise ValueError("an OP table requires a_k > 0")
-    return RecurrenceTable(N, np.column_stack((a, b, np.concatenate(([0.0], a))[:-1])), 1)
+    c = np.zeros((len(a), 3))  # rows [a_k, b_k, a_{k-1}], a_{-1} = 0
+    c[:, 0], c[:, 1], c[1:, 2] = a, b, a[:-1]
+    return RecurrenceTable(N, c, 1)
 
 
 def banded_table(c, q, N):
@@ -357,26 +360,30 @@ def mean_moment(table, ell):
     return table.value(_mean_moments(table, ell)[ell])
 
 
-def _loop_weights(table, lmax, ceiling):
-    """Weight of the l-step loops from each k < N that stay at ordinates
-    0..ceiling, for l = 0..lmax: an (lmax+1) x N array from one walk, whose
-    row l sums (_row_sums) at ceiling N - 1 to the section trace tr(H_N^l).
+def _loop_sums(table, lmax, ceiling, keep=0):
+    """For l = 0..lmax, the sum over k < N of the weight of the l-step loops
+    from k that stay at ordinates 0..ceiling, from one walk (at ceiling
+    N - 1 the section traces tr(H_N^l)); and an (lmax+1) x keep array of
+    those weights of the last `keep` starts (of all N if fewer).
 
-    The walk runs over blocks of _LOOP_BLOCK starts, so its grids and band
-    copy stay a few MB at any N. Each start's loop weights are its own, so
-    they equal, bit for bit, those of a single walk from every k < N."""
+    The walk runs over blocks of _LOOP_BLOCK starts, so it holds one
+    block's grids at any N. Each block's loop weights are summed by np.sum
+    and the block sums added in order: N <= _LOOP_BLOCK is one np.sum per
+    order. Each start's loop weights are its own, so the kept ones equal,
+    bit for bit, those of a single walk from every k < N, also when they
+    straddle two blocks."""
     N, q = table.N, table.q
-    loops = np.empty((lmax + 1, N), dtype=table.c.dtype)
+    first = max(N - keep, 0)  # first start whose weights are kept
+    sums = np.zeros(lmax + 1, dtype=table.c.dtype)
+    kept = np.empty((lmax + 1, N - first), dtype=table.c.dtype)
     for k in range(0, N, _LOOP_BLOCK):
         block = np.arange(k, min(k + _LOOP_BLOCK, N))
+        lo = max(first - k, 0)  # first kept start of the block, if any
         for ell, v in enumerate(_walk_steps(table, lmax, block, ceiling)):
-            loops[ell, k : k + len(block)] = v[q * lmax]
-    return loops
-
-
-def _row_sums(loops):
-    """Each row of _loop_weights summed once, by np.sum."""
-    return np.array([np.sum(row) for row in loops])
+            sums[ell] += np.sum(v[q * lmax])
+            if lo < len(block):
+                kept[ell, k + lo - first : k + len(block) - first] = v[q * lmax, lo:]
+    return sums, kept
 
 
 def _mean_moments(table, lmax):
@@ -387,7 +394,7 @@ def _mean_moments(table, lmax):
     walk (see _walk_steps)."""
     N, q = table.N, table.q
     hi = N - 1 + (q * lmax) // (q + 1)  # highest ordinate of a loop from N - 1
-    return _row_sums(_loop_weights(table, lmax, hi)) / N
+    return _loop_sums(table, lmax, hi)[0] / N
 
 
 def _escape_weight(table, ell, inside):

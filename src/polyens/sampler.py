@@ -348,7 +348,5 @@ def thin_contraction(spectral, rng=None):
     keep = rng.random(spectral.rank) < spectral.lambdas
     phi = spectral.phi[keep]
     psi = spectral.psi[keep]
-    ens = PolynomialEnsemble.from_values(
-        spectral.measure, phi, psi, name="thinned-projection"
-    )
+    ens = PolynomialEnsemble(spectral.measure, phi, Q_vals=psi, name="thinned-projection")
     return ens, keep

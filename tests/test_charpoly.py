@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -26,6 +27,7 @@ from polyens import (
 import oracles
 from polyens.measure import gauss_hermite
 from polyens.recurrence import _walk_steps, _walks
+from conftest import traced_peak
 from test_recurrence import TABLE_KINDS, random_table
 
 
@@ -340,6 +342,37 @@ def test_gue_gaps_are_exact(N):
     for got, want in ((gaps[1], 1.0 / N), (gaps[3], (5.0 * N - 2.0) / N**2)):
         assert abs(got - want) <= 4 * np.spacing(want)
     assert gaps[0] == gaps[2] == gaps[4] == 0.0
+
+
+BLOCK_TABLES = {
+    **{f"gue-N{N}": lambda N=N: (classical_table("gue", N), 8) for N in (4097, 4099, 8193)},
+    **{f"band-q2-N{N}": lambda N=N: (_band_q2(N), 6) for N in (4097, 4099, 8193)},
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_TABLES)
+def test_zero_set_across_a_block_boundary(name):
+    # past 4096 starts the loop sums walk in blocks, and the 4 starts next
+    # to N that both tables keep straddle a block's end: 3 or 1 of them lie
+    # in the first block at N = 4097 and 4099, and 1 in the last at 8193
+    t, L = BLOCK_TABLES[name]()
+    N, q = t.N, t.q
+    zs = zeros(t, L)
+    for ell in range(1, L + 1):
+        assert moment_gap(t, ell, zero_set=zs) == moment_gap(t, ell)
+    for ell in range(L + 1):
+        want = math.fsum(_walks(t, ell, np.arange(N), N - 1)[q * ell])
+        assert abs(zs.power_sums[ell] - want) <= 1e-15 * abs(want)
+
+
+def test_table_queries_hold_no_array_per_start():
+    # the loop sums keep one block's grids and a few starts' weights: the
+    # traced peak is the same at N = 1e5 and 4e5, where an (lmax+1) x N
+    # array of loop weights alone is 7.2 MB and 28.8 MB
+    for N in (100000, 400000):
+        t = classical_table("gue", N)
+        for query in (lambda: zeros(t, 8), lambda: mean_moment(t, 8), lambda: limit_report(t, gue_profile(), 8)):
+            assert traced_peak(query)[1] < 4e6, N
 
 
 def test_moment_gap_bound_scales_like_inverse_N():

@@ -26,6 +26,7 @@ from polyens import (
 from polyens.ensemble import BIORTHOGONALITY_TOL
 
 import oracles
+from conftest import traced_peak
 
 
 @pytest.fixture
@@ -291,7 +292,7 @@ def _z_powers(powers, nodes):
     """The hermitian ensemble of z^k, k in powers, on the nodes-th roots of
     unity: orthonormal, complex, with no table."""
     m = uniform_circle_measure(nodes)
-    return PolynomialEnsemble.from_values(m, np.array([m.points**k for k in powers]))
+    return PolynomialEnsemble(m, np.array([m.points**k for k in powers]))
 
 
 @pytest.mark.parametrize(
@@ -345,18 +346,11 @@ def test_hermitian_kernel_and_gram_check_hold_no_second_copy():
     ],
 )
 def test_kernel_diagonal_holds_no_conjugated_basis(cfg, peak_bytes):
-    import tracemalloc
-
     from polyens.config import build_ensemble
 
     ens = build_ensemble(cfg)
     want = np.einsum("ki,ki->i", ens.P_vals, np.conj(ens.q_values))
-    tracemalloc.start()
-    try:
-        got = ens.kernel_diagonal()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(ens.kernel_diagonal)
     assert np.array_equal(got, want)
     if peak_bytes is not None:  # the conjugated circle basis alone is 5.76 MB
         assert peak < peak_bytes
@@ -403,7 +397,7 @@ def test_nonreal_kernel_diagonal_is_refused_where_it_is_formed():
 def test_nonreal_minor_is_refused_by_every_determinant_user():
     # real diagonal, but det K = 1 - 0.25i
     K = np.array([[1.0, 0.5], [0.5j, 1.0]])
-    ens = PolynomialEnsemble.from_values(atoms_measure([0.0, 1.0], [0.5, 0.5]), np.eye(2), np.conj(K))
+    ens = PolynomialEnsemble(atoms_measure([0.0, 1.0], [0.5, 0.5]), np.eye(2), Q_vals=np.conj(K))
     assert np.array_equal(ens.kernel_matrix(), K)
     for call in (
         lambda: ens.joint_density([0, 1]),
@@ -494,12 +488,12 @@ def test_positivity_scan_of_large_minors_does_not_overflow():
     assert ens.validate_positivity(rng=stream(5), trials=12)
 
 
-def test_from_values_infers_hermitian():
+def test_constructor_infers_hermitian():
     m = equilibrium_measure(-1, 1, 8)
     P = np.ones((1, 8))
-    ens = PolynomialEnsemble.from_values(m, P, P.copy())
+    ens = PolynomialEnsemble(m, P, Q_vals=P.copy())
     assert ens.hermitian
-    ens2 = PolynomialEnsemble.from_values(m, P, 2.0 * P)
+    ens2 = PolynomialEnsemble(m, P, Q_vals=2.0 * P)
     assert not ens2.hermitian
 
 
@@ -533,8 +527,8 @@ def test_biorthogonality_defect_of_a_nan_basis_is_nan():
     measure = equilibrium_measure(-1, 1, 16)
     P = PolynomialEnsemble.from_table(classical_table("chebyshev", 4, pad=0), measure, N=4).P_vals.copy()
     P[2, 5] = np.nan
-    assert math.isnan(PolynomialEnsemble.from_values(measure, P).biorthogonality_defect())
-    assert math.isnan(PolynomialEnsemble.from_values(measure, P, P + 0.0).biorthogonality_defect())
+    assert math.isnan(PolynomialEnsemble(measure, P).biorthogonality_defect())
+    assert math.isnan(PolynomialEnsemble(measure, P, Q_vals=P + 0.0).biorthogonality_defect())
 
 
 def test_a_nan_gram_is_not_within_tolerance():
@@ -551,17 +545,10 @@ def test_a_nan_gram_is_not_within_tolerance():
 def test_biorthogonality_defect_holds_no_full_gram():
     # circle N=300 on 1200 atoms: the weighted or conjugated basis alone is
     # 5.49 MiB, and the full Gram check peaked at 12.36 MiB
-    import tracemalloc
-
     from polyens.config import build_ensemble
 
     ens = build_ensemble({"classical": "uniform-circle", "N": 300, "nodes": 1200})
-    tracemalloc.start()
-    try:
-        defect = ens.biorthogonality_defect()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    defect, peak = traced_peak(ens.biorthogonality_defect)
     assert defect < 1e-12
     assert peak < 2 << 20
 

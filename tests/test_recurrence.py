@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from polyens import (
 )
 
 import oracles
+from conftest import traced_peak
 from polyens.recurrence import _walk_steps
 
 
@@ -306,18 +306,24 @@ def test_walk_steps_refuse_a_bad_order_or_start_set():
 
 
 def test_mean_moment_memory_is_bounded_at_large_n():
-    # the loop weights walk blocks of starts, each over the band rows it
-    # reaches: at N = 1e5 the peak is the (lmax+1) x N loop weights and one
-    # block's grids, not grids and a band gather of N columns
+    # the loop sums walk blocks of starts, each over the band rows it
+    # reaches, and add up each block as it is walked: at N = 1e5 the peak is
+    # one block's grids, not grids and a band gather of N columns
     t = classical_table("gue", 100000)
-    tracemalloc.start()
-    try:
-        m8 = mean_moment(t, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    m8, peak = traced_peak(lambda: mean_moment(t, 8))
     assert np.isclose(m8, 14.0, rtol=1e-8)  # Catalan C_4 + O(1/N^2)
     assert peak < 16e6
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf), complex(0.0, -np.inf)]
+)
+def test_table_refuses_coefficients_that_are_not_finite(bad):
+    # one check covers both parts of a complex table
+    c = np.ones((6, 3), dtype=type(bad))
+    c[4, 1] = bad
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        banded_table(c, 1, 4)
 
 
 def test_mean_moment_chebyshev_second():

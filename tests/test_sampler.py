@@ -33,6 +33,7 @@ from polyens.ensemble import GAUGE_TOL
 from polyens.sampler import _drive
 
 import oracles
+from conftest import traced_peak
 
 
 def cheb_ensemble(N, atoms, pad=3):
@@ -152,7 +153,7 @@ def test_kernel_without_real_gauge_samples_on_complex_rows():
     # z^0, z^1, z^3 are orthonormal on 8 roots of unity, but the gauge turns
     # K = 1 + u + u^3 (u = z conj(w)) into u^(-1) + 1 + u^2, which is complex
     m = uniform_circle_measure(8)
-    ens = PolynomialEnsemble.from_values(m, np.array([m.points**k for k in (0, 1, 3)]))
+    ens = PolynomialEnsemble(m, np.array([m.points**k for k in (0, 1, 3)]))
     assert ens.hermitian and ens.biorthogonality_defect() < 1e-12
     assert ens.real_gauge() is None
     assert ConditionalState(ens)._E.dtype == np.complex128
@@ -172,7 +173,7 @@ def test_real_gauge_scan_of_the_upper_half_matches_the_full_scan():
     for ens in circle.values():
         assert _same_gauge(ens) is not None
     m = uniform_circle_measure(8)
-    assert _same_gauge(PolynomialEnsemble.from_values(m, np.array([m.points**k for k in (0, 1, 3)]))) is None
+    assert _same_gauge(PolynomialEnsemble(m, np.array([m.points**k for k in (0, 1, 3)]))) is None
     # column phases exp(i t u_i) move the gauged kernel G to G_ij exp(i t (u_i - u_j)),
     # so max |Im| grows like t s: scale t to land either side of GAUGE_TOL. u is
     # zero on the first half of the atoms, so the largest |Im| is not in the
@@ -185,7 +186,7 @@ def test_real_gauge_scan_of_the_upper_half_matches_the_full_scan():
     s = np.max(np.abs(G * (u[:, None] - u))) / np.max(np.diagonal(G))
     for factor in (0.5, 0.9, 1.1, 2.0):
         t = factor * GAUGE_TOL / s
-        tilted = PolynomialEnsemble.from_values(ens.measure, ens.P_vals * np.exp(1j * t * u))
+        tilted = PolynomialEnsemble(ens.measure, ens.P_vals * np.exp(1j * t * u))
         assert (_same_gauge(tilted) is None) == (factor > 1), factor
 
 
@@ -262,7 +263,7 @@ def _phase_tilted_circle():
     # the unit-circle gauge does not undo: complex rows
     circle = build_ensemble({"classical": "circle", "N": 30})
     u = stream(44).uniform(-1.0, 1.0, len(circle.measure))
-    return PolynomialEnsemble.from_values(circle.measure, circle.P_vals * np.exp(1j * u))
+    return PolynomialEnsemble(circle.measure, circle.P_vals * np.exp(1j * u))
 
 
 # (row kind, builder): every kind of sampler row, three of them at the
@@ -730,15 +731,8 @@ def test_spectral_data_refuses_a_nan_family(e3):
 def test_spectral_data_check_holds_no_full_gram():
     # circle N=300 on 1200 atoms: the weighted or conjugated family alone is
     # 5.49 MiB, and the full Gram check peaked at 12.36 MiB
-    import tracemalloc
-
     ens = build_ensemble({"classical": "uniform-circle", "N": 300, "nodes": 1200})
     P = ens.P_vals
-    tracemalloc.start()
-    try:
-        sd = SpectralData(np.full(300, 0.5), P, P, ens.measure)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sd, peak = traced_peak(lambda: SpectralData(np.full(300, 0.5), P, P, ens.measure))
     assert sd.rank == 300
     assert peak < 2 << 20
