@@ -209,11 +209,9 @@ def log_potential(target, z):
 
 def mean_measure(ensemble):
     """Mean empirical measure E[mu_hat] = (K(x,x)/N) mu as a ReferenceMeasure
-    (a probability measure on the ensemble's atoms)."""
-    dens = ensemble.mean_density()
-    keep = dens > 0
-    return ReferenceMeasure(
-        ensemble.measure.points[keep],
-        dens[keep] * ensemble.measure.weights[keep],
-        name="mean-measure",
-    )
+    (a probability measure on the ensemble's atoms): the masses L_ii / N of
+    the kernel diagonal at the atoms where the checked mean density is
+    positive."""
+    keep = ensemble.mean_density() > 0
+    mass = np.real(ensemble.kernel_diagonal()[keep]) / ensemble.N
+    return ReferenceMeasure(ensemble.measure.points[keep], mass, name="mean-measure")

@@ -152,8 +152,7 @@ def cmd_moments(args):
     else:
         diag = ens.kernel_diagonal()
         x = ens.measure.points
-        w = ens.measure.weights
-        vals = [np.sum(x**ell * diag * w) / ens.N for ell in range(1, args.lmax + 1)]
+        vals = [np.sum(x**ell * diag) / ens.N for ell in range(1, args.lmax + 1)]
     cplx = any(np.iscomplexobj(v) or isinstance(v, complex) for v in vals)
     rows = [[str(ell), _fmt(v, force_complex=cplx)] for ell, v in enumerate(vals, start=1)]
     return _emit(args.out, _csv(cfg, ["ell", "moment"], rows))

@@ -7,8 +7,13 @@ A table builds only Q = P, orthonormal polynomials of mu, whose hermitian
 kernel gives the orthogonal-polynomial ensemble; Q != P comes from a tilt
 or from explicit value rows.
 
-P values live on the atoms of the measure; evaluation at arbitrary points
-uses the recurrence when a table is attached.
+On the atoms the ensemble holds only the weighted rows
+U[k, i] = sqrt(w_i) P_k(x_i) and, when Q != P, V[k, i] = sqrt(w_i) Q_k(x_i).
+The kernel against counting measure on the atoms, L = U^T conj(V), is
+sqrt(w_i) K(x_i, x_j) sqrt(w_j): the Gram check, the kernel, its minors and
+the sampler read no weights, and a Gram-checked basis has no entry above 1
+in modulus. Weights are read only where a result becomes a density against
+mu. Off the atoms, values come from the recurrence of an attached table.
 """
 
 import math
@@ -23,12 +28,13 @@ from .errors import (
     PositivityViolationError,
     RankError,
 )
-from .measure import NEGATIVITY_TOL, _row_blocks
-from .recurrence import DEFAULT_PAD, RecurrenceTable, eval_polynomials, table_from_measure
+from .measure import NEGATIVITY_TOL, _row_blocks, gram_defect
+from .recurrence import DEFAULT_PAD, RecurrenceTable, _lanczos, eval_polynomials
 
 BIORTHOGONALITY_TOL = 1e-8
 
-# a phase gauge is real when it leaves |Im| <= this times max K(x, x)
+# a phase gauge is real when it leaves |Im| <= this times sqrt(L_ii L_jj) at
+# every atom pair: |Im K_ij| <= GAUGE_TOL sqrt(K_ii K_jj) <= GAUGE_TOL max K_ii
 GAUGE_TOL = 1e-12
 
 # a complex minor whose unit sign has |Im| above this has a determinant at
@@ -41,6 +47,11 @@ GAUGE_TOL = 1e-12
 # complex minors only; a real minor's sign is numpy's +-1 at any size
 SIGN_IMAG_TOL = 1e-6
 
+# a minor's determinant is non-real (or, for validate_positivity, negative)
+# beyond roundoff when |Im det| (or -det) exceeds this times prod |L_ii|. That
+# ratio is the same for L and K, and prod |K_ii| <= max(1, max |K_ij|)^k
+MINOR_TOL = 1e-9
+
 _UNCHECKED = object()
 
 
@@ -50,33 +61,29 @@ def _check_rank(N, measure):
         raise RankError(f"N={N} points need {N} distinct atoms; the measure has {atoms}")
 
 
-def _log_scale(sub):
-    """log of max(1, max|K_ij|)^k, the size scale of a k x k minor's
-    determinant, in logs so that large minors do not overflow."""
-    return len(sub) * np.log(max(1.0, np.max(np.abs(sub))))
-
-
 def _signed_logdet(sub, idx):
-    """(sign, log|det|) of the kernel minor sub at atoms idx, the sign -1,
-    0 or 1. Row and column i are divided by sqrt|K_ii| (by 1 where K_ii = 0)
-    before slogdet: the unweighted kernel's diagonal spans many decades on
-    wide supports, and unscaled elimination loses the small entries' digits.
-    A complex determinant with |Im| > 1e-9 max(1, max|K_ij|)^k is a
+    """(sign, log|det|, log h) of the minor sub = L[idx, idx]: the sign -1,
+    0 or 1, and h = prod |L_ii|, its Hadamard scale (log h = -inf when a
+    diagonal entry is 0). Row and column i are divided by sqrt|L_ii| (by 1
+    where L_ii = 0) before slogdet: the diagonal spans many decades on wide
+    supports, and unscaled elimination loses the small entries' digits.
+    A complex determinant with |Im| > MINOR_TOL h is a
     PositivityViolationError; below that, one whose phase is more than
     SIGN_IMAG_TOL off the real axis is roundoff, (0, -inf)."""
-    d = np.sqrt(np.abs(np.diagonal(sub)))
+    h = np.abs(np.diagonal(sub))
+    d = np.sqrt(h)
     d[d == 0] = 1.0
     sign, logdet = np.linalg.slogdet(sub / np.outer(d, d))
     logdet += 2.0 * np.sum(np.log(d))
+    with np.errstate(divide="ignore"):
+        logh = float(np.sum(np.log(h)))
     if np.iscomplexobj(sub):
-        with np.errstate(divide="ignore"):
-            excess = np.log(abs(sign.imag) / 1e-9) + logdet - _log_scale(sub)
-        if excess > 0:
+        if sign.imag != 0 and np.log(abs(sign.imag) / MINOR_TOL) + logdet > logh:
             raise PositivityViolationError(f"kernel minor at atoms {sorted(idx.tolist())} has a non-real determinant")
         if abs(sign.imag) > SIGN_IMAG_TOL:
-            return 0.0, -np.inf
+            return 0.0, -np.inf, logh
         sign = np.sign(sign.real)
-    return sign, logdet
+    return sign, logdet, logh
 
 
 class PolynomialEnsemble:
@@ -86,11 +93,12 @@ class PolynomialEnsemble:
     ----------
     N : number of points / kernel rank.
     measure : the reference measure.
-    basis : (rows, n_atoms) values of P_0, P_1, ... at the atoms; at least
-        N rows, more when a padded table allows (used for tilts and for the
+    basis : (rows, n_atoms) weighted values U[k, i] = sqrt(w_i) P_k(x_i); at
+        least N rows, more when a padded table allows (for tilts and the
         pair-correlation machinery that needs P_N).
     Q_vals : None for a hermitian ensemble (Q = P, also when given equal to
-        P bit for bit), else (N, n_atoms), from a tilt or explicit values.
+        P bit for bit), else (N, n_atoms) weighted values
+        V[k, i] = sqrt(w_i) Q_k(x_i), from a tilt or explicit values.
     table : optional RecurrenceTable of P.
     """
 
@@ -120,35 +128,35 @@ class PolynomialEnsemble:
 
     @classmethod
     def from_table(cls, table, measure, N=None, name=None):
-        """Hermitian ensemble whose P_k follow the table's recurrence over
-        the measure, with the full padded basis evaluated at the atoms; an N
-        other than table.N is written into the attached table. P_0..P_{N-1}
-        must be orthonormal on the atoms, measure.gram_defect(P) within
-        BIORTHOGONALITY_TOL (a NaN Gram is not), else OrthogonalityError.
-        The table stays attached only if the padded rows are orthogonal to P
-        within the same tolerance, checked conjugated with no conjugated copy
-        of the basis; else table=None."""
+        """Hermitian ensemble whose P_k follow the table's recurrence, the
+        full padded weighted basis run at the atoms from
+        sqrt(w_i / total mass); an N other than table.N is written into the
+        attached table. P_0..P_{N-1} must be orthonormal on the atoms,
+        gram_defect(U) within BIORTHOGONALITY_TOL (a NaN Gram is not), else
+        OrthogonalityError. The table stays attached only if the padded rows
+        are orthogonal to P within the same tolerance."""
         N = table.N if N is None else int(N)
         if N != table.N:
             table = RecurrenceTable(N, table.c, table.q)
         _check_rank(N, measure)
-        p0 = 1.0 / np.sqrt(measure.total_mass)
+        p0 = np.sqrt(measure.weights) / np.sqrt(measure.total_mass)
         basis = eval_polynomials(table, measure.points, table.top, p0=p0)
         P = basis[:N]
-        defect = measure.gram_defect(P)
+        defect = gram_defect(P)
         if not defect <= BIORTHOGONALITY_TOL:
             n = len(measure)
             raise OrthogonalityError(f"its table is not orthonormal on the {n} atoms kept (Gram defect {defect:.3g})")
-        above = (np.conj(basis[N:]) * measure.weights) @ P.T
+        above = np.conj(basis[N:]) @ P.T
         if not np.max(np.abs(above), initial=0.0) <= BIORTHOGONALITY_TOL:
             table = None
         return cls(measure, basis, N=N, table=table, name=name)
 
     @classmethod
     def from_measure(cls, measure, N, pad=DEFAULT_PAD, name=None):
-        """Orthonormal-polynomial ensemble of the measure itself."""
-        table = table_from_measure(measure, N, pad=pad)
-        return cls.from_table(table, measure, N=N, name=name)
+        """Orthonormal-polynomial ensemble of the measure itself: its Lanczos
+        table and the checked rows P_0..P_{N+pad} it computed (recurrence._lanczos)."""
+        table, U = _lanczos(measure, N, pad=pad)
+        return cls(measure, U[: table.top + 1], N=N, table=table, name=name)
 
     # -- basic structure ---------------------------------------------------
 
@@ -169,23 +177,20 @@ class PolynomialEnsemble:
         return f"PolynomialEnsemble({self.name}, N={self.N}, {kind}, atoms={len(self.measure)})"
 
     def kernel_matrix(self):
-        """K(x_i, x_j) on all atom pairs, cached; bit for bit P^T conj(Q).
-        Only the sampler needs it: minors come from the basis (_minor).
-        Checked once, when formed (see _checked), not inside a step.
+        """L_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j), the kernel against
+        counting measure on the atoms, cached; bit for bit U^T conj(V). Only
+        the sampler needs it (minors come from the basis, _minor). Checked
+        once, when formed (see _checked).
 
-        A real kernel is the one product (numpy sends the hermitian P^T P to
-        a symmetric rank-k routine). A complex one is formed in the row
-        blocks of _row_blocks, block r as conj(conj(P[:, r])^T Q), so only one
-        block of the basis is ever held conjugated; rounding is symmetric in
-        sign, so this is P^T conj(Q) bit for bit.
-
-        A complex hermitian kernel forms only its upper half. Block [lo, hi)
-        computes K[lo:hi, lo:], and before its conjugation, its part right of
-        the block is copied transposed into K[hi:, lo:hi], so no second n x n
-        array is held. The last block, the last 8 + n mod 8 rows, is full
-        width: the one product forms the last n mod 8 rows with remainder
-        tiles, whose rounding is not the mirror of the same columns', so
-        those rows are computed, not mirrored."""
+        A real kernel is the one product. A complex one is formed in the row
+        blocks of _row_blocks, block r as conj(conj(U[:, r])^T V), so only one
+        block of the basis is held conjugated; rounding is symmetric in sign,
+        so this is U^T conj(V) bit for bit. A complex hermitian kernel forms
+        only its upper half: block [lo, hi) computes L[lo:hi, lo:] and, before
+        its conjugation, copies its part right of the block transposed into
+        L[hi:, lo:hi]. The last block, the last 8 + n mod 8 rows, is full
+        width, as the one product forms the last n mod 8 rows with remainder
+        tiles whose rounding is not the mirror of the same columns'."""
         if self._kernel is None:
             P, Q = self.P_vals, self.q_values
             with np.errstate(over="ignore", invalid="ignore"):
@@ -206,40 +211,35 @@ class PolynomialEnsemble:
         return self._kernel
 
     def real_gauge(self):
-        """Unit phases d with conj(d_i) K(x_i, x_j) d_j real at every atom
-        pair, or None. Cached.
+        """Unit phases d with conj(d_i) L_ij d_j real at every atom pair, or
+        None. Cached.
 
-        A diagonal unitary similarity leaves every minor of K, and so the
+        A diagonal unitary similarity leaves every minor of L, and so the
         process, unchanged; the sampler then runs on the real kernel
-        Re(conj(d_i) K_ij d_j). Only a complex hermitian kernel is tried,
+        Re(conj(d_i) L_ij d_j). Only a complex hermitian kernel is tried,
         with d_i = exp(i (N - 1) arg(x_i) / 2): by the Christoffel-Darboux
         formula for polynomials orthogonal on the unit circle,
-        K(z, w) (z conj(w))^(-(N-1)/2) is real on |z| = |w| = 1. The phases
-        are accepted when max |Im(conj(d_i) K_ij d_j)| <= GAUGE_TOL max K_ii.
-        That imaginary part is antisymmetric, so only the upper half is
-        scanned, K[lo:hi, lo:] for the row blocks of _row_blocks, and no
-        second n x n array is formed. A real kernel needs no gauge, and a
-        non-hermitian or failing one has none: both give None.
+        K(z, w) (z conj(w))^(-(N-1)/2) is real on |z| = |w| = 1. They are
+        accepted when |Im| <= GAUGE_TOL sqrt(L_ii L_jj) on the upper half
+        (Im is antisymmetric), scanned in the row blocks of _row_blocks.
         """
-        if self._gauge is _UNCHECKED:
-            self._gauge = self._find_real_gauge()
+        if self._gauge is not _UNCHECKED:
+            return self._gauge
+        L, self._gauge = self.kernel_matrix(), None
+        if self.hermitian and np.iscomplexobj(L):
+            d = np.exp(0.5j * (self.N - 1) * np.angle(self.measure.points))
+            root = np.sqrt(np.real(np.diagonal(L)))
+            for lo, hi in _row_blocks(len(L), len(L)):
+                block = L[lo:hi, lo:] * d[lo:]
+                block *= np.conj(d[lo:hi, None])
+                if np.any(np.abs(block.imag) > GAUGE_TOL * np.outer(root[lo:hi], root[lo:])):
+                    return None
+            self._gauge = d
         return self._gauge
 
-    def _find_real_gauge(self):
-        K = self.kernel_matrix()
-        if not (self.hermitian and np.iscomplexobj(K)):
-            return None
-        d = np.exp(0.5j * (self.N - 1) * np.angle(self.measure.points))
-        tol = GAUGE_TOL * np.max(np.real(np.diagonal(K)), initial=0.0)
-        for lo, hi in _row_blocks(len(K), len(K)):
-            block = K[lo:hi, lo:] * d[lo:]
-            block *= np.conj(d[lo:hi, None])
-            if np.max(np.abs(block.imag)) > tol:
-                return None
-        return d
-
     def kernel_diagonal(self):
-        """K(x_i, x_i) at every atom, read from the basis rows in O(N n)
+        """L_ii = w_i K(x_i, x_i) at every atom, the mass of the mean
+        empirical measure times N, read from the basis rows in O(N n)
         without forming the n x n kernel. Checked like kernel_matrix. One
         einsum per row block of atoms (_row_blocks), real or complex: a
         complex Q is conjugated one block at a time, so no conjugated copy
@@ -254,8 +254,9 @@ class PolynomialEnsemble:
 
     def _checked(self, values, diag, what):
         """values, if finite (else NumericalBreakdownError: the basis product
-        overflowed) and, for a complex non-hermitian kernel, if the diagonal
-        diag, unless None, is real to 1e-9 of its largest modulus (else the
+        overflowed, which a Gram-checked basis cannot) and, for a complex
+        non-hermitian kernel, if each entry of diag, unless None, has
+        |Im L_ii| <= 1e-9 |L_ii|, i.e. |Im K_ii| <= 1e-9 |K_ii| (else the
         kernel defines no point process: PositivityViolationError)."""
         if not np.isfinite(values).all():
             raise NumericalBreakdownError(
@@ -263,16 +264,19 @@ class PolynomialEnsemble:
                 "is not finite: the basis product overflows"
             )
         if np.iscomplexobj(diag) and not self.hermitian:
-            top, worst = np.max(np.abs(diag), initial=0.0), np.max(np.abs(diag.imag), initial=0.0)
-            if worst > 1e-9 * (top or 1.0):
-                raise PositivityViolationError(f"kernel diagonal has a non-real part, {worst:.3e} against {top:.3e}")
+            excess = np.abs(diag.imag) - 1e-9 * np.abs(diag)
+            if np.max(excess, initial=0.0) > 0:
+                i = int(np.argmax(excess))
+                raise PositivityViolationError(
+                    f"kernel diagonal has a non-real part, {abs(diag[i].imag):.3e} against {abs(diag[i]):.3e}"
+                )
         return values
 
     def biorthogonality_defect(self):
         """max |<P_i, Q_j> - delta_ij| over i, j < N (NaN for a NaN Gram), by
-        measure.gram_defect in the row blocks of _row_blocks, upper half only
-        when hermitian."""
-        return self.measure.gram_defect(self.P_vals, None if self.hermitian else self.Q_vals)
+        measure.gram_defect of the weighted rows, upper half only when
+        hermitian."""
+        return gram_defect(self.P_vals, None if self.hermitian else self.Q_vals)
 
     def atom_index(self, x):
         """Index of the atom at value x (within 1e-12 relative)."""
@@ -291,9 +295,7 @@ class PolynomialEnsemble:
         recurrence. Needs an attached table."""
         upto = self.N - 1 if upto is None else int(upto)
         if self.table is None:
-            raise EvaluationError(
-                "ensemble has no recurrence table; only atom values exist"
-            )
+            raise EvaluationError("ensemble has no recurrence table; only atom values exist")
         p0 = 1.0 / np.sqrt(self.measure.total_mass)
         return eval_polynomials(self.table, x, upto, p0=p0)
 
@@ -302,12 +304,13 @@ class PolynomialEnsemble:
 
         Hermitian ensembles with a table evaluate anywhere, as the sum of
         P_k(x) conj(P_k(y)) over k < N. Other kernels evaluate only on atoms
-        of the measure.
+        of the measure, as L_ij / sqrt(w_i w_j).
         """
         if not self.hermitian or self.table is None:
             i, j = self.atom_index(x), self.atom_index(y)
+            w = self.measure.weights
             with np.errstate(over="ignore", invalid="ignore"):
-                value = self.P_vals[:, i] @ np.conj(self.q_values[:, j])
+                value = self.P_vals[:, i] @ np.conj(self.q_values[:, j]) / np.sqrt(w[i]) / np.sqrt(w[j])
             return self._checked(value, None, "kernel value")
         vx = self.eval_P(x)
         vy = self.eval_P(y)
@@ -315,19 +318,20 @@ class PolynomialEnsemble:
         return float(out.real) if not np.iscomplexobj(out) else complex(out)
 
     def mean_density(self):
-        """K(x, x)/N at every atom: density of the mean empirical measure
-        against mu. Integrates to 1; tiny negatives clamp, real ones raise."""
+        """K(x, x)/N = L_ii / (N w_i) at every atom: density of the mean
+        empirical measure against mu. Integrates to 1; tiny negatives clamp,
+        real ones raise. It is inf where it passes the float range, at atoms
+        whose weight is too small for K(x, x)."""
         if self.N == 0:
             return np.zeros(len(self.measure))
-        d = np.real(self.kernel_diagonal()) / self.N
+        with np.errstate(over="ignore"):
+            d = np.real(self.kernel_diagonal()) / (self.N * self.measure.weights)
         top = float(np.max(d)) if len(d) else 0.0
         if top <= 0:
             raise NegativityError("mean density is nonpositive everywhere")
         if np.min(d) < -NEGATIVITY_TOL * top:
             i = int(np.argmin(d))
-            raise NegativityError(
-                f"mean density at atom x={self.measure.points[i].item()!r} is {d[i]:.3e}"
-            )
+            raise NegativityError(f"mean density at atom x={self.measure.points[i].item()!r} is {d[i]:.3e}")
         return np.clip(d, 0.0, None)
 
     def joint_density(self, points):
@@ -338,26 +342,25 @@ class PolynomialEnsemble:
         return float(sign * np.exp(logdet))
 
     def log_joint_density(self, points, normalized=True):
-        """(sign, log|det K|) of the kernel minor at the points, from the
-        diagonally scaled minor (see _minor), with the log N! normalization
-        subtracted when normalized=True, so exp(...) is the probability
-        density w.r.t. mu^N."""
+        """(sign, log|det K|) of the kernel minor at the points, as
+        log|det L[idx, idx]| - sum log w_idx (see _minor), less log N! when
+        normalized=True, so exp(...) is the probability density w.r.t. mu^N."""
         idx = self._as_indices(points)
         if len(idx) == 0:
             return 1.0, 0.0
-        _, sign, logdet = self._minor(idx)
+        sign, logdet, _ = self._minor(idx)
+        logdet -= np.sum(np.log(self.measure.weights[idx]))
         if normalized:
             logdet -= math.lgamma(len(idx) + 1)
         return (float(sign), float(logdet))
 
     def _minor(self, idx):
-        """The minor K[idx, idx], formed from the basis columns of its atoms
-        in O(N k^2) and checked (see _checked), and the real (sign, log|det|)
-        of it (see _signed_logdet). No n x n kernel is formed."""
+        """(sign, log|det|, log h) of the minor L[idx, idx] (_signed_logdet),
+        formed and checked (_checked) from its atoms' basis columns in O(N k^2)."""
         with np.errstate(over="ignore", invalid="ignore"):
             sub = self.P_vals[:, idx].T @ np.conj(self.q_values[:, idx])
         sub = self._checked(sub, np.diagonal(sub), "kernel minor")
-        return (sub, *_signed_logdet(sub, idx))
+        return _signed_logdet(sub, idx)
 
     def _as_indices(self, points):
         points = np.atleast_1d(np.asarray(points))
@@ -368,15 +371,16 @@ class PolynomialEnsemble:
     # -- tilting -----------------------------------------------------------
 
     def tilt_nonorthogonal(self, tilt, validate=False, rng=None, trials=200):
-        """Replace Q_k by P_k + sum_j tilt[k, j] P_{N+j}.
+        """Replace Q_k by P_k + sum_j tilt[k, j] P_{N+j}, from a padded basis
+        covering the tilt columns.
 
-        The added directions are orthogonal to span(P_0..P_{N-1}), so
-        biorthogonality <P_i, Q_k> = delta is preserved while the kernel
-        loses hermitian symmetry, unless the tilt is all zero. Requires a
-        padded basis covering the tilt columns. With validate=True, random
-        principal minors of the new kernel are scanned and a
-        PositivityViolationError is raised if any is negative beyond
-        tolerance (the tilt then defines no point process).
+        Where the padded rows are orthogonal to P_0..P_{N-1}, as for every
+        ensemble with an attached table, <P_i, Q_k> = delta holds while the
+        kernel loses hermitian symmetry. Elsewhere it need not: a Gram
+        defect above BIORTHOGONALITY_TOL is an OrthogonalityError (the
+        kernel is no projection). With validate=True, random principal
+        minors are scanned, and one negative beyond tolerance is a
+        PositivityViolationError (the tilt defines no point process).
         """
         if not self.hermitian:
             raise ValueError("tilting starts from a hermitian ensemble")
@@ -389,26 +393,22 @@ class PolynomialEnsemble:
             raise ValueError(f"tilt[{k}][{j}] must be finite, got {tilt[k, j]}")
         d = tilt.shape[1]
         if self.N + d > len(self.basis):
-            raise ValueError(
-                f"tilt needs basis rows up to {self.N + d - 1}; "
-                f"only {len(self.basis)} rows available (increase pad)"
-            )
+            raise ValueError(f"tilt needs basis rows up to {self.N + d - 1}; "
+                             f"only {len(self.basis)} rows available (increase pad)")
+        # an all-zero tilt leaves Q = P, hermitian; self.table describes (P, P), not (P, Q)
         Q = self.basis[: self.N] + tilt @ self.basis[self.N : self.N + d]
-        out = PolynomialEnsemble(
-            self.measure,
-            self.basis,
-            N=self.N,
-            Q_vals=Q,  # an all-zero tilt leaves Q = P: hermitian
-            table=None,  # self.table describes (P, P), not (P, Q)
-            name=f"{self.name}+tilt",
-        )
+        out = PolynomialEnsemble(self.measure, self.basis, N=self.N, Q_vals=Q, name=f"{self.name}+tilt")
+        defect = out.biorthogonality_defect()
+        if not defect <= BIORTHOGONALITY_TOL:
+            raise OrthogonalityError(f"the tilted pair is not biorthogonal (Gram defect {defect:.3g}): "
+                                     "the padded rows are not orthogonal to P")
         if validate:
             out.validate_positivity(rng=rng, trials=trials)
         return out
 
     def validate_positivity(self, rng=None, trials=200):
         """Scan random k-point minors of the kernel (see _minor) for
-        negativity."""
+        negativity: det L[idx, idx] < -MINOR_TOL prod |L_ii| raises."""
         from .rng import stream
 
         rng = rng or stream()
@@ -416,8 +416,8 @@ class PolynomialEnsemble:
         for _ in range(trials):
             k = int(rng.integers(1, self.N + 1))
             idx = rng.choice(n, size=min(k, n), replace=False)
-            sub, sign, logdet = self._minor(idx)
-            if sign < 0 and logdet - _log_scale(sub) > np.log(1e-9):
+            sign, logdet, logh = self._minor(idx)
+            if sign < 0 and logdet - logh > np.log(MINOR_TOL):
                 raise PositivityViolationError(
                     f"negative {len(idx)}-point minor, log|det| {logdet:.3f}, at atoms {sorted(idx.tolist())}"
                 )

@@ -49,6 +49,24 @@ def _row_blocks(n, width):
     return [(lo, min(lo + rows, last)) for lo in range(0, last, rows)] + [(last, n)]
 
 
+def gram_defect(U, V=None):
+    """max |conj(U) V^T - I| over two families of weighted atom values
+    (V = U when None), the one biorthogonality check: for rows
+    U[k, i] = sqrt(w_i) P_k(x_i) and V[k, i] = sqrt(w_i) Q_k(x_i) it is
+    max |<P_i, Q_j> - delta_ij|, with no weights read. The Gram is formed in
+    the row blocks of _row_blocks, block [lo, hi) as conj(U[lo:hi]) V[left:]^T,
+    so no conjugated copy is held; V = U forms only the upper half
+    (left = lo). A NaN entry gives NaN, so callers test `not defect <= tol`."""
+    V, upper = (U, True) if V is None else (V, False)
+    defect = 0.0
+    for lo, hi in _row_blocks(len(U), U.shape[1]):
+        left = lo if upper else 0
+        G = np.conj(U[lo:hi]) @ V[left:].T
+        G[:, lo - left : hi - left] -= np.eye(hi - lo)
+        defect = np.maximum(defect, np.max(np.abs(G), initial=0.0))
+    return float(defect)
+
+
 class ReferenceMeasure:
     """Finite atomic measure sum_i w_i * delta(x_i).
 
@@ -120,34 +138,11 @@ class ReferenceMeasure:
         """<f, g> = integral f * conj(g) dmu, conjugate-linear in g."""
         return complex_or_float(np.sum(self.weights * self.values(f) * np.conj(self.values(g))))
 
-    def gram_defect(self, P, Q=None):
-        """max |<P_i, Q_j> - delta_ij| over the rows of two families of atom
-        values (Q = P when None), the one biorthogonality check. The Gram is
-        formed in the row blocks of _row_blocks, block [lo, hi) conjugated as
-        (conj(P[lo:hi]) w) Q[left:]^T: |G - I| is the same on conjugates, and
-        no conjugated copy is held. Q = P forms only the hermitian Gram's
-        upper half (left = lo). A NaN entry gives NaN, so callers test
-        `not defect <= tol`."""
-        Q, upper = (P, True) if Q is None else (Q, False)
-        defect = 0.0
-        for lo, hi in _row_blocks(len(P), P.shape[1]):
-            left = lo if upper else 0
-            G = (np.conj(P[lo:hi]) * self.weights) @ Q[left:].T
-            G[:, lo - left : hi - left] -= np.eye(hi - lo)
-            defect = np.maximum(defect, np.max(np.abs(G), initial=0.0))
-        return float(defect)
-
     def sample_categorical(self, density, rng, size=None):
-        """Exact draw of atom indices from the density-weighted measure.
-
-        density gives values relative to mu, as for values; the draw is
-        categorical with p_i proportional to density_i * w_i.
-        No rejection step: works for any nonnegative density. Values below
-        -NEGATIVITY_TOL * max raise; tiny negatives clamp to zero.
-
-        The mass density * w goes to sample_mass, the one validated draw
-        that the sampler also uses, under one np.errstate.
-        """
+        """Exact draw of atom indices from the density-weighted measure:
+        density relative to mu, as for values, and p_i proportional to
+        density_i * w_i, drawn by sample_mass (values below
+        -NEGATIVITY_TOL * max raise; tiny negatives clamp to zero)."""
         vals = np.real_if_close(self.values(density), tol=1000)
         if np.iscomplexobj(vals):
             raise NegativityError("density is complex; cannot sample")
@@ -159,24 +154,17 @@ class ReferenceMeasure:
 
         Each index is one inverse-CDF lookup of one rng.random() uniform:
         the stream use of rng.choice(n, size=size, p=p), and its CDF up to
-        roundoff (the cumulative mass, accumulated in float64, divided by
-        its last entry, which is then exactly 1, so a zero-mass atom is
-        never drawn). Integer and boolean masses are drawn as their float
-        copies are.
+        roundoff (the float64 cumulative mass over its last entry, which is
+        then exactly 1, so a zero-mass atom is never drawn).
 
         Mass with no negative entry and a positive finite sum is drawn from
-        after one reduction (its minimum) and the cumulative sum the draw
-        needs anyway. The sampler keeps that the common case: an atom it
-        has conditioned on holds residual mass exactly 0.0, not roundoff of
-        either sign. Any other mass gets the full validation before a
-        uniform is drawn, in this order: non-finite entries (the first is
-        named), all mass <= 0, entries below -NEGATIVITY_TOL * max, a sum
-        that overflows. Tiny negatives clamp to zero on a copy; mass itself
-        is never written. A sum that overflows warns before it raises, so
-        callers hold np.errstate(over="ignore", invalid="ignore").
-
-        The sampler draws each point through the same routine
-        (_inverse_cdf), with a CDF buffer its state owns.
+        after one reduction (its minimum) and the cumulative sum. Any other
+        mass gets the full validation first, in this order: non-finite
+        entries (the first is named), all mass <= 0, entries below
+        -NEGATIVITY_TOL * max, a sum that overflows (which warns, so callers
+        hold np.errstate(over="ignore", invalid="ignore")). Tiny negatives
+        clamp to zero on a copy. The sampler draws each point through the
+        same routine (_inverse_cdf), with a CDF buffer its state owns.
         """
         picked = self._inverse_cdf(mass, rng, np.empty(len(mass)), size)
         return picked if size is not None else int(picked)
@@ -389,13 +377,20 @@ def atoms_measure(points, weights, name=None):
 
 def grid_measure(points, density):
     """Measure with the given density against Lebesgue on a sorted grid,
-    using trapezoid cell weights."""
+    using trapezoid cell weights. A non-finite point or density entry is a
+    ValueError naming the first one."""
     x = np.asarray(points, dtype=float)
     d = np.asarray(density, dtype=float)
-    if x.ndim != 1 or len(x) < 2 or np.any(np.diff(x) <= 0):
+    if x.ndim != 1 or len(x) < 2:
         raise ValueError("grid must be strictly increasing with >= 2 points")
     if d.shape != x.shape:
         raise ValueError("density must match the grid")
+    for what, v in (("point", x), ("density entry", d)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if len(bad):
+            raise ValueError(f"grid {what} {bad[0]} is {float(v[bad[0]])!r}, not finite")
+    if np.any(np.diff(x) <= 0):
+        raise ValueError("grid must be strictly increasing with >= 2 points")
     if np.any(d < 0):
         raise NegativityError("grid density must be nonnegative")
     dx = np.diff(x)

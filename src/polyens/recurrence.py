@@ -37,6 +37,7 @@ from .errors import (
     OrthogonalityError,
     RankError,
 )
+from .measure import gram_defect
 
 DEFAULT_PAD = 8
 
@@ -67,16 +68,24 @@ class RecurrenceTable:
     """
 
     def __init__(self, N, c, q):
+        self._own(N, np.array(c), q)  # a copy: the caller's array stays the caller's
+
+    @classmethod
+    def _of(cls, N, c, q):
+        """A table of c itself, no copy: for builders whose c is fresh."""
+        table = cls.__new__(cls)
+        table._own(N, c, q)
+        return table
+
+    def _own(self, N, c, q):
         if N < 1:
             raise ValueError("N must be >= 1")
-        c = np.asarray(c)
         if c.ndim != 2 or q < 0 or c.shape[1] != q + 2:
             raise ValueError("a table needs q >= 0 and c with q + 2 columns")
         if len(c) < N:
             raise ValueError("table must store at least N coefficient rows")
         if not np.all(np.isfinite(c)):  # both parts of a complex table
             raise ValueError("coefficients must be finite")
-        c = c.copy()
         for k in range(min(len(c), q + 1)):
             c[k, k + 2:] = 0.0  # target index k-j < 0 does not exist
         c.flags.writeable = False  # symmetric is read from c once, so c stays as read
@@ -143,9 +152,17 @@ def op_table(a, b, N):
         raise ValueError("a and b must be 1-d arrays of equal length")
     if np.any(a <= 0):
         raise ValueError("an OP table requires a_k > 0")
-    c = np.zeros((len(a), 3))  # rows [a_k, b_k, a_{k-1}], a_{-1} = 0
-    c[:, 0], c[:, 1], c[1:, 2] = a, b, a[:-1]
-    return RecurrenceTable(N, c, 1)
+    c = np.zeros((len(a), 3))
+    c[:, 0], c[:, 1] = a, b
+    return _op_rows(c, N)
+
+
+def _op_rows(c, N):
+    """The OP table of rows c[k] = [a_k, b_k, .], its last column filled in
+    place with the down steps a_{k-1} (a_{-1} = 0), with no copy of c."""
+    c[:1, 2] = 0.0
+    c[1:, 2] = c[:-1, 0]
+    return RecurrenceTable._of(N, c, 1)
 
 
 def banded_table(c, q, N):
@@ -163,31 +180,43 @@ def classical_table(name, N, pad=DEFAULT_PAD, alpha=-1.0, beta=1.0):
                    where h and mid are the half-width and midpoint.
     'uniform-circle' -- monomials on the unit circle: <z P_k, Q_m> is 1 at
                    m = k+1 and 0 elsewhere (banded, q = 0).
+    Each fills the table's coefficient array in place, holding one copy.
     """
     K = N + pad
     if name == "gue":
-        a = np.sqrt((np.arange(K + 1) + 1.0) / N)
-        return op_table(a, np.zeros(K + 1), N)
+        c = np.zeros((K + 1, 3))
+        a = c[:, 0]
+        np.add(np.arange(K + 1), 1.0, out=a)
+        a /= N
+        np.sqrt(a, out=a)
+        return _op_rows(c, N)
     if name == "chebyshev":
         if not (np.isfinite(alpha) and np.isfinite(beta)) or alpha >= beta:
             raise InvalidIntervalError(f"need alpha < beta, got [{alpha}, {beta}]")
         half = 0.5 * (beta - alpha)
-        mid = 0.5 * (alpha + beta)
-        a = np.full(K + 1, half / 2.0)
-        a[0] = half / np.sqrt(2.0)
-        return op_table(a, np.full(K + 1, mid), N)
+        c = np.empty((K + 1, 3))
+        c[:, 0] = half / 2.0
+        c[0, 0] = half / np.sqrt(2.0)
+        c[:, 1] = 0.5 * (alpha + beta)
+        return _op_rows(c, N)
     if name in ("uniform-circle", "circle"):
         c = np.zeros((K + 1, 2))
         c[:, 0] = 1.0
-        return RecurrenceTable(N, c, 0)
+        return RecurrenceTable._of(N, c, 0)
     raise ValueError(f"unknown classical table {name!r}")
 
 
 def table_from_measure(m, N, pad=DEFAULT_PAD):
-    """Orthonormal-polynomial table of a real atomic measure, by Lanczos on
-    the weighted atom values u_k = sqrt(w) P_k (the discretized Stieltjes
-    procedure; Gautschi, Orthogonal Polynomials, 2004) with Simon's partial
-    reorthogonalization (Math. Comp. 42, 1984).
+    """Orthonormal-polynomial table of a real atomic measure (see _lanczos)."""
+    return _lanczos(m, N, pad)[0]
+
+
+def _lanczos(m, N, pad=DEFAULT_PAD):
+    """(table, U): the orthonormal-polynomial table of a real atomic measure
+    and its rows U[k, i] = sqrt(w_i) P_k(x_i), k <= N + pad + 1, by Lanczos
+    on U (the discretized Stieltjes procedure; Gautschi, Orthogonal
+    Polynomials, 2004) with Simon's partial reorthogonalization (Math.
+    Comp. 42, 1984).
 
     Each step is the three-term step a_k u_{k+1} = x u_k - b_k u_k -
     a_{k-1} u_{k-1}. Simon's recurrence carries an O(k) estimate of the
@@ -198,8 +227,8 @@ def table_from_measure(m, N, pad=DEFAULT_PAD):
 
     Needs at least N + pad + 2 distinct atoms (one degree past the stored
     range fixes a_{N+pad} as a residual norm). Raises NumericalBreakdownError
-    when a residual vanishes to roundoff, and OrthogonalityError when
-    m.gram_defect of the family P = U / sqrt(w) exceeds ORTHONORMALITY_TOL.
+    when a residual vanishes to roundoff, and OrthogonalityError when the
+    Gram defect of U (measure.gram_defect) exceeds ORTHONORMALITY_TOL.
     """
     if m.is_complex:
         raise ValueError("table_from_measure needs a real-supported measure")
@@ -208,16 +237,14 @@ def table_from_measure(m, N, pad=DEFAULT_PAD):
     atoms = m.distinct_atoms
     if atoms < K + 2:
         raise RankError(f"measure has {atoms} distinct atoms; need at least {K + 2} for N={N}, pad={pad}")
-    n = len(x)
-    root = np.sqrt(w)
-    U = np.empty((K + 2, n))
+    U = np.empty((K + 2, len(x)))
     # not sqrt(w / w.sum()): dividing subnormal tail weights first rounds
     # them, 5.6e-6 relative in a_k for scaled-Hermite N=400 on 1024 nodes
-    U[0] = root / np.sqrt(w.sum())
+    U[0] = np.sqrt(w) / np.sqrt(w.sum())
     a = np.zeros(K + 1)
     b = np.zeros(K + 1)
-    noise = _EPS * math.sqrt(n) * np.max(np.abs(x))  # rounding of one step
-    floor = _EPS * math.sqrt(n)  # overlap left by an orthogonalization
+    noise = _EPS * math.sqrt(len(x)) * np.max(np.abs(x))  # rounding of one step
+    floor = _EPS * math.sqrt(len(x))  # overlap left by an orthogonalization
     omega, before = np.ones(1), np.zeros(0)  # estimates for u_k and u_{k-1}
     again = False
     for k in range(K + 1):
@@ -259,13 +286,12 @@ def table_from_measure(m, N, pad=DEFAULT_PAD):
         a[k] = nrm
         U[k + 1] = y / nrm
         omega, before = nxt, omega
-    U /= root
-    drift = m.gram_defect(U)
+    drift = gram_defect(U)
     if not drift <= ORTHONORMALITY_TOL:
         raise OrthogonalityError(
             f"orthonormality drift {drift:.3e} exceeds {ORTHONORMALITY_TOL:g}"
         )
-    return op_table(a, b, N)
+    return op_table(a, b, N), U
 
 
 def _walks(table, ell, starts, ceiling):
@@ -433,8 +459,10 @@ def hessenberg_matrix(table, size=None):
 def eval_polynomials(table, x, upto, p0=1.0):
     """Values of P_0..P_upto at points x, by the forward recurrence.
 
-    p0 is the constant value of P_0 (1/sqrt(total mass) for orthonormal
-    families). Needs stored coefficients through index upto - 1.
+    p0 is the value of P_0: a constant (1/sqrt(total mass) for orthonormal
+    families), or one value per point. The recurrence is linear, so
+    p0_i = sqrt(w_i / total mass) at the atoms gives the weighted rows
+    sqrt(w_i) P_k(x_i). Needs stored coefficients through index upto - 1.
     """
     if upto < 0:
         raise ValueError("upto must be >= 0")

@@ -1,60 +1,43 @@
 """Exact chain-rule sampling of polynomial ensembles on atomic measures.
 
-One route serves every kernel, hermitian or not. After k points
-x_1..x_k the residual kernel
+One route serves every kernel, hermitian or not. It runs on
+L = PolynomialEnsemble.kernel_matrix(), L_ij = sqrt(w_i) K(x_i, x_j)
+sqrt(w_j), the kernel against counting measure on the atoms, and reads no
+weights. After k points the residual kernel
 
-    R_k(x, y) = K(x, y) - sum_{j<k} C_j(x) E_j(y)
+    R_k(x, y) = L(x, y) - sum_{j<k} C_j(x) E_j(y)
 
 is kept in factored form. Conditioning on an atom i with pivot
-s = R_k(i, i) > 0 appends the residual row E_k = R_k(i, .)/sqrt(s) and the
-residual column C_k = R_k(., i)/sqrt(s), an incremental LU of the prefix
-minor at O(k n) per step. The pivot is the minor ratio
-det K[prefix + i] / det K[prefix], and the next conditional density is
-R_k(x, x)/(N - k). For a hermitian kernel C_k = conj(E_k) is not stored and
-the update is Gram-Schmidt on the functions K(x_i, .) (Hough, Krishnapur,
-Peres and Virag 2006).
+s = R_k(i, i) > 0 appends the residual row E_k = R_k(i, .)/sqrt(s) and
+column C_k = R_k(., i)/sqrt(s), an incremental LU of the prefix minor at
+O(k n) per step; s is the minor ratio det L[prefix + i] / det L[prefix].
+For a hermitian kernel C_k = conj(E_k) is not stored and the update is
+Gram-Schmidt on the rows L(x_i, .) (Hough, Krishnapur, Peres and Virag
+2006). A complex hermitian kernel with a real gauge
+(PolynomialEnsemble.real_gauge, as for every OP ensemble on the unit
+circle) is factored in real arithmetic: the diagonal unitary similarity
+leaves every minor, pivot and mass unchanged, and each step reads its row
+as Re(conj(d_idx) L[idx] d). Other complex kernels keep complex rows.
 
-A complex hermitian kernel with a real gauge (PolynomialEnsemble.real_gauge:
-unit phases d with conj(d_i) K_ij d_j real, as for every OP ensemble on
-the unit circle) is factored in real arithmetic. The diagonal unitary
-similarity leaves every minor, pivot and residual mass unchanged, so the
-rows E are real, each step reads its kernel row as
-Re(conj(d_idx) K[idx] d) in O(n), and the rest of the step is the real
-path. Only the sampler's rows change: kernel_matrix() still returns the
-true complex K, and log_joint_density reads its complex minors from the
-basis columns. A complex kernel without such a gauge keeps complex rows.
+The state keeps the residual diagonal R_k(x, x), the mass of the next
+point, and each point is one uniform drawn from it by the inverse-CDF
+routine of ReferenceMeasure.sample_mass, the one validated draw. The chain
+multiplies to the DPP density, sum of log conditional densities =
+log det K[points] - log N!. Weights are read only where a mass becomes a
+density against mu: density_all, and the log density of a draw, summed as
+log(mass) - log(w) - log(N - k) so that it is finite where the density
+itself overflows.
 
-Every step draws exactly from the conditional density restricted to the
-atoms (categorical draw, no rejection). The chain multiplies to the DPP
-density: sum of log conditional densities = log det K[points] - log N!.
-
-The state keeps the residual diagonal in the units the draw consumes, the
-residual mass w(x) R_k(x, x) of the next point, so each point is one
-uniform drawn straight from it by the inverse-CDF routine of
-ReferenceMeasure.sample_mass, the one validated draw (sample_categorical
-uses it too). A draw of N points enters np.errstate once and takes one log
-of the N drawn masses at its end. The rows E, C and the pivots stay
-unweighted. The kernel is checked finite once, when kernel_matrix() forms
-it.
-
-A step allocates no array. The state owns its work buffers, made once next
-to E and C: the draw's cumulative mass, the mass downdate, a contiguous
-copy of the column the row product reads and, for a complex kernel, a
-complex row. push forms the residual row in E[k] and a non-hermitian
-column in C[k], by the operations a step on fresh arrays runs, in the same
-order, so rows, pivots, masses and draws do not move by a bit.
-
-R_k vanishes on the atoms conditioned on, and the state holds that
-exactly: push writes 0.0 into the new row E_k at every earlier point and
-sets the new point's mass to 0.0. (The column C_k needs no such write:
-its entries at earlier points enter the downdate only times the row's
-zeros.) A conditioned atom therefore has mass exactly 0.0, never roundoff
-of either sign, so push refuses a repeated atom by one comparison, and
-sample_mass sees a nonnegative mass and draws after one reduction. Its
-full validation runs only when the mass has a negative entry, a
-non-finite entry or a sum that is not positive and finite; a negative
-beyond roundoff there means the kernel defines no point process, a
-PositivityViolationError.
+A step allocates no array: push writes the row into E[k], a non-hermitian
+column into C[k] and the downdate into buffers the state owns, by the
+operations a step on fresh arrays runs, in the same order, so draws do not
+move by a bit. R_k vanishes on the atoms conditioned on, and the state
+holds that exactly: the new row is 0.0 at every earlier point and the new
+point's mass is 0.0. So push refuses a repeated atom by one comparison,
+and sample_mass draws after one reduction; its full validation runs only
+for a mass with a negative or non-finite entry or a sum that is not
+positive and finite, and a negative beyond roundoff is a
+PositivityViolationError (the kernel defines no point process).
 """
 
 import math
@@ -69,7 +52,7 @@ from .errors import (
     OrthogonalityError,
     PositivityViolationError,
 )
-from .measure import NEGATIVITY_TOL, ReferenceMeasure
+from .measure import NEGATIVITY_TOL, ReferenceMeasure, gram_defect
 from .ensemble import BIORTHOGONALITY_TOL, PolynomialEnsemble
 from .rng import DEFAULT_SEED, stream
 
@@ -92,20 +75,19 @@ class ConditionalState:
 
     def __init__(self, ensemble):
         self.ensemble = ensemble
-        self.K = ensemble.kernel_matrix()
-        self.w = ensemble.measure.weights
+        self.L = ensemble.kernel_matrix()
         self.heights = []  # pivots R_k(x_k, x_k), ratios of consecutive prefix minors
         self._at = np.empty(ensemble.N, dtype=np.intp)  # atoms conditioned on, in order
-        self._gauge = ensemble.real_gauge()  # rows of conj(d_i) K_ij d_j are real
-        dtype = float if self._gauge is not None else self.K.dtype
-        shape = (ensemble.N, len(self.K))
+        self._gauge = ensemble.real_gauge()  # rows of conj(d_i) L_ij d_j are real
+        dtype = float if self._gauge is not None else self.L.dtype
+        shape = (ensemble.N, len(self.L))
         self._E = np.empty(shape, dtype=dtype)
         self._C = None if ensemble.hermitian else np.empty(shape, dtype=dtype)
-        self._diag = self.w * np.real(np.diagonal(self.K))  # residual mass w(x) R_k(x, x)
+        self._diag = np.real(np.diagonal(self.L)).copy()  # residual mass R_k(x, x)
         self._real = not np.iscomplexobj(self._E)
         # work buffers, so that a step allocates no array
         self._col = np.empty(ensemble.N, dtype=dtype)  # contiguous conj(E[:k, idx])
-        self._crow = np.empty(shape[1], dtype=complex) if np.iscomplexobj(self.K) else None
+        self._crow = np.empty(shape[1], dtype=complex) if np.iscomplexobj(self.L) else None
         self._tmp = np.empty(shape[1])  # the mass downdate
         self._cdf = np.empty(shape[1])  # the draw's cumulative mass
 
@@ -126,21 +108,19 @@ class ConditionalState:
         return self._at[: self.k].tolist()
 
     def density_all(self):
-        """Conditional density (w.r.t. mu) of the next point at every atom."""
+        """Conditional density (w.r.t. mu) of the next point at every atom; inf where it overflows."""
         N, k = self.ensemble.N, self.k
         if k >= N:
             raise ValueError("all N points are already conditioned on")
-        return self._diag / (self.w * (N - k))
+        with np.errstate(over="ignore"):
+            return self._diag / (self.ensemble.measure.weights * (N - k))
 
     def push(self, idx):
-        """Condition on the atom at index idx.
-
-        Raises ValueError when idx is not an integer (Python or numpy; an
-        atom value goes through PolynomialEnsemble.atom_index first), is
-        not an atom index, or its residual mass is not positive (an atom
-        already conditioned on has mass 0.0). The row, the column and the
-        downdate are written into the state's own buffers.
-        """
+        """Condition on the atom at index idx, writing the row, the column
+        and the downdate into the state's own buffers. Raises ValueError when
+        idx is not an integer (an atom value goes through
+        PolynomialEnsemble.atom_index first), is not an atom index, or its
+        residual mass is not positive (as at an atom conditioned on)."""
         N, k = self.ensemble.N, self.k
         if k >= N:
             raise ValueError("all N points are already conditioned on")
@@ -154,7 +134,7 @@ class ConditionalState:
             )
         E = self._E[:k]
         e = self._E[k]
-        krow = self.K[idx]
+        krow = self.L[idx]
         if self._gauge is not None:
             krow = np.multiply(np.conj(self._gauge[idx]), krow, out=self._crow)
             krow = np.multiply(krow, self._gauge, out=krow).real
@@ -172,32 +152,32 @@ class ConditionalState:
         e[self._at[:k]] = 0.0  # R_k(x_i, x_j) = 0 at every conditioned x_j
         if self._C is not None:
             col = np.matmul(E[:, idx], self._C[:k], out=self._C[k])
-            np.subtract(self.K[:, idx], col, out=col)
+            np.subtract(self.L[:, idx], col, out=col)
             np.divide(col, root, out=col)
-            # col * e is complex exactly when K is, as is the buffer _crow
+            # col * e is complex exactly when L is, as is the buffer _crow
             drop = np.multiply(col, e, out=self._tmp if self._crow is None else self._crow)
         elif self._real:
             drop = np.multiply(e, e, out=self._tmp)
         else:
             drop = np.multiply(np.conjugate(e, out=self._crow), e, out=self._crow)
-        self._diag -= np.multiply(self.w, drop.real, out=self._tmp)
+        self._diag -= drop.real
         self._diag[idx] = 0.0
         self._at[k] = idx
         self.heights.append(pivot)
 
     def refactor(self):
-        """Rebuild the factors of the current prefix from K: push replayed on a fresh state."""
+        """Rebuild the factors of the current prefix from L: push replayed on a fresh state."""
         prefix = self.selected
         self.__init__(self.ensemble)
         for idx in prefix:
             self.push(idx)
 
     def base_times_height_check(self):
-        """Relative gap between det[K(x_i, x_j)] on the prefix and the
-        product of the recorded pivots."""
+        """Relative gap between det L on the prefix and the product of the
+        recorded pivots."""
         if not self.k:
             return 0.0
-        sign, logdet = self.ensemble.log_joint_density(self.selected, normalized=False)
+        sign, logdet, _ = self.ensemble._minor(self._at[: self.k])
         if sign <= 0:
             raise OrthogonalityError("prefix determinant is not positive")
         logprod = float(np.sum(np.log(self.heights)))
@@ -241,9 +221,7 @@ def _drive(state, rng, check_normalization=False):
             if check_normalization:
                 total = float(np.sum(mass)) / (e.N - k)
                 if abs(total - 1.0) > 1e-8:
-                    raise NumericalBreakdownError(
-                        f"conditional density integrates to {total!r}, not 1"
-                    )
+                    raise NumericalBreakdownError(f"conditional density integrates to {total!r}, not 1")
             try:
                 idx = m._inverse_cdf(mass, rng, cdf)
             except NegativityError:
@@ -258,8 +236,8 @@ def _drive(state, rng, check_normalization=False):
             picked[k] = mass[idx]
             state.push(idx)
         indices = state._at.copy()
-        # each entry is the density_all() entry of its step, bit for bit
-        logs = np.log(picked / (state.w[indices] * np.arange(e.N, 0, -1)))
+        # the log of each step's density_all() entry, finite where it overflows
+        logs = np.log(picked) - np.log(m.weights[indices]) - np.log(np.arange(e.N, 0, -1))
     logdens = 0.0
     for v in logs.tolist():  # summed in draw order
         logdens += v
@@ -294,7 +272,9 @@ def sample_replicas(ensemble, n_replicas, seed=DEFAULT_SEED, statistic=None):
 @dataclass
 class SpectralData:
     """Kernel in spectral form K(x, y) = sum_k lambda_k phi_k(x) conj(psi_k(y))
-    with biorthogonal families and contraction coefficients 0 <= lambda <= 1."""
+    with biorthogonal families and contraction coefficients 0 <= lambda <= 1.
+    phi and psi hold weighted atom values, sqrt(w_i) phi_k(x_i), as the
+    rows of a PolynomialEnsemble do."""
 
     lambdas: np.ndarray
     phi: np.ndarray
@@ -311,7 +291,7 @@ class SpectralData:
             raise ValueError("phi and psi must be (rank, n_atoms)")
         if not np.all((self.lambdas >= 0) & (self.lambdas <= 1)):  # NaN included
             raise ValueError("contraction needs 0 <= lambda_k <= 1")
-        if not self.measure.gram_defect(self.phi, self.psi) <= BIORTHOGONALITY_TOL:
+        if not gram_defect(self.phi, self.psi) <= BIORTHOGONALITY_TOL:
             raise OrthogonalityError("phi and psi are not biorthogonal")
 
     @property
@@ -319,8 +299,8 @@ class SpectralData:
         return len(self.lambdas)
 
     def intensity(self):
-        """1-point correlation density sum lambda_k phi_k psi_k-bar w.r.t. mu."""
-        vals = np.einsum("k,ki,ki->i", self.lambdas, self.phi, np.conj(self.psi))
+        """1-point correlation density sum lambda_k phi_k psi_k-bar / w w.r.t. mu."""
+        vals = np.einsum("k,ki,ki->i", self.lambdas, self.phi, np.conj(self.psi)) / self.measure.weights
         return vals.real if np.iscomplexobj(vals) else vals
 
 
@@ -346,7 +326,5 @@ def thin_contraction(spectral, rng=None):
     kernel."""
     rng = stream() if rng is None else rng
     keep = rng.random(spectral.rank) < spectral.lambdas
-    phi = spectral.phi[keep]
-    psi = spectral.psi[keep]
-    ens = PolynomialEnsemble(spectral.measure, phi, Q_vals=psi, name="thinned-projection")
+    ens = PolynomialEnsemble(spectral.measure, spectral.phi[keep], Q_vals=spectral.psi[keep], name="thinned-projection")
     return ens, keep

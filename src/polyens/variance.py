@@ -95,7 +95,8 @@ def lipschitz_variance_bound(a_top, lip):
 
 def empirical_Q_moment(ensemble, m, n):
     """Moment integral x^m y^n dQ_N of the pair-correlation remainder
-    measure, computed from P_{N-1} and P_N on the atoms. (0,0) gives 1.
+    measure, computed from the weighted rows sqrt(w) P_{N-1} and sqrt(w) P_N
+    on the atoms, with no weight. (0,0) gives 1.
     Needs an ensemble of orthonormal polynomials (a symmetric table)."""
     if ensemble.table is None or not ensemble.table.symmetric:
         raise EvaluationError(
@@ -106,7 +107,7 @@ def empirical_Q_moment(ensemble, m, n):
     if N + 1 > len(ensemble.basis):
         raise CoefficientRangeError("needs the basis padded through P_N")
     mu = ensemble.measure
-    x, w = mu.points, mu.weights
+    x = mu.points
     if mu.is_complex:
         raise ValueError("Q_N moments are defined for real-supported measures")
     pN = ensemble.basis[N]
@@ -116,9 +117,9 @@ def empirical_Q_moment(ensemble, m, n):
     def trio(p):
         xm = powers[p]
         return (
-            float(np.sum(w * xm * pN * pN)),
-            float(np.sum(w * xm * pM * pM)),
-            float(np.sum(w * xm * pN * pM)),
+            float(np.sum(xm * pN * pN)),
+            float(np.sum(xm * pM * pM)),
+            float(np.sum(xm * pN * pM)),
         )
 
     Am, Bm, Cm = trio(m)

@@ -194,22 +194,19 @@ def gauss_rule(a, b):
     return vals, vecs[0] ** 2
 
 
-def subset_pmf(kernel, weights, N):
-    """Exhaustive law of the unordered N-subset: det of the kernel minor
-    times the product of atom weights."""
-    n = len(weights)
+def subset_pmf(kernel, N):
+    """Exhaustive law of the unordered N-subset: det of the minor of the
+    kernel L against counting measure on the atoms."""
     out = {}
-    for S in itertools.combinations(range(n), N):
-        sub = kernel[np.ix_(S, S)]
-        p = np.linalg.det(sub) * math.prod(weights[i] for i in S)
-        out[S] = float(np.real(p))
+    for S in itertools.combinations(range(len(kernel)), N):
+        out[S] = float(np.real(np.linalg.det(kernel[np.ix_(S, S)])))
     return out
 
 
 def conditional_by_minors(kernel, prefix):
-    """Minor ratio det K[prefix + x] / det K[prefix] at every atom x, one
+    """Minor ratio det L[prefix + x] / det L[prefix] at every atom x, one
     determinant per atom. Divided by N - len(prefix) it is the chain rule's
-    next-point density."""
+    next-point mass; divided further by the atom weights, its density."""
     prefix = list(prefix)
     base = np.linalg.det(kernel[np.ix_(prefix, prefix)])
     out = np.empty(len(kernel))
@@ -283,15 +280,16 @@ def op_polynomials_by_three_terms(table, x, upto, p0=1.0):
 
 def real_gauge_by_full_scan(ensemble, tol):
     """The unit-circle phase gauge d_i = exp(i (N-1) arg(x_i) / 2) if every
-    entry of conj(d_i) K_ij d_j, both halves of the kernel, has |Im| <= tol
-    max K_ii; else None. Only a complex hermitian kernel is tried."""
-    K = ensemble.kernel_matrix()
-    if not (ensemble.hermitian and np.iscomplexobj(K)):
+    entry of conj(d_i) L_ij d_j, both halves of the kernel, has |Im| <= tol
+    sqrt(L_ii L_jj); else None. Only a complex hermitian kernel is tried."""
+    L = ensemble.kernel_matrix()
+    if not (ensemble.hermitian and np.iscomplexobj(L)):
         return None
     d = np.exp(0.5j * (ensemble.N - 1) * np.angle(ensemble.measure.points))
-    gauged = K * d
+    gauged = L * d
     gauged *= np.conj(d[:, None])
-    return d if np.max(np.abs(gauged.imag)) <= tol * np.max(K.diagonal().real) else None
+    diag = L.diagonal().real
+    return d if np.all(np.abs(gauged.imag) <= tol * np.sqrt(np.outer(diag, diag))) else None
 
 
 def stieltjes_by_two_passes(m, N, pad=8):
@@ -319,29 +317,29 @@ def stieltjes_by_two_passes(m, N, pad=8):
 
 
 class AllocatingChain:
-    """The chain-rule sampler step with every product, row and downdate a
-    fresh array: the step as it stood before the state owned its work
-    buffers. ConditionalState.push and the draw of sampler._drive must
-    reproduce it bit for bit, in rows, pivots, residual masses, indices and
-    log densities."""
+    """The chain-rule sampler step on L = kernel_matrix() with every
+    product, row and downdate a fresh array: the step as it stood before
+    the state owned its work buffers. ConditionalState.push and the draw of
+    sampler._drive must reproduce it bit for bit, in rows, pivots, residual
+    masses, indices and log densities."""
 
     def __init__(self, ensemble):
         self.ensemble = ensemble
-        self.K = ensemble.kernel_matrix()
-        self.w = ensemble.measure.weights
+        self.L = ensemble.kernel_matrix()
+        self.w = ensemble.measure.weights  # read only by the log density
         self.heights = []
         self.at = []
         self.gauge = ensemble.real_gauge()
-        dtype = float if self.gauge is not None else self.K.dtype
-        shape = (ensemble.N, len(self.K))
+        dtype = float if self.gauge is not None else self.L.dtype
+        shape = (ensemble.N, len(self.L))
         self.E = np.empty(shape, dtype=dtype)
         self.C = None if ensemble.hermitian else np.empty(shape, dtype=dtype)
-        self.diag = self.w * np.real(np.diagonal(self.K))
+        self.diag = np.real(np.diagonal(self.L)).copy()
 
     def push(self, idx):
         k = len(self.heights)
         E = self.E[:k]
-        krow = self.K[idx]
+        krow = self.L[idx]
         if self.gauge is not None:
             krow = np.real(np.conj(self.gauge[idx]) * krow * self.gauge)
         if self.C is not None:
@@ -354,14 +352,14 @@ class AllocatingChain:
         e = np.divide(row, root, out=self.E[k])
         e[self.at] = 0.0
         if self.C is not None:
-            col = (self.K[:, idx] - E[:, idx] @ self.C[:k]) / root
+            col = (self.L[:, idx] - E[:, idx] @ self.C[:k]) / root
             self.C[k] = col
             drop = np.real(col * e)
         elif not np.iscomplexobj(e):
             drop = e * e
         else:
             drop = np.real(np.conj(e) * e)
-        self.diag -= self.w * drop
+        self.diag -= drop
         self.diag[idx] = 0.0
         self.at.append(idx)
         self.heights.append(pivot)
@@ -385,7 +383,7 @@ class AllocatingChain:
                 picked[k] = self.diag[idx]
                 self.push(idx)
             indices = np.array(self.at)
-            logs = np.log(picked / (self.w[indices] * np.arange(N, 0, -1)))
+            logs = np.log(picked) - np.log(self.w[indices]) - np.log(np.arange(N, 0, -1))
         logdens = 0.0
         for v in logs.tolist():
             logdens += v

@@ -16,6 +16,7 @@ from polyens import cli
 from polyens.cli import main
 from polyens.config import build_ensemble, build_measure, config_hash
 from polyens.ensemble import PolynomialEnsemble
+from polyens.errors import OrthogonalityError
 from polyens.recurrence import classical_table, mean_moment
 
 
@@ -106,9 +107,9 @@ def test_moments_tilted_reads_the_kernel_diagonal(tmp_path, monkeypatch):
     tilt[N - 2, 0] = tilt[N - 1, 1] = 0.05
     cfg = {"base": {"classical": "chebyshev", "N": N, "pad": 4}, "tilt": tilt.tolist()}
     ens = build_ensemble(cfg)
-    x, w = ens.measure.points, ens.measure.weights
-    diag = np.diag(ens.kernel_matrix())
-    want = [np.sum(x**ell * diag * w) / N for ell in range(1, 7)]
+    x = ens.measure.points
+    diag = np.diag(ens.kernel_matrix())  # w(x) K(x, x)
+    want = [np.sum(x**ell * diag) / N for ell in range(1, 7)]
 
     def no_kernel(self):
         raise AssertionError("moments formed the n x n kernel")
@@ -437,22 +438,54 @@ def test_negative_pad_exits_2_at_parse_time(capsys):
     assert err == ["polyens: error: pad must be >= 0"]
 
 
-def test_kernel_overflow_is_one_error_line(capsys):
-    # the GUE N=400 table, given explicitly, on the scaled-Hermite atoms of
-    # 1024 nodes is not orthonormal there, so the config builds the OP
-    # ensemble of the atoms: its basis is finite, its kernel product is not
-    a = np.sqrt(np.arange(1, 405) / 400).tolist()
-    cfg = {
-        "measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024},
-        "table": {"form": "op", "a": a, "N": 400},
-    }
+@pytest.mark.parametrize("table", [False, True], ids=["measure", "gue-table"])
+def test_gue_400_on_734_atoms_samples(tmp_path, table):
+    # the scaled-Hermite atoms of 1024 nodes that keep a weight at N=400,
+    # where the unweighted basis product overflowed; the explicit GUE N=400
+    # table is not orthonormal there, so its config builds the OP ensemble
+    # of the atoms, as the measure config does
+    cfg = {"measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024}, "N": 400}
+    if table:
+        cfg["table"] = {"form": "op", "a": np.sqrt(np.arange(1, 405) / 400).tolist(), "N": 400}
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sample", "--ensemble", json.dumps(cfg), "--replicas", "2", "--seed", "3", "--out", str(out)])
+    assert code == 0 and caught == []
+    header, rows = read_csv(out)
+    assert len(header) == 401 and len(rows) == 2
+    assert all(np.isfinite(float(r[-1])) for r in rows)
+
+
+def test_tilt_of_a_detached_table_exits_2(capsys):
+    # P_7 is not orthogonal to P_3 on 5 nodes, so the base detaches its
+    # table, and tilting Q_3 by P_7 leaves <P_3, Q_3> = 1.05: sample drew
+    # from a kernel that is no projection and exited 0
+    cfg = {"base": {"classical": "chebyshev", "N": 4, "nodes": 5, "pad": 4},
+           "tilt": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.05], [0, 0, 0, 0.05]]}
+    assert build_ensemble(cfg["base"]).table is None
+    with pytest.raises(OrthogonalityError, match=r"Gram defect 0\.05"):
+        build_ensemble(cfg)
+    assert main(["sample", "--ensemble", json.dumps(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [
+        "polyens: error: the tilted pair is not biorthogonal (Gram defect 0.05): "
+        "the padded rows are not orthogonal to P"
+    ]
+
+
+def test_numerical_breakdown_is_one_error_line(capsys):
+    # a weight 300 decades below the others: Lanczos's residual at degree 3
+    # vanishes to roundoff
+    cfg = {"measure": {"kind": "atoms", "points": [0, 1, 2, 3], "weights": [1, 1, 1, 1e-300]}, "N": 1, "pad": 1}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["sample", "--ensemble", json.dumps(cfg)])
     assert code == 2
     assert caught == []
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("polyens: error: kernel of N=400"), err
+    assert err == ["polyens: error: orthogonalization broke down at degree 3; "
+                   "the measure is too coarse for this table"], err
 
 
 def test_classical_atoms_that_do_not_carry_the_table_exit_2(capsys):

@@ -18,12 +18,14 @@ from polyens import (
     eval_polynomials,
     mean_moment,
     sample,
+    sample_replicas,
     scaled_hermite_measure,
     stream,
     uniform_circle_measure,
 )
 
 from polyens.ensemble import BIORTHOGONALITY_TOL
+from polyens.measure import gram_defect
 
 import oracles
 from conftest import traced_peak
@@ -38,10 +40,9 @@ def cheb3():
 def test_biorthogonality_and_projection(cheb3):
     assert cheb3.hermitian
     assert cheb3.biorthogonality_defect() < 1e-12
-    K = cheb3.kernel_matrix()
-    w = cheb3.measure.weights
-    # reproducing property: integrating K against itself returns K
-    assert np.max(np.abs((K * w) @ K - K)) < 1e-10
+    L = cheb3.kernel_matrix()
+    # reproducing property: L, the kernel against counting measure, is a projection
+    assert np.max(np.abs(L @ L - L)) < 1e-10
 
 
 def test_mean_density_normalized(cheb3):
@@ -68,13 +69,13 @@ def test_eval_P_matches_basis_rows(cheb3):
     m = cheb3.measure
     vals = cheb3.eval_P(m.points[7], upto=2)
     assert vals.shape == (3, 1)
-    assert np.allclose(vals.ravel(), cheb3.basis[:3, 7], rtol=1e-12)
+    assert np.allclose(np.sqrt(m.weights[7]) * vals.ravel(), cheb3.basis[:3, 7], rtol=1e-12)
 
 
 def test_joint_density_is_kernel_determinant(cheb3):
-    K = cheb3.kernel_matrix()
+    L = cheb3.kernel_matrix()
     idx = [3, 17, 30]
-    want = np.linalg.det(K[np.ix_(idx, idx)])
+    want = np.linalg.det(L[np.ix_(idx, idx)]) / np.prod(cheb3.measure.weights[idx])
     assert np.isclose(cheb3.joint_density(idx), want, rtol=1e-12)
     # accepts point values too
     pts = cheb3.measure.points[idx]
@@ -92,11 +93,13 @@ def test_log_joint_density_normalization(cheb3):
     assert np.isclose(lg_u - lg, np.log(6.0), rtol=1e-12)
 
 
-def test_log_joint_density_normalization_matches_gammaln(cheb3, monkeypatch):
-    # with a unit minor the result is exactly -log k!, for k up to 1e5 points
-    monkeypatch.setattr(PolynomialEnsemble, "_minor", lambda self, idx: (None, 1.0, 0.0))
+def test_log_joint_density_normalization_matches_gammaln(monkeypatch):
+    # with a unit minor and unit weights the result is exactly -log k!, for
+    # k up to 1e5 points
+    ens = PolynomialEnsemble(atoms_measure([0.0, 1.0], [1.0, 1.0]), np.eye(2))
+    monkeypatch.setattr(PolynomialEnsemble, "_minor", lambda self, idx: (1.0, 0.0, 0.0))
     for k in list(range(1, 2001)) + [10**5]:
-        sign, lg = cheb3.log_joint_density(np.zeros(k, dtype=int))
+        sign, lg = ens.log_joint_density(np.zeros(k, dtype=int))
         want = -oracles.log_factorial_by_gammaln(k)
         assert sign == 1.0
         assert abs(lg - want) <= 1e-15 * abs(want), k
@@ -104,7 +107,7 @@ def test_log_joint_density_normalization_matches_gammaln(cheb3, monkeypatch):
 
 def test_total_mass_of_joint_density(cheb3):
     # brute-force: the unordered subset law sums to one
-    pmf = oracles.subset_pmf(cheb3.kernel_matrix(), cheb3.measure.weights, 3)
+    pmf = oracles.subset_pmf(cheb3.kernel_matrix(), 3)
     assert np.isclose(sum(pmf.values()), 1.0, atol=1e-10)
     assert min(pmf.values()) > -1e-12
 
@@ -137,9 +140,9 @@ def test_circle_ensemble_geometric_kernel():
     ens = PolynomialEnsemble.from_table(table, uniform_circle_measure(12), N=4)
     assert ens.hermitian  # the power basis is orthonormal here
     z = ens.measure.points
-    K = ens.kernel_matrix()
-    want = sum((z[:, None] * z[None, :].conj()) ** k for k in range(4))
-    assert np.max(np.abs(K - want)) < 1e-12
+    L = ens.kernel_matrix()
+    want = sum((z[:, None] * z[None, :].conj()) ** k for k in range(4)) / 12
+    assert np.max(np.abs(L - want)) < 1e-12
 
 
 def _monic_chebyshev_c(N, pad):
@@ -205,8 +208,8 @@ def test_nonorthonormal_banded_table_is_refused_or_rebuilt_from_its_atoms():
 
     measure = equilibrium_measure(-1, 1, 48)
     table = classical_table("circle", 4, pad=2)
-    P = eval_polynomials(table, measure.points, 3)
-    assert measure.gram_defect(P) > 1e-2
+    U = np.sqrt(measure.weights) * eval_polynomials(table, measure.points, 3)
+    assert gram_defect(U) > 1e-2
     with pytest.raises(OrthogonalityError, match=r"^its table is not orthonormal on the 48 atoms kept \(Gram defect"):
         PolynomialEnsemble.from_table(table, measure, N=4)
     cfg = _table_config({"kind": "named", "name": "chebyshev-arcsine", "nodes": 48}, table.c, 0, 4)
@@ -233,8 +236,7 @@ def test_mismatched_op_table_builds_the_op_ensemble_of_its_atoms():
     assert ens.hermitian and ens.table.symmetric
     assert np.array_equal(ens.table.c, want.table.c)
     assert np.array_equal(ens.kernel_matrix(), want.kernel_matrix())
-    w = ens.measure.weights
-    assert abs(np.sum(ens.kernel_diagonal() * w) - N) < 1e-12
+    assert abs(np.sum(ens.kernel_diagonal()) - N) < 1e-12
     cfg = sample(ens, rng=stream(2), check_normalization=True)
     assert len(cfg) == N
 
@@ -252,10 +254,10 @@ def test_monic_banded_table_builds_an_ensemble_with_its_moments():
     ens = build_ensemble(_table_config(measure, table.c, 1, N))
     assert ens.hermitian and ens.table.symmetric
     assert ens.biorthogonality_defect() <= 1e-8
-    x, w = ens.measure.points, ens.measure.weights
+    x = ens.measure.points
     diag = ens.kernel_diagonal()
     for ell in range(1, 9):
-        assert abs(mean_moment(table, ell) - np.sum(x**ell * diag * w) / N) < 1e-12, ell
+        assert abs(mean_moment(table, ell) - np.sum(x**ell * diag) / N) < 1e-12, ell
 
 
 def test_an_all_zero_tilt_is_hermitian():
@@ -292,7 +294,7 @@ def _z_powers(powers, nodes):
     """The hermitian ensemble of z^k, k in powers, on the nodes-th roots of
     unity: orthonormal, complex, with no table."""
     m = uniform_circle_measure(nodes)
-    return PolynomialEnsemble(m, np.array([m.points**k for k in powers]))
+    return PolynomialEnsemble(m, np.sqrt(m.weights) * np.array([m.points**k for k in powers]))
 
 
 @pytest.mark.parametrize(
@@ -357,22 +359,40 @@ def test_kernel_diagonal_holds_no_conjugated_basis(cfg, peak_bytes):
 
 
 def test_overflowing_kernel_is_a_breakdown_error():
-    # the GUE table on the 734 atoms of 1024 nodes that keep a weight is not
-    # orthonormal there, so the config builds the OP ensemble of the atoms:
-    # its basis is finite, its kernel product is not
+    # hand-built rows near 1e200: the basis is finite, its kernel product is not
+    ens = PolynomialEnsemble(atoms_measure([0.0, 1.0], [0.5, 0.5]), 1e200 * np.array([[1.0, 2.0]]))
+    assert np.isfinite(ens.P_vals).all()
+    for call in (ens.kernel_matrix, ens.kernel_diagonal, lambda: ens.log_joint_density([0])):
+        with pytest.raises(NumericalBreakdownError, match="N=1 points on 2 atoms"):
+            call()
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["measure", "gue-table"])
+def test_gue_400_on_734_atoms_samples(table):
+    # the scaled-Hermite atoms of 1024 nodes that keep a weight at N=400
+    # reach weights near 1e-320, where the unweighted basis product
+    # overflowed; the weighted basis has no entry above 1. The GUE table is
+    # not orthonormal on these atoms, so its config builds the OP ensemble
+    # of the atoms, as the measure config does
     from polyens.config import build_ensemble
 
-    cfg = {
-        "measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024},
-        "table": {"form": "op", "a": np.sqrt(np.arange(1, 405) / 400).tolist(), "N": 400},
-    }
+    cfg = {"measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024}, "N": 400}
+    if table:
+        cfg["table"] = {"form": "op", "a": np.sqrt(np.arange(1, 405) / 400).tolist(), "N": 400}
     ens = build_ensemble(cfg)
-    assert ens.hermitian and ens.table.symmetric
-    assert np.isfinite(ens.P_vals).all()  # the basis itself is finite
-    with pytest.raises(NumericalBreakdownError, match="N=400 points on 734 atoms"):
-        ens.kernel_matrix()
-    with pytest.raises(NumericalBreakdownError, match="N=400 points on 734 atoms"):
-        ens.kernel_diagonal()
+    assert len(ens.measure) == 734 and ens.hermitian and ens.table.symmetric
+    assert np.max(np.abs(ens.P_vals)) <= 1.0
+    for r in range(2):
+        cfg = sample(ens, rng=stream(13, r), check_normalization=True)
+        assert np.isfinite(cfg.log_density)
+        sign, want = ens.log_joint_density(cfg.indices)
+        assert sign == 1.0 and abs(cfg.log_density - want) <= 1e-8 * abs(want)
+    if not table:
+        # E[sum x^2] = N mean_moment(table, 2), within 4 SE over 100 draws
+        sums, logs = sample_replicas(ens, 100, seed=17, statistic=lambda x: float(np.sum(x**2)))
+        assert np.isfinite(logs).all()
+        se = np.std(sums, ddof=1) / 10
+        assert abs(np.mean(sums) - 400 * mean_moment(ens.table, 2)) <= 4 * se
 
 
 def test_nonreal_kernel_diagonal_is_refused_where_it_is_formed():
@@ -395,7 +415,7 @@ def test_nonreal_kernel_diagonal_is_refused_where_it_is_formed():
 
 
 def test_nonreal_minor_is_refused_by_every_determinant_user():
-    # real diagonal, but det K = 1 - 0.25i
+    # real diagonal, but det L = 1 - 0.25i
     K = np.array([[1.0, 0.5], [0.5j, 1.0]])
     ens = PolynomialEnsemble(atoms_measure([0.0, 1.0], [0.5, 0.5]), np.eye(2), Q_vals=np.conj(K))
     assert np.array_equal(ens.kernel_matrix(), K)
@@ -406,7 +426,7 @@ def test_nonreal_minor_is_refused_by_every_determinant_user():
     ):
         with pytest.raises(PositivityViolationError, match="non-real determinant"):
             call()
-    assert ens.joint_density([1]) == 1.0  # one-point minors are real
+    assert ens.joint_density([1]) == 2.0  # one-point minors are real: L_11 / w_1
 
 
 @pytest.fixture(scope="module")
@@ -427,11 +447,14 @@ def test_roundoff_complex_minor_has_sign_zero(circle300, idx):
 def test_drawn_complex_minor_keeps_sign_one_and_its_logdet(circle300):
     for i in range(4):
         idx = sample(circle300, rng=stream(11, i)).indices
-        sub, sign, logdet = circle300._minor(idx)
+        sign, logdet, logh = circle300._minor(idx)
+        U = circle300.P_vals[:, idx]
+        sub = U.T @ np.conj(U)
         d = np.sqrt(np.abs(np.diagonal(sub)))
         phase, scaled = np.linalg.slogdet(sub / np.outer(d, d))
         assert abs(phase.imag) < 1e-9
         assert sign == 1.0 and logdet == scaled + 2.0 * np.sum(np.log(d))
+        assert logh == np.sum(np.log(np.abs(np.diagonal(sub))))
 
 
 def test_tilt_keeps_biorthogonality(cheb3):
@@ -482,8 +505,8 @@ def test_mild_tilt_passes_positivity():
 
 
 def test_positivity_scan_of_large_minors_does_not_overflow():
-    # max |K| = N = 200, so a k-point minor's scale 200^k passes the float
-    # range from k = 134 on; the scan compares in logs
+    # max |K| = N = 200, so a k-point minor of K reaches 200^k, past the
+    # float range from k = 134 on; the scan compares in logs
     ens = PolynomialEnsemble.from_table(classical_table("circle", 200, pad=1), uniform_circle_measure(400), N=200)
     assert ens.validate_positivity(rng=stream(5), trials=12)
 
@@ -501,8 +524,8 @@ def test_nonhermitian_kernel_eval_restricted_to_atoms(cheb3):
     tilted = cheb3.tilt_nonorthogonal(np.array([[0.1, 0.0], [0.0, 0.1], [0.0, 0.0]]))
     x = tilted.measure.points
     v = tilted.eval_kernel(x[2], x[5])
-    K = tilted.kernel_matrix()
-    assert np.isclose(v, K[2, 5], rtol=1e-12)
+    L, w = tilted.kernel_matrix(), tilted.measure.weights
+    assert np.isclose(v, L[2, 5] / np.sqrt(w[2] * w[5]), rtol=1e-12)
     with pytest.raises(EvaluationError):
         tilted.eval_kernel(0.1234, 0.5678)
 
@@ -537,7 +560,7 @@ def test_a_nan_gram_is_not_within_tolerance():
     measure = atoms_measure(np.array([-1e200, -1e199, 1e199, 1e200]), np.full(4, 0.25))
     table = classical_table("chebyshev", 3, pad=1)
     with np.errstate(all="ignore"):
-        assert math.isnan(measure.gram_defect(eval_polynomials(table, measure.points, 2)))
+        assert math.isnan(gram_defect(np.sqrt(measure.weights) * eval_polynomials(table, measure.points, 2)))
         with pytest.raises(OrthogonalityError, match=r"\(Gram defect nan\)$"):
             PolynomialEnsemble.from_table(table, measure, N=3)
 

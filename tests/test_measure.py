@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from polyens import (
     stream,
     uniform_circle_measure,
 )
+
+from polyens.measure import gram_defect
 
 import oracles
 
@@ -147,6 +150,24 @@ def test_grid_measure_trapezoid():
     assert np.isclose(m.integrate(lambda t: t), 0.5)
     with pytest.raises(DegenerateDensityError):
         grid_measure(x, np.zeros_like(x))
+
+
+@pytest.mark.parametrize(
+    "points, density, message",
+    [
+        # the NaN point took both its neighbours with it: 2 atoms, [0, 4]
+        ([0, 1, np.nan, 3, 4], [1] * 5, "grid point 2 is nan, not finite"),
+        ([0, 1, 2, np.inf, 4], [1] * 5, "grid point 3 is inf, not finite"),
+        # the NaN entry dropped its atom
+        ([0, 1, 2, 3, 4], [1, np.nan, 1, np.nan, 1], "grid density entry 1 is nan, not finite"),
+        # reported as "grid density vanishes everywhere"
+        ([0, 1, 2, 3, 4], [np.nan] * 5, "grid density entry 0 is nan, not finite"),
+        ([0, 1, 2, 3, 4], [1, 1, np.inf, 1, 1], "grid density entry 2 is inf, not finite"),
+    ],
+)
+def test_grid_measure_refuses_non_finite_input(points, density, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        grid_measure(np.array(points, dtype=float), np.array(density, dtype=float))
 
 
 def test_values_reports_offending_atom():
@@ -330,14 +351,12 @@ def test_gram_defect_matches_the_full_gram(atoms, rows):
     # one block (7 atoms) and several (24-row blocks at 1200 atoms), real and
     # complex, with Q = P (upper half only) and with a Q of its own
     rng = np.random.default_rng(atoms)
-    w = rng.random(atoms) + 0.1
-    m = atoms_measure(np.arange(atoms, dtype=float), w)
     P = rng.standard_normal((rows, atoms)) + 1j * rng.standard_normal((rows, atoms))
     Q = rng.standard_normal((rows, atoms))
     for p, q in ((P, None), (P.real, None), (P, Q), (P.real, Q)):
-        G = (p * w) @ np.conj(p if q is None else q).T
+        G = p @ np.conj(p if q is None else q).T
         want = np.max(np.abs(G - np.eye(rows)))
-        assert np.isclose(m.gram_defect(p, q), want, rtol=1e-12, atol=0)
+        assert np.isclose(gram_defect(p, q), want, rtol=1e-12, atol=0)
 
 
 def test_gram_defect_sees_both_halves_of_a_non_hermitian_gram():
@@ -345,18 +364,17 @@ def test_gram_defect_sees_both_halves_of_a_non_hermitian_gram():
     # puts the defect at <P_40, Q_0>, below the diagonal, and Q_40 =
     # P_40 + 0.25 P_0 at <P_0, Q_40>, above it
     m = uniform_circle_measure(64)
-    P = m.points ** np.arange(48)[:, None]
-    assert m.gram_defect(P) < 1e-14
+    P = np.sqrt(m.weights) * m.points ** np.arange(48)[:, None]
+    assert gram_defect(P) < 1e-14
     for i, j, size in ((0, 40, 0.5), (40, 0, 0.25)):
         Q = P.copy()
         Q[i] += size * P[j]
-        assert abs(m.gram_defect(P, Q) - size) < 1e-14
+        assert abs(gram_defect(P, Q) - size) < 1e-14
 
 
 def test_gram_defect_of_no_rows_and_of_nan():
-    m = equilibrium_measure(-1.0, 1.0, 16)
-    assert m.gram_defect(np.empty((0, 16))) == 0.0
+    assert gram_defect(np.empty((0, 16))) == 0.0
     P = np.ones((20, 16)) / 4.0
     P[17, 3] = np.nan  # in the last row block, not the first
-    assert math.isnan(m.gram_defect(P))
-    assert math.isnan(m.gram_defect(P, np.ones((20, 16))))
+    assert math.isnan(gram_defect(P))
+    assert math.isnan(gram_defect(P, np.ones((20, 16))))

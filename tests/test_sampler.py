@@ -79,11 +79,11 @@ def chain_ensembles():
 
 def test_conditionals_match_minor_ratios():
     for ens in chain_ensembles():
-        K = ens.kernel_matrix()
+        L, w = ens.kernel_matrix(), ens.measure.weights
         for prefix in ([], [0], [3], [3, 1]):
             if len(prefix) >= ens.N:
                 continue
-            want = oracles.conditional_by_minors(K, prefix) / (ens.N - len(prefix))
+            want = oracles.conditional_by_minors(L, prefix) / (w * (ens.N - len(prefix)))
             assert np.max(np.abs(conditional_density(ens, prefix) - want)) < 1e-12
 
 
@@ -101,13 +101,13 @@ def test_heights_match_consecutive_minor_ratios():
 def test_minor_ratio_draw_matches_sample():
     # a draw driven by the oracle conditionals consumes the same stream
     for ens in chain_ensembles():
-        K = ens.kernel_matrix()
+        L, w = ens.kernel_matrix(), ens.measure.weights
         for r in range(8):
             cfg = sample(ens, rng=stream(31, r))
             rng = stream(31, r)
             prefix, logp = [], 0.0
             for k in range(ens.N):
-                d = oracles.conditional_by_minors(K, prefix) / (ens.N - k)
+                d = oracles.conditional_by_minors(L, prefix) / (w * (ens.N - k))
                 idx = ens.measure.sample_categorical(d, rng)
                 logp += np.log(d[idx])
                 prefix.append(idx)
@@ -116,14 +116,14 @@ def test_minor_ratio_draw_matches_sample():
 
 
 def _assert_draws_match_minor_ratios(ens, seed, replicas):
-    # the chain driven by determinant ratios of the complex K itself
-    K = ens.kernel_matrix()
+    # the chain driven by determinant ratios of the complex L itself
+    L, w = ens.kernel_matrix(), ens.measure.weights
     for r in range(replicas):
         cfg = sample(ens, rng=stream(seed, r))
         rng = stream(seed, r)
         prefix, logp = [], 0.0
         for k in range(ens.N):
-            d = oracles.conditional_by_minors(K, prefix) / (ens.N - k)
+            d = oracles.conditional_by_minors(L, prefix) / (w * (ens.N - k))
             idx = ens.measure.sample_categorical(d, rng)
             logp += np.log(d[idx])
             prefix.append(idx)
@@ -132,8 +132,8 @@ def _assert_draws_match_minor_ratios(ens, seed, replicas):
 
 
 def test_circle_ensembles_sample_on_real_rows():
-    # conj(d_i) K_ij d_j is real for d_i = exp(i (N-1) arg(x_i) / 2): the
-    # sampler keeps real rows, and its draws follow the true complex K
+    # conj(d_i) L_ij d_j is real for d_i = exp(i (N-1) arg(x_i) / 2): the
+    # sampler keeps real rows, and its draws follow the true complex L
     small = PolynomialEnsemble.from_table(
         classical_table("circle", 3, pad=1), uniform_circle_measure(9), N=3
     )
@@ -143,7 +143,7 @@ def test_circle_ensembles_sample_on_real_rows():
         d = ens.real_gauge()
         assert d is not None and np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-15)
         gauged = np.conj(d)[:, None] * K * d
-        assert np.max(np.abs(gauged.imag)) <= 1e-12 * np.max(K.diagonal().real)
+        assert np.all(np.abs(gauged.imag) <= 1e-12 * np.sqrt(np.outer(K.diagonal().real, K.diagonal().real)))
         state = ConditionalState(ens)
         assert state._E.dtype == np.float64
         _assert_draws_match_minor_ratios(ens, 37, replicas)
@@ -153,7 +153,7 @@ def test_kernel_without_real_gauge_samples_on_complex_rows():
     # z^0, z^1, z^3 are orthonormal on 8 roots of unity, but the gauge turns
     # K = 1 + u + u^3 (u = z conj(w)) into u^(-1) + 1 + u^2, which is complex
     m = uniform_circle_measure(8)
-    ens = PolynomialEnsemble(m, np.array([m.points**k for k in (0, 1, 3)]))
+    ens = PolynomialEnsemble(m, np.sqrt(m.weights) * np.array([m.points**k for k in (0, 1, 3)]))
     assert ens.hermitian and ens.biorthogonality_defect() < 1e-12
     assert ens.real_gauge() is None
     assert ConditionalState(ens)._E.dtype == np.complex128
@@ -173,7 +173,7 @@ def test_real_gauge_scan_of_the_upper_half_matches_the_full_scan():
     for ens in circle.values():
         assert _same_gauge(ens) is not None
     m = uniform_circle_measure(8)
-    assert _same_gauge(PolynomialEnsemble(m, np.array([m.points**k for k in (0, 1, 3)]))) is None
+    assert _same_gauge(PolynomialEnsemble(m, np.sqrt(m.weights) * np.array([m.points**k for k in (0, 1, 3)]))) is None
     # column phases exp(i t u_i) move the gauged kernel G to G_ij exp(i t (u_i - u_j)),
     # so max |Im| grows like t s: scale t to land either side of GAUGE_TOL. u is
     # zero on the first half of the atoms, so the largest |Im| is not in the
@@ -246,7 +246,8 @@ def test_sample_matches_choice_oracle_chain():
                 logp += float(np.log(d[idx]))
                 state.push(idx)
             assert state.selected == cfg.indices.tolist(), (ens.name, r)
-            assert logp == cfg.log_density, (ens.name, r)
+            # the draw sums log mass - log w - log(N - k), not log density
+            assert abs(logp - cfg.log_density) <= 1e-12 * abs(logp), (ens.name, r)
 
 
 def _tilted_chebyshev(N, nodes, pad):
@@ -573,7 +574,7 @@ def test_sample_log_density_matches_joint(e3):
 
 
 def test_empirical_pair_law_op(e2):
-    pmf = oracles.subset_pmf(e2.kernel_matrix(), e2.measure.weights, 2)
+    pmf = oracles.subset_pmf(e2.kernel_matrix(), 2)
     rng = stream(2024)
     counts = {}
     R = 20_000
@@ -587,7 +588,7 @@ def test_empirical_pair_law_op(e2):
 
 def test_empirical_pair_law_tilted(e2):
     tilted = e2.tilt_nonorthogonal(np.array([[0.05, 0.0], [0.0, 0.05]]), validate=True)
-    pmf = oracles.subset_pmf(tilted.kernel_matrix(), tilted.measure.weights, 2)
+    pmf = oracles.subset_pmf(tilted.kernel_matrix(), 2)
     assert np.isclose(sum(pmf.values()), 1.0, atol=1e-10)
     rng = stream(77)
     counts = {}
@@ -709,12 +710,12 @@ def test_exchangeability_two_seed_chi_square():
 
 
 def test_one_point_intensity_matches_kernel_diagonal():
-    # singleton occupation vs K(x,x) w, 3 binomial SEs per atom
+    # singleton occupation vs L_xx = K(x,x) w, 3 binomial SEs per atom
     ens = cheb_ensemble(2, 12, pad=1)
     R = 100_000
     rows, _ = sample_replicas(ens, R, seed=303)
     freq = np.bincount(rows.ravel(), minlength=len(ens.measure)) / R
-    p = np.real(np.diag(ens.kernel_matrix())) * ens.measure.weights
+    p = np.real(np.diag(ens.kernel_matrix()))
     se = np.sqrt(p * (1.0 - p) / R)
     assert np.all(np.abs(freq - p) <= 3.0 * se)
 
