@@ -121,7 +121,7 @@ class PolynomialEnsemble:
         self.Q_vals = Q_vals
         self.table = table
         self.name = name or ("op-ensemble" if Q_vals is None else "biorthogonal-ensemble")
-        self._kernel = None
+        self._rows = None  # sampler_rows
         self._gauge = _UNCHECKED
 
     # -- constructors ------------------------------------------------------
@@ -178,9 +178,19 @@ class PolynomialEnsemble:
 
     def kernel_matrix(self):
         """L_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j), the kernel against
-        counting measure on the atoms, cached; bit for bit U^T conj(V). Only
-        the sampler needs it (minors come from the basis, _minor). Checked
-        once, when formed (see _checked).
+        counting measure on the atoms, bit for bit U^T conj(V). Only the
+        sampler needs it (minors come from the basis, _minor). A real or
+        non-hermitian kernel, and a complex hermitian one with no real gauge,
+        is the cached array of sampler_rows. A complex hermitian kernel with
+        a real gauge caches only its real gauged rows, so L is formed afresh
+        on each call and not kept: at n = 1200 atoms it is 23 MB against
+        the rows' 11.5 MB."""
+        if self.hermitian and np.iscomplexobj(self.P_vals) and self._gauge is not None:
+            return self._form_kernel()  # the cache holds gauged rows, or nothing yet
+        return self.sampler_rows()[0]
+
+    def _form_kernel(self):
+        """L, formed and checked (see _checked).
 
         A real kernel is the one product. A complex one is formed in the row
         blocks of _row_blocks, block r as conj(conj(U[:, r])^T V), so only one
@@ -191,50 +201,88 @@ class PolynomialEnsemble:
         L[hi:, lo:hi]. The last block, the last 8 + n mod 8 rows, is full
         width, as the one product forms the last n mod 8 rows with remainder
         tiles whose rounding is not the mirror of the same columns'."""
-        if self._kernel is None:
-            P, Q = self.P_vals, self.q_values
-            with np.errstate(over="ignore", invalid="ignore"):
-                if np.iscomplexobj(Q):
-                    n = P.shape[1]
-                    K = np.empty((n, Q.shape[1]), dtype=np.result_type(P, Q))
-                    blocks = _row_blocks(n, len(P))
-                    end = blocks[-1][0] if self.hermitian else 0  # no mirror into the full-width last block
-                    for lo, hi in blocks:
-                        left = lo if self.hermitian and hi < n else 0
-                        rows = K[lo:hi, left:]
-                        np.matmul(np.conj(P[:, lo:hi]).T, Q[:, left:], out=rows)
-                        K[hi:end, lo:hi] = K[lo:hi, hi:end].T  # K[j, i] = conj(K[i, j])
-                        np.conjugate(rows, out=rows)
-                else:
-                    K = P.T @ Q
-            self._kernel = self._checked(K, np.diagonal(K), "kernel")
-        return self._kernel
+        P, Q = self.P_vals, self.q_values
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.iscomplexobj(Q):
+                n = P.shape[1]
+                K = np.empty((n, Q.shape[1]), dtype=np.result_type(P, Q))
+                blocks = _row_blocks(n, len(P))
+                end = blocks[-1][0] if self.hermitian else 0  # no mirror into the full-width last block
+                for lo, hi in blocks:
+                    left = lo if self.hermitian and hi < n else 0
+                    rows = K[lo:hi, left:]
+                    np.matmul(np.conj(P[:, lo:hi]).T, Q[:, left:], out=rows)
+                    K[hi:end, lo:hi] = K[lo:hi, hi:end].T  # K[j, i] = conj(K[i, j])
+                    np.conjugate(rows, out=rows)
+            else:
+                K = P.T @ Q
+        return self._checked(K, np.diagonal(K), "kernel")
+
+    def sampler_rows(self):
+        """(rows, mass), cached: the one n x n array the sampler reads its
+        rows from, and the real part of L's diagonal, the mass of the first
+        point. The rows are the real gauged kernel
+        G_ij = Re((conj(d_i) L_ij) d_j) when real_gauge finds phases d,
+        else L itself (kernel_matrix).
+
+        G is built in _form_kernel's row blocks with the same products, so
+        no complex n x n array is held: block [lo, hi) gives L[lo:hi, lo:]
+        and, mirrored, L[hi:, lo:hi], and each is gauged by the two
+        multiplies in that order, as the rows of L one at a time would be,
+        bit for bit. Every gauged value is tested against GAUGE_TOL before
+        its real part is kept; one that fails drops G, and the rows are L."""
+        if self._rows is None:
+            d = None
+            if self.hermitian and np.iscomplexobj(self.P_vals):
+                # Christoffel-Darboux on the unit circle: K(z, w) (z conj(w))^(-(N-1)/2) is real
+                d = np.exp(0.5j * (self.N - 1) * np.angle(self.measure.points))
+            rows = None if d is None else self._gauged_rows(d)
+            if rows is None:
+                L, d = self._form_kernel(), None
+                rows = L, np.real(np.diagonal(L)).copy()
+            self._rows, self._gauge = rows, d
+        return self._rows
+
+    def _gauged_rows(self, d):
+        """(G, mass) of sampler_rows for the phases d, or None when a gauged
+        value has |Im| > GAUGE_TOL sqrt(L_ii L_jj), with the diagonal read
+        from kernel_diagonal."""
+        P = self.P_vals
+        n = P.shape[1]
+        root = np.sqrt(np.real(self.kernel_diagonal()))
+        G, mass = np.empty((n, n)), np.empty(n)
+        blocks = _row_blocks(n, len(P))
+        end = blocks[-1][0]  # no mirror into the full-width last block
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in blocks:
+                left = lo if hi < n else 0
+                L = np.matmul(np.conj(P[:, lo:hi]).T, P[:, left:])
+                lower = L[:, hi - left : end - left].T.copy()  # L[j, i] = conj(L[i, j])
+                np.conjugate(L, out=L)
+                mass[lo:hi] = np.diagonal(L, offset=lo - left).real
+                for r, c, part in ((slice(lo, hi), slice(left, n), L), (slice(hi, end), slice(lo, hi), lower)):
+                    np.multiply(np.conj(d[r, None]), part, out=part)
+                    np.multiply(part, d[c], out=part)
+                    if np.any(np.abs(part.imag) > GAUGE_TOL * np.outer(root[r], root[c])):
+                        return None
+                    G[r, c] = part.real
+        return self._checked(G, None, "kernel"), mass
 
     def real_gauge(self):
         """Unit phases d with conj(d_i) L_ij d_j real at every atom pair, or
-        None. Cached.
+        None; found by building sampler_rows.
 
         A diagonal unitary similarity leaves every minor of L, and so the
         process, unchanged; the sampler then runs on the real kernel
-        Re(conj(d_i) L_ij d_j). Only a complex hermitian kernel is tried,
-        with d_i = exp(i (N - 1) arg(x_i) / 2): by the Christoffel-Darboux
+        G_ij = Re((conj(d_i) L_ij) d_j), which sampler_rows caches in place
+        of L. Only a complex hermitian kernel is tried, with
+        d_i = exp(i (N - 1) arg(x_i) / 2): by the Christoffel-Darboux
         formula for polynomials orthogonal on the unit circle,
         K(z, w) (z conj(w))^(-(N-1)/2) is real on |z| = |w| = 1. They are
-        accepted when |Im| <= GAUGE_TOL sqrt(L_ii L_jj) on the upper half
-        (Im is antisymmetric), scanned in the row blocks of _row_blocks.
+        accepted when every gauged value the build keeps, both halves, has
+        |Im| <= GAUGE_TOL sqrt(L_ii L_jj).
         """
-        if self._gauge is not _UNCHECKED:
-            return self._gauge
-        L, self._gauge = self.kernel_matrix(), None
-        if self.hermitian and np.iscomplexobj(L):
-            d = np.exp(0.5j * (self.N - 1) * np.angle(self.measure.points))
-            root = np.sqrt(np.real(np.diagonal(L)))
-            for lo, hi in _row_blocks(len(L), len(L)):
-                block = L[lo:hi, lo:] * d[lo:]
-                block *= np.conj(d[lo:hi, None])
-                if np.any(np.abs(block.imag) > GAUGE_TOL * np.outer(root[lo:hi], root[lo:])):
-                    return None
-            self._gauge = d
+        self.sampler_rows()
         return self._gauge
 
     def kernel_diagonal(self):
@@ -303,8 +351,9 @@ class PolynomialEnsemble:
         """K(x, y) at scalar points.
 
         Hermitian ensembles with a table evaluate anywhere, as the sum of
-        P_k(x) conj(P_k(y)) over k < N. Other kernels evaluate only on atoms
-        of the measure, as L_ij / sqrt(w_i w_j).
+        P_k(x) conj(P_k(y)) over k < N; K(x, x) is inf where it passes the
+        float range, as in mean_density. Other kernels evaluate only on
+        atoms of the measure, as L_ij / sqrt(w_i w_j).
         """
         if not self.hermitian or self.table is None:
             i, j = self.atom_index(x), self.atom_index(y)
@@ -314,7 +363,8 @@ class PolynomialEnsemble:
             return self._checked(value, None, "kernel value")
         vx = self.eval_P(x)
         vy = self.eval_P(y)
-        out = np.sum(vx[:, 0] * np.conj(vy[:, 0]))
+        with np.errstate(over="ignore"):
+            out = np.sum(vx[:, 0] * np.conj(vy[:, 0]))
         return float(out.real) if not np.iscomplexobj(out) else complex(out)
 
     def mean_density(self):

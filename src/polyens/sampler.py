@@ -1,9 +1,10 @@
 """Exact chain-rule sampling of polynomial ensembles on atomic measures.
 
 One route serves every kernel, hermitian or not. It runs on
-L = PolynomialEnsemble.kernel_matrix(), L_ij = sqrt(w_i) K(x_i, x_j)
-sqrt(w_j), the kernel against counting measure on the atoms, and reads no
-weights. After k points the residual kernel
+L_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j), the kernel against counting
+measure on the atoms, and reads no weights; its rows come from the one
+n x n array the ensemble caches, PolynomialEnsemble.sampler_rows. After k
+points the residual kernel
 
     R_k(x, y) = L(x, y) - sum_{j<k} C_j(x) E_j(y)
 
@@ -16,8 +17,10 @@ Gram-Schmidt on the rows L(x_i, .) (Hough, Krishnapur, Peres and Virag
 2006). A complex hermitian kernel with a real gauge
 (PolynomialEnsemble.real_gauge, as for every OP ensemble on the unit
 circle) is factored in real arithmetic: the diagonal unitary similarity
-leaves every minor, pivot and mass unchanged, and each step reads its row
-as Re(conj(d_idx) L[idx] d). Other complex kernels keep complex rows.
+leaves every minor, pivot and mass unchanged, and the cached rows are the
+real G_ij = Re((conj(d_i) L_ij) d_j), gauged once when built, so a step
+reads G[idx] as it reads a row of a real L. The first mass is Re L_ii in
+every case. Other complex kernels keep complex rows.
 
 The state keeps the residual diagonal R_k(x, x), the mass of the next
 point, and each point is one uniform drawn from it by the inverse-CDF
@@ -71,23 +74,23 @@ class PointConfiguration:
 
 
 class ConditionalState:
-    """Chain-rule state after conditioning on a prefix of points."""
+    """Chain-rule state after conditioning on a prefix of points. rows is
+    the ensemble's cached array of sampler_rows, read, never written: L,
+    or the real gauged rows G of a kernel with a real gauge."""
 
     def __init__(self, ensemble):
         self.ensemble = ensemble
-        self.L = ensemble.kernel_matrix()
+        self.rows, mass = ensemble.sampler_rows()  # L, or the real gauged rows of L
         self.heights = []  # pivots R_k(x_k, x_k), ratios of consecutive prefix minors
         self._at = np.empty(ensemble.N, dtype=np.intp)  # atoms conditioned on, in order
-        self._gauge = ensemble.real_gauge()  # rows of conj(d_i) L_ij d_j are real
-        dtype = float if self._gauge is not None else self.L.dtype
-        shape = (ensemble.N, len(self.L))
-        self._E = np.empty(shape, dtype=dtype)
-        self._C = None if ensemble.hermitian else np.empty(shape, dtype=dtype)
-        self._diag = np.real(np.diagonal(self.L)).copy()  # residual mass R_k(x, x)
-        self._real = not np.iscomplexobj(self._E)
+        shape = (ensemble.N, len(self.rows))
+        self._E = np.empty(shape, dtype=self.rows.dtype)
+        self._C = None if ensemble.hermitian else np.empty(shape, dtype=self.rows.dtype)
+        self._diag = mass.copy()  # residual mass R_k(x, x)
+        self._real = not np.iscomplexobj(self.rows)
         # work buffers, so that a step allocates no array
-        self._col = np.empty(ensemble.N, dtype=dtype)  # contiguous conj(E[:k, idx])
-        self._crow = np.empty(shape[1], dtype=complex) if np.iscomplexobj(self.L) else None
+        self._col = np.empty(ensemble.N, dtype=self.rows.dtype)  # contiguous conj(E[:k, idx])
+        self._crow = None if self._real else np.empty(shape[1], dtype=complex)  # complex products
         self._tmp = np.empty(shape[1])  # the mass downdate
         self._cdf = np.empty(shape[1])  # the draw's cumulative mass
 
@@ -134,16 +137,12 @@ class ConditionalState:
             )
         E = self._E[:k]
         e = self._E[k]
-        krow = self.L[idx]
-        if self._gauge is not None:
-            krow = np.multiply(np.conj(self._gauge[idx]), krow, out=self._crow)
-            krow = np.multiply(krow, self._gauge, out=krow).real
         if self._C is not None:
             np.matmul(self._C[:k, idx], E, out=e)
         else:
             # the strided column is copied: BLAS rounds a strided view differently
             np.matmul(np.conjugate(E[:, idx], out=self._col[:k]), E, out=e)
-        np.subtract(krow, e, out=e)
+        np.subtract(self.rows[idx], e, out=e)
         pivot = float(e[idx].real)
         if pivot <= 0:
             raise NumericalBreakdownError(f"degenerate pivot {pivot:.3e} at atom {idx}")
@@ -152,10 +151,9 @@ class ConditionalState:
         e[self._at[:k]] = 0.0  # R_k(x_i, x_j) = 0 at every conditioned x_j
         if self._C is not None:
             col = np.matmul(E[:, idx], self._C[:k], out=self._C[k])
-            np.subtract(self.L[:, idx], col, out=col)
+            np.subtract(self.rows[:, idx], col, out=col)
             np.divide(col, root, out=col)
-            # col * e is complex exactly when L is, as is the buffer _crow
-            drop = np.multiply(col, e, out=self._tmp if self._crow is None else self._crow)
+            drop = np.multiply(col, e, out=self._tmp if self._real else self._crow)
         elif self._real:
             drop = np.multiply(e, e, out=self._tmp)
         else:
@@ -166,7 +164,7 @@ class ConditionalState:
         self.heights.append(pivot)
 
     def refactor(self):
-        """Rebuild the factors of the current prefix from L: push replayed on a fresh state."""
+        """Rebuild the factors of the current prefix from the rows: push replayed on a fresh state."""
         prefix = self.selected
         self.__init__(self.ensemble)
         for idx in prefix:

@@ -395,6 +395,22 @@ def test_gue_400_on_734_atoms_samples(table):
         assert abs(np.mean(sums) - 400 * mean_moment(ens.table, 2)) <= 4 * se
 
 
+def test_eval_kernel_at_the_outermost_atom_is_inf_without_a_warning():
+    # the GUE N=400 measure ensemble's outermost atoms, x = -+1.921 with
+    # weight 1.5e-323: P_k(x)^2 passes the float range, so K(x, x) is inf,
+    # and the product's overflow is no warning (an error in this suite), as
+    # mean_density reads the same atom. An inner atom keeps L_ii / w_i
+    from polyens.config import build_ensemble
+
+    ens = build_ensemble({"measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024}, "N": 400})
+    x, density = ens.measure.points, ens.mean_density()
+    for i in (0, len(x) - 1):
+        assert abs(abs(x[i]) - 1.921) < 1e-3
+        assert ens.eval_kernel(x[i], x[i]) == math.inf and density[i] == math.inf
+    i = len(x) // 2
+    assert np.isclose(ens.eval_kernel(x[i], x[i]), ens.N * density[i], rtol=1e-10)
+
+
 def test_nonreal_kernel_diagonal_is_refused_where_it_is_formed():
     # a real tilt of the circle's complex basis: Im K(x, x) reaches 11% of
     # max |K(x, x)|, so the kernel is no point process
@@ -599,7 +615,7 @@ def test_densities_and_positivity_read_minors_not_the_kernel():
     assert sign == 1.0 and np.isclose(logdet, 300 * math.log(300) - math.lgamma(301), rtol=1e-12)
     assert det == math.inf
     assert np.isclose(diag, 300.0, rtol=1e-12) and abs(off) < 1e-10
-    assert ens._kernel is None
+    assert ens._rows is None
     assert peak < len(z) ** 2 * 16
 
 

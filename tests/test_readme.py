@@ -1,5 +1,6 @@
 """Every `polyens` command in README's sh blocks runs and exits 0."""
 
+import hashlib
 import os
 import re
 import shlex
@@ -28,7 +29,13 @@ def test_readme_shows_commands():
     assert len(README_COMMANDS) >= 6
 
 
-@pytest.mark.parametrize("cmd", README_COMMANDS, ids=lambda c: c[1])
+def _command_id(cmd):
+    """The subcommand and a digest of the whole line, so that no other
+    README line can change the id of this one."""
+    return f"{cmd[1]}-{hashlib.sha256(shlex.join(cmd).encode()).hexdigest()[:8]}"
+
+
+@pytest.mark.parametrize("cmd", README_COMMANDS, ids=_command_id)
 def test_readme_command_runs(cmd, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(

@@ -157,6 +157,9 @@ def test_kernel_without_real_gauge_samples_on_complex_rows():
     assert ens.hermitian and ens.biorthogonality_defect() < 1e-12
     assert ens.real_gauge() is None
     assert ConditionalState(ens)._E.dtype == np.complex128
+    # with no gauge the one cached array is L itself, complex
+    rows, _ = ens.sampler_rows()
+    assert rows.dtype == np.complex128 and rows is ens.kernel_matrix()
     _assert_draws_match_minor_ratios(ens, 37, 8)
 
 
@@ -188,6 +191,45 @@ def test_real_gauge_scan_of_the_upper_half_matches_the_full_scan():
         t = factor * GAUGE_TOL / s
         tilted = PolynomialEnsemble(ens.measure, ens.P_vals * np.exp(1j * t * u))
         assert (_same_gauge(tilted) is None) == (factor > 1), factor
+
+
+def test_gauged_rows_are_the_kernel_rows_gauged_one_at_a_time():
+    # the block build, its mirrored lower half and full-width last block
+    # included, gives every row as Re((conj(d_i) L_i.) d) of kernel_matrix(),
+    # and the mass as Re L_ii, bit for bit
+    for cfg in ({"classical": "circle", "N": 30}, {"classical": "circle", "N": 300, "nodes": 1200}):
+        ens = build_ensemble(cfg)
+        G, mass = ens.sampler_rows()
+        L, d = ens.kernel_matrix(), ens.real_gauge()
+        assert G.dtype == np.float64 and d is not None
+        for i in range(len(L)):
+            assert np.array_equal(G[i], np.real(np.conj(d[i]) * L[i] * d)), (cfg, i)
+        assert np.array_equal(mass, L.diagonal().real)
+        # L is formed afresh on each call, the same bits, and never cached
+        again = ens.kernel_matrix()
+        assert again is not L and np.array_equal(again, L)
+        assert ens.sampler_rows()[0] is G
+
+
+def test_a_gauged_draw_holds_no_complex_kernel():
+    # circle N=300 on 1200 atoms: the complex L takes n^2 16 bytes (23 MB).
+    # The first draw builds the real rows (n^2 8 bytes) block by block and
+    # peaks below L; then no complex n x n array is held
+    ens = build_ensemble({"classical": "circle", "N": 300, "nodes": 1200})
+    n = len(ens.measure)
+
+    def draw():
+        state = ConditionalState(ens)
+        _drive(state, stream(53))
+        return state
+
+    state, peak = traced_peak(draw)
+    assert state.k == ens.N
+    assert peak < n * n * 16
+    for owner in (ens, state):
+        for name, value in vars(owner).items():
+            for a in value if isinstance(value, tuple) else (value,):
+                assert not (isinstance(a, np.ndarray) and np.iscomplexobj(a) and a.size >= n * n), name
 
 
 def test_refactor_replays_a_real_gauge_state():
@@ -284,7 +326,7 @@ STEP_ENSEMBLES = {
 def _row_kind(state):
     if state._C is not None:
         return "non-hermitian"
-    if state._gauge is not None:
+    if state.ensemble.real_gauge() is not None:
         return "gauge-real"
     return "real" if state._E.dtype == np.float64 else "complex"
 
@@ -348,18 +390,21 @@ def _traced_peak(step):
 
 def test_a_step_allocates_less_than_one_row():
     # the step writes into buffers the state owns: at k=50 on the gue_mc
-    # shape neither the draw nor push raises the peak by a row of n doubles
-    ens = build_ensemble({"classical": "gue", "N": 100, "nodes": 256})
-    m = ens.measure
-    state = ConditionalState(ens)
-    rng = stream(47)
-    for _ in range(50):
-        state.push(m._inverse_cdf(state._diag, rng, state._cdf))
-    row = 8 * len(m)
-    assert _traced_peak(lambda: m._inverse_cdf(state._diag, rng, state._cdf)) < row
-    idx = m._inverse_cdf(state._diag, rng, state._cdf)
-    assert _traced_peak(lambda: state.push(idx)) < row
-    assert state.k == 51
+    # shape and on the circle's real gauged rows neither the draw nor push
+    # raises the peak by a row of n doubles
+    for cfg in ({"classical": "gue", "N": 100, "nodes": 256}, {"classical": "circle", "N": 300, "nodes": 1200}):
+        ens = build_ensemble(cfg)
+        m = ens.measure
+        state = ConditionalState(ens)
+        rng = stream(47)
+        for _ in range(50):
+            state.push(m._inverse_cdf(state._diag, rng, state._cdf))
+        row = 8 * len(m)
+        assert _traced_peak(lambda: m._inverse_cdf(state._diag, rng, state._cdf)) < row, cfg
+        idx = m._inverse_cdf(state._diag, rng, state._cdf)
+        assert _traced_peak(lambda: state.push(idx)) < row, cfg
+        assert state.k == 51
+    assert ens.real_gauge() is not None and state.rows.dtype == np.float64
 
 
 def test_conditioned_atoms_hold_exactly_zero_mass():
