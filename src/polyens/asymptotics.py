@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .recurrence import _mean_moments, _walk_steps, banded_table
+from .recurrence import _integer, _loop_weights, _mean_moments, banded_table
 
 GL_NODES = 256
 
@@ -91,9 +91,19 @@ def arcsine_moment(ell, alpha=-1.0, beta=1.0):
 @functools.lru_cache(maxsize=None)
 def _gl_grid():
     """The GL_NODES Gauss-Legendre nodes and weights mapped to [0,1], built
-    once. Every caller shares the arrays, so they are read-only."""
-    x, w = np.polynomial.legendre.leggauss(GL_NODES)
-    s, w = 0.5 * (x + 1.0), 0.5 * w
+    once by Newton on the Legendre recurrence from Tricomi's guesses (nodes
+    to 1 ulp, weights to 7e-13; numpy's leggauss: 2e-11, and an eigensolve
+    whose workspace stays resident). The arrays are shared, so read-only."""
+    n = GL_NODES
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5)) * (1 - (n - 1) / (8.0 * n**3))
+    for _ in range(4):
+        prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+        dp = n * (x * p - prev) / (x * x - 1)
+        w, x = 2 / ((1 - x * x) * dp * dp), x - p / dp
+    s, w = 0.25 * (x - x[::-1] + 2.0), w + w[::-1]  # mirror-symmetric
+    w /= w.sum()  # of mass 1, as leggauss scales its rule
     s.flags.writeable = False
     w.flags.writeable = False
     return s, w
@@ -102,7 +112,7 @@ def _gl_grid():
 def banded_limit_moment(profile, ell):
     """Limit of the l-th mean empirical moment for a banded profile: the
     weight of l-step loops of the band frozen at s, integrated over s."""
-    return float(_limit_moments(profile, ell)[ell])
+    return float(_limit_moments(profile, _integer(ell, "ell"))[ell])
 
 
 def _limit_moments(profile, lmax):
@@ -113,7 +123,9 @@ def _limit_moments(profile, lmax):
     a block never leaves it, so one walk from every block counts the loops
     of every node and order. The band is constant within a block, so each
     order equals, bit for bit, a walk of its own on blocks of (q+1) l + 1
-    rows.
+    rows. A q = 1 profile whose up and down shapes agree at the nodes (as
+    op_profile's) freezes to symmetric bands, which a ceil(lmax/2)-step
+    path never leaves: its loops walk half their length (_loop_weights).
     """
     q = profile.q
     s, w = _gl_grid()
@@ -121,9 +133,10 @@ def _limit_moments(profile, lmax):
     band = np.empty((GL_NODES, q + 2))
     for j in range(-1, q + 1):
         band[:, j + 1] = profile(j, s)
+    half = q == 1 and np.array_equal(band[:, 0], band[:, 2])
     table = banded_table(np.repeat(band, rows, axis=0), q, GL_NODES * rows)
     starts = np.arange(GL_NODES) * rows + q * lmax
-    return np.array([w @ v[q * lmax] for v in _walk_steps(table, lmax, starts, table.top)])
+    return np.array([w @ loops for _, loops in _loop_weights(table, lmax, starts, table.top, half)])
 
 
 @dataclass
@@ -137,6 +150,7 @@ class LimitRow:
 def limit_report(table, profile, lmax):
     """Side-by-side finite-N mean moments (from the table) and their
     profile limits, with gaps; every order of each from one walk."""
+    lmax = _integer(lmax, "lmax")
     if lmax < 1:
         return []
     finite, limit = _mean_moments(table, lmax), _limit_moments(profile, lmax)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalBreakdownError
 from .measure import ReferenceMeasure
-from .recurrence import _escape_weight, _loop_sums, hessenberg_matrix
+from .recurrence import _escape_weight, _integer, _loop_sums, hessenberg_matrix
 
 POWER_SUM_TOL = 1e-8
 
@@ -59,14 +59,17 @@ def zeros(table, lmax=8):
     """Zero set of the average characteristic polynomial (the eigenvalues of
     the N x N Hessenberg section), with power sums up to lmax.
 
-    The power sums are the section traces, the loop sums of one lmax-step
-    walk at ceiling N - 1 (see recurrence._loop_sums), which holds one
-    block of starts at a time. For moment_gap the zero set keeps the loop
-    weights of the last floor(q lmax / (q + 1)) starts, the only ones whose
-    loops can leave the section. The locations are solved when
+    The power sums are the section traces, the loop sums of one walk at
+    ceiling N - 1 (see recurrence._loop_sums), which holds one block of
+    starts at a time and takes lmax steps, or ceil(lmax/2) on a symmetric
+    table, whose loops are a path out and the same path back. For
+    moment_gap the zero set keeps the loop weights of the last
+    floor(q lmax / (q + 1)) starts, the only ones whose loops can leave the
+    section. The locations are solved when
     ZeroSet.zeros is first read (see _section_zeros), so errors of the
     eigensolve surface there.
     """
+    lmax = _integer(lmax, "lmax")
     if lmax < 0:
         raise ValueError(f"lmax must be >= 0, got {lmax}")
     traces, edge = _loop_sums(table, lmax, table.N - 1, keep=(table.q * lmax) // (table.q + 1))
@@ -171,6 +174,7 @@ def moment_gap(table, ell, zero_set=None):
     (recurrence._escape_weight), and the mean moment is p_l/N + w/N.
     zero_set must be that of a table with the same N, dtype and rows
     0..N-1, the rows its section weights read (else ValueError)."""
+    ell = _integer(ell, "ell")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     N = table.N

@@ -20,13 +20,15 @@ the band, and holds a few grids of (q+1) l + 1 rows by its starts. The loop
 sums over every k < N (`_loop_sums`) walk the starts in blocks and add up
 each block as it is walked, so they hold one block's grids, a few MB, at
 any N; the loops that leave the section (`_escape_weight`) walk only the
-starts next to N.
+starts next to N. On a symmetric table a loop is a path out and the same
+path back, so loops of order l walk ceil(l/2) steps (`_loop_weights`).
 Every such query returns a complex for a complex table and a float
 otherwise (`RecurrenceTable.value`). Indices run over 0..N+pad; access
 past the pad raises instead of extrapolating.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -294,6 +296,18 @@ def _lanczos(m, N, pad=DEFAULT_PAD):
     return op_table(a, b, N), U
 
 
+def _integer(n, what, hint=""):
+    """n as a Python int, for an integer of Python or numpy; a bool, a float
+    or a string is a ValueError naming `what`, never truncated."""
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    shown = n.item() if isinstance(n, np.generic) else n
+    raise ValueError(f"{what} {shown!r} is not an integer{hint}")
+
+
 def _walks(table, ell, starts, ceiling):
     """Weights of all ell-step lattice paths from each start ordinate.
 
@@ -321,12 +335,13 @@ def _walk_steps(table, ell, starts, ceiling):
     displacements -q*s..s that s-step paths can reach; every other row is
     an exact zero, and adding it would change no bit. So a walk holds the
     band copy and about three grids of (q+1) ell + 1 rows by len(starts).
+    The l-loops of a symmetric table ask ceil(l/2) steps (_loop_weights).
     """
     if ell < 0:
         raise ValueError(f"a walk needs ell >= 0, got {ell}")
     if ceiling > table.top:
         raise CoefficientRangeError(
-            f"{ell}-step paths climb to ordinate {ceiling} but the table stores "
+            f"the paths climb to ordinate {ceiling} but the table stores "
             f"indices up to {table.top} (N={table.N}, pad={table.pad})"
         )
     starts = np.asarray(starts)
@@ -367,6 +382,7 @@ def path_sum_moment(table, ell, k, m):
     One banded walk from k, capped at the highest ordinate a contributing
     path can reach; coefficients above it are never read.
     """
+    ell, k, m = _integer(ell, "ell"), _integer(k, "k"), _integer(m, "m")
     if ell < 0 or k < 0 or m < 0:
         raise ValueError("ell, k, m must be nonnegative")
     if ell == 0:
@@ -380,47 +396,71 @@ def path_sum_moment(table, ell, k, m):
 
 def mean_moment(table, ell):
     """(1/N) sum_{k<N} <x^l P_k, Q_k>: the l-th moment of the mean empirical
-    measure, straight from the table: the loops of one walk from every k < N."""
+    measure, straight from the table: the loops of one walk from every k < N,
+    of ceil(l/2) steps on a symmetric table, forming order l only."""
+    ell = _integer(ell, "ell")
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    return table.value(_mean_moments(table, ell)[ell])
+    return table.value(_mean_moments(table, ell, lo=ell)[ell])
 
 
-def _loop_sums(table, lmax, ceiling, keep=0):
-    """For l = 0..lmax, the sum over k < N of the weight of the l-step loops
-    from k that stay at ordinates 0..ceiling, from one walk (at ceiling
-    N - 1 the section traces tr(H_N^l)); and an (lmax+1) x keep array of
-    those weights of the last `keep` starts (of all N if fewer).
+def _loop_weights(table, lmax, starts, ceiling, half, lo=0):
+    """(l, the weight of the l-step loops from each start that stay at
+    ordinates 0..ceiling) for l = lo..lmax in turn, from one walk of lmax
+    steps; or, with half (q = 1 and each up step a ceil(lmax/2)-step path
+    takes equal to the down step back, as on a symmetric table), of
+    ceil(lmax/2) steps. There a path and its reverse weigh the same, so the
+    l-loops from k weigh sum_d W_a(k -> k+d) W_b(k -> k+d), a = floor(l/2),
+    b = l - a, summed over the rows -a..a that a-step paths reach and no
+    other: order l equals, bit for bit, order l of any longer walk."""
+    if not half:
+        steps = enumerate(_walk_steps(table, lmax, starts, ceiling))
+        yield from ((ell, v[table.q * lmax]) for ell, v in steps if ell >= lo)
+        return
+    h, back = (lmax + 1) // 2, None
+    for s, v in enumerate(_walk_steps(table, h, starts, ceiling)):
+        for ell, u in ((2 * s - 1, back), (2 * s, v)):  # b = s, a = ell // 2
+            if lo <= ell <= lmax:
+                live = slice(h - ell // 2, h + ell // 2 + 1)
+                yield ell, np.sum(u[live] * v[live], axis=0)
+        back = v
 
-    The walk runs over blocks of _LOOP_BLOCK starts, so it holds one
-    block's grids at any N. Each block's loop weights are summed by np.sum
-    and the block sums added in order: N <= _LOOP_BLOCK is one np.sum per
-    order. Each start's loop weights are its own, so the kept ones equal,
-    bit for bit, those of a single walk from every k < N, also when they
-    straddle two blocks."""
-    N, q = table.N, table.q
+
+def _loop_sums(table, lmax, ceiling, keep=0, lo=0):
+    """For l = lo..lmax (lower orders read 0), the sum over k < N of the
+    weight of the l-step loops from k that stay at ordinates 0..ceiling,
+    from one walk (at ceiling N - 1 the section traces tr(H_N^l)); and an
+    (lmax+1) x keep array of those weights of the last `keep` starts (or N).
+
+    The walk, of ceil(lmax/2) steps on a symmetric table (_loop_weights),
+    runs over blocks of _LOOP_BLOCK starts, so it holds one block's grids
+    at any N. Each block's loop weights are summed by np.sum and the block
+    sums added in order: N <= _LOOP_BLOCK is one np.sum per order. Each
+    start's loop weights are its own, so the kept ones equal, bit for bit,
+    those of a single walk from every k < N, also across two blocks."""
+    N = table.N
     first = max(N - keep, 0)  # first start whose weights are kept
     sums = np.zeros(lmax + 1, dtype=table.c.dtype)
     kept = np.empty((lmax + 1, N - first), dtype=table.c.dtype)
     for k in range(0, N, _LOOP_BLOCK):
         block = np.arange(k, min(k + _LOOP_BLOCK, N))
-        lo = max(first - k, 0)  # first kept start of the block, if any
-        for ell, v in enumerate(_walk_steps(table, lmax, block, ceiling)):
-            sums[ell] += np.sum(v[q * lmax])
-            if lo < len(block):
-                kept[ell, k + lo - first : k + len(block) - first] = v[q * lmax, lo:]
+        at = max(first - k, 0)  # first kept start of the block, if any
+        for ell, loops in _loop_weights(table, lmax, block, ceiling, table.symmetric, lo):
+            sums[ell] += np.sum(loops)
+            if at < len(block):
+                kept[ell, k + at - first : k + len(block) - first] = loops[at:]
     return sums, kept
 
 
-def _mean_moments(table, lmax):
-    """The mean moments of orders 0..lmax (unconverted, see mean_moment)
+def _mean_moments(table, lmax, lo=0):
+    """The mean moments of orders lo..lmax (unconverted, see mean_moment)
     from one walk. A loop of l steps from k climbs at most floor(q l /
     (q + 1)), so the walk stops there for lmax; the shorter loops never
     reach the rows that adds, and each order equals, bit for bit, its own
-    walk (see _walk_steps)."""
+    walk (see _walk_steps and _loop_weights)."""
     N, q = table.N, table.q
     hi = N - 1 + (q * lmax) // (q + 1)  # highest ordinate of a loop from N - 1
-    return _loop_sums(table, lmax, hi)[0] / N
+    return _loop_sums(table, lmax, hi, lo=lo)[0] / N
 
 
 def _escape_weight(table, ell, inside):

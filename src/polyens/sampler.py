@@ -44,7 +44,6 @@ PositivityViolationError (the kernel defines no point process).
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +56,7 @@ from .errors import (
 )
 from .measure import NEGATIVITY_TOL, ReferenceMeasure, gram_defect
 from .ensemble import BIORTHOGONALITY_TOL, PolynomialEnsemble
+from .recurrence import _integer
 from .rng import DEFAULT_SEED, stream
 
 
@@ -127,7 +127,7 @@ class ConditionalState:
         N, k = self.ensemble.N, self.k
         if k >= N:
             raise ValueError("all N points are already conditioned on")
-        idx = _atom_number(idx)
+        idx = _integer(idx, "atom index", "; PolynomialEnsemble.atom_index gives the index of an atom value")
         if not 0 <= idx < len(self._diag):
             raise ValueError(f"atom {idx} is outside 0..{len(self._diag) - 1}")
         if not self._diag[idx] > 0:
@@ -180,21 +180,6 @@ class ConditionalState:
             raise OrthogonalityError("prefix determinant is not positive")
         logprod = float(np.sum(np.log(self.heights)))
         return abs(float(np.expm1(logdet - logprod)))
-
-
-def _atom_number(idx):
-    """idx as a Python int, for an integer of Python or numpy; a bool, a float
-    or a string is a ValueError, never truncated to an index."""
-    if not isinstance(idx, bool):
-        try:
-            return operator.index(idx)
-        except TypeError:
-            pass
-    shown = idx.item() if isinstance(idx, np.generic) else idx
-    raise ValueError(
-        f"atom index {shown!r} is not an integer; "
-        "PolynomialEnsemble.atom_index gives the index of an atom value"
-    )
 
 
 def conditional_density(ensemble, prefix):

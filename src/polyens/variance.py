@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientRangeError, EvaluationError
-from .recurrence import _walks
+from .recurrence import _integer, _walks
 
 # Chebyshev-Gauss sample count of the limit routes
 LIMIT_NODES = 512
@@ -59,6 +59,7 @@ def variance_power(table, ell):
 
     Equals the total weight of length-2l loop paths below N that touch
     ordinate >= N at half time. Needs pad >= l."""
+    ell = _integer(ell, "ell")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     return _escape_sum(table, ell, ell)
@@ -68,6 +69,7 @@ def covariance_power(table, ell, m):
     """Cov[sum_i x_i^l, sum_i x_i^m]: loop paths of length l+m whose
     ordinate at the split time l is >= N. Symmetric in (l, m).
     Needs pad >= max(l, m)."""
+    ell, m = _integer(ell, "ell"), _integer(m, "m")
     if ell < 1 or m < 1:
         raise ValueError("powers must be >= 1")
     return _escape_sum(table, ell, m)

@@ -105,6 +105,33 @@ def walk_steps_by_gather(table, ell, starts, ceiling):
         yield v
 
 
+def full_walk_loops(table, ell, starts, ceiling):
+    """Weight of the ell-step loops from each start that stay at ordinates
+    0..ceiling, read at displacement 0 of the full ell-step walk."""
+    *_, v = walk_steps_by_gather(table, ell, starts, ceiling)
+    return v[table.q * ell]
+
+
+def mean_moment_by_full_walk(table, ell):
+    """The l-th mean moment as one full l-step walk from every k < N,
+    capped where a loop of that order can climb."""
+    N, q = table.N, table.q
+    return np.sum(full_walk_loops(table, ell, np.arange(N), N - 1 + (q * ell) // (q + 1))) / N
+
+
+def limit_by_full_walk(profile, ell, grid):
+    """The profile limit of order l on the quadrature grid (s, w) as one full
+    l-step walk on blocks of (q+1) l + 1 rows, each of the band frozen at
+    its node."""
+    from polyens import banded_table
+
+    q, (s, w) = profile.q, grid
+    rows = (q + 1) * ell + 1
+    band = np.column_stack([profile(j, s) for j in range(-1, q + 1)])
+    table = banded_table(np.repeat(band, rows, axis=0), q, len(s) * rows)
+    return float(w @ full_walk_loops(table, ell, np.arange(len(s)) * rows + q * ell, table.top))
+
+
 def _gl_grid(nodes):
     x, w = np.polynomial.legendre.leggauss(nodes)
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0,1]

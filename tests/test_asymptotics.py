@@ -1,4 +1,5 @@
 import inspect
+import math
 import time
 
 import numpy as np
@@ -9,7 +10,6 @@ from polyens import (
     CoefficientProfile,
     arcsine_moment,
     banded_limit_moment,
-    banded_table,
     catalan_moment,
     classical_table,
     equilibrium_measure,
@@ -18,11 +18,11 @@ from polyens import (
     mean_moment,
     op_profile,
     stream,
+    zeros,
 )
 
 import oracles
-from polyens.asymptotics import GL_NODES, _gl_grid
-from polyens.recurrence import _walks
+from polyens.asymptotics import _gl_grid
 from test_recurrence import TABLE_KINDS, complex_q1_table, random_table
 
 
@@ -101,6 +101,15 @@ def test_banded_limit_matches_composition_sum(q):
         for ell in range(0, 7):
             want = oracles.limit_moment_by_compositions(p, ell)
             assert abs(banded_limit_moment(p, ell) - want) <= 1e-13 * abs(want)
+
+
+def test_gauss_legendre_grid_is_exact_through_degree_511():
+    # 256 nodes integrate s^k on [0, 1] for every k < 512; numpy's leggauss
+    # rule, the one used before, missed by up to 4.3e-13
+    s, w = _gl_grid()
+    assert len(s) == 256 and np.all(np.diff(s) > 0) and np.array_equal(s + s[::-1], np.ones(256))
+    for k in range(512):
+        assert abs(math.fsum(w * s**k) * (k + 1) - 1) <= 5e-14
 
 
 def test_banded_limit_matches_composition_sum_wide_band():
@@ -187,37 +196,57 @@ def test_limit_report_shrinks_when_N_doubles():
         assert g200[ell] < g100[ell]
 
 
-def _own_walk_mean_moment(t, ell):
-    # one walk per order, capped where a loop of that order can climb
-    N, q = t.N, t.q
-    return np.sum(_walks(t, ell, np.arange(N), N - 1 + (q * ell) // (q + 1))[q * ell]) / N
-
-
-def _own_walk_limit(profile, ell):
-    # one walk per order, on Gauss-Legendre blocks of (q+1) l + 1 rows
-    q = profile.q
-    s, w = _gl_grid()
-    rows = (q + 1) * ell + 1
-    band = np.column_stack([profile(j, s) for j in range(-1, q + 1)])
-    table = banded_table(np.repeat(band, rows, axis=0), q, GL_NODES * rows)
-    starts = np.arange(GL_NODES) * rows + q * ell
-    return float(w @ _walks(table, ell, starts, table.top)[q * ell])
-
-
 BAND_PROFILE = CoefficientProfile(
     {-1: 1.0, 0: lambda s: 0.1 + 0.2 * s, 1: lambda s: 0.3 - 0.1 * s, 2: lambda s: 0.05 + 0.1 * s}
 )
 
 
+def _is_walk(got, want, exact):
+    """got == want bit for bit, or, for loops walked half their length,
+    within 1e-14 relative."""
+    return got == want if exact else abs(got - want) <= 1e-14 * abs(want)
+
+
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_limit_report_is_bit_identical_to_one_walk_per_order(kind):
+    # each order of the report is, bit for bit, its own query, and that of a
+    # full walk of its own, but for a symmetric table or profile, whose
+    # loops walk half their length and meet the full walk to roundoff
     t = random_table(kind, 1700, N=40, pad=12)
     for profile in (gue_profile(), BAND_PROFILE):
         rows = limit_report(t, profile, 8)
         assert [r.ell for r in rows] == list(range(1, 9))
         for r in rows:
-            assert r.finite_moment == t.value(_own_walk_mean_moment(t, r.ell)) == mean_moment(t, r.ell)
-            assert r.limit_moment == _own_walk_limit(profile, r.ell) == banded_limit_moment(profile, r.ell)
+            assert r.finite_moment == mean_moment(t, r.ell)
+            assert r.limit_moment == banded_limit_moment(profile, r.ell)
+            want = t.value(oracles.mean_moment_by_full_walk(t, r.ell))
+            assert _is_walk(r.finite_moment, want, exact=not t.symmetric)
+            want = oracles.limit_by_full_walk(profile, r.ell, _gl_grid())
+            assert _is_walk(r.limit_moment, want, exact=profile is BAND_PROFILE)
+
+
+def test_symmetric_loops_walk_half_their_length(monkeypatch):
+    # mean_moment, the section traces of zeros and limit_report walk
+    # ceil(l/2) steps on a symmetric table or OP profile, l steps otherwise
+    import polyens.recurrence
+
+    steps, walk = [], polyens.recurrence._walk_steps
+    monkeypatch.setattr(polyens.recurrence, "_walk_steps", lambda t, ell, *a: steps.append(ell) or walk(t, ell, *a))
+
+    def walked(query, *args):
+        steps.clear()
+        query(*args)
+        return steps
+
+    op, band = random_table("op", 1950, N=40, pad=12), random_table("q2", 1950, N=40, pad=12)
+    for ell in (1, 2, 5, 8):
+        half = (ell + 1) // 2
+        assert walked(mean_moment, op, ell) == walked(zeros, op, ell) == [half]
+        assert walked(mean_moment, band, ell) == walked(zeros, band, ell) == [ell]
+        assert walked(limit_report, op, gue_profile(), ell) == [half, half]
+        assert walked(limit_report, op, op_profile(0.5, lambda s: s), ell) == [half, half]
+        assert walked(limit_report, band, BAND_PROFILE, ell) == [ell, ell]
+        assert walked(limit_report, op, CoefficientProfile({-1: 0.5, 0: 0.0, 1: 0.4}), ell) == [half, ell]
 
 
 @given(st.integers(1, 8))

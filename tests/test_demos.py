@@ -17,7 +17,8 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # a subprocess skips pyproject's warning filter: the same gate, by env
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error::RuntimeWarning"}
     proc = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT, timeout=300
     )

@@ -411,6 +411,22 @@ def test_eval_kernel_at_the_outermost_atom_is_inf_without_a_warning():
     assert np.isclose(ens.eval_kernel(x[i], x[i]), ens.N * density[i], rtol=1e-10)
 
 
+def test_eval_kernel_at_opposite_outermost_atoms_reads_the_kernel():
+    # at x = -1.921 and y = +1.921 (weight 1.5e-323) the terms
+    # P_k(x) P_k(y) = (-1)^k P_k(x)^2 overflow to -+inf, and their sum was
+    # NaN with an invalid-value warning (an error in this suite); at a pair
+    # of atoms K(x, y) is L_ij / sqrt(w_i w_j), here -0.011 / 1.5e-323
+    from polyens.config import build_ensemble
+
+    ens = build_ensemble({"measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024}, "N": 400})
+    x, L = ens.measure.points, ens.kernel_matrix()
+    assert L[0, -1] < 0 and ens.measure.weights[0] < 1e-320
+    assert ens.eval_kernel(x[0], x[-1]) == ens.eval_kernel(x[-1], x[0]) == -math.inf
+    i, j = len(x) // 2, len(x) // 2 + 3  # inner atoms keep the table sum
+    w = ens.measure.weights
+    assert np.isclose(ens.eval_kernel(x[i], x[j]), L[i, j] / np.sqrt(w[i] * w[j]), rtol=1e-10)
+
+
 def test_nonreal_kernel_diagonal_is_refused_where_it_is_formed():
     # a real tilt of the circle's complex basis: Im K(x, x) reaches 11% of
     # max |K(x, x)|, so the kernel is no point process

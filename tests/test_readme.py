@@ -37,7 +37,8 @@ def _command_id(cmd):
 
 @pytest.mark.parametrize("cmd", README_COMMANDS, ids=_command_id)
 def test_readme_command_runs(cmd, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # a subprocess skips pyproject's warning filter: the same gate, by env
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error::RuntimeWarning"}
     proc = subprocess.run(
         [sys.executable, "-m", "polyens", *cmd[1:]],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,

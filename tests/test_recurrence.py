@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,17 +11,24 @@ from polyens import (
     NumericalBreakdownError,
     RankError,
     atoms_measure,
+    banded_limit_moment,
     banded_table,
     classical_table,
+    covariance_power,
     equilibrium_measure,
     eval_polynomials,
+    gue_profile,
     hessenberg_matrix,
+    limit_report,
     mean_moment,
+    moment_gap,
     op_table,
     path_sum_moment,
     scaled_hermite_measure,
     stream,
     table_from_measure,
+    variance_power,
+    zeros,
 )
 
 import oracles
@@ -505,3 +513,59 @@ def test_constant_coefficient_closed_form():
             for m in range(ell // 2 + 1)
         )
         assert np.isclose(path_sum_moment(t, ell, k, k), want, rtol=1e-12)
+
+
+SYMMETRIC_TABLES = {
+    "gue": lambda N: classical_table("gue", N),
+    "chebyshev": lambda N: classical_table("chebyshev", N),
+    "op-b": lambda N: random_op_table(1900, N=N, pad=8),  # b_k != 0: odd loops weigh
+}
+
+
+@pytest.mark.parametrize("N", (1, 3, 40, 2000))
+@pytest.mark.parametrize("name", SYMMETRIC_TABLES)
+def test_half_walks_are_the_full_walk_on_symmetric_tables(name, N):
+    # a loop is a path out and the same path back: the moments, section
+    # traces and gaps of ceil(l/2)-step walks meet the full l-step walk to
+    # roundoff, and odd orders of a table with b = 0 are exactly 0 on both
+    t = SYMMETRIC_TABLES[name](N)
+    assert t.symmetric
+    zs = zeros(t, 8)
+    for ell in range(9):
+        want = oracles.mean_moment_by_full_walk(t, ell)
+        assert abs(mean_moment(t, ell) - want) <= 1e-14 * abs(want)
+        want = np.sum(oracles.full_walk_loops(t, ell, np.arange(N), N - 1))
+        assert abs(zs.power_sums[ell] - want) <= 1e-14 * abs(want)
+        if ell:
+            climb = ell // 2
+            k = np.arange(max(N - climb, 0), N)
+            out = oracles.full_walk_loops(t, ell, k, N - 1 + climb) - oracles.full_walk_loops(t, ell, k, N - 1)
+            want = abs(np.sum(out)) / N
+            assert abs(moment_gap(t, ell, zero_set=zs).gap - want) <= 1e-14 * want
+
+
+ORDER_QUERIES = {
+    "mean_moment-ell": lambda t, n: mean_moment(t, n),
+    "path_sum_moment-ell": lambda t, n: path_sum_moment(t, n, 1, 1),
+    "path_sum_moment-k": lambda t, n: path_sum_moment(t, 2, n, 1),
+    "path_sum_moment-m": lambda t, n: path_sum_moment(t, 2, 1, n),
+    "zeros-lmax": lambda t, n: zeros(t, n).power_sums.tolist(),
+    "moment_gap-ell": lambda t, n: moment_gap(t, n),
+    "variance_power-ell": lambda t, n: variance_power(t, n),
+    "covariance_power-ell": lambda t, n: covariance_power(t, n, 3),
+    "covariance_power-m": lambda t, n: covariance_power(t, 3, n),
+    "limit_report-lmax": lambda t, n: limit_report(t, gue_profile(), n),
+    "banded_limit_moment-ell": lambda t, n: banded_limit_moment(gue_profile(), n),
+}
+
+
+@pytest.mark.parametrize("query", ORDER_QUERIES)
+def test_orders_and_indices_are_integers(query):
+    # a numpy integer is the int it holds; a bool, a float or a string is no
+    # order and is refused by name, never truncated or read as 0 or 1
+    t, name, ask = classical_table("gue", 10), query.split("-")[1], ORDER_QUERIES[query]
+    assert ask(t, np.int64(2)) == ask(t, 2)
+    for bad in (2.0, np.float64(2.0), True, np.True_, "2"):
+        shown = bad.item() if isinstance(bad, np.generic) else bad
+        with pytest.raises(ValueError, match=re.escape(f"{name} {shown!r} is not an integer")):
+            ask(t, bad)
