@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .recurrence import _integer, _loop_weights, _mean_moments, banded_table
+from .errors import _integer
+from .recurrence import _loop_weights, _mean_moments, banded_table
 
 GL_NODES = 256
 
@@ -68,6 +69,7 @@ def gue_profile():
 
 def catalan_moment(ell):
     """Semicircle moments: Catalan numbers at even orders, 0 at odd."""
+    ell = _integer(ell, "ell", 0)
     if ell % 2:
         return 0.0
     m = ell // 2
@@ -77,8 +79,7 @@ def catalan_moment(ell):
 def arcsine_moment(ell, alpha=-1.0, beta=1.0):
     """Moment integral x^l d omega_[alpha,beta]: exactly
     (1/4^m) binom(2m, m) on [-1,1], transported affinely elsewhere."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    ell = _integer(ell, "ell", 0)
     mid = 0.5 * (alpha + beta)
     half = 0.5 * (beta - alpha)
     total = 0.0
@@ -112,7 +113,8 @@ def _gl_grid():
 def banded_limit_moment(profile, ell):
     """Limit of the l-th mean empirical moment for a banded profile: the
     weight of l-step loops of the band frozen at s, integrated over s."""
-    return float(_limit_moments(profile, _integer(ell, "ell"))[ell])
+    ell = _integer(ell, "ell", 0)
+    return float(_limit_moments(profile, ell)[ell])
 
 
 def _limit_moments(profile, lmax):
@@ -149,10 +151,8 @@ class LimitRow:
 
 def limit_report(table, profile, lmax):
     """Side-by-side finite-N mean moments (from the table) and their
-    profile limits, with gaps; every order of each from one walk."""
-    lmax = _integer(lmax, "lmax")
-    if lmax < 1:
-        return []
+    profile limits, with gaps, for orders 1..lmax; each side from one walk."""
+    lmax = _integer(lmax, "lmax", 0)
     finite, limit = _mean_moments(table, lmax), _limit_moments(profile, lmax)
     rows = []
     for ell in range(1, lmax + 1):

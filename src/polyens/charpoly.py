@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdownError
+from .errors import NumericalBreakdownError, _integer
 from .measure import ReferenceMeasure
-from .recurrence import _escape_weight, _integer, _loop_sums, hessenberg_matrix
+from .recurrence import _escape_weight, _loop_sums, hessenberg_matrix
 
 POWER_SUM_TOL = 1e-8
 
@@ -69,9 +69,7 @@ def zeros(table, lmax=8):
     ZeroSet.zeros is first read (see _section_zeros), so errors of the
     eigensolve surface there.
     """
-    lmax = _integer(lmax, "lmax")
-    if lmax < 0:
-        raise ValueError(f"lmax must be >= 0, got {lmax}")
+    lmax = _integer(lmax, "lmax", 0)
     traces, edge = _loop_sums(table, lmax, table.N - 1, keep=(table.q * lmax) // (table.q + 1))
     return ZeroSet(table, traces, edge)
 
@@ -174,9 +172,7 @@ def moment_gap(table, ell, zero_set=None):
     (recurrence._escape_weight), and the mean moment is p_l/N + w/N.
     zero_set must be that of a table with the same N, dtype and rows
     0..N-1, the rows its section weights read (else ValueError)."""
-    ell = _integer(ell, "ell")
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    ell = _integer(ell, "ell", 1)
     N = table.N
     zs = zero_set if zero_set is not None else zeros(table, lmax=ell)
     zmom, t = zs.mean_power(ell), zs._table

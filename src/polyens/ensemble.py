@@ -27,9 +27,11 @@ from .errors import (
     OrthogonalityError,
     PositivityViolationError,
     RankError,
+    _integer,
 )
 from .measure import NEGATIVITY_TOL, _row_blocks, gram_defect
 from .recurrence import DEFAULT_PAD, RecurrenceTable, _lanczos, eval_polynomials
+from .rng import stream
 
 BIORTHOGONALITY_TOL = 1e-8
 
@@ -51,8 +53,6 @@ SIGN_IMAG_TOL = 1e-6
 # beyond roundoff when |Im det| (or -det) exceeds this times prod |L_ii|. That
 # ratio is the same for L and K, and prod |K_ii| <= max(1, max |K_ij|)^k
 MINOR_TOL = 1e-9
-
-_UNCHECKED = object()
 
 
 def _check_rank(N, measure):
@@ -108,8 +108,8 @@ class PolynomialEnsemble:
             raise ValueError("basis must be (rows, n_atoms) over the measure atoms")
         self.measure = measure
         self.basis = basis
-        self.N = int(N) if N is not None else len(basis)
-        if not 0 <= self.N <= len(basis):
+        self.N = len(basis) if N is None else _integer(N, "N", 0)
+        if self.N > len(basis):
             raise ValueError("N exceeds available basis rows")
         _check_rank(self.N, measure)
         if Q_vals is not None:
@@ -121,8 +121,7 @@ class PolynomialEnsemble:
         self.Q_vals = Q_vals
         self.table = table
         self.name = name or ("op-ensemble" if Q_vals is None else "biorthogonal-ensemble")
-        self._rows = None  # sampler_rows
-        self._gauge = _UNCHECKED
+        self._rows = self._gauge = None  # sampler_rows, real_gauge
 
     # -- constructors ------------------------------------------------------
 
@@ -135,7 +134,7 @@ class PolynomialEnsemble:
         gram_defect(U) within BIORTHOGONALITY_TOL (a NaN Gram is not), else
         OrthogonalityError. The table stays attached only if the padded rows
         are orthogonal to P within the same tolerance."""
-        N = table.N if N is None else int(N)
+        N = table.N if N is None else _integer(N, "N", 1)
         if N != table.N:
             table = RecurrenceTable(N, table.c, table.q)
         _check_rank(N, measure)
@@ -178,16 +177,11 @@ class PolynomialEnsemble:
 
     def kernel_matrix(self):
         """L_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j), the kernel against
-        counting measure on the atoms, bit for bit U^T conj(V). Only the
-        sampler needs it (minors come from the basis, _minor). A real or
-        non-hermitian kernel, and a complex hermitian one with no real gauge,
-        is the cached array of sampler_rows. A complex hermitian kernel with
-        a real gauge caches only its real gauged rows, so L is formed afresh
-        on each call and not kept: at n = 1200 atoms it is 23 MB against
-        the rows' 11.5 MB."""
-        if self.hermitian and np.iscomplexobj(self.P_vals) and self._gauge is not None:
-            return self._form_kernel()  # the cache holds gauged rows, or nothing yet
-        return self.sampler_rows()[0]
+        counting measure on the atoms, bit for bit U^T conj(V), formed
+        afresh on each call and not kept (see _form_kernel), so the caller
+        owns it. Minors come from the basis (_minor), and the sampler reads
+        the read-only rows of sampler_rows."""
+        return self._form_kernel()
 
     def _form_kernel(self):
         """L, formed and checked (see _checked).
@@ -219,11 +213,11 @@ class PolynomialEnsemble:
         return self._checked(K, np.diagonal(K), "kernel")
 
     def sampler_rows(self):
-        """(rows, mass), cached: the one n x n array the sampler reads its
-        rows from, and the real part of L's diagonal, the mass of the first
-        point. The rows are the real gauged kernel
+        """(rows, mass), cached and read-only: the one n x n array the
+        sampler reads its rows from, and the real part of L's diagonal, the
+        mass of the first point. The rows are the real gauged kernel
         G_ij = Re((conj(d_i) L_ij) d_j) when real_gauge finds phases d,
-        else L itself (kernel_matrix).
+        else L itself (as kernel_matrix forms it).
 
         G is built in _form_kernel's row blocks with the same products, so
         no complex n x n array is held: block [lo, hi) gives L[lo:hi, lo:]
@@ -240,6 +234,8 @@ class PolynomialEnsemble:
             if rows is None:
                 L, d = self._form_kernel(), None
                 rows = L, np.real(np.diagonal(L)).copy()
+            for part in rows:
+                part.flags.writeable = False
             self._rows, self._gauge = rows, d
         return self._rows
 
@@ -345,11 +341,10 @@ class PolynomialEnsemble:
     def eval_P(self, x, upto=None):
         """Values of P_0..P_upto (default N-1) at arbitrary points, via the
         recurrence. Needs an attached table."""
-        upto = self.N - 1 if upto is None else int(upto)
         if self.table is None:
             raise EvaluationError("ensemble has no recurrence table; only atom values exist")
         p0 = 1.0 / np.sqrt(self.measure.total_mass)
-        return eval_polynomials(self.table, x, upto, p0=p0)
+        return eval_polynomials(self.table, x, self.N - 1 if upto is None else upto, p0=p0)
 
     def eval_kernel(self, x, y):
         """K(x, y) at scalar points.
@@ -466,11 +461,9 @@ class PolynomialEnsemble:
     def validate_positivity(self, rng=None, trials=200):
         """Scan random k-point minors of the kernel (see _minor) for
         negativity: det L[idx, idx] < -MINOR_TOL prod |L_ii| raises."""
-        from .rng import stream
-
         rng = rng or stream()
         n = len(self.measure)
-        for _ in range(trials):
+        for _ in range(_integer(trials, "trials", 0)):
             k = int(rng.integers(1, self.N + 1))
             idx = rng.choice(n, size=min(k, n), replace=False)
             sign, logdet, logh = self._minor(idx)

@@ -1,8 +1,13 @@
-"""Exception types raised by polyens.
+"""Exception types raised by polyens, and the one rule for integer arguments.
 
 Every failure that callers may want to distinguish gets its own class; all
 inherit from PolyensError so the CLI can map them to a single exit code.
+Every count, order, index and seed an entry point reads goes through _integer.
 """
+
+import operator
+
+import numpy as np
 
 
 class PolyensError(Exception):
@@ -52,3 +57,19 @@ class NumericalBreakdownError(PolyensError):
 
 class ConfigError(PolyensError):
     """A JSON config failed schema validation."""
+
+
+def _integer(n, what, least=None, hint=""):
+    """n as a Python int, for an integer of Python or numpy that is >= least
+    (when given). A bool, a float or a string is a ValueError naming `what`,
+    never truncated, and so is a value below least."""
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        shown = n.item() if isinstance(n, np.generic) else n
+        raise ValueError(f"{what} {shown!r} is not an integer{hint}") from None
+    if least is not None and n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
+    return n

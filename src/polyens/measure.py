@@ -17,6 +17,7 @@ from .errors import (
     InvalidIntervalError,
     NegativityError,
     NumericalBreakdownError,
+    _integer,
 )
 
 DEFAULT_NODES = 1024
@@ -217,6 +218,7 @@ def equilibrium_measure(alpha, beta, nodes=DEFAULT_NODES):
     """Arcsine (equilibrium) measure of [alpha, beta], discretized on
     Chebyshev-Gauss nodes: equal weights 1/nodes at the mapped Chebyshev
     points. Exact for polynomials of degree <= 2*nodes - 1."""
+    nodes = _integer(nodes, "nodes", 1)
     if not (np.isfinite(alpha) and np.isfinite(beta)) or alpha >= beta:
         raise InvalidIntervalError(f"need alpha < beta, got [{alpha}, {beta}]")
     k = np.arange(1, nodes + 1)
@@ -237,7 +239,7 @@ def scaled_hermite_measure(N, nodes=DEFAULT_NODES):
     are dropped (a mathematical no-op); subnormal ones stay."""
     if N <= 0:
         raise ValueError("N must be positive")
-    x, w = gauss_hermite(nodes)
+    x, w = gauss_hermite(_integer(nodes, "nodes", 1))
     s = np.sqrt(2.0 / N)
     pts = s * x
     wts = s * w
@@ -278,9 +280,7 @@ def gauss_hermite(n):
     sum(w) = sqrt(pi) within _MASS_TOL relative, else
     NumericalBreakdownError.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("need at least one node")
+    n = _integer(n, "n", 1)
     x = _hermite_guesses(n)
     for _ in range(NEWTON_PASSES):
         p_n, p_last, _ = _hermite_pair(n, x)
@@ -364,8 +364,7 @@ def _hermite_pair(n, x):
 def uniform_circle_measure(n=DEFAULT_NODES):
     """Uniform probability measure on the unit circle, n equispaced atoms.
     Monomials z^k, k < n, are exactly orthonormal for it."""
-    if n < 1:
-        raise ValueError("need at least one atom")
+    n = _integer(n, "n", 1)
     z = np.exp(2j * np.pi * np.arange(n) / n)
     return ReferenceMeasure(z, np.full(n, 1.0 / n), name="uniform-circle")
 

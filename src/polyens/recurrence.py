@@ -28,7 +28,6 @@ past the pad raises instead of extrapolating.
 """
 
 import math
-import operator
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .errors import (
     NumericalBreakdownError,
     OrthogonalityError,
     RankError,
+    _integer,
 )
 from .measure import gram_defect
 
@@ -80,10 +80,9 @@ class RecurrenceTable:
         return table
 
     def _own(self, N, c, q):
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        if c.ndim != 2 or q < 0 or c.shape[1] != q + 2:
-            raise ValueError("a table needs q >= 0 and c with q + 2 columns")
+        N, q = _integer(N, "N", 1), _integer(q, "q", 0)
+        if c.ndim != 2 or c.shape[1] != q + 2:
+            raise ValueError("a table needs c with q + 2 columns")
         if len(c) < N:
             raise ValueError("table must store at least N coefficient rows")
         if not np.all(np.isfinite(c)):  # both parts of a complex table
@@ -91,7 +90,7 @@ class RecurrenceTable:
         for k in range(min(len(c), q + 1)):
             c[k, k + 2:] = 0.0  # target index k-j < 0 does not exist
         c.flags.writeable = False  # symmetric is read from c once, so c stays as read
-        self.N, self.c, self.q = int(N), c, int(q)
+        self.N, self.c, self.q = N, c, q
         self.a, self.b = c[:, 0], c[:, 1]
         self.symmetric = (q == 1 and not np.iscomplexobj(c) and bool(np.all(c[:, 0] > 0))
                           and np.array_equal(c[1:, 2], c[:-1, 0]))
@@ -182,8 +181,10 @@ def classical_table(name, N, pad=DEFAULT_PAD, alpha=-1.0, beta=1.0):
                    where h and mid are the half-width and midpoint.
     'uniform-circle' -- monomials on the unit circle: <z P_k, Q_m> is 1 at
                    m = k+1 and 0 elsewhere (banded, q = 0).
-    Each fills the table's coefficient array in place, holding one copy.
+    Each fills the table's coefficient array in place, holding one copy,
+    for integers N >= 1 and pad >= -1.
     """
+    N, pad = _integer(N, "N", 1), _integer(pad, "pad", -1)
     K = N + pad
     if name == "gue":
         c = np.zeros((K + 1, 3))
@@ -227,13 +228,15 @@ def _lanczos(m, N, pad=DEFAULT_PAD):
     pass against all earlier vectors, and a second pass when the first
     removed more than half the norm (Kahan-Parlett: twice is enough).
 
-    Needs at least N + pad + 2 distinct atoms (one degree past the stored
-    range fixes a_{N+pad} as a residual norm). Raises NumericalBreakdownError
-    when a residual vanishes to roundoff, and OrthogonalityError when the
-    Gram defect of U (measure.gram_defect) exceeds ORTHONORMALITY_TOL.
+    Needs integers N >= 1 and pad >= -1, and N + pad + 2 distinct atoms
+    (one degree past the stored range fixes a_{N+pad} as a residual norm).
+    Raises NumericalBreakdownError when a residual vanishes to roundoff,
+    and OrthogonalityError when the Gram defect of U (measure.gram_defect)
+    exceeds ORTHONORMALITY_TOL.
     """
     if m.is_complex:
         raise ValueError("table_from_measure needs a real-supported measure")
+    N, pad = _integer(N, "N", 1), _integer(pad, "pad", -1)
     K = N + pad
     x, w = m.points, m.weights
     atoms = m.distinct_atoms
@@ -294,18 +297,6 @@ def _lanczos(m, N, pad=DEFAULT_PAD):
             f"orthonormality drift {drift:.3e} exceeds {ORTHONORMALITY_TOL:g}"
         )
     return op_table(a, b, N), U
-
-
-def _integer(n, what, hint=""):
-    """n as a Python int, for an integer of Python or numpy; a bool, a float
-    or a string is a ValueError naming `what`, never truncated."""
-    if not isinstance(n, bool):
-        try:
-            return operator.index(n)
-        except TypeError:
-            pass
-    shown = n.item() if isinstance(n, np.generic) else n
-    raise ValueError(f"{what} {shown!r} is not an integer{hint}")
 
 
 def _walks(table, ell, starts, ceiling):
@@ -382,9 +373,7 @@ def path_sum_moment(table, ell, k, m):
     One banded walk from k, capped at the highest ordinate a contributing
     path can reach; coefficients above it are never read.
     """
-    ell, k, m = _integer(ell, "ell"), _integer(k, "k"), _integer(m, "m")
-    if ell < 0 or k < 0 or m < 0:
-        raise ValueError("ell, k, m must be nonnegative")
+    ell, k, m = _integer(ell, "ell", 0), _integer(k, "k", 0), _integer(m, "m", 0)
     if ell == 0:
         return table.value(1.0 if k == m else 0.0)
     q = table.q
@@ -398,9 +387,7 @@ def mean_moment(table, ell):
     """(1/N) sum_{k<N} <x^l P_k, Q_k>: the l-th moment of the mean empirical
     measure, straight from the table: the loops of one walk from every k < N,
     of ceil(l/2) steps on a symmetric table, forming order l only."""
-    ell = _integer(ell, "ell")
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
+    ell = _integer(ell, "ell", 0)
     return table.value(_mean_moments(table, ell, lo=ell)[ell])
 
 
@@ -481,9 +468,7 @@ def hessenberg_matrix(table, size=None):
     """Matrix [<x P_j, Q_i>]_{i,j < size} of multiplication by x compressed
     to the span of P_0..P_{size-1}. Upper Hessenberg: entries vanish for
     row > column + 1; symmetric tridiagonal for a symmetric table."""
-    n = table.N if size is None else int(size)
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    n = table.N if size is None else _integer(size, "size", 1)
     if n - 1 > table.top:
         raise CoefficientRangeError(
             f"section size {n} exceeds stored range {table.top}"
@@ -504,8 +489,7 @@ def eval_polynomials(table, x, upto, p0=1.0):
     p0_i = sqrt(w_i / total mass) at the atoms gives the weighted rows
     sqrt(w_i) P_k(x_i). Needs stored coefficients through index upto - 1.
     """
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
+    upto = _integer(upto, "upto", 0)
     if upto - 1 > table.top:
         raise CoefficientRangeError(
             f"evaluating P_{upto} needs coefficients through {upto - 1}, "

@@ -13,12 +13,13 @@ or alone.
 
 import numpy as np
 
+from .errors import _integer
+
 DEFAULT_SEED = 20230915
 
 
 def stream(seed=DEFAULT_SEED, replica=0):
-    """Independent Generator for the given (seed, replica) pair."""
-    if seed is None:
-        seed = DEFAULT_SEED
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replica),))
+    """Independent Generator for the (seed, replica) pair; seed None is DEFAULT_SEED."""
+    seed = DEFAULT_SEED if seed is None else _integer(seed, "seed", 0)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_integer(replica, "replica", 0),))
     return np.random.Generator(np.random.Philox(ss))

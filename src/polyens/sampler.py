@@ -53,10 +53,10 @@ from .errors import (
     NumericalBreakdownError,
     OrthogonalityError,
     PositivityViolationError,
+    _integer,
 )
 from .measure import NEGATIVITY_TOL, ReferenceMeasure, gram_defect
 from .ensemble import BIORTHOGONALITY_TOL, PolynomialEnsemble
-from .recurrence import _integer
 from .rng import DEFAULT_SEED, stream
 
 
@@ -127,7 +127,7 @@ class ConditionalState:
         N, k = self.ensemble.N, self.k
         if k >= N:
             raise ValueError("all N points are already conditioned on")
-        idx = _integer(idx, "atom index", "; PolynomialEnsemble.atom_index gives the index of an atom value")
+        idx = _integer(idx, "atom index", hint="; PolynomialEnsemble.atom_index gives the index of an atom value")
         if not 0 <= idx < len(self._diag):
             raise ValueError(f"atom {idx} is outside 0..{len(self._diag) - 1}")
         if not self._diag[idx] > 0:
@@ -235,8 +235,7 @@ def sample_replicas(ensemble, n_replicas, seed=DEFAULT_SEED, statistic=None):
     matrix, or the per-replica statistic of the drawn points when statistic
     is given.
     """
-    if n_replicas < 0:
-        raise ValueError(f"n_replicas must be >= 0, got {n_replicas}")
+    n_replicas = _integer(n_replicas, "n_replicas", 0)
     rows = np.empty((n_replicas, ensemble.N), dtype=int)
     logs = np.empty(n_replicas)
     for r in range(n_replicas):
@@ -254,60 +253,54 @@ def sample_replicas(ensemble, n_replicas, seed=DEFAULT_SEED, statistic=None):
 
 @dataclass
 class SpectralData:
-    """Kernel in spectral form K(x, y) = sum_k lambda_k phi_k(x) conj(psi_k(y))
-    with biorthogonal families and contraction coefficients 0 <= lambda <= 1.
-    phi and psi hold weighted atom values, sqrt(w_i) phi_k(x_i), as the
-    rows of a PolynomialEnsemble do."""
+    """Hermitian kernel in spectral form K(x, y) = sum_k lambda_k phi_k(x)
+    conj(phi_k(y)) with an orthonormal family and contraction coefficients
+    0 <= lambda <= 1. phi holds weighted atom values, sqrt(w_i) phi_k(x_i),
+    as the rows of a PolynomialEnsemble do. One family only: a thinned
+    biorthogonal projection need not be a point process."""
 
     lambdas: np.ndarray
     phi: np.ndarray
-    psi: np.ndarray
     measure: ReferenceMeasure
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         self.phi = np.asarray(self.phi)
-        self.psi = np.asarray(self.psi)
-        r = len(self.lambdas)
-        n = len(self.measure)
-        if self.phi.shape != (r, n) or self.psi.shape != (r, n):
-            raise ValueError("phi and psi must be (rank, n_atoms)")
+        if self.phi.shape != (len(self.lambdas), len(self.measure)):
+            raise ValueError("phi must be (rank, n_atoms)")
         if not np.all((self.lambdas >= 0) & (self.lambdas <= 1)):  # NaN included
             raise ValueError("contraction needs 0 <= lambda_k <= 1")
-        if not gram_defect(self.phi, self.psi) <= BIORTHOGONALITY_TOL:
-            raise OrthogonalityError("phi and psi are not biorthogonal")
+        if not gram_defect(self.phi) <= BIORTHOGONALITY_TOL:
+            raise OrthogonalityError("phi is not orthonormal")
 
     @property
     def rank(self):
         return len(self.lambdas)
 
     def intensity(self):
-        """1-point correlation density sum lambda_k phi_k psi_k-bar / w w.r.t. mu."""
-        vals = np.einsum("k,ki,ki->i", self.lambdas, self.phi, np.conj(self.psi)) / self.measure.weights
-        return vals.real if np.iscomplexobj(vals) else vals
+        """1-point correlation density sum lambda_k |phi_k|^2 / w w.r.t. mu."""
+        return np.real(np.einsum("k,ki,ki->i", self.lambdas, self.phi, np.conj(self.phi))) / self.measure.weights
 
 
 def spectral_from_ensemble(ensemble, lambdas):
     """Spectral data of a hermitian ensemble contracted by the given
-    coefficients: phi_k = psi_k = P_k. A non-hermitian ensemble is a
-    ValueError: its P_k are not its own duals, and a thinned biorthogonal
-    projection need not be a point process."""
+    coefficients: phi_k = P_k. A non-hermitian ensemble is a ValueError:
+    its P_k are not its own duals, and a thinned biorthogonal projection
+    need not be a point process."""
     if not ensemble.hermitian:
         raise ValueError("spectral thinning needs a hermitian ensemble")
-    lambdas = np.asarray(lambdas, dtype=float)
     if len(lambdas) > ensemble.N:
         raise ValueError("more coefficients than kernel rank")
-    P = ensemble.P_vals[: len(lambdas)]
-    return SpectralData(lambdas, P, P, ensemble.measure)
+    return SpectralData(lambdas, ensemble.P_vals[: len(lambdas)], ensemble.measure)
 
 
 def thin_contraction(spectral, rng=None):
     """Bernoulli thinning of a contraction: keep the k-th spectral direction
-    with probability lambda_k, returning the projection ensemble on the kept
-    directions (possibly zero-rank) and the keep mask. Sampling the returned
-    ensemble and mixing over masks reproduces the DPP of the contracted
-    kernel."""
+    with probability lambda_k, returning the hermitian projection ensemble
+    on the kept directions (possibly zero-rank) and the keep mask. Sampling
+    the returned ensemble and mixing over masks reproduces the DPP of the
+    contracted kernel."""
     rng = stream() if rng is None else rng
     keep = rng.random(spectral.rank) < spectral.lambdas
-    ens = PolynomialEnsemble(spectral.measure, spectral.phi[keep], Q_vals=spectral.psi[keep], name="thinned-projection")
+    ens = PolynomialEnsemble(spectral.measure, spectral.phi[keep], name="thinned-projection")
     return ens, keep

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoefficientRangeError, EvaluationError
-from .recurrence import _integer, _walks
+from .errors import CoefficientRangeError, EvaluationError, _integer
+from .recurrence import _walks
 
 # Chebyshev-Gauss sample count of the limit routes
 LIMIT_NODES = 512
@@ -59,9 +59,7 @@ def variance_power(table, ell):
 
     Equals the total weight of length-2l loop paths below N that touch
     ordinate >= N at half time. Needs pad >= l."""
-    ell = _integer(ell, "ell")
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    ell = _integer(ell, "ell", 1)
     return _escape_sum(table, ell, ell)
 
 
@@ -69,17 +67,14 @@ def covariance_power(table, ell, m):
     """Cov[sum_i x_i^l, sum_i x_i^m]: loop paths of length l+m whose
     ordinate at the split time l is >= N. Symmetric in (l, m).
     Needs pad >= max(l, m)."""
-    ell, m = _integer(ell, "ell"), _integer(m, "m")
-    if ell < 1 or m < 1:
-        raise ValueError("powers must be >= 1")
+    ell, m = _integer(ell, "ell", 1), _integer(m, "m", 1)
     return _escape_sum(table, ell, m)
 
 
 def variance_upper_bound(table, ell):
     """(2l)^{2l} max^{2l}: combinatorial bound on Var[sum x_i^l], the max
     over coefficients |<x P_k, Q_m>| with k, m within l of N."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    ell = _integer(ell, "ell", 1)
     wmax = table.window_max(table.N - ell, table.N + ell)
     return float((2.0 * ell) ** (2 * ell) * wmax ** (2 * ell))
 
@@ -105,7 +100,7 @@ def empirical_Q_moment(ensemble, m, n):
             "Q_N moments need an orthonormal-polynomial ensemble; "
             "this one has no symmetric recurrence table"
         )
-    N = ensemble.N
+    N, m, n = ensemble.N, _integer(m, "m", 0), _integer(n, "n", 0)
     if N + 1 > len(ensemble.basis):
         raise CoefficientRangeError("needs the basis padded through P_N")
     mu = ensemble.measure
@@ -150,8 +145,9 @@ def limiting_Q_moment(m, n, a=1.0, b=0.0):
     [b-2a, b+2a]^2; (0,0) gives 1. With x = b + 2a u the weight 1 - uv
     factorizes, so this is c_0(x^m) c_0(x^n) - c_1(x^m) c_1(x^n) / 4 in
     Chebyshev coefficients: exact for orders below LIMIT_NODES."""
-    if min(m, n) < 0 or max(m, n) >= LIMIT_NODES:
-        raise ValueError(f"moment orders must lie in [0, {LIMIT_NODES})")
+    m, n = _integer(m, "m", 0), _integer(n, "n", 0)
+    if max(m, n) >= LIMIT_NODES:
+        raise ValueError(f"moment orders must be below {LIMIT_NODES}, got ({m}, {n})")
     cm = _chebyshev_coefficients(lambda x: x**m, a, b)
     cn = _chebyshev_coefficients(lambda x: x**n, a, b)
     return float(cm[0] * cn[0] - cm[1] * cn[1] / 4.0)

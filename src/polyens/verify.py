@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _integer
 from .rng import DEFAULT_SEED, stream
 from .measure import atoms_measure, equilibrium_measure
 from .recurrence import classical_table, eval_polynomials, hessenberg_matrix, mean_moment, op_table, path_sum_moment
@@ -321,7 +322,7 @@ def run_all(quick=False, seed=DEFAULT_SEED, only=None, progress=None):
     only: optional iterable of criterion numbers. progress: optional
     callable invoked with each result as it finishes.
     """
-    ctx = {"quick": bool(quick), "seed": int(seed)}
+    ctx = {"quick": bool(quick), "seed": _integer(seed, "seed", 0)}
     wanted = None if only is None else set(only)
     results = []
     for number, name, fn in CRITERIA:

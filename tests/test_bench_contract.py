@@ -1,19 +1,24 @@
 """The benchmark's trace harness (perfbench/tracing.py) patches polyens
 functions by name; every name it lists must exist, and uninstalling must
-put back the very objects it replaced."""
+put back the very objects it replaced. Every benchmark workload
+(perfbench/workloads.py) must run one op at its tiny size and pass its
+closed-form check, so a library change that breaks the benchmark's calls
+fails here."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import polyens
 import polyens.config  # noqa: F401  (a traced module the package does not import)
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,7 +39,7 @@ def bindings(name):
 
 
 def test_tracer_patches_every_listed_function_and_restores_it():
-    tracing = load_tracing()
+    tracing = load("tracing")
     before = {name: bindings(name) for name in tracing.LAYER_FUNCTIONS}
     tracer = tracing.Tracer()
     try:
@@ -49,3 +54,10 @@ def test_tracer_patches_every_listed_function_and_restores_it():
     for name, bound in before.items():
         for owner, attr, original in bound:
             assert vars(owner)[attr] is original, f"{name} not restored at {attr}"
+
+
+@pytest.mark.parametrize("name", ["gue_mc", "tilted_schur", "circle_large", "exact_tables"])
+def test_every_workload_runs_one_checked_op_at_its_tiny_size(name):
+    workloads = load("workloads")
+    assert name in workloads.WORKLOADS
+    workloads.warm_up(name, 1)  # set-up, one op and its closed-form check, or RuntimeError

@@ -7,33 +7,43 @@ from hypothesis import given, strategies as st
 
 from polyens import (
     CoefficientRangeError,
+    PolynomialEnsemble,
     InvalidIntervalError,
     NumericalBreakdownError,
     RankError,
     atoms_measure,
     banded_limit_moment,
     banded_table,
+    arcsine_moment,
+    catalan_moment,
     classical_table,
     covariance_power,
+    empirical_Q_moment,
     equilibrium_measure,
     eval_polynomials,
     gue_profile,
     hessenberg_matrix,
     limit_report,
+    limiting_Q_moment,
     mean_moment,
     moment_gap,
     op_table,
     path_sum_moment,
+    sample_replicas,
     scaled_hermite_measure,
     stream,
     table_from_measure,
+    uniform_circle_measure,
     variance_power,
+    variance_upper_bound,
     zeros,
 )
 
 import oracles
 from conftest import traced_peak
+from polyens.measure import gauss_hermite
 from polyens.recurrence import RecurrenceTable, _walk_steps
+from polyens.verify import run_all
 
 
 def random_op_table(seed, N=None, pad=5):
@@ -544,28 +554,63 @@ def test_half_walks_are_the_full_walk_on_symmetric_tables(name, N):
             assert abs(moment_gap(t, ell, zero_set=zs).gap - want) <= 1e-14 * want
 
 
+def _gue_ensemble(t):
+    return PolynomialEnsemble.from_table(t, scaled_hermite_measure(t.N, nodes=32))
+
+
+# entry point-argument: (the least value it takes, the query)
 ORDER_QUERIES = {
-    "mean_moment-ell": lambda t, n: mean_moment(t, n),
-    "path_sum_moment-ell": lambda t, n: path_sum_moment(t, n, 1, 1),
-    "path_sum_moment-k": lambda t, n: path_sum_moment(t, 2, n, 1),
-    "path_sum_moment-m": lambda t, n: path_sum_moment(t, 2, 1, n),
-    "zeros-lmax": lambda t, n: zeros(t, n).power_sums.tolist(),
-    "moment_gap-ell": lambda t, n: moment_gap(t, n),
-    "variance_power-ell": lambda t, n: variance_power(t, n),
-    "covariance_power-ell": lambda t, n: covariance_power(t, n, 3),
-    "covariance_power-m": lambda t, n: covariance_power(t, 3, n),
-    "limit_report-lmax": lambda t, n: limit_report(t, gue_profile(), n),
-    "banded_limit_moment-ell": lambda t, n: banded_limit_moment(gue_profile(), n),
+    "mean_moment-ell": (0, lambda t, n: mean_moment(t, n)),
+    "path_sum_moment-ell": (0, lambda t, n: path_sum_moment(t, n, 1, 1)),
+    "path_sum_moment-k": (0, lambda t, n: path_sum_moment(t, 2, n, 1)),
+    "path_sum_moment-m": (0, lambda t, n: path_sum_moment(t, 2, 1, n)),
+    "zeros-lmax": (0, lambda t, n: zeros(t, n).power_sums.tolist()),
+    "moment_gap-ell": (1, lambda t, n: moment_gap(t, n)),
+    "variance_power-ell": (1, lambda t, n: variance_power(t, n)),
+    "covariance_power-ell": (1, lambda t, n: covariance_power(t, n, 3)),
+    "covariance_power-m": (1, lambda t, n: covariance_power(t, 3, n)),
+    "limit_report-lmax": (0, lambda t, n: limit_report(t, gue_profile(), n)),
+    "banded_limit_moment-ell": (0, lambda t, n: banded_limit_moment(gue_profile(), n)),
+    "RecurrenceTable-N": (1, lambda t, n: repr(RecurrenceTable(n, t.c, t.q))),
+    "RecurrenceTable-q": (0, lambda t, n: repr(RecurrenceTable(3, np.ones((5, 4)), n))),
+    "classical_table-N": (1, lambda t, n: classical_table("gue", n).c.tolist()),
+    "classical_table-pad": (-1, lambda t, n: classical_table("gue", 3, pad=n).c.tolist()),
+    "table_from_measure-N": (1, lambda t, n: table_from_measure(equilibrium_measure(-1, 1, 32), n).c.tolist()),
+    "table_from_measure-pad": (-1, lambda t, n: table_from_measure(equilibrium_measure(-1, 1, 32), 3, n).c.tolist()),
+    "hessenberg_matrix-size": (1, lambda t, n: hessenberg_matrix(t, n).tolist()),
+    "eval_polynomials-upto": (0, lambda t, n: eval_polynomials(t, [0.3], n).tolist()),
+    "variance_upper_bound-ell": (1, lambda t, n: variance_upper_bound(t, n)),
+    "limiting_Q_moment-m": (0, lambda t, n: limiting_Q_moment(n, 2)),
+    "limiting_Q_moment-n": (0, lambda t, n: limiting_Q_moment(2, n)),
+    "empirical_Q_moment-m": (0, lambda t, n: empirical_Q_moment(_gue_ensemble(t), n, 1)),
+    "empirical_Q_moment-n": (0, lambda t, n: empirical_Q_moment(_gue_ensemble(t), 1, n)),
+    "catalan_moment-ell": (0, lambda t, n: catalan_moment(n)),
+    "arcsine_moment-ell": (0, lambda t, n: arcsine_moment(n)),
+    "PolynomialEnsemble-N": (0, lambda t, n: PolynomialEnsemble((e := _gue_ensemble(t)).measure, e.basis, N=n).N),
+    "from_table-N": (1, lambda t, n: PolynomialEnsemble.from_table(t, scaled_hermite_measure(10, nodes=32), N=n).N),
+    "eval_P-upto": (0, lambda t, n: _gue_ensemble(t).eval_P(0.3, n).tolist()),
+    "validate_positivity-trials": (0, lambda t, n: _gue_ensemble(t).validate_positivity(rng=stream(5), trials=n)),
+    "sample_replicas-n_replicas": (0, lambda t, n: sample_replicas(_gue_ensemble(t), n, seed=3)[0].tolist()),
+    "gauss_hermite-n": (1, lambda t, n: gauss_hermite(n)[0].tolist()),
+    "uniform_circle_measure-n": (1, lambda t, n: uniform_circle_measure(n).points.tolist()),
+    "scaled_hermite_measure-nodes": (1, lambda t, n: scaled_hermite_measure(9, nodes=n).points.tolist()),
+    "equilibrium_measure-nodes": (1, lambda t, n: equilibrium_measure(-1, 1, n).points.tolist()),
+    "stream-seed": (0, lambda t, n: stream(n).random()),
+    "stream-replica": (0, lambda t, n: stream(7, n).random()),
+    "run_all-seed": (0, lambda t, n: [r.detail for r in run_all(seed=n, only=[1])]),
 }
 
 
 @pytest.mark.parametrize("query", ORDER_QUERIES)
 def test_orders_and_indices_are_integers(query):
     # a numpy integer is the int it holds; a bool, a float or a string is no
-    # order and is refused by name, never truncated or read as 0 or 1
-    t, name, ask = classical_table("gue", 10), query.split("-")[1], ORDER_QUERIES[query]
+    # order and is refused by name, never truncated or read as 0 or 1; and
+    # a value below the least one taken is refused in the one message form
+    t, name, (least, ask) = classical_table("gue", 10), query.split("-")[1], ORDER_QUERIES[query]
     assert ask(t, np.int64(2)) == ask(t, 2)
-    for bad in (2.0, np.float64(2.0), True, np.True_, "2"):
+    for bad in (2.5, 2.0, np.float64(2.0), True, np.True_, "2"):
         shown = bad.item() if isinstance(bad, np.generic) else bad
         with pytest.raises(ValueError, match=re.escape(f"{name} {shown!r} is not an integer")):
             ask(t, bad)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {least}, got {least - 1}")):
+        ask(t, least - 1)
