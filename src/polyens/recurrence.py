@@ -118,6 +118,7 @@ class RecurrenceTable:
 
     def coeff(self, k, m):
         """<x P_k, Q_m>; zero off the band, loud error past the pad."""
+        k, m = _integer(k, "k"), _integer(m, "m")
         if k < 0 or m < 0 or m > k + 1 or m < k - self.q:
             return self.value(0.0)
         if k > self.top:
@@ -128,16 +129,15 @@ class RecurrenceTable:
         return self.value(self.c[k, k - m + 1])
 
     def window_max(self, lo, hi):
-        """max |<x P_k, Q_m>| over lo <= k, m <= hi (clipped to the stored
-        range at the bottom, erroring at the top like coeff)."""
-        lo = max(lo, 0)
+        """max |<x P_k, Q_m>| over lo <= k, m <= hi, lo clipped to 0 and hi
+        past the pad an error as in coeff; hi < lo is a ValueError."""
+        lo = max(_integer(lo, "lo"), 0)
+        hi = _integer(hi, "hi", lo)
         if hi > self.top:
             raise CoefficientRangeError(
                 f"window [{lo}, {hi}] exceeds stored range {self.top} "
                 f"(N={self.N}, pad={self.pad}); rebuild with pad >= {hi - self.N}"
             )
-        if hi < lo:
-            raise ValueError("empty window")
         k = np.arange(lo, hi + 1)[:, None]
         m = k - np.arange(-1, self.q + 1)
         inside = (lo <= m) & (m <= hi)

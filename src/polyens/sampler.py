@@ -31,15 +31,19 @@ density against mu: density_all, and the log density of a draw, summed as
 log(mass) - log(w) - log(N - k) so that it is finite where the density
 itself overflows.
 
-A step allocates no array: push writes the row into E[k], a non-hermitian
-column into C[k] and the downdate into buffers the state owns, by the
-operations a step on fresh arrays runs, in the same order, so draws do not
-move by a bit. R_k vanishes on the atoms conditioned on, and the state
-holds that exactly: the new row is 0.0 at every earlier point and the new
-point's mass is 0.0. So push refuses a repeated atom by one comparison,
-and sample_mass draws after one reduction; its full validation runs only
-for a mass with a negative or non-finite entry or a sum that is not
-positive and finite, and a negative beyond roundoff is a
+One step loop, ConditionalState._steps, serves push, from_prefix, refactor
+and sample, and binds what it reads once per call. It allocates no array:
+it writes the row into E[k], a non-hermitian column into C[k] and the
+downdate into buffers the state owns, by the operations a step on fresh
+arrays runs, in the same order, so draws do not move by a bit. R_k vanishes
+on the atoms conditioned on, and the state holds that exactly: the new row
+is 0.0 at every earlier point and the new point's mass is 0.0. A given
+index is checked at its step (an integer, an atom index, mass > 0). A drawn
+one needs no check: searchsorted on a CDF whose last entry is exactly 1
+returns an index below n where the CDF rose, at mass > 0. Every step checks
+its pivot. The draw validates the mass before it reads a uniform, in full
+only for a mass with a negative or non-finite entry or a sum that is not
+positive and finite; a negative beyond roundoff is a
 PositivityViolationError (the kernel defines no point process).
 """
 
@@ -97,8 +101,7 @@ class ConditionalState:
     @classmethod
     def from_prefix(cls, ensemble, prefix):
         state = cls(ensemble)
-        for idx in prefix:
-            state.push(idx)
+        state._steps(prefix)
         return state
 
     @property
@@ -119,56 +122,72 @@ class ConditionalState:
             return self._diag / (self.ensemble.measure.weights * (N - k))
 
     def push(self, idx):
-        """Condition on the atom at index idx, writing the row, the column
-        and the downdate into the state's own buffers. Raises ValueError when
-        idx is not an integer (an atom value goes through
-        PolynomialEnsemble.atom_index first), is not an atom index, or its
-        residual mass is not positive (as at an atom conditioned on)."""
-        N, k = self.ensemble.N, self.k
-        if k >= N:
-            raise ValueError("all N points are already conditioned on")
-        idx = _integer(idx, "atom index", hint="; PolynomialEnsemble.atom_index gives the index of an atom value")
-        if not 0 <= idx < len(self._diag):
-            raise ValueError(f"atom {idx} is outside 0..{len(self._diag) - 1}")
-        if not self._diag[idx] > 0:
-            raise ValueError(
-                f"atom {idx} has residual mass {float(self._diag[idx]):.3e}: "
-                "it is conditioned on already or carries no mass"
-            )
-        E = self._E[:k]
-        e = self._E[k]
-        if self._C is not None:
-            np.matmul(self._C[:k, idx], E, out=e)
-        else:
-            # the strided column is copied: BLAS rounds a strided view differently
-            np.matmul(np.conjugate(E[:, idx], out=self._col[:k]), E, out=e)
-        np.subtract(self.rows[idx], e, out=e)
-        pivot = float(e[idx].real)
-        if pivot <= 0:
-            raise NumericalBreakdownError(f"degenerate pivot {pivot:.3e} at atom {idx}")
-        root = math.sqrt(pivot)
-        np.divide(e, root, out=e)
-        e[self._at[:k]] = 0.0  # R_k(x_i, x_j) = 0 at every conditioned x_j
-        if self._C is not None:
-            col = np.matmul(E[:, idx], self._C[:k], out=self._C[k])
-            np.subtract(self.rows[:, idx], col, out=col)
-            np.divide(col, root, out=col)
-            drop = np.multiply(col, e, out=self._tmp if self._real else self._crow)
-        elif self._real:
-            drop = np.multiply(e, e, out=self._tmp)
-        else:
-            drop = np.multiply(np.conjugate(e, out=self._crow), e, out=self._crow)
-        self._diag -= drop.real
-        self._diag[idx] = 0.0
-        self._at[k] = idx
-        self.heights.append(pivot)
+        """Condition on the atom at index idx by one pass of the step loop,
+        which checks a given index: ValueError when idx is not an integer (an
+        atom value goes through PolynomialEnsemble.atom_index first), is not
+        an atom index, or its residual mass is not positive (as at an atom
+        conditioned on)."""
+        self._steps((idx,))
+
+    def _steps(self, given, rng=None, picked=None, check_normalization=False):
+        """The one step loop: condition on each index of given, checked as
+        push says, or, given None, on N - k indices drawn from rng, unchecked,
+        each one's residual mass written to picked (see the module docstring)."""
+        N, n, k = self.ensemble.N, len(self._diag), self.k
+        rows, at, diag, E_all, C_all, col = self.rows, self._at, self._diag, self._E, self._C, self._col
+        real, drop = self._real, self._tmp if self._real else self._crow
+        drop_re, record, draw, cdf = drop.real, self.heights.append, self.ensemble.measure._inverse_cdf, self._cdf
+        matmul, subtract, divide, multiply, conjugate = np.matmul, np.subtract, np.divide, np.multiply, np.conjugate
+        for idx in range(k, N) if given is None else given:
+            if given is None:
+                if check_normalization and abs((total := float(np.sum(diag)) / (N - k)) - 1.0) > 1e-8:
+                    raise NumericalBreakdownError(f"conditional density integrates to {total!r}, not 1")
+                idx = draw(diag, rng, cdf)  # an atom index with mass > 0: see the module docstring
+                picked[k] = diag[idx]
+            else:
+                if k >= N:
+                    raise ValueError("all N points are already conditioned on")
+                idx = _integer(idx, "atom index", hint="; PolynomialEnsemble.atom_index gives the index of an atom value")
+                if not 0 <= idx < n:
+                    raise ValueError(f"atom {idx} is outside 0..{n - 1}")
+                if not diag[idx] > 0:
+                    raise ValueError(
+                        f"atom {idx} has residual mass {float(diag[idx]):.3e}: "
+                        "it is conditioned on already or carries no mass"
+                    )
+            E, e = E_all[:k], E_all[k]
+            if C_all is not None:
+                matmul(C_all[:k, idx], E, e)
+            else:
+                # the strided column is copied: BLAS rounds a strided view differently
+                matmul(conjugate(E[:, idx], col[:k]), E, e)
+            subtract(rows[idx], e, e)
+            pivot = e.item(idx).real
+            if pivot <= 0:
+                raise NumericalBreakdownError(f"degenerate pivot {pivot:.3e} at atom {idx}")
+            root = math.sqrt(pivot)
+            divide(e, root, e)
+            e[at[:k]] = 0.0  # R_k(x_i, x_j) = 0 at every conditioned x_j
+            if C_all is not None:
+                c = matmul(E[:, idx], C_all[:k], C_all[k])
+                subtract(rows[:, idx], c, c)
+                divide(c, root, c)
+                multiply(c, e, drop)
+            elif real:
+                multiply(e, e, drop)
+            else:
+                multiply(conjugate(e, drop), e, drop)
+            subtract(diag, drop_re, diag)
+            diag[idx] = 0.0
+            at[k] = idx
+            record(pivot)
+            k += 1
 
     def refactor(self):
-        """Rebuild the factors of the current prefix from the rows: push replayed on a fresh state."""
+        """Rebuild the factors of the current prefix from the rows: the step loop replayed on a fresh state."""
         prefix = self.selected
         self.__init__(self.ensemble)
-        for idx in prefix:
-            self.push(idx)
+        self._steps(prefix)
 
     def base_times_height_check(self):
         """Relative gap between det L on the prefix and the product of the
@@ -195,29 +214,23 @@ def sample(ensemble, rng=None, check_normalization=False):
 
 
 def _drive(state, rng, check_normalization=False):
+    """Draw a fresh state's N points by its step loop, which checks no drawn index (module docstring)."""
     e = state.ensemble
     m = e.measure
-    mass, cdf = state._diag, state._cdf  # push downdates mass in place
     picked = np.empty(e.N)  # residual mass of each point as it was drawn
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(e.N):
-            if check_normalization:
-                total = float(np.sum(mass)) / (e.N - k)
-                if abs(total - 1.0) > 1e-8:
-                    raise NumericalBreakdownError(f"conditional density integrates to {total!r}, not 1")
-            try:
-                idx = m._inverse_cdf(mass, rng, cdf)
-            except NegativityError:
-                if mass.dtype.kind == "c":  # an overwritten state, not a kernel at fault
-                    raise
-                i = int(np.argmin(mass))
-                raise PositivityViolationError(
-                    f"the kernel defines no point process after {k} points: residual "
-                    f"mass at atom x={m.points[i].item()!r} is {mass[i]:.3e}, below "
-                    f"-{NEGATIVITY_TOL:g} * max"
-                ) from None
-            picked[k] = mass[idx]
-            state.push(idx)
+        try:
+            state._steps(None, rng, picked, check_normalization)
+        except NegativityError:
+            mass = state._diag
+            if mass.dtype.kind == "c":  # an overwritten state, not a kernel at fault
+                raise
+            i = int(np.argmin(mass))
+            raise PositivityViolationError(
+                f"the kernel defines no point process after {state.k} points: residual "
+                f"mass at atom x={m.points[i].item()!r} is {mass[i]:.3e}, below "
+                f"-{NEGATIVITY_TOL:g} * max"
+            ) from None
         indices = state._at.copy()
         # the log of each step's density_all() entry, finite where it overflows
         logs = np.log(picked) - np.log(m.weights[indices]) - np.log(np.arange(e.N, 0, -1))

@@ -558,7 +558,8 @@ def _gue_ensemble(t):
     return PolynomialEnsemble.from_table(t, scaled_hermite_measure(t.N, nodes=32))
 
 
-# entry point-argument: (the least value it takes, the query)
+# entry point-argument: (the least value it takes, the query); None takes
+# every integer, as coeff reads 0 off the band and window_max clips lo at 0
 ORDER_QUERIES = {
     "mean_moment-ell": (0, lambda t, n: mean_moment(t, n)),
     "path_sum_moment-ell": (0, lambda t, n: path_sum_moment(t, n, 1, 1)),
@@ -571,6 +572,10 @@ ORDER_QUERIES = {
     "covariance_power-m": (1, lambda t, n: covariance_power(t, 3, n)),
     "limit_report-lmax": (0, lambda t, n: limit_report(t, gue_profile(), n)),
     "banded_limit_moment-ell": (0, lambda t, n: banded_limit_moment(gue_profile(), n)),
+    "coeff-k": (None, lambda t, n: t.coeff(n, 1)),
+    "coeff-m": (None, lambda t, n: t.coeff(2, n)),
+    "window_max-lo": (None, lambda t, n: t.window_max(n, 3)),
+    "window_max-hi": (0, lambda t, n: t.window_max(0, n)),
     "RecurrenceTable-N": (1, lambda t, n: repr(RecurrenceTable(n, t.c, t.q))),
     "RecurrenceTable-q": (0, lambda t, n: repr(RecurrenceTable(3, np.ones((5, 4)), n))),
     "classical_table-N": (1, lambda t, n: classical_table("gue", n).c.tolist()),
@@ -612,5 +617,6 @@ def test_orders_and_indices_are_integers(query):
         shown = bad.item() if isinstance(bad, np.generic) else bad
         with pytest.raises(ValueError, match=re.escape(f"{name} {shown!r} is not an integer")):
             ask(t, bad)
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {least}, got {least - 1}")):
-        ask(t, least - 1)
+    if least is not None:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {least}, got {least - 1}")):
+            ask(t, least - 1)

@@ -371,6 +371,30 @@ def test_sample_matches_the_allocating_step_bit_for_bit(name):
         assert state._C is None or np.array_equal(state._C, ref.C), r
 
 
+@pytest.mark.parametrize("name", list(STEP_ENSEMBLES))
+def test_push_and_the_draw_run_one_step_loop(name):
+    # conditioning on the drawn indices, each one checked, ends in the state
+    # the draw left, bit for bit; a repeated atom is refused at its second
+    # occurrence, when the prefix has been read that far and no further
+    ens = STEP_ENSEMBLES[name][1]()
+    drawn = ConditionalState(ens)
+    cfg = _drive(drawn, stream(31))
+    given = ConditionalState.from_prefix(ens, cfg.indices)
+    assert given.heights == drawn.heights
+    assert np.array_equal(given._E, drawn._E) and np.array_equal(given._diag, drawn._diag)
+    assert given._C is drawn._C is None or np.array_equal(given._C, drawn._C)
+    read = []
+
+    def prefix():
+        for idx in [*cfg.indices[:7], cfg.indices[3], *cfg.indices[7:]]:
+            read.append(idx)
+            yield idx
+
+    with pytest.raises(ValueError, match=f"atom {cfg.indices[3]} has residual mass 0.000e"):
+        ConditionalState.from_prefix(ens, prefix())
+    assert len(read) == 8
+
+
 def test_consecutive_draws_from_one_stream_match_the_allocating_step():
     for name in ("gue-100-256", "phase-tilted-circle-30", "tilted-chebyshev-100-256"):
         ens = STEP_ENSEMBLES[name][1]()
@@ -409,7 +433,8 @@ def _traced_peak(step):
 def test_a_step_allocates_less_than_one_row():
     # the step writes into buffers the state owns: at k=50 on the gue_mc
     # shape and on the circle's real gauged rows neither the draw nor push
-    # raises the peak by a row of n doubles
+    # raises the peak by a row of n doubles, and a whole draw of a built
+    # state holds O(N), 16 doubles a point, where a row a point is 8 N n bytes
     for cfg in ({"classical": "gue", "N": 100, "nodes": 256}, {"classical": "circle", "N": 300, "nodes": 1200}):
         ens = build_ensemble(cfg)
         m = ens.measure
@@ -422,6 +447,9 @@ def test_a_step_allocates_less_than_one_row():
         idx = m._inverse_cdf(state._diag, rng, state._cdf)
         assert _traced_peak(lambda: state.push(idx)) < row, cfg
         assert state.k == 51
+        state, rng = ConditionalState(ens), stream(48)
+        assert _traced_peak(lambda: _drive(state, rng)) < 16 * 8 * ens.N, cfg
+        assert state.k == ens.N
     assert ens.real_gauge() is not None and state.rows.dtype == np.float64
 
 
