@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, PolyensError
 from .rng import DEFAULT_SEED
-from .config import CLASSICAL_NAMES, _classical, build_ensemble, build_profile, config_hash, load_config
-from .recurrence import _mean_moments
+from .config import _classical, build_ensemble, build_profile, config_hash, load_config
+from .recurrence import FAMILIES, _mean_moments
 from .charpoly import moment_gap, zeros
 from .variance import MIN_SAMPLE, cumulants, limiting_variance, variance_power, variance_upper_bound
 from .sampler import sample_replicas
@@ -53,7 +53,7 @@ def _ensemble_config(args):
     configs and --nodes into classical ones, where build_ensemble reads
     them; any other use of either flag is a ConfigError."""
     raw = args.ensemble
-    if raw in CLASSICAL_NAMES:
+    if raw in FAMILIES:
         if getattr(args, "N", None) is None:
             raise ConfigError(f"shorthand ensemble {raw!r} needs --N")
         cfg = {"classical": raw}
@@ -279,7 +279,7 @@ def _replicas(text):
 
 
 def _add_ensemble_opts(p):
-    p.add_argument("--ensemble", required=True, help="config path, inline JSON, or gue/chebyshev/circle")
+    p.add_argument("--ensemble", required=True, help=f"config path, inline JSON, or {'/'.join(FAMILIES)}")
     p.add_argument("--N", type=int, default=None, help="points; overrides the config")
     p.add_argument("--nodes", type=int, default=None, help="quadrature nodes of a classical ensemble")
     p.add_argument("--out", default=None, help="output file (default stdout)")

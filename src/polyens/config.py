@@ -38,12 +38,10 @@ import numpy as np
 
 from .errors import ConfigError, OrthogonalityError
 from .measure import atoms_measure, grid_measure, named_measure
-from .recurrence import DEFAULT_PAD, banded_table, classical_table, op_table
+from .recurrence import DEFAULT_PAD, FAMILIES, banded_table, classical_table, op_table
 from .ensemble import PolynomialEnsemble
 from .asymptotics import CoefficientProfile, gue_profile, op_profile
 from .rng import stream
-
-CLASSICAL_NAMES = ("gue", "chebyshev", "uniform-circle", "circle")
 
 # a tilted config's kernel minors are scanned for positivity on this stream,
 # so the same config always passes or always fails
@@ -126,7 +124,7 @@ def build_measure(cfg):
         }
         try:
             return named_measure(cfg["name"], **params)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad named measure: {exc}") from exc
     if kind == "atoms":
         _only(cfg, "atoms measure", ("kind", "points", "weights"))
@@ -182,17 +180,18 @@ def build_table(cfg, N=None):
 
 def _classical(cfg):
     """A classical ensemble config, checked: its closed-form table, and the
-    node count of the atoms that carry it when the ensemble is built."""
+    node count and family parameters (defaults filled in) of the atoms that
+    carry it when the ensemble is built."""
     name = cfg["classical"]
-    _require(name in CLASSICAL_NAMES, f"unknown classical ensemble {name!r}")
-    interval = ("alpha", "beta") if name == "chebyshev" else ()
-    _only(cfg, f"{name} ensemble", ("classical", "N", "nodes", "pad") + interval)
+    _require(isinstance(name, str) and name in FAMILIES, f"unknown classical ensemble {name!r}")
+    family = FAMILIES[name]
+    _only(cfg, f"{name} ensemble", ("classical", "N", "nodes", "pad", *family.params))
     _require("N" in cfg, "classical ensemble needs 'N'")
     N = _integer(cfg["N"], "ensemble N", 1)
-    default_nodes = 256 if name in ("gue", "chebyshev") else max(4 * N, 64)
-    nodes = _integer(cfg.get("nodes", default_nodes), "nodes", 1)
-    ends = {k: _number(cfg[k], k) for k in interval if k in cfg}
-    return classical_table(name, N, pad=_integer(cfg.get("pad", DEFAULT_PAD), "pad", 0), **ends), nodes
+    nodes = _integer(cfg.get("nodes", family.nodes(N)), "nodes", 1)
+    params = {k: _number(cfg.get(k, v), k) for k, v in family.params.items()}
+    pad = _integer(cfg.get("pad", DEFAULT_PAD), "pad", 0)
+    return classical_table(name, N, pad=pad, **params), nodes, params
 
 
 def build_ensemble(cfg):
@@ -205,19 +204,9 @@ def build_ensemble(cfg):
         tilt = _reals(cfg["tilt"], "tilt")
         return base.tilt_nonorthogonal(tilt, validate=True, rng=stream(TILT_CHECK_SEED))
     if "classical" in cfg:
-        table, nodes = _classical(cfg)
+        table, nodes, params = _classical(cfg)
         name, N = cfg["classical"], table.N
-        if name == "gue":
-            measure = named_measure("scaled-hermite", N=N, nodes=nodes)
-        elif name == "chebyshev":
-            measure = named_measure(
-                "chebyshev-arcsine",
-                alpha=float(cfg.get("alpha", -1.0)),
-                beta=float(cfg.get("beta", 1.0)),
-                nodes=nodes,
-            )
-        else:
-            measure = named_measure("uniform-circle", n=nodes)
+        measure = FAMILIES[name].atoms(N, nodes, **params)
         try:
             return PolynomialEnsemble.from_table(table, measure, N=N, name=name)
         except OrthogonalityError as exc:  # these atoms do not carry the named ensemble

@@ -324,17 +324,12 @@ class PolynomialEnsemble:
 
     def atom_index(self, x):
         """Index of the atom at value x (within 1e-12 relative)."""
-        i = self._atom(x)
-        if i is None:
-            raise EvaluationError(f"{np.asarray(x).item()!r} is not an atom of the measure")
-        return i
-
-    def _atom(self, x):
-        """atom_index(x), or None where x is no atom."""
         pts = self.measure.points
         d = np.abs(pts - x)
         i = int(np.argmin(d))
-        return i if d[i] <= 1e-12 * max(1.0, float(np.max(np.abs(pts)))) else None
+        if not d[i] <= 1e-12 * max(1.0, float(np.max(np.abs(pts)))):  # a NaN x is no atom
+            raise EvaluationError(f"{np.asarray(x).item()!r} is not an atom of the measure")
+        return i
 
     # -- evaluation --------------------------------------------------------
 
@@ -345,29 +340,6 @@ class PolynomialEnsemble:
             raise EvaluationError("ensemble has no recurrence table; only atom values exist")
         p0 = 1.0 / np.sqrt(self.measure.total_mass)
         return eval_polynomials(self.table, x, self.N - 1 if upto is None else upto, p0=p0)
-
-    def eval_kernel(self, x, y):
-        """K(x, y) at scalar points.
-
-        Hermitian ensembles with a table evaluate anywhere, as the sum of
-        P_k(x) conj(P_k(y)) over k < N; K(x, x) is inf where it passes the
-        float range, as in mean_density. Where a term of that sum is not
-        finite at a pair of atoms, and for other kernels everywhere, they
-        evaluate on atoms of the measure only, as L_ij / sqrt(w_i w_j).
-        """
-        by_table = self.hermitian and self.table is not None
-        if by_table:
-            vx, vy = self.eval_P(x), self.eval_P(y)
-            with np.errstate(over="ignore"):
-                terms = vx[:, 0] * np.conj(vy[:, 0])
-                if np.isfinite(terms).all() or self._atom(x) is None or self._atom(y) is None:
-                    out = np.sum(terms)
-                    return float(out.real) if not np.iscomplexobj(out) else complex(out)
-        i, j = self.atom_index(x), self.atom_index(y)
-        w = self.measure.weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = self.P_vals[:, i] @ np.conj(self.q_values[:, j]) / np.sqrt(w[i]) / np.sqrt(w[j])
-        return value if by_table else self._checked(value, None, "kernel value")
 
     def mean_density(self):
         """K(x, x)/N = L_ii / (N w_i) at every atom: density of the mean

@@ -131,14 +131,6 @@ class ReferenceMeasure:
             raise EvaluationError(f"f is not finite at atom x={where.item()!r}")
         return vals
 
-    def integrate(self, f):
-        """integral f dmu = sum_i w_i f(x_i); f as for values."""
-        return complex_or_float(np.sum(self.weights * self.values(f)))
-
-    def inner_product(self, f, g):
-        """<f, g> = integral f * conj(g) dmu, conjugate-linear in g."""
-        return complex_or_float(np.sum(self.weights * self.values(f) * np.conj(self.values(g))))
-
     def sample_categorical(self, density, rng, size=None):
         """Exact draw of atom indices from the density-weighted measure:
         density relative to mu, as for values, and p_i proportional to
@@ -209,11 +201,6 @@ class ReferenceMeasure:
                 f"density mass sums to {float(cdf[-1])!r}; cannot normalize"
             )
         return cdf
-
-
-def complex_or_float(z):
-    z = complex(z)
-    return z.real if z.imag == 0.0 else z
 
 
 def equilibrium_measure(alpha, beta, nodes=DEFAULT_NODES):
@@ -406,28 +393,26 @@ def grid_measure(points, density):
     return ReferenceMeasure(x[keep], w[keep], name="grid")
 
 
-# the parameters each named measure takes
+# each named measure's constructor and the keyword parameters it takes, with
+# their defaults (None: the config must give it)
 NAMED_MEASURES = {
-    "chebyshev-arcsine": ("alpha", "beta", "nodes"),
-    "scaled-hermite": ("N", "nodes"),
-    "uniform-circle": ("n",),
+    "chebyshev-arcsine": (equilibrium_measure, {"alpha": -1.0, "beta": 1.0, "nodes": DEFAULT_NODES}),
+    "scaled-hermite": (scaled_hermite_measure, {"N": None, "nodes": DEFAULT_NODES}),
+    "uniform-circle": (uniform_circle_measure, {"n": DEFAULT_NODES}),
 }
 
 
 def named_measure(name, **params):
-    """Dispatch on the classical measure names used in configs; an unknown
-    name, or a parameter the named measure does not take, is a ValueError."""
+    """The classical measure of a config's name and parameters; an unknown
+    name, a parameter the named measure does not take, or one it needs and
+    is not given, is a ValueError."""
     if not (isinstance(name, str) and name in NAMED_MEASURES):
         raise ValueError(f"unknown measure name {name!r}")
+    build, takes = NAMED_MEASURES[name]
     for key in params:
-        if key not in NAMED_MEASURES[name]:
+        if key not in takes:
             raise ValueError(f"{name} measure takes no parameter {key!r}")
-    if name == "chebyshev-arcsine":
-        return equilibrium_measure(
-            params.get("alpha", -1.0),
-            params.get("beta", 1.0),
-            params.get("nodes", DEFAULT_NODES),
-        )
-    if name == "scaled-hermite":
-        return scaled_hermite_measure(params["N"], params.get("nodes", DEFAULT_NODES))
-    return uniform_circle_measure(params.get("n", DEFAULT_NODES))
+    for key, default in takes.items():
+        if default is None and key not in params:
+            raise ValueError(f"{name} measure needs {key!r}")
+    return build(**{**takes, **params})

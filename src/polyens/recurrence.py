@@ -28,6 +28,7 @@ past the pad raises instead of extrapolating.
 """
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .errors import (
     RankError,
     _integer,
 )
-from .measure import gram_defect
+from .measure import equilibrium_measure, gram_defect, scaled_hermite_measure, uniform_circle_measure
 
 DEFAULT_PAD = 8
 
@@ -171,42 +172,79 @@ def banded_table(c, q, N):
     return RecurrenceTable(N, c, q)
 
 
-def classical_table(name, N, pad=DEFAULT_PAD, alpha=-1.0, beta=1.0):
-    """Known closed-form tables.
+def _gue_rows(c, N):
+    """exp(-N x^2/2) dx: a_k = sqrt((k+1)/N), b_k = 0."""
+    a = c[:, 0]
+    np.add(np.arange(len(c)), 1.0, out=a)
+    a /= N
+    np.sqrt(a, out=a)
+    return _op_rows(c, N)
 
-    'gue'       -- orthonormal polynomials of exp(-N x^2/2) dx:
-                   a_k = sqrt((k+1)/N), b_k = 0.
-    'chebyshev' -- arcsine measure of [alpha, beta]:
-                   a_0 = h/sqrt(2), a_k = h/2 (k >= 1), b_k = mid,
-                   where h and mid are the half-width and midpoint.
-    'uniform-circle' -- monomials on the unit circle: <z P_k, Q_m> is 1 at
-                   m = k+1 and 0 elsewhere (banded, q = 0).
-    Each fills the table's coefficient array in place, holding one copy,
-    for integers N >= 1 and pad >= -1.
+
+def _chebyshev_rows(c, N, alpha, beta):
+    """Arcsine measure of [alpha, beta]: a_0 = h/sqrt(2), a_k = h/2 (k >= 1),
+    b_k = mid, where h and mid are the half-width and midpoint."""
+    if not (np.isfinite(alpha) and np.isfinite(beta)) or alpha >= beta:
+        raise InvalidIntervalError(f"need alpha < beta, got [{alpha}, {beta}]")
+    half = 0.5 * (beta - alpha)
+    c[:, 0] = half / 2.0
+    c[0, 0] = half / np.sqrt(2.0)
+    c[:, 1] = 0.5 * (alpha + beta)
+    return _op_rows(c, N)
+
+
+def _circle_rows(c, N):
+    """Monomials on the unit circle: <z P_k, Q_m> is 1 at m = k+1, else 0."""
+    c[:, 0] = 1.0
+    return RecurrenceTable._of(N, c, 0)
+
+
+class Family(NamedTuple):
+    """A classical ensemble: the real parameters it takes beyond N, with
+    their defaults; the lower bandwidth q of its table; rows(c, N, **params),
+    its closed-form table of c, a zeroed array of q + 2 columns that it
+    fills in place; atoms(N, nodes, **params), the measure its ensemble is
+    sampled on; and nodes(N), that measure's default node count."""
+
+    params: dict
+    q: int
+    rows: Callable
+    atoms: Callable
+    nodes: Callable
+
+
+# the classical ensembles that configs and the command line name; "circle"
+# is a second name of "uniform-circle"
+FAMILIES = {
+    "gue": Family({}, 1, _gue_rows, scaled_hermite_measure, lambda N: 256),
+    "chebyshev": Family(
+        {"alpha": -1.0, "beta": 1.0}, 1, _chebyshev_rows,
+        lambda N, nodes, alpha, beta: equilibrium_measure(alpha, beta, nodes), lambda N: 256,
+    ),
+    "uniform-circle": Family(
+        {}, 0, _circle_rows, lambda N, nodes: uniform_circle_measure(nodes), lambda N: max(4 * N, 64)
+    ),
+}
+FAMILIES["circle"] = FAMILIES["uniform-circle"]
+
+
+def classical_table(name, N, pad=DEFAULT_PAD, **params):
+    """The closed-form table of the FAMILIES entry `name`, for integers
+    N >= 1 and pad >= -1: the entry's rows fill its coefficient array in
+    place, holding one copy. 'gue' is the orthonormal polynomials of
+    exp(-N x^2/2) dx, 'chebyshev' those of the arcsine measure of
+    [alpha, beta] (default [-1, 1]), and 'uniform-circle' (or 'circle') the
+    monomials on the unit circle (banded, q = 0). An unknown name, or a
+    parameter the family does not take, is a ValueError.
     """
     N, pad = _integer(N, "N", 1), _integer(pad, "pad", -1)
-    K = N + pad
-    if name == "gue":
-        c = np.zeros((K + 1, 3))
-        a = c[:, 0]
-        np.add(np.arange(K + 1), 1.0, out=a)
-        a /= N
-        np.sqrt(a, out=a)
-        return _op_rows(c, N)
-    if name == "chebyshev":
-        if not (np.isfinite(alpha) and np.isfinite(beta)) or alpha >= beta:
-            raise InvalidIntervalError(f"need alpha < beta, got [{alpha}, {beta}]")
-        half = 0.5 * (beta - alpha)
-        c = np.empty((K + 1, 3))
-        c[:, 0] = half / 2.0
-        c[0, 0] = half / np.sqrt(2.0)
-        c[:, 1] = 0.5 * (alpha + beta)
-        return _op_rows(c, N)
-    if name in ("uniform-circle", "circle"):
-        c = np.zeros((K + 1, 2))
-        c[:, 0] = 1.0
-        return RecurrenceTable._of(N, c, 0)
-    raise ValueError(f"unknown classical table {name!r}")
+    if not (isinstance(name, str) and name in FAMILIES):
+        raise ValueError(f"unknown classical table {name!r}")
+    family = FAMILIES[name]
+    for key in params:
+        if key not in family.params:
+            raise ValueError(f"{name} table takes no parameter {key!r}")
+    return family.rows(np.zeros((N + pad + 1, family.q + 2)), N, **{**family.params, **params})
 
 
 def table_from_measure(m, N, pad=DEFAULT_PAD):

@@ -210,6 +210,12 @@ def kernel_by_christoffel_darboux(ensemble, x, y):
     return ensemble.table.a[N - 1] * (vx[N] * vy[N - 1] - vx[N - 1] * vy[N]) / (x - y)
 
 
+def integral(m, f):
+    """sum_i w_i f(x_i) over the atoms of the measure m, f a callable or its
+    values at the atoms."""
+    return np.sum(m.weights * (f(m.points) if callable(f) else f))
+
+
 def gauss_rule(a, b):
     """Nodes and weights of the measure whose first orthonormal polynomials
     have coefficients (a, b): dense eigendecomposition of the Jacobi matrix."""

@@ -17,7 +17,7 @@ from polyens.cli import main
 from polyens.config import build_ensemble, build_measure, config_hash
 from polyens.ensemble import PolynomialEnsemble
 from polyens.errors import OrthogonalityError
-from polyens.recurrence import classical_table, mean_moment
+from polyens.recurrence import FAMILIES, classical_table, mean_moment
 
 
 def read_csv(path):
@@ -620,8 +620,13 @@ def test_a_reader_that_closes_the_pipe_early_is_no_error():
     [
         ({"classical": "gue", "N": 5, "tilt": 3}, "gue ensemble config takes no key 'tilt'"),
         ({"base": {"classical": "gue", "N": 5}, "tilt": [[1, "a"]]}, "tilt entry must be a number, got 'a'"),
+        # a KeyError's repr, "bad named measure: 'N'"
+        (
+            {"measure": {"kind": "named", "name": "scaled-hermite", "nodes": 64}, "N": 10},
+            "bad named measure: scaled-hermite measure needs 'N'",
+        ),
     ],
-    ids=["unread-key", "non-numeric"],
+    ids=["unread-key", "non-numeric", "missing-parameter"],
 )
 def test_config_the_builder_cannot_read_exits_2_naming_the_field(capsys, cfg, message):
     assert main(["moments", "--ensemble", json.dumps(cfg), "--lmax", "2"]) == 2
@@ -659,12 +664,29 @@ def test_classical_table_subcommands_build_no_measure(monkeypatch, capsys):
     def no_atoms(*args, **kwargs):
         raise RuntimeError("atoms built")
 
-    monkeypatch.setattr("polyens.config.named_measure", no_atoms)
-    for sub in (["moments"], ["zeros"], ["gap"], ["variance"], ["limit", "--profile", '{"kind": "gue"}']):
-        assert main(sub + ["--ensemble", "gue", "--N", "50"]) == 0, sub
-        assert capsys.readouterr().err == "", sub
-    assert main(["sample", "--ensemble", "gue", "--N", "50"]) == 2
-    assert "atoms built" in capsys.readouterr().err
+    for name, family in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, name, family._replace(atoms=no_atoms))
+    for name in FAMILIES:
+        for sub in (["moments"], ["zeros"], ["gap"], ["variance"]):
+            assert main(sub + ["--ensemble", name, "--N", "50"]) == 0, (name, sub)
+            assert capsys.readouterr().err == "", (name, sub)
+        assert main(["sample", "--ensemble", name, "--N", "50"]) == 2
+        assert "atoms built" in capsys.readouterr().err
+    assert main(["limit", "--profile", '{"kind": "gue"}', "--ensemble", "gue", "--N", "50"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_the_shorthand_names_are_the_family_registrys(monkeypatch, tmp_path, capsys):
+    # every FAMILIES name is a shorthand and is listed in --ensemble's help;
+    # any other name is read as a config file
+    monkeypatch.chdir(tmp_path)
+    for name in FAMILIES:
+        assert main(["moments", "--ensemble", name, "--N", "4", "--lmax", "2"]) == 0, name
+    capsys.readouterr()
+    assert main(["moments", "--ensemble", "laguerre", "--N", "4"]) == 2
+    assert "config is neither valid JSON nor a readable file" in capsys.readouterr().err
+    assert main(["moments", "--help"]) == 0
+    assert "/".join(FAMILIES) in "".join(capsys.readouterr().out.split())  # unwrapped
 
 
 def test_table_subcommands_run_where_the_atoms_do_not_carry_the_table(tmp_path, capsys):

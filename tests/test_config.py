@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polyens import ConfigError, OrthogonalityError, mean_moment, sample, stream
+from polyens.recurrence import FAMILIES
 from polyens.config import (
     _classical,
     build_ensemble,
@@ -79,10 +80,10 @@ def test_table_config_errors():
 
 
 def test_classical_ensemble_configs():
-    for name, herm in (("gue", True), ("chebyshev", True), ("circle", True)):
+    for name in FAMILIES:
         ens = build_ensemble({"classical": name, "N": 4, "nodes": 64})
         assert ens.N == 4
-        assert ens.hermitian == herm
+        assert ens.hermitian, name
     with pytest.raises(ConfigError):
         build_ensemble({"classical": "goe", "N": 4})
     with pytest.raises(ConfigError):
@@ -106,26 +107,23 @@ def test_classical_ensemble_whose_padded_rows_alone_fail_builds_and_samples():
     assert sorted(cfg.indices.tolist()) == list(range(256))
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        {"classical": "gue", "N": 100, "nodes": 256},
-        {"classical": "chebyshev", "N": 60, "alpha": -2, "beta": 3},
-        {"classical": "circle", "N": 8},
-        {"classical": "uniform-circle", "N": 300, "nodes": 1200},
-    ],
-    ids=["gue", "chebyshev", "circle", "uniform-circle"],
-)
-def test_closed_form_table_is_the_ensembles_table_bit_for_bit(cfg):
+@pytest.mark.parametrize("name", FAMILIES)
+def test_closed_form_table_is_the_ensembles_table_bit_for_bit(name):
     # the table subcommands read the closed form and build no atoms; where
     # the built ensemble keeps its table, the two are one, bit for bit
-    table, nodes = _classical(cfg)
-    ens = build_ensemble(cfg)
-    assert (table.N, table.q) == (ens.table.N, ens.table.q)
-    assert table.N == cfg["N"]
-    assert table.c.dtype == ens.table.c.dtype and table.c.shape == ens.table.c.shape
-    assert table.c.tobytes() == ens.table.c.tobytes()
-    assert len(ens.measure) <= nodes == cfg.get("nodes", nodes)
+    family = FAMILIES[name]
+    shifted = {k: v + 0.5 for k, v in family.params.items()}
+    for cfg, want in (
+        ({"classical": name, "N": 8}, family.params),
+        ({"classical": name, "N": 100, "nodes": 2 * family.nodes(100), **shifted}, shifted),
+    ):
+        table, nodes, params = _classical(cfg)
+        ens = build_ensemble(cfg)
+        assert (table.N, table.q) == (ens.table.N, ens.table.q)
+        assert table.N == cfg["N"] and params == want
+        assert table.c.dtype == ens.table.c.dtype and table.c.shape == ens.table.c.shape
+        assert table.c.tobytes() == ens.table.c.tobytes()
+        assert len(ens.measure) <= nodes == cfg.get("nodes", family.nodes(8))
 
 
 def test_measure_plus_N_ensemble_config():

@@ -48,21 +48,22 @@ def test_biorthogonality_and_projection(cheb3):
 def test_mean_density_normalized(cheb3):
     rho = cheb3.mean_density()
     assert np.all(rho >= 0)
-    assert np.isclose(cheb3.measure.integrate(rho), 1.0)
+    assert np.isclose(oracles.integral(cheb3.measure, rho), 1.0)
 
 
-def test_eval_kernel_direct_vs_cd(cheb3):
+def test_eval_P_kernel_matches_christoffel_darboux(cheb3):
+    # K(x, y) = sum_{k<N} P_k(x) P_k(y) off the atoms, from eval_P
+    def kernel(x, y):
+        return cheb3.eval_P(x)[:, 0] @ cheb3.eval_P(y)[:, 0]
+
     rng = stream(5)
     for _ in range(100):
         x, y = rng.uniform(-0.99, 0.99, size=2)
-        direct = cheb3.eval_kernel(x, y)
         cd = oracles.kernel_by_christoffel_darboux(cheb3, x, y)
-        assert np.isclose(direct, cd, rtol=1e-10, atol=1e-10)
+        assert np.isclose(kernel(x, y), cd, rtol=1e-10, atol=1e-10)
     # confluent and nearly confluent points stay finite and continuous
-    assert np.isfinite(cheb3.eval_kernel(0.25, 0.25))
-    assert np.isclose(
-        cheb3.eval_kernel(0.3, 0.3 + 1e-13), cheb3.eval_kernel(0.3, 0.3), rtol=1e-3
-    )
+    assert np.isfinite(kernel(0.25, 0.25))
+    assert np.isclose(kernel(0.3, 0.3 + 1e-13), kernel(0.3, 0.3), rtol=1e-3)
 
 
 def test_eval_P_matches_basis_rows(cheb3):
@@ -116,14 +117,14 @@ def test_atom_index(cheb3):
     x = cheb3.measure.points[11]
     assert cheb3.atom_index(x) == 11
     assert cheb3.atom_index(x + 1e-14) == 11
-    with pytest.raises(EvaluationError):
-        cheb3.atom_index(0.123456)
+    for x in (0.123456, np.nan):
+        with pytest.raises(EvaluationError):
+            cheb3.atom_index(x)
 
 
 def test_atom_errors_print_python_scalars(cheb3):
     tilted = cheb3.tilt_nonorthogonal(np.array([[0.0], [0.0], [0.01]]))
     calls = [
-        lambda x: tilted.eval_kernel(x, x),
         lambda x: tilted.joint_density([x]),
         cheb3.atom_index,
     ]
@@ -395,36 +396,20 @@ def test_gue_400_on_734_atoms_samples(table):
         assert abs(np.mean(sums) - 400 * mean_moment(ens.table, 2)) <= 4 * se
 
 
-def test_eval_kernel_at_the_outermost_atom_is_inf_without_a_warning():
+def test_mean_density_at_the_outermost_atom_is_inf_without_a_warning():
     # the GUE N=400 measure ensemble's outermost atoms, x = -+1.921 with
-    # weight 1.5e-323: P_k(x)^2 passes the float range, so K(x, x) is inf,
-    # and the product's overflow is no warning (an error in this suite), as
-    # mean_density reads the same atom. An inner atom keeps L_ii / w_i
+    # weight 1.5e-323: K(x, x) = L_ii / w_i passes the float range, so the
+    # density is inf, and the quotient's overflow is no warning (an error in
+    # this suite). An inner atom keeps the table's sum of P_k(x)^2 / N
     from polyens.config import build_ensemble
 
     ens = build_ensemble({"measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024}, "N": 400})
     x, density = ens.measure.points, ens.mean_density()
     for i in (0, len(x) - 1):
         assert abs(abs(x[i]) - 1.921) < 1e-3
-        assert ens.eval_kernel(x[i], x[i]) == math.inf and density[i] == math.inf
+        assert density[i] == math.inf
     i = len(x) // 2
-    assert np.isclose(ens.eval_kernel(x[i], x[i]), ens.N * density[i], rtol=1e-10)
-
-
-def test_eval_kernel_at_opposite_outermost_atoms_reads_the_kernel():
-    # at x = -1.921 and y = +1.921 (weight 1.5e-323) the terms
-    # P_k(x) P_k(y) = (-1)^k P_k(x)^2 overflow to -+inf, and their sum was
-    # NaN with an invalid-value warning (an error in this suite); at a pair
-    # of atoms K(x, y) is L_ij / sqrt(w_i w_j), here -0.011 / 1.5e-323
-    from polyens.config import build_ensemble
-
-    ens = build_ensemble({"measure": {"kind": "named", "name": "scaled-hermite", "N": 400, "nodes": 1024}, "N": 400})
-    x, L = ens.measure.points, ens.kernel_matrix()
-    assert L[0, -1] < 0 and ens.measure.weights[0] < 1e-320
-    assert ens.eval_kernel(x[0], x[-1]) == ens.eval_kernel(x[-1], x[0]) == -math.inf
-    i, j = len(x) // 2, len(x) // 2 + 3  # inner atoms keep the table sum
-    w = ens.measure.weights
-    assert np.isclose(ens.eval_kernel(x[i], x[j]), L[i, j] / np.sqrt(w[i] * w[j]), rtol=1e-10)
+    assert np.isclose(np.sum(ens.eval_P(x[i]) ** 2), ens.N * density[i], rtol=1e-10)
 
 
 def test_nonreal_kernel_diagonal_is_refused_where_it_is_formed():
@@ -553,13 +538,18 @@ def test_constructor_infers_hermitian():
 
 
 def test_nonhermitian_kernel_eval_restricted_to_atoms(cheb3):
-    tilted = cheb3.tilt_nonorthogonal(np.array([[0.1, 0.0], [0.0, 0.1], [0.0, 0.0]]))
-    x = tilted.measure.points
-    v = tilted.eval_kernel(x[2], x[5])
-    L, w = tilted.kernel_matrix(), tilted.measure.weights
-    assert np.isclose(v, L[2, 5] / np.sqrt(w[2] * w[5]), rtol=1e-12)
-    with pytest.raises(EvaluationError):
-        tilted.eval_kernel(0.1234, 0.5678)
+    # the tilted kernel has values on the atoms only: L_ij / sqrt(w_i w_j) =
+    # sum_k P_k(x_i) Q_k(x_j) with Q_k = P_k + sum_j tilt[k, j] P_{N+j}
+    tilt = np.array([[0.1, 0.0], [0.0, 0.1], [0.0, 0.0]])
+    tilted = cheb3.tilt_nonorthogonal(tilt)
+    x, w = tilted.measure.points, tilted.measure.weights
+    P = cheb3.eval_P(x, upto=4)
+    K = P[:3].T @ (P[:3] + tilt @ P[3:])
+    L = tilted.kernel_matrix()
+    assert np.allclose(L / np.sqrt(np.outer(w, w)), K, rtol=1e-12, atol=1e-12)
+    assert not np.allclose(L, L.T)
+    with pytest.raises(EvaluationError, match="only atom values exist"):
+        tilted.eval_P(0.1234)
 
 
 def test_ordered_tuple_mass_full_enumeration():
@@ -623,16 +613,17 @@ def test_densities_and_positivity_read_minors_not_the_kernel():
         with np.errstate(over="ignore"):
             det = ens.joint_density(idx)  # 300^300 passes the float range
         z = ens.measure.points
-        diag, off = ens.eval_kernel(z[3], z[3]), ens.eval_kernel(z[3], z[7])
         ens.validate_positivity(rng=stream(21))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sign == 1.0 and np.isclose(logdet, 300 * math.log(300) - math.lgamma(301), rtol=1e-12)
     assert det == math.inf
-    assert np.isclose(diag, 300.0, rtol=1e-12) and abs(off) < 1e-10
     assert ens._rows is None
     assert peak < len(z) ** 2 * 16
+    # K(z, z) = L_ii / w_i = N and K = 0 between atoms 4 apart: the DFT
+    K = ens.kernel_matrix() / ens.measure.weights[0]  # equal weights
+    assert np.isclose(K[3, 3], 300.0, rtol=1e-12) and abs(K[3, 7]) < 1e-10
 
 
 def test_more_points_than_atoms_is_a_rank_error_before_the_gram():

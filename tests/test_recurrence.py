@@ -121,6 +121,16 @@ def test_chebyshev_table_refuses_a_bad_interval_as_its_measure_does(alpha, beta)
             build()
 
 
+def test_classical_table_refuses_a_parameter_its_family_does_not_take():
+    # the GUE and circle tables were built with alpha and beta dropped
+    with pytest.raises(ValueError, match="^gue table takes no parameter 'alpha'$"):
+        classical_table("gue", 5, alpha=0.0, beta=3.0)
+    with pytest.raises(ValueError, match="^circle table takes no parameter 'alpha'$"):
+        classical_table("circle", 5, alpha=7.0)
+    with pytest.raises(ValueError, match="^chebyshev table takes no parameter 'gamma'$"):
+        classical_table("chebyshev", 5, gamma=1.0)
+
+
 def test_circle_table_is_pure_shift():
     t = classical_table("circle", 6, pad=2)
     assert t.q == 0
@@ -377,7 +387,7 @@ def test_table_from_measure_roundtrip():
     for ell in range(8):
         assert np.isclose(
             np.sum(gx**ell * gw) * m.total_mass,
-            m.integrate(lambda v: v**ell),
+            oracles.integral(m, lambda v: v**ell),
             rtol=1e-9,
             atol=1e-11,
         )
