@@ -137,7 +137,7 @@ def _limit_moments(profile, lmax):
         band[:, j + 1] = profile(j, s)
     half = q == 1 and np.array_equal(band[:, 0], band[:, 2])
     table = banded_table(np.repeat(band, rows, axis=0), q, GL_NODES * rows)
-    starts = np.arange(GL_NODES) * rows + q * lmax
+    starts = range(q * lmax, GL_NODES * rows, rows)
     return np.array([w @ loops for _, loops in _loop_weights(table, lmax, starts, table.top, half)])
 
 

@@ -20,6 +20,11 @@ from .recurrence import _escape_weight, _loop_sums, hessenberg_matrix
 
 POWER_SUM_TOL = 1e-8
 
+# largest eps * max kappa * ||H||_2 / max(1, ||H||_2) of a dense eigensolve:
+# sections with false complex zeros read 0.05 and up, the random test tables
+# at most 3.5e-13 (see _refuse_ill_conditioned)
+CONDITION_TOL = 1e-6
+
 
 class ZeroSet:
     """Zeros of the average characteristic polynomial of a table, with their
@@ -92,18 +97,22 @@ def _section_zeros(table, traces):
     section goes to a dense eigensolve.
 
     A power sum that misses its trace by more than POWER_SUM_TOL (relative
-    to max(1, |trace|)) raises NumericalBreakdownError.
+    to max(1, |trace|)) raises NumericalBreakdownError, and so, after that
+    check, does a dense eigensolve whose error bound passes CONDITION_TOL
+    (see _refuse_ill_conditioned).
     """
     N, q = table.N, table.q
     c = table.c[:N]
     pairs = c[:-1, 0] * c[1:, 2] if q == 1 and not table.is_complex else None
+    H = None  # the section, on the dense route
     if table.symmetric or (pairs is not None and np.all(pairs > 0)):
         off = table.a[: N - 1] if table.symmetric else np.sqrt(pairs)
         zs = _tridiagonal_zeros(table.b[:N], off)
     elif not np.any(c[:, 2:]):  # no down steps: a triangular section
         zs = table.c[:N, 1].copy()
     else:
-        zs = np.linalg.eigvals(hessenberg_matrix(table, N))
+        H = hessenberg_matrix(table, N)
+        zs = np.linalg.eigvals(H)
     zs = zs[np.argsort(zs.real + 1e-12 * np.abs(zs.imag))]
     for l, tr in enumerate(traces):
         p = np.sum(zs**l)
@@ -112,7 +121,29 @@ def _section_zeros(table, traces):
                 f"eigenvalue power sum p_{l}={p!r} disagrees with "
                 f"trace {tr!r}; eigensolve is unreliable"
             )
+    if H is not None:
+        _refuse_ill_conditioned(H)
     return zs
+
+
+def _refuse_ill_conditioned(H):
+    """Raise NumericalBreakdownError when eps * max_i kappa_i * ||H||_2
+    exceeds CONDITION_TOL * max(1, ||H||_2). kappa_i = ||x_i|| ||y_i|| /
+    |y_i^H x_i| is the condition number of eigenvalue i (Wilkinson), for
+    right and left eigenvectors x_i and y_i; with the right ones the columns
+    of V, it is the norm of column i of V times that of row i of V^-1."""
+    _, V = np.linalg.eig(H)
+    try:
+        kappa = np.max(np.linalg.norm(V, axis=0) * np.linalg.norm(np.linalg.inv(V), axis=1))
+    except np.linalg.LinAlgError:  # V singular: H is defective
+        kappa = np.inf
+    norm = np.linalg.norm(H, 2)
+    bound = np.finfo(float).eps * kappa * norm
+    if not bound <= CONDITION_TOL * max(1.0, norm):
+        raise NumericalBreakdownError(
+            f"the section's eigenvalues are ill-conditioned: eps * max kappa * ||H|| = "
+            f"{bound:.3g} exceeds {CONDITION_TOL:g} * max(1, ||H||); the zeros cannot be trusted"
+        )
 
 
 def _tridiagonal_zeros(diag, off):

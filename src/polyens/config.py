@@ -17,7 +17,7 @@ table::
 ensemble::
 
     {"classical": "gue", "N": 50}                # closed-form table; sampling atoms must carry it
-    {"measure": {...}, "N": 20}                  # table built from atoms
+    {"measure": {...}, "N": 20}                  # table built from real atoms
     {"measure": {...}, "table": {...}, "N": 20}  # explicit recurrence; the atoms' own
                                                  # table where it is not orthonormal on real atoms
     {"base": {...}, "tilt": [[...], ...]}        # non-orthogonal Q family
@@ -225,6 +225,8 @@ def build_ensemble(cfg):
             N = table.N if N is None else N
             pad = max(min(table.top, measure.distinct_atoms - 2) - N, -1)  # Lanczos needs N + pad + 2 atoms
             return PolynomialEnsemble.from_measure(measure, N, pad=pad)
+    _require(not measure.is_complex, "a measure ensemble on complex atoms needs an explicit 'table'; for "
+             'the uniform circle, use {"classical": "uniform-circle", "N": ...}')
     _require("N" in cfg, "ensemble needs 'N'")
     N = _integer(cfg["N"], "ensemble N", 1)
     return PolynomialEnsemble.from_measure(measure, N, pad=_integer(cfg.get("pad", DEFAULT_PAD), "pad", 0))

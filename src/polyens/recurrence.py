@@ -10,8 +10,8 @@ one (`symmetric`) from its coefficients, not from how it was written.
 Powers <x^l P_k, Q_m> are sums over oriented lattice paths (0,k) -> (l,m)
 whose steps rise by at most one and fall by at most q, each path weighted by
 the product of its edge coefficients. We never enumerate paths: one banded
-walk, `_walks`, carries the path weights from an arithmetic progression of
-starting ordinates at once, and every table query here and in the variance,
+walk, `_walks`, carries the path weights from a range of starting
+ordinates at once, and every table query here and in the variance,
 zero-set and limit modules (moments, traces of sections, escape sums) reads
 its result, or its weights after each step (`_walk_steps`) to read every
 power up to l at once. An l-step walk costs about (q+1)(q+2) l^2 / 2
@@ -342,9 +342,9 @@ def _walks(table, ell, starts, ceiling):
 
     out[d + q*ell, i] is the total weight of the paths starts[i] ->
     starts[i] + d, -q*ell <= d <= ell, that stay at ordinates 0..ceiling.
-    starts is an arithmetic progression (see _walk_steps). Only the
-    coefficients of those ordinates are read; a ceiling past the stored
-    range raises. Costs about (q+1)(q+2) ell^2 / 2 multiply-adds per start.
+    starts is a range (see _walk_steps). Only the coefficients of those
+    ordinates are read; a ceiling past the stored range raises. Costs about
+    (q+1)(q+2) ell^2 / 2 multiply-adds per start.
     """
     for v in _walk_steps(table, ell, starts, ceiling):
         pass
@@ -357,32 +357,25 @@ def _walk_steps(table, ell, starts, ceiling):
     rows that the longer walk adds, so the s-th yield holds, bit for bit,
     _walks(table, s, ...) at the same displacements.
 
-    The starts must form an arithmetic progression start0 + i*stride, so the
-    weight of step j at ordinate starts[i] + d is read from a strided view
-    of one zero-padded copy of the band over the ordinates the paths can
-    reach, with no per-start gather. Step s updates only the rows of
+    starts is a range with step >= 1 and ell >= 0, as callers build them, so
+    the weight of step j at ordinate starts[i] + d is read from a strided
+    view of one zero-padded copy of the band over the ordinates the paths
+    can reach, with no per-start gather. Step s updates only the rows of
     displacements -q*s..s that s-step paths can reach; every other row is
     an exact zero, and adding it would change no bit. So a walk holds the
     band copy and about three grids of (q+1) ell + 1 rows by len(starts).
     The l-loops of a symmetric table ask ceil(l/2) steps (_loop_weights).
     """
-    if ell < 0:
-        raise ValueError(f"a walk needs ell >= 0, got {ell}")
     if ceiling > table.top:
         raise CoefficientRangeError(
             f"the paths climb to ordinate {ceiling} but the table stores "
-            f"indices up to {table.top} (N={table.N}, pad={table.pad})"
+            f"indices up to {table.top} (N={table.N}, pad={table.pad}); "
+            f"rebuild with pad >= {ceiling - table.N}"
         )
-    starts = np.asarray(starts)
     n, q = len(starts), table.q
-    first = int(starts[0]) if n else 0
-    stride = int(starts[1] - starts[0]) if n > 1 else 1
-    if not np.array_equal(starts, first + stride * np.arange(n)):
-        raise ValueError("walk starts must form an arithmetic progression")
     D, o = (q + 1) * ell + 1, q * ell  # rows of the grid, row of displacement 0
-    span = stride * max(n - 1, 0)
-    lo = first + min(span, 0) - o  # lowest ordinate a path reads
-    band = np.zeros((q + 2, D + abs(span)), dtype=table.c.dtype)
+    lo = starts.start - o  # lowest ordinate a path reads
+    band = np.zeros((q + 2, D + starts.step * max(n - 1, 0)), dtype=table.c.dtype)
     a, b = max(lo, 0), min(lo + band.shape[1] - 1, ceiling)  # stored rows reached
     if a <= b:
         band[:, a - lo : b - lo + 1] = table.c[a : b + 1].T
@@ -390,8 +383,8 @@ def _walk_steps(table, ell, starts, ceiling):
             band[0, b - lo] = 0.0  # no step up out of the ceiling
     # w[j + 1, r, i]: weight of step j at ordinate starts[i] + r - o
     w = np.lib.stride_tricks.as_strided(
-        band[:, first - o - lo :], shape=(q + 2, D, n),
-        strides=(band.strides[0], band.itemsize, stride * band.itemsize), writeable=False,
+        band, shape=(q + 2, D, n),
+        strides=(band.strides[0], band.itemsize, starts.step * band.itemsize), writeable=False,
     )
     v = np.zeros((D, n), dtype=band.dtype)
     v[o] = 1.0
@@ -418,7 +411,7 @@ def path_sum_moment(table, ell, k, m):
     if m > k + ell or m < k - q * ell:
         return table.value(0.0)
     hi = (q * (ell + k) + m) // (q + 1)  # highest ordinate of a path k -> m
-    return table.value(_walks(table, ell, [k], hi)[m - k + q * ell, 0])
+    return table.value(_walks(table, ell, range(k, k + 1), hi)[m - k + q * ell, 0])
 
 
 def mean_moment(table, ell):
@@ -468,7 +461,7 @@ def _loop_sums(table, lmax, ceiling, keep=0, lo=0):
     sums = np.zeros(lmax + 1, dtype=table.c.dtype)
     kept = np.empty((lmax + 1, N - first), dtype=table.c.dtype)
     for k in range(0, N, _LOOP_BLOCK):
-        block = np.arange(k, min(k + _LOOP_BLOCK, N))
+        block = range(k, min(k + _LOOP_BLOCK, N))
         at = max(first - k, 0)  # first kept start of the block, if any
         for ell, loops in _loop_weights(table, lmax, block, ceiling, table.symmetric, lo):
             sums[ell] += np.sum(loops)
@@ -498,7 +491,7 @@ def _escape_weight(table, ell, inside):
     N, q = table.N, table.q
     climb = (q * ell) // (q + 1)
     k = max(N - climb, 0)  # first start whose loops can climb past N - 1
-    loops = _walks(table, ell, np.arange(k, N), N - 1 + climb)[q * ell]
+    loops = _walks(table, ell, range(k, N), N - 1 + climb)[q * ell]
     return np.sum(loops - inside[len(inside) - (N - k):])
 
 

@@ -45,8 +45,8 @@ def _escape_sum(table, ell, m):
     N, q = table.N, table.q
     ceiling = N - 1 + (q * (ell + m)) // (q + 1)  # max climb of a length l+m loop
     k0 = max(0, N - ell)
-    up = _walks(table, ell, np.arange(k0, N), ceiling)
-    back = _walks(table, m, np.arange(N, ceiling + 1), ceiling)
+    up = _walks(table, ell, range(k0, N), ceiling)
+    back = _walks(table, m, range(N, ceiling + 1), ceiling)
     total = 0.0
     for d in range(1, min(ell, q * m) + 1):
         lo = max(k0, N - d)  # k in [lo, N) climbs to k + d >= N, column k + d - N of back

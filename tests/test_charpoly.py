@@ -93,10 +93,10 @@ def test_graded_off_diagonal_falls_back_to_dsterf():
 def test_one_walk_traces_are_the_per_power_walks(kind):
     t = random_table(kind, 1500)
     N, q, lmax = t.N, t.q, 7
-    steps = list(_walk_steps(t, lmax, np.arange(N), N - 1))
+    steps = list(_walk_steps(t, lmax, range(N), N - 1))
     assert len(steps) == lmax + 1
     for ell, v in enumerate(steps):
-        assert np.sum(v[q * lmax]) == np.sum(_walks(t, ell, np.arange(N), N - 1)[q * ell])
+        assert np.sum(v[q * lmax]) == np.sum(_walks(t, ell, range(N), N - 1)[q * ell])
 
 
 def test_constant_diagonal_sections_skip_dsterf(monkeypatch):
@@ -163,6 +163,44 @@ def test_perturbed_eigensolve_fails_on_read(monkeypatch):
     zs = zeros(_band_q2(60), lmax=4)  # the traces need no eigensolve
     with pytest.raises(NumericalBreakdownError, match="disagrees with trace"):
         zs.zeros
+
+
+def _external_source(N, a, pad=8):
+    """GUE with an external source of eigenvalues +-a, N/2 each (Bleher and
+    Kuijlaars): step-line row s = 2m is [1, a, s/N, 2am/N], and row 2m+1
+    is [1, -a, s/N, -2am/N]. Its zeros are real."""
+    s = np.arange(N + pad + 1)
+    sign = np.where(s % 2, -1.0, 1.0)
+    return banded_table(np.stack([np.ones(len(s)), sign * a, s / N, sign * a * (s // 2) * 2 / N], 1), 2, N)
+
+
+def _ginibre_product(N, pad=8):
+    """Squared singular values of a product of two Ginibre matrices: the
+    rescaled step-line band [(k+1)^2, 3k^2+3k+1, 3k^2, k(k-1)] / N^2. Its
+    zeros are real and positive."""
+    k = np.arange(N + pad + 1.0)
+    return banded_table(np.stack([(k + 1) ** 2, 3 * k**2 + 3 * k + 1, 3 * k**2, k * (k - 1)], 1) / N**2, 2, N)
+
+
+@pytest.mark.parametrize("build, m1", ((lambda: _external_source(400, 0.5), 0.0), (lambda: _ginibre_product(400), 1.0)),
+                         ids=("external-source", "ginibre-product"))
+def test_ill_conditioned_dense_zeros_are_refused_on_read(build, m1):
+    # dense eigvals returns |Im| up to 0.45 and 0.18 on these real-rooted
+    # sections, within the trace check: the condition bound refuses them
+    t = build()
+    assert np.isclose(mean_moment(t, 1), m1, rtol=1e-12, atol=1e-15)
+    zs = zeros(t, 4)
+    with pytest.raises(NumericalBreakdownError, match="ill-conditioned: eps"):
+        zs.zeros
+
+
+def test_well_conditioned_dense_zeros_are_returned_real():
+    # a = 1.3 separates the two clusters: the bound reads 4.4e-9, and every
+    # zero comes back real
+    t = _external_source(100, 1.3)
+    assert np.isclose(mean_moment(t, 2), 1 + 1.3**2, rtol=1e-12)
+    z = zeros(t).zeros
+    assert not np.iscomplexobj(z) and len(z) == 100 and np.all(np.diff(z) > 0)
 
 
 def test_gue_zeros_confined_and_symmetric():
@@ -361,7 +399,7 @@ def test_zero_set_across_a_block_boundary(name):
     for ell in range(1, L + 1):
         assert moment_gap(t, ell, zero_set=zs) == moment_gap(t, ell)
     for ell in range(L + 1):
-        want = math.fsum(_walks(t, ell, np.arange(N), N - 1)[q * ell])
+        want = math.fsum(_walks(t, ell, range(N), N - 1)[q * ell])
         assert abs(zs.power_sums[ell] - want) <= 1e-15 * abs(want)
 
 

@@ -488,6 +488,36 @@ def test_numerical_breakdown_is_one_error_line(capsys):
                    "the measure is too coarse for this table"], err
 
 
+def test_a_walk_past_the_pad_names_the_pad_that_would_do(capsys):
+    # the default --lmax 8 climbs to ordinate 33 of a table stored to 32
+    cfg = '{"classical": "chebyshev", "N": 30, "alpha": 0, "beta": 3, "pad": 2}'
+    assert main(["moments", "--ensemble", cfg]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [
+        "polyens: error: the paths climb to ordinate 33 but the table stores indices up to 32 "
+        "(N=30, pad=2); rebuild with pad >= 3"
+    ]
+    assert main(["moments", "--ensemble", cfg.replace('"pad": 2', '"pad": 3')]) == 0
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        {"kind": "named", "name": "uniform-circle", "n": 64},
+        {"kind": "atoms", "points": [[1, 0], [0, 1], [-1, 0], [0, -1]], "weights": [1, 1, 1, 1]},
+    ],
+    ids=["named-circle", "complex-atoms"],
+)
+def test_a_measure_config_on_complex_atoms_needs_a_table(capsys, measure):
+    cfg = json.dumps({"measure": measure, "N": 2})
+    assert main(["moments", "--ensemble", cfg, "--lmax", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [
+        "polyens: error: a measure ensemble on complex atoms needs an explicit 'table'; "
+        'for the uniform circle, use {"classical": "uniform-circle", "N": ...}'
+    ]
+
+
 def test_classical_atoms_that_do_not_carry_the_table_exit_2(capsys):
     # GUE N=400 on 1024 nodes keeps the 734 atoms whose weight does not
     # underflow; the GUE table is not orthonormal on them

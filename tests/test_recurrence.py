@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyens import (
+    CoefficientProfile,
     CoefficientRangeError,
     PolynomialEnsemble,
     InvalidIntervalError,
@@ -326,24 +327,38 @@ def test_walk_steps_are_the_gather_walk(kind):
     # at each ceiling they pass
     t = complex_q1_table() if kind == "complex-q1" else random_table(kind, 1600, N=9)
     N, q, lmax = t.N, t.q, 5
-    layouts = (np.arange(N), [N // 2], np.arange(N, N), np.arange(1, t.top + 1, 3),
-               np.arange(N - lmax, N), np.arange(N, t.top + 1))
+    layouts = (range(N), range(N // 2, N // 2 + 1), range(N, N), range(1, t.top + 1, 3),
+               range(N - lmax, N), range(N, t.top + 1))
     for ceiling in (N - 1, N - 1 + (q * lmax) // (q + 1), t.top):
         for starts, ell in itertools.product(layouts, (0, 2, lmax)):
             got = list(_walk_steps(t, ell, starts, ceiling))
-            want = list(oracles.walk_steps_by_gather(t, ell, starts, ceiling))
+            want = list(oracles.walk_steps_by_gather(t, ell, np.array(starts), ceiling))
             assert len(got) == len(want) == ell + 1
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
             assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(got, 2))
 
 
-def test_walk_steps_refuse_a_bad_order_or_start_set():
-    t = random_table("q2", 1601, N=9)
-    with pytest.raises(ValueError, match="ell >= 0, got -1"):
-        next(_walk_steps(t, -1, np.arange(t.N), t.N - 1))
-    with pytest.raises(ValueError, match="arithmetic progression"):
-        next(_walk_steps(t, 2, [0, 1, 3], t.N - 1))
+@pytest.mark.parametrize("kind", ("op", "q2"))
+def test_every_walk_starts_from_a_range(kind, monkeypatch):
+    # the strided view of _walk_steps reads its starts as a range with
+    # step >= 1; every query of a full report must pass one
+    import polyens.recurrence
+
+    starts, walk = [], polyens.recurrence._walk_steps
+    monkeypatch.setattr(polyens.recurrence, "_walk_steps", lambda t, ell, s, top: starts.append(s) or walk(t, ell, s, top))
+    t = random_table(kind, 1601, N=30, pad=12)
+    profile = gue_profile() if kind == "op" else CoefficientProfile({-1: 1.0, 0: 0.1, 1: 0.3, 2: 0.05})
+    zs = zeros(t, 6)
+    queries = (
+        lambda: mean_moment(t, 5), lambda: zeros(t, 6), lambda: moment_gap(t, 4, zero_set=zs),
+        lambda: variance_power(t, 3), lambda: covariance_power(t, 2, 3),
+        lambda: limit_report(t, profile, 6), lambda: path_sum_moment(t, 4, 3, 5),
+    )
+    for query in queries:
+        starts.clear()
+        query()
+        assert starts and all(isinstance(s, range) and s.step >= 1 for s in starts), starts
 
 
 def test_mean_moment_memory_is_bounded_at_large_n():
