@@ -7,7 +7,9 @@ weight of the l-step loops that stay below N, while the mean moment counts
 every l-loop from k < N. Their gap is the weight of the loops that climb
 past N - 1, over N, read from the few starts next to N. Neither needs an
 eigensolve. The zeros do: it is the only dense step, and it runs only when
-the locations are read.
+the locations are read. A section with no tridiagonal or triangular form
+is eigensolved once, by np.linalg.eig: its values are the zeros, and its
+vectors give the condition bound that refuses untrustworthy ones.
 """
 
 from dataclasses import dataclass
@@ -94,7 +96,8 @@ def _section_zeros(table, traces):
     triangular section (e.g. the uniform-circle shift) short-circuits to
     its diagonal, which is exact; otherwise eigenvalues would be polluted
     by the O(eps^(1/N)) sensitivity of a nilpotent matrix. Any other
-    section goes to a dense eigensolve.
+    section goes to one dense eigensolve, np.linalg.eig, whose values are
+    the zeros and whose vectors feed the condition bound.
 
     A power sum that misses its trace by more than POWER_SUM_TOL (relative
     to max(1, |trace|)) raises NumericalBreakdownError, and so, after that
@@ -104,7 +107,7 @@ def _section_zeros(table, traces):
     N, q = table.N, table.q
     c = table.c[:N]
     pairs = c[:-1, 0] * c[1:, 2] if q == 1 and not table.is_complex else None
-    H = None  # the section, on the dense route
+    H = V = None  # the section and its eigenvectors, on the dense route
     if table.symmetric or (pairs is not None and np.all(pairs > 0)):
         off = table.a[: N - 1] if table.symmetric else np.sqrt(pairs)
         zs = _tridiagonal_zeros(table.b[:N], off)
@@ -112,7 +115,7 @@ def _section_zeros(table, traces):
         zs = table.c[:N, 1].copy()
     else:
         H = hessenberg_matrix(table, N)
-        zs = np.linalg.eigvals(H)
+        zs, V = np.linalg.eig(H)
     zs = zs[np.argsort(zs.real + 1e-12 * np.abs(zs.imag))]
     for l, tr in enumerate(traces):
         p = np.sum(zs**l)
@@ -122,17 +125,18 @@ def _section_zeros(table, traces):
                 f"trace {tr!r}; eigensolve is unreliable"
             )
     if H is not None:
-        _refuse_ill_conditioned(H)
+        _refuse_ill_conditioned(H, V)
     return zs
 
 
-def _refuse_ill_conditioned(H):
+def _refuse_ill_conditioned(H, V):
     """Raise NumericalBreakdownError when eps * max_i kappa_i * ||H||_2
-    exceeds CONDITION_TOL * max(1, ||H||_2). kappa_i = ||x_i|| ||y_i|| /
-    |y_i^H x_i| is the condition number of eigenvalue i (Wilkinson), for
-    right and left eigenvectors x_i and y_i; with the right ones the columns
-    of V, it is the norm of column i of V times that of row i of V^-1."""
-    _, V = np.linalg.eig(H)
+    exceeds CONDITION_TOL * max(1, ||H||_2), for V the right eigenvectors of
+    H from the eigensolve that gave the zeros (no second solve).
+    kappa_i = ||x_i|| ||y_i|| / |y_i^H x_i| is the condition number of
+    eigenvalue i (Wilkinson), for right and left eigenvectors x_i and y_i;
+    with the right ones the columns of V, it is the norm of column i of V
+    times that of row i of V^-1."""
     try:
         kappa = np.max(np.linalg.norm(V, axis=0) * np.linalg.norm(np.linalg.inv(V), axis=1))
     except np.linalg.LinAlgError:  # V singular: H is defective

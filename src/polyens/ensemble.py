@@ -300,15 +300,16 @@ class PolynomialEnsemble:
         """values, if finite (else NumericalBreakdownError: the basis product
         overflowed, which a Gram-checked basis cannot) and, for a complex
         non-hermitian kernel, if each entry of diag, unless None, has
-        |Im L_ii| <= 1e-9 |L_ii|, i.e. |Im K_ii| <= 1e-9 |K_ii| (else the
-        kernel defines no point process: PositivityViolationError)."""
+        |Im L_ii| <= MINOR_TOL |L_ii|, the 1-point case of the minor rule,
+        i.e. |Im K_ii| <= MINOR_TOL |K_ii| (else the kernel defines no point
+        process: PositivityViolationError)."""
         if not np.isfinite(values).all():
             raise NumericalBreakdownError(
                 f"{what} of N={self.N} points on {len(self.measure)} atoms "
                 "is not finite: the basis product overflows"
             )
         if np.iscomplexobj(diag) and not self.hermitian:
-            excess = np.abs(diag.imag) - 1e-9 * np.abs(diag)
+            excess = np.abs(diag.imag) - MINOR_TOL * np.abs(diag)
             if np.max(excess, initial=0.0) > 0:
                 i = int(np.argmax(excess))
                 raise PositivityViolationError(

@@ -226,8 +226,7 @@ def scaled_hermite_measure(N, nodes=DEFAULT_NODES):
     rule of gauss_hermite rescaled by sqrt(2/N). An atom is kept iff its
     rescaled weight is > 0: far-tail weights that underflow to exactly zero
     are dropped (a mathematical no-op); subnormal ones stay."""
-    if N <= 0:
-        raise ValueError("N must be positive")
+    N = _integer(N, "N", 1)
     x, w = gauss_hermite(_integer(nodes, "nodes", 1))
     s = np.sqrt(2.0 / N)
     pts = s * x

@@ -23,8 +23,8 @@ any N; the loops that leave the section (`_escape_weight`) walk only the
 starts next to N. On a symmetric table a loop is a path out and the same
 path back, so loops of order l walk ceil(l/2) steps (`_loop_weights`).
 Every such query returns a complex for a complex table and a float
-otherwise (`RecurrenceTable.value`). Indices run over 0..N+pad; access
-past the pad raises instead of extrapolating.
+otherwise (`RecurrenceTable.value`). Indices run over 0..N+pad; a read
+past the pad raises, naming the pad that would do (`RecurrenceTable._stored`).
 """
 
 import math
@@ -117,16 +117,22 @@ class RecurrenceTable:
     def __repr__(self):
         return f"RecurrenceTable(N={self.N}, pad={self.pad}, q={self.q})"
 
+    def _stored(self, index, what):
+        """The one range rule: a read of coefficient row index past the top
+        is a CoefficientRangeError naming the pad that would store it. what
+        is a fixed phrase, so no message is built unless it raises."""
+        if index > self.top:
+            raise CoefficientRangeError(
+                f"{what} {index} but the table stores indices up to {self.top} "
+                f"(N={self.N}, pad={self.pad}); rebuild with pad >= {index - self.N}"
+            )
+
     def coeff(self, k, m):
-        """<x P_k, Q_m>; zero off the band, loud error past the pad."""
+        """<x P_k, Q_m>; zero off the band, an error past the pad (_stored)."""
         k, m = _integer(k, "k"), _integer(m, "m")
         if k < 0 or m < 0 or m > k + 1 or m < k - self.q:
             return self.value(0.0)
-        if k > self.top:
-            raise CoefficientRangeError(
-                f"coefficient index {k} exceeds stored range {self.top} "
-                f"(N={self.N}, pad={self.pad}); rebuild with a larger pad"
-            )
+        self._stored(k, "coeff reads index")
         return self.value(self.c[k, k - m + 1])
 
     def window_max(self, lo, hi):
@@ -134,11 +140,7 @@ class RecurrenceTable:
         past the pad an error as in coeff; hi < lo is a ValueError."""
         lo = max(_integer(lo, "lo"), 0)
         hi = _integer(hi, "hi", lo)
-        if hi > self.top:
-            raise CoefficientRangeError(
-                f"window [{lo}, {hi}] exceeds stored range {self.top} "
-                f"(N={self.N}, pad={self.pad}); rebuild with pad >= {hi - self.N}"
-            )
+        self._stored(hi, "the window reaches index")
         k = np.arange(lo, hi + 1)[:, None]
         m = k - np.arange(-1, self.q + 1)
         inside = (lo <= m) & (m <= hi)
@@ -343,7 +345,7 @@ def _walks(table, ell, starts, ceiling):
     out[d + q*ell, i] is the total weight of the paths starts[i] ->
     starts[i] + d, -q*ell <= d <= ell, that stay at ordinates 0..ceiling.
     starts is a range (see _walk_steps). Only the coefficients of those
-    ordinates are read; a ceiling past the stored range raises. Costs about
+    ordinates are read; a ceiling past the pad raises (_stored). Costs about
     (q+1)(q+2) ell^2 / 2 multiply-adds per start.
     """
     for v in _walk_steps(table, ell, starts, ceiling):
@@ -366,12 +368,7 @@ def _walk_steps(table, ell, starts, ceiling):
     band copy and about three grids of (q+1) ell + 1 rows by len(starts).
     The l-loops of a symmetric table ask ceil(l/2) steps (_loop_weights).
     """
-    if ceiling > table.top:
-        raise CoefficientRangeError(
-            f"the paths climb to ordinate {ceiling} but the table stores "
-            f"indices up to {table.top} (N={table.N}, pad={table.pad}); "
-            f"rebuild with pad >= {ceiling - table.N}"
-        )
+    table._stored(ceiling, "the paths climb to ordinate")
     n, q = len(starts), table.q
     D, o = (q + 1) * ell + 1, q * ell  # rows of the grid, row of displacement 0
     lo = starts.start - o  # lowest ordinate a path reads
@@ -500,10 +497,7 @@ def hessenberg_matrix(table, size=None):
     to the span of P_0..P_{size-1}. Upper Hessenberg: entries vanish for
     row > column + 1; symmetric tridiagonal for a symmetric table."""
     n = table.N if size is None else _integer(size, "size", 1)
-    if n - 1 > table.top:
-        raise CoefficientRangeError(
-            f"section size {n} exceeds stored range {table.top}"
-        )
+    table._stored(n - 1, "the section reads index")
     H = np.zeros((n, n), dtype=table.c.dtype)
     k = np.arange(n)
     for j in range(-1, table.q + 1):
@@ -521,11 +515,7 @@ def eval_polynomials(table, x, upto, p0=1.0):
     sqrt(w_i) P_k(x_i). Needs stored coefficients through index upto - 1.
     """
     upto = _integer(upto, "upto", 0)
-    if upto - 1 > table.top:
-        raise CoefficientRangeError(
-            f"evaluating P_{upto} needs coefficients through {upto - 1}, "
-            f"stored range is {table.top}"
-        )
+    table._stored(upto - 1, "the recurrence reads index")
     pts = np.atleast_1d(np.asarray(x))
     dtype = complex if (table.is_complex or np.iscomplexobj(pts)) else float
     out = np.zeros((upto + 1, len(pts)), dtype=dtype)

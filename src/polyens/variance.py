@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientRangeError, EvaluationError, _integer
-from .recurrence import _walks
+from .recurrence import RecurrenceTable, _walks
 
 # Chebyshev-Gauss sample count of the limit routes
 LIMIT_NODES = 512
@@ -84,10 +84,11 @@ def lipschitz_variance_bound(a_top, lip):
     a_top may be the number itself or a table of orthonormal polynomials
     (a symmetric table), whose a_{N-1} is used; any other table has no
     a_{N-1} to read, an EvaluationError."""
-    if not (np.isscalar(a_top) or a_top.symmetric):
-        raise EvaluationError("the Lipschitz bound needs a symmetric recurrence table")
-    a = a_top if np.isscalar(a_top) else float(a_top.a[a_top.N - 1])
-    return float((a * lip) ** 2)
+    if isinstance(a_top, RecurrenceTable):
+        if not a_top.symmetric:
+            raise EvaluationError("the Lipschitz bound needs a symmetric recurrence table")
+        a_top = float(a_top.a[a_top.N - 1])
+    return float((a_top * lip) ** 2)
 
 
 def empirical_Q_moment(ensemble, m, n):

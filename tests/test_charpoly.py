@@ -132,7 +132,7 @@ def test_zero_set_statistics_solve_no_zero(monkeypatch):
     def solve(*args, **kwargs):
         raise Solved
 
-    monkeypatch.setattr(np.linalg, "eigvals", solve)
+    monkeypatch.setattr(np.linalg, "eig", solve)
     monkeypatch.setattr(polyens.charpoly, "_tridiagonal_zeros", solve)
     for t in (classical_table("gue", 300, pad=8), _band_q2(200)):
         zs = zeros(t, lmax=6)
@@ -158,8 +158,13 @@ def test_zeros_are_solved_once_on_first_read(monkeypatch):
 
 
 def test_perturbed_eigensolve_fails_on_read(monkeypatch):
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda H: eigvals(H) + 1e-3)
+    eig = np.linalg.eig
+
+    def perturbed(H):
+        w, V = eig(H)
+        return w + 1e-3, V
+
+    monkeypatch.setattr(np.linalg, "eig", perturbed)
     zs = zeros(_band_q2(60), lmax=4)  # the traces need no eigensolve
     with pytest.raises(NumericalBreakdownError, match="disagrees with trace"):
         zs.zeros
@@ -201,6 +206,23 @@ def test_well_conditioned_dense_zeros_are_returned_real():
     assert np.isclose(mean_moment(t, 2), 1 + 1.3**2, rtol=1e-12)
     z = zeros(t).zeros
     assert not np.iscomplexobj(z) and len(z) == 100 and np.all(np.diff(z) > 0)
+
+
+@pytest.mark.parametrize("a, refused", ((1.3, False), (0.5, True)), ids=("returned", "refused"))
+def test_a_dense_section_is_eigensolved_once(monkeypatch, a, refused):
+    # the one eig gives the zeros and the vectors of the condition bound,
+    # whether the bound returns the zeros or refuses them
+    calls = []
+    for name in ("eig", "eigvals"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda H, name=name, solve=solve: calls.append(name) or solve(H))
+    zs = zeros(_external_source(100, a), 4)
+    if refused:
+        with pytest.raises(NumericalBreakdownError, match="ill-conditioned: eps"):
+            zs.zeros
+    else:
+        assert len(zs.zeros) == 100
+    assert calls == ["eig"]
 
 
 def test_gue_zeros_confined_and_symmetric():

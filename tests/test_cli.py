@@ -786,7 +786,7 @@ def test_a_query_past_the_pad_names_the_pad_it_needs(capsys, sub):
     assert main(sub + ["--ensemble", "gue", "--N", "50"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.strip().splitlines() == [
-        "polyens: error: window [41, 59] exceeds stored range 58 (N=50, pad=8); "
-        "rebuild with pad >= 9"
+        "polyens: error: the window reaches index 59 but the table stores indices up to 58 "
+        "(N=50, pad=8); rebuild with pad >= 9"
     ]
     assert main(sub + ["--ensemble", '{"classical": "gue", "N": 50, "pad": 9}']) == 0

@@ -6,6 +6,7 @@ import pytest
 
 from polyens import (
     EvaluationError,
+    NegativityError,
     NumericalBreakdownError,
     OrthogonalityError,
     PolynomialEnsemble,
@@ -49,6 +50,27 @@ def test_mean_density_normalized(cheb3):
     rho = cheb3.mean_density()
     assert np.all(rho >= 0)
     assert np.isclose(oracles.integral(cheb3.measure, rho), 1.0)
+
+
+def test_mean_density_of_no_point_and_of_a_negative_kernel(cheb3):
+    m, P = cheb3.measure, cheb3.P_vals
+    assert np.array_equal(PolynomialEnsemble(m, P, N=0).mean_density(), np.zeros(48))
+    with pytest.raises(NegativityError, match="^mean density is nonpositive everywhere$"):
+        PolynomialEnsemble(m, P, Q_vals=-P).mean_density()
+    Q = P.copy()
+    Q[:, 5] *= -1  # K(x_5, x_5) < 0 at one atom
+    with pytest.raises(NegativityError, match=re.escape(f"mean density at atom x={m.points[5].item()!r} is -")):
+        PolynomialEnsemble(m, P, Q_vals=Q).mean_density()
+
+
+def test_an_ensemble_refuses_rows_of_the_wrong_shape(cheb3):
+    m, P = cheb3.measure, cheb3.P_vals
+    with pytest.raises(ValueError, match=r"^basis must be \(rows, n_atoms\) over the measure atoms$"):
+        PolynomialEnsemble(m, P[:, 1:])
+    with pytest.raises(ValueError, match="^N exceeds available basis rows$"):
+        PolynomialEnsemble(m, P, N=4)
+    with pytest.raises(ValueError, match=r"^Q_vals must be \(N, n_atoms\)$"):
+        PolynomialEnsemble(m, P, N=2, Q_vals=P)
 
 
 def test_eval_P_kernel_matches_christoffel_darboux(cheb3):
@@ -488,6 +510,9 @@ def test_tilt_shape_and_padding_errors(cheb3):
         cheb3.tilt_nonorthogonal(np.zeros((2, 1)))  # wrong row count
     with pytest.raises(ValueError):
         cheb3.tilt_nonorthogonal(np.zeros((3, 5)))  # needs rows past the pad
+    tilted = cheb3.tilt_nonorthogonal(np.array([[0.0], [0.0], [0.01]]))
+    with pytest.raises(ValueError, match="^tilting starts from a hermitian ensemble$"):
+        tilted.tilt_nonorthogonal(np.zeros((3, 1)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

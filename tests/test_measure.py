@@ -172,6 +172,21 @@ def test_grid_measure_refuses_non_finite_input(points, density, message):
         grid_measure(np.array(points, dtype=float), np.array(density, dtype=float))
 
 
+@pytest.mark.parametrize(
+    "points, density, error, message",
+    [
+        ([0], [1], ValueError, "grid must be strictly increasing with >= 2 points"),
+        ([[0, 1]], [[1, 1]], ValueError, "grid must be strictly increasing with >= 2 points"),
+        ([0, 1, 2], [1, 1], ValueError, "density must match the grid"),
+        ([0, 2, 1], [1, 1, 1], ValueError, "grid must be strictly increasing with >= 2 points"),
+        ([0, 1, 2], [1, -1, 1], NegativityError, "grid density must be nonnegative"),
+    ],
+)
+def test_grid_measure_refuses_a_bad_grid_or_density(points, density, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        grid_measure(points, density)
+
+
 def test_values_reports_offending_atom():
     m = atoms_measure([0.0, 2.0, 3.0], [1.0, 1.0, 1.0])
     with pytest.raises(EvaluationError, match="2.0"):

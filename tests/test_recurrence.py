@@ -148,8 +148,47 @@ def test_coeff_band_and_range():
 
 
 def test_op_table_rejects_nonpositive_up_step():
-    with pytest.raises(ValueError):
-        op_table([0.5, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0], 2)
+    with pytest.raises(ValueError, match="^an OP table requires a_k > 0$"):
+        op_table([0.5, 0.0, 0.5], [0.0, 0.0, 0.0], 2)
+    with pytest.raises(ValueError, match="^a and b must be 1-d arrays of equal length$"):
+        op_table([0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], 2)
+
+
+def test_a_table_refuses_a_bad_shape_and_complex_atoms():
+    with pytest.raises(ValueError, match=r"^a table needs c with q \+ 2 columns$"):
+        RecurrenceTable(3, np.ones((5, 3)), 2)
+    with pytest.raises(ValueError, match="^table must store at least N coefficient rows$"):
+        RecurrenceTable(5, np.ones((3, 3)), 1)
+    with pytest.raises(ValueError, match="^table_from_measure needs a real-supported measure$"):
+        table_from_measure(uniform_circle_measure(16), 4)
+
+
+# each read of a GUE table of N = 10 that reaches coefficient row 14, and the
+# phrase the range rule names it by
+PAST_THE_PAD = {
+    "coeff": ("coeff reads index", lambda t: t.coeff(14, 14)),
+    "window_max": ("the window reaches index", lambda t: t.window_max(12, 14)),
+    "walk": ("the paths climb to ordinate", lambda t: mean_moment(t, 10)),  # 10-loops from 9 climb 5
+    "hessenberg_matrix": ("the section reads index", lambda t: hessenberg_matrix(t, 15)),
+    "eval_polynomials": ("the recurrence reads index", lambda t: eval_polynomials(t, [0.3], 15)),
+    "eval_P": ("the recurrence reads index", lambda t: _gue_ensemble(t).eval_P(0.3, 15)),
+}
+
+
+@pytest.mark.parametrize("read", PAST_THE_PAD)
+def test_a_read_past_the_pad_names_the_pad_that_would_do(read):
+    # one check raises every refusal, in one wording: the stored top, N,
+    # the pad, and the least pad that stores the row; that pad reads it
+    what, ask = PAST_THE_PAD[read]
+    with pytest.raises(CoefficientRangeError) as caught:
+        ask(classical_table("gue", 10, pad=2))
+    assert str(caught.value) == (
+        f"{what} 14 but the table stores indices up to 12 (N=10, pad=2); rebuild with pad >= 4"
+    )
+    assert caught.traceback[-1].name == "_stored"
+    with pytest.raises(CoefficientRangeError, match=re.escape("(N=10, pad=3); rebuild with pad >= 4")):
+        ask(classical_table("gue", 10, pad=3))
+    ask(classical_table("gue", 10, pad=4))
 
 
 def test_op_table_is_the_symmetric_q1_band():
@@ -623,6 +662,7 @@ ORDER_QUERIES = {
     "sample_replicas-n_replicas": (0, lambda t, n: sample_replicas(_gue_ensemble(t), n, seed=3)[0].tolist()),
     "gauss_hermite-n": (1, lambda t, n: gauss_hermite(n)[0].tolist()),
     "uniform_circle_measure-n": (1, lambda t, n: uniform_circle_measure(n).points.tolist()),
+    "scaled_hermite_measure-N": (1, lambda t, n: scaled_hermite_measure(n, nodes=32).points.tolist()),
     "scaled_hermite_measure-nodes": (1, lambda t, n: scaled_hermite_measure(9, nodes=n).points.tolist()),
     "equilibrium_measure-nodes": (1, lambda t, n: equilibrium_measure(-1, 1, n).points.tolist()),
     "stream-seed": (0, lambda t, n: stream(n).random()),

@@ -489,6 +489,14 @@ def test_push_refuses_a_repeated_or_unknown_atom():
         assert state.k == 0
 
 
+def test_a_full_state_refuses_another_point(e3):
+    state = ConditionalState.from_prefix(e3, [2, 9, 5])
+    for step in (lambda: state.push(0), state.density_all):
+        with pytest.raises(ValueError, match="^all N points are already conditioned on$"):
+            step()
+    assert state.k == 3
+
+
 def test_push_refuses_an_index_that_is_not_an_integer():
     # an atom value is not an index: truncated, 1.0592 (atom 40) would
     # condition on atom 1
@@ -738,6 +746,10 @@ def test_spectral_data_validation(e3):
         spectral_from_ensemble(e3, [np.nan, 0.5, 0.5])
     with pytest.raises(OrthogonalityError):
         SpectralData(np.array([0.5, 0.5, 0.5]), P + 0.3, e3.measure)
+    with pytest.raises(ValueError, match=r"^phi must be \(rank, n_atoms\)$"):
+        SpectralData(np.array([0.5, 0.5]), P, e3.measure)
+    with pytest.raises(ValueError, match="^more coefficients than kernel rank$"):
+        spectral_from_ensemble(e3, [0.5] * 4)
     sd = spectral_from_ensemble(e3, [1.0, 1.0, 1.0])
     assert np.allclose(sd.intensity(), e3.mean_density() * 3, rtol=1e-10)
 

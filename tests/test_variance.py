@@ -21,6 +21,7 @@ from polyens import (
     mean_moment,
     op_table,
     stream,
+    uniform_circle_measure,
     variance_power,
     variance_upper_bound,
 )
@@ -133,8 +134,19 @@ def test_lipschitz_bound_scalar_and_table():
     a_top = t.coeff(24, 25)
     assert np.isclose(lipschitz_variance_bound(t, 2.0), (2.0 * a_top) ** 2)
     assert np.isclose(lipschitz_variance_bound(0.5, 3.0), 2.25)
+    assert lipschitz_variance_bound(np.array(0.5), 3.0) == lipschitz_variance_bound(np.float64(0.5), 3.0) == 2.25
     # for f(x) = x the bound is attained exactly
     assert np.isclose(variance_power(t, 1), lipschitz_variance_bound(t, 1.0), rtol=1e-12)
+
+
+def test_empirical_Q_moment_needs_P_N_on_real_atoms():
+    unpadded = PolynomialEnsemble.from_measure(equilibrium_measure(-1, 1, 32), 4, pad=-1)
+    assert unpadded.table.symmetric and len(unpadded.basis) == 4
+    with pytest.raises(CoefficientRangeError, match="^needs the basis padded through P_N$"):
+        empirical_Q_moment(unpadded, 1, 1)
+    circle = PolynomialEnsemble(uniform_circle_measure(8), np.eye(3, 8), N=2, table=classical_table("gue", 2))
+    with pytest.raises(ValueError, match="^Q_N moments are defined for real-supported measures$"):
+        empirical_Q_moment(circle, 1, 1)
 
 
 def test_lipschitz_bound_refuses_a_table_that_is_not_symmetric():
