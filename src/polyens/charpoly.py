@@ -209,6 +209,7 @@ def moment_gap(table, ell, zero_set=None):
     0..N-1, the rows its section weights read (else ValueError)."""
     ell = _integer(ell, "ell", 1)
     N = table.N
+    table._stored(N + ell, "the window reaches index")  # the widest read, checked before any walk
     zs = zero_set if zero_set is not None else zeros(table, lmax=ell)
     zmom, t = zs.mean_power(ell), zs._table
     if not (t.N == N and t.c.dtype == table.c.dtype and np.array_equal(t.c[:N], table.c[:N])):

@@ -168,6 +168,7 @@ def cmd_zeros(args):
 
 def cmd_gap(args):
     cfg, table, _ = _table(args)
+    table._stored(table.N + args.lmax, "the window reaches index")  # every gap's reads, checked at once
     zs = zeros(table, lmax=args.lmax)
     rows = []
     for ell in range(1, args.lmax + 1):
@@ -180,6 +181,7 @@ def cmd_variance(args):
     # a Monte Carlo run draws the ensemble, so it must carry the table read
     cfg, table, ens = _table(args, build=bool(args.mc))
     ell = args.power
+    table._stored(table.N + ell, "the window reaches index")  # the bound's window, the query's widest read
     payload = {
         "polyens": __version__,
         "config": config_hash(cfg),

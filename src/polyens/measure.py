@@ -145,10 +145,13 @@ class ReferenceMeasure:
     def sample_mass(self, mass, rng, size=None):
         """Exact draw of atom indices with p_i proportional to mass_i.
 
-        Each index is one inverse-CDF lookup of one rng.random() uniform:
-        the stream use of rng.choice(n, size=size, p=p), and its CDF up to
-        roundoff (the float64 cumulative mass over its last entry, which is
-        then exactly 1, so a zero-mass atom is never drawn).
+        Each index is one inverse-CDF lookup of one uniform, read as
+        rng.random(size) once the mass is validated: the stream use of
+        rng.choice(n, size=size, p=p), so size=s draws the indices of s
+        scalar draws in turn. The index is searchsorted(cdf / cdf[-1], u,
+        "right") on the float64 cumulative mass, bit for bit, found by
+        _inverse_cdf with no normalization pass; a zero-mass atom is never
+        drawn.
 
         Mass with no negative entry and a positive finite sum is drawn from
         after one argmin and the cumulative sum (mass[argmin], the first NaN
@@ -161,19 +164,43 @@ class ReferenceMeasure:
         to zero on a copy. The sampler draws each point through the same
         routine (_inverse_cdf), with a CDF buffer its state owns.
         """
-        picked = self._inverse_cdf(mass, rng, np.empty(len(mass)), size)
-        return picked if size is not None else int(picked)
+        return self._inverse_cdf(mass, lambda: rng.random(size), np.empty(len(mass)))
 
-    def _inverse_cdf(self, mass, rng, cdf, size=None):
+    def _inverse_cdf(self, mass, uniform, cdf):
         """sample_mass's draw, writing the cumulative mass into cdf, a
         float64 buffer of len(mass), so that a valid mass allocates no
-        array. Returns searchsorted's index (an np.intp for size None)."""
+        array. uniform() is called once, after the mass is validated, so a
+        refused mass reads no uniform; it gives u in [0, 1), or an array of
+        them for several draws on one mass. Returns an int, or an index
+        array.
+
+        The index is j = #{i : fl(c_i / T) <= u} for the running mass c and
+        its total T = c[-1], which is searchsorted(c / T, u, "right"), with
+        no pass dividing c by T. As c is nondecreasing and fl(x / T) is
+        nondecreasing in x, those i form a prefix, so j is found from
+        searchsorted(c, fl(u T), "right") by stepping over the few entries
+        whose quotient lands on the other side of u. The steps walk entries
+        of c, never doubles, so they stop within n for any u and T (u = 0,
+        a total near underflow). fl(T / T) = 1 > u gives j < n, and
+        fl(c_j / T) > fl(c_{j-1} / T) gives c_j > c_{j-1}: atom j has mass > 0."""
         if mass.dtype.kind == "c":
             raise NegativityError("mass is complex; cannot sample")
         if not (mass[mass.argmin()] >= 0 and 0 < np.add.accumulate(mass, out=cdf)[-1] < math.inf):
             cdf = self._validated_cdf(mass)
-        cdf /= cdf[-1]
-        return cdf.searchsorted(rng.random(size), side="right")
+        u, total = uniform(), cdf.item(-1)
+        j = cdf.searchsorted(u * total, "right")
+        if isinstance(j, np.ndarray):
+            while np.any(back := (j > 0) & (cdf[j - 1] / total > u)):
+                j -= back
+            while np.any(up := cdf[j] / total <= u):
+                j += up
+            return j
+        j, at = int(j), cdf.item
+        while j and at(j - 1) / total > u:
+            j -= 1
+        while at(j) / total <= u:
+            j += 1
+        return j
 
     def _validated_cdf(self, mass):
         """Cumulative sum of mass in float64, tiny negatives clamped, after

@@ -39,12 +39,15 @@ arrays runs, in the same order, so draws do not move by a bit. R_k vanishes
 on the atoms conditioned on, and the state holds that exactly: the new row
 is 0.0 at every earlier point and the new point's mass is 0.0. A given
 index is checked at its step (an integer, an atom index, mass > 0). A drawn
-one needs no check: searchsorted on a CDF whose last entry is exactly 1
-returns an index below n where the CDF rose, at mass > 0. Every step checks
-its pivot. The draw validates the mass before it reads a uniform, in full
+one needs no check: the draw thresholds the running mass c at the uniform
+u, taking the first j with fl(c_j / c[-1]) > u, which is below n and where
+c rose, at mass > 0 (ReferenceMeasure._inverse_cdf). Every step checks its
+pivot. The draw validates each mass before it reads a uniform, in full
 only for a mass with a negative or non-finite entry or a sum that is not
 positive and finite; a negative beyond roundoff is a
-PositivityViolationError (the kernel defines no point process).
+PositivityViolationError (the kernel defines no point process). A draw
+reads its N - k uniforms as one rng.random(N - k) block once its first mass
+is validated: the doubles N - k scalar reads give, in the same order.
 """
 
 import math
@@ -131,18 +134,20 @@ class ConditionalState:
 
     def _steps(self, given, rng=None, picked=None, check_normalization=False):
         """The one step loop: condition on each index of given, checked as
-        push says, or, given None, on N - k indices drawn from rng, unchecked,
-        each one's residual mass written to picked (see the module docstring)."""
+        push says, or, given None, on N - k indices drawn from rng by one
+        block of uniforms, unchecked, each one's residual mass written to
+        picked (see the module docstring)."""
         N, n, k = self.ensemble.N, len(self._diag), self.k
         rows, at, diag, E_all, C_all, col = self.rows, self._at, self._diag, self._E, self._C, self._col
         real, drop = self._real, self._tmp if self._real else self._crow
         drop_re, record, draw, cdf = drop.real, self.heights.append, self.ensemble.measure._inverse_cdf, self._cdf
+        uniform = _block(rng, N - k).__next__ if given is None else None
         matmul, subtract, divide, multiply, conjugate = np.matmul, np.subtract, np.divide, np.multiply, np.conjugate
         for idx in range(k, N) if given is None else given:
             if given is None:
                 if check_normalization and abs((total := float(np.sum(diag)) / (N - k)) - 1.0) > 1e-8:
                     raise NumericalBreakdownError(f"conditional density integrates to {total!r}, not 1")
-                idx = draw(diag, rng, cdf)  # an atom index with mass > 0: see the module docstring
+                idx = draw(diag, uniform, cdf)  # an atom index with mass > 0: see the module docstring
                 picked[k] = diag[idx]
             else:
                 if k >= N:
@@ -201,6 +206,15 @@ class ConditionalState:
         return abs(float(np.expm1(logdet - logprod)))
 
 
+def _block(rng, count):
+    """A draw's count uniforms as floats, read as one rng.random(count)
+    block at the first next(), which the draw makes once the first mass is
+    validated. The block stays one array, 8 bytes a point."""
+    block = rng.random(count)
+    for j in range(count):
+        yield block.item(j)
+
+
 def conditional_density(ensemble, prefix):
     """Density vector (over atoms, w.r.t. mu) of the next point given a
     prefix of atom indices."""
@@ -208,7 +222,14 @@ def conditional_density(ensemble, prefix):
 
 
 def sample(ensemble, rng=None, check_normalization=False):
-    """One exact draw of the N-point configuration."""
+    """One exact draw of the N-point configuration.
+
+    Point k is the first index whose running mass, over the total, exceeds
+    the uniform u_k, found with no normalization pass
+    (ReferenceMeasure.sample_mass). The N uniforms u_k are one
+    rng.random(N) block, read once the first mass is validated: a draw
+    refused at its first mass reads none, and a draw that fails after its
+    first point has read exactly the block."""
     rng = stream() if rng is None else rng
     return _drive(ConditionalState(ensemble), rng, check_normalization)
 

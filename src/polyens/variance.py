@@ -102,8 +102,12 @@ def empirical_Q_moment(ensemble, m, n):
             "this one has no symmetric recurrence table"
         )
     N, m, n = ensemble.N, _integer(m, "m", 0), _integer(n, "n", 0)
-    if N + 1 > len(ensemble.basis):
-        raise CoefficientRangeError("needs the basis padded through P_N")
+    top = len(ensemble.basis) - 1
+    if N > top:
+        raise CoefficientRangeError(
+            f"Q_N moments read basis row {N} but the basis holds rows up to {top} "
+            f"(N={N}, pad={top - N}); rebuild with pad >= 0"
+        )
     mu = ensemble.measure
     x = mu.points
     if mu.is_complex:

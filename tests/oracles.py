@@ -288,6 +288,14 @@ def draw_by_choice(measure, density, rng, size=None):
     return picked if size is not None else int(picked)
 
 
+def index_by_normalized_cdf(mass, u):
+    """Inverse-CDF index of the uniform(s) u on a nonnegative mass the way
+    the library found it before its threshold search: divide the float64
+    cumulative mass by its last entry, then searchsorted(..., side="right")."""
+    cdf = np.cumsum(mass, dtype=float)
+    return np.searchsorted(cdf / cdf[-1], u, side="right")
+
+
 def log_factorial_by_gammaln(k):
     """log k! from scipy's log-gamma function."""
     from scipy.special import gammaln

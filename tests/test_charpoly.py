@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polyens import (
+    CoefficientRangeError,
     NumericalBreakdownError,
     PolynomialEnsemble,
     banded_table,
@@ -359,6 +360,21 @@ def test_moment_gap_walks_only_the_starts_next_to_N(monkeypatch):
         moment_gap(t, ell, zero_set=zs)
         assert sum(walked) <= ell + 1
         walked.clear()
+
+
+def test_moment_gap_checks_its_widest_read_before_any_walk(monkeypatch):
+    # the walk climbs to N + l - 1 and the bound's window reaches N + l: the
+    # window is checked first, so the one message names pad >= l, and no
+    # zero set is solved and no path walked before it
+    t = classical_table("gue", 10, pad=2)
+    walked = _walk_spy(monkeypatch)
+    with pytest.raises(CoefficientRangeError) as caught:
+        moment_gap(t, 5)
+    assert str(caught.value) == (
+        "the window reaches index 15 but the table stores indices up to 12 (N=10, pad=2); rebuild with pad >= 5"
+    )
+    assert walked == [] and caught.traceback[-2].name == "moment_gap"
+    moment_gap(classical_table("gue", 10, pad=5), 5)
 
 
 def test_moment_gap_refuses_the_zero_set_of_another_table():

@@ -790,3 +790,19 @@ def test_a_query_past_the_pad_names_the_pad_it_needs(capsys, sub):
         "(N=50, pad=8); rebuild with pad >= 9"
     ]
     assert main(sub + ["--ensemble", '{"classical": "gue", "N": 50, "pad": 9}']) == 0
+
+
+@pytest.mark.parametrize("sub, pad", [(["gap", "--lmax", "8"], 8), (["variance", "--power", "9"], 9)],
+                         ids=["gap", "variance"])
+def test_a_query_with_several_reads_names_one_pad_for_all(capsys, sub, pad):
+    # gap reads a walk and a window per power, variance a walk and the
+    # bound's window: the widest read is checked before any of them, so the
+    # first message names a pad that serves the whole query
+    cfg = {"classical": "chebyshev", "N": 30, "alpha": 0, "beta": 3, "pad": 2}
+    assert main(sub + ["--ensemble", json.dumps(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [
+        f"polyens: error: the window reaches index {30 + pad} but the table stores indices up to 32 "
+        f"(N=30, pad=2); rebuild with pad >= {pad}"
+    ]
+    assert main(sub + ["--ensemble", json.dumps({**cfg, "pad": pad})]) == 0

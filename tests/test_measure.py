@@ -331,6 +331,93 @@ def test_sample_mass_draws_an_integer_or_boolean_mass_as_its_float_copy():
         m.sample_mass(np.zeros(4, dtype=int), stream(1))
 
 
+def _threshold(mass, u):
+    """_inverse_cdf's index for the uniform(s) u on a nonnegative mass."""
+    m = atoms_measure(np.arange(len(mass), dtype=float), np.ones(len(mass)))
+    return m._inverse_cdf(np.asarray(mass, dtype=float), lambda: u, np.empty(len(mass)))
+
+
+def _breakpoints(mass):
+    """u = 0, every breakpoint fl(c_i / T) below 1, and the doubles either side of each."""
+    cdf = np.cumsum(mass, dtype=float)
+    marks = cdf / cdf[-1]
+    us = np.concatenate(([0.0], marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0)))
+    return us[(us >= 0.0) & (us < 1.0)]
+
+
+def _assert_threshold_is_the_division_rule(mass):
+    mass = np.asarray(mass, dtype=float)
+    us = _breakpoints(mass)
+    want = oracles.index_by_normalized_cdf(mass, us)
+    got = [_threshold(mass, float(u)) for u in us]
+    assert got == want.tolist()
+    assert all(type(j) is int for j in got)
+    assert np.array_equal(_threshold(mass, us), want)  # several uniforms on one mass
+    assert np.all(mass[want] > 0), "a drawn atom carries mass"
+
+
+THRESHOLD_MASSES = {
+    "zero-runs": [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 0.0],
+    "ties": [0.25] * 7 + [0.0] * 3 + [0.25] * 5,
+    "one-atom": [0.0, 0.0, 4.0, 0.0],
+    "tenths": [0.1] * 30,  # running sums that round, so quotients land off a grid
+    "graded": [10.0**-k for k in range(0, 300, 7)],
+    "underflow": [5e-324, 0.0, 1e-323, 5e-324, 0.0, 1.5e-323, 5e-324, 2.5e-323],
+    "subnormal-total": [3e-320, 0.0, 7e-321, 1e-319, 0.0, 4e-322, 2e-320],
+    "quotient-underflows": [5e-324, 1e-310, 0.0, 1e300, 2e-320, 3e300],
+    "overflow": [1e307, 0.0, 8e307, 1e307, 0.0, 7.9e307],
+    # each 5e-324 over a total of 1e300 is 0.0, so at u = 0 the division rule
+    # skips all 200 atoms that carry mass: the search steps over each of them
+    "long-step": [5e-324] * 200 + [1e300],
+}
+
+
+@pytest.mark.parametrize("name", list(THRESHOLD_MASSES))
+def test_threshold_search_is_the_division_rule(name):
+    # the draw thresholds the running mass at u T and steps over entries
+    # whose quotient fl(c_i / T) lands on the other side of u: at u = 0,
+    # at every breakpoint and one double either side it gives, bit for bit,
+    # searchsorted(cdf / cdf[-1], u, "right")
+    mass = THRESHOLD_MASSES[name]
+    assert 0 < math.fsum(mass) < math.inf
+    _assert_threshold_is_the_division_rule(mass)
+
+
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(-320, 307),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+)
+def test_threshold_search_matches_the_division_rule(shares, scale, us):
+    mass = np.asarray(shares) * 10.0**scale
+    if not 0 < mass.sum() < math.inf:
+        mass = np.append(mass, 1.0)
+    _assert_threshold_is_the_division_rule(mass)
+    want = oracles.index_by_normalized_cdf(mass, us)
+    assert [_threshold(mass, u) for u in us] == want.tolist()
+    assert np.array_equal(_threshold(mass, np.asarray(us)), want)
+
+
+def test_sample_mass_block_equals_scalar_draws_from_one_stream():
+    # size=s reads the s uniforms that s scalar draws read, and draws the
+    # same indices: zero runs, clamped roundoff negatives, a subnormal total
+    masses = [
+        np.array(THRESHOLD_MASSES["zero-runs"]),
+        np.array([1.0, -1e-13, 0.0, 2.0, 0.5, 0.0]),
+        np.array(THRESHOLD_MASSES["subnormal-total"]),
+    ]
+    for mass in masses:
+        m = atoms_measure(np.arange(len(mass), dtype=float), np.ones(len(mass)))
+        for s in (1, 7, 50):
+            block, rng = m.sample_mass(mass, stream(8, s), size=s), stream(8, s)
+            assert block.tolist() == [m.sample_mass(mass, rng) for _ in range(s)]
+            assert rng.random() == stream(8, s).random(s + 1)[s]
+
+
 def test_sample_categorical_consumes_one_uniform_per_index():
     m = atoms_measure([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
     for size in (None, 4):

@@ -417,6 +417,24 @@ def test_a_draw_reads_one_uniform_per_point(name):
         assert rng.random() == stream(29, r).random(ens.N + 1)[ens.N], r
 
 
+@pytest.mark.parametrize("name", ["gue", "circle"])
+def test_a_draw_that_fails_past_its_first_point_has_read_its_block(name):
+    # the draw reads its N - k uniforms as one block once the first mass is
+    # validated, so a draw refused at a later step has read exactly that
+    # block. Doubled rows define no point process: the mass after the first
+    # drawn point dips below zero, from a fresh state and after a prefix
+    ens = build_ensemble({"classical": name, "N": 10, "nodes": 64})
+    for prefix in ([], [3, 17]):
+        for r in range(3):
+            state = ConditionalState.from_prefix(ens, prefix)
+            state.rows = 2 * state.rows
+            rng = stream(9, r)
+            with pytest.raises(PositivityViolationError, match=f"after {len(prefix) + 1} points"):
+                _drive(state, rng)
+            block = ens.N - len(prefix)
+            assert rng.random() == stream(9, r).random(block + 1)[block], (prefix, r)
+
+
 def _traced_peak(step):
     """Bytes by which step() raises tracemalloc's peak above what was
     traced just before it."""
@@ -441,10 +459,10 @@ def test_a_step_allocates_less_than_one_row():
         state = ConditionalState(ens)
         rng = stream(47)
         for _ in range(50):
-            state.push(m._inverse_cdf(state._diag, rng, state._cdf))
+            state.push(m._inverse_cdf(state._diag, rng.random, state._cdf))
         row = 8 * len(m)
-        assert _traced_peak(lambda: m._inverse_cdf(state._diag, rng, state._cdf)) < row, cfg
-        idx = m._inverse_cdf(state._diag, rng, state._cdf)
+        assert _traced_peak(lambda: m._inverse_cdf(state._diag, rng.random, state._cdf)) < row, cfg
+        idx = m._inverse_cdf(state._diag, rng.random, state._cdf)
         assert _traced_peak(lambda: state.push(idx)) < row, cfg
         assert state.k == 51
         state, rng = ConditionalState(ens), stream(48)

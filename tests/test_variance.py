@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -142,8 +143,11 @@ def test_lipschitz_bound_scalar_and_table():
 def test_empirical_Q_moment_needs_P_N_on_real_atoms():
     unpadded = PolynomialEnsemble.from_measure(equilibrium_measure(-1, 1, 32), 4, pad=-1)
     assert unpadded.table.symmetric and len(unpadded.basis) == 4
-    with pytest.raises(CoefficientRangeError, match="^needs the basis padded through P_N$"):
+    want = "Q_N moments read basis row 4 but the basis holds rows up to 3 (N=4, pad=-1); rebuild with pad >= 0"
+    with pytest.raises(CoefficientRangeError, match=f"^{re.escape(want)}$"):
         empirical_Q_moment(unpadded, 1, 1)
+    padded = PolynomialEnsemble.from_measure(equilibrium_measure(-1, 1, 32), 4, pad=0)
+    assert np.isfinite(empirical_Q_moment(padded, 1, 1))  # the pad named reads
     circle = PolynomialEnsemble(uniform_circle_measure(8), np.eye(3, 8), N=2, table=classical_table("gue", 2))
     with pytest.raises(ValueError, match="^Q_N moments are defined for real-supported measures$"):
         empirical_Q_moment(circle, 1, 1)
