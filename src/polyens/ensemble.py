@@ -54,36 +54,15 @@ SIGN_IMAG_TOL = 1e-6
 # ratio is the same for L and K, and prod |K_ii| <= max(1, max |K_ij|)^k
 MINOR_TOL = 1e-9
 
+# bytes of one stack's gathered basis columns in the positivity scan, N k
+# entries an item; a stack holds at least one item
+MINOR_STACK_BYTES = 1 << 20
+
 
 def _check_rank(N, measure):
     atoms = measure.distinct_atoms
     if N > atoms:
         raise RankError(f"N={N} points need {N} distinct atoms; the measure has {atoms}")
-
-
-def _signed_logdet(sub, idx):
-    """(sign, log|det|, log h) of the minor sub = L[idx, idx]: the sign -1,
-    0 or 1, and h = prod |L_ii|, its Hadamard scale (log h = -inf when a
-    diagonal entry is 0). Row and column i are divided by sqrt|L_ii| (by 1
-    where L_ii = 0) before slogdet: the diagonal spans many decades on wide
-    supports, and unscaled elimination loses the small entries' digits.
-    A complex determinant with |Im| > MINOR_TOL h is a
-    PositivityViolationError; below that, one whose phase is more than
-    SIGN_IMAG_TOL off the real axis is roundoff, (0, -inf)."""
-    h = np.abs(np.diagonal(sub))
-    d = np.sqrt(h)
-    d[d == 0] = 1.0
-    sign, logdet = np.linalg.slogdet(sub / np.outer(d, d))
-    logdet += 2.0 * np.sum(np.log(d))
-    with np.errstate(divide="ignore"):
-        logh = float(np.sum(np.log(h)))
-    if np.iscomplexobj(sub):
-        if sign.imag != 0 and np.log(abs(sign.imag) / MINOR_TOL) + logdet > logh:
-            raise PositivityViolationError(f"kernel minor at atoms {sorted(idx.tolist())} has a non-real determinant")
-        if abs(sign.imag) > SIGN_IMAG_TOL:
-            return 0.0, -np.inf, logh
-        sign = np.sign(sign.real)
-    return sign, logdet, logh
 
 
 class PolynomialEnsemble:
@@ -303,8 +282,15 @@ class PolynomialEnsemble:
         |Im L_ii| <= MINOR_TOL |L_ii|, the 1-point case of the minor rule,
         i.e. |Im K_ii| <= MINOR_TOL |K_ii| (else the kernel defines no point
         process: PositivityViolationError)."""
+        refusal = self._refusal(values, diag, what)
+        if refusal is not None:
+            raise refusal
+        return values
+
+    def _refusal(self, values, diag, what):
+        """The exception _checked raises for values, or None."""
         if not np.isfinite(values).all():
-            raise NumericalBreakdownError(
+            return NumericalBreakdownError(
                 f"{what} of N={self.N} points on {len(self.measure)} atoms "
                 "is not finite: the basis product overflows"
             )
@@ -312,10 +298,10 @@ class PolynomialEnsemble:
             excess = np.abs(diag.imag) - MINOR_TOL * np.abs(diag)
             if np.max(excess, initial=0.0) > 0:
                 i = int(np.argmax(excess))
-                raise PositivityViolationError(
+                return PositivityViolationError(
                     f"kernel diagonal has a non-real part, {abs(diag[i].imag):.3e} against {abs(diag[i]):.3e}"
                 )
-        return values
+        return None
 
     def biorthogonality_defect(self):
         """max |<P_i, Q_j> - delta_ij| over i, j < N (NaN for a NaN Gram), by
@@ -380,12 +366,71 @@ class PolynomialEnsemble:
         return (float(sign), float(logdet))
 
     def _minor(self, idx):
-        """(sign, log|det|, log h) of the minor L[idx, idx] (_signed_logdet),
-        formed and checked (_checked) from its atoms' basis columns in O(N k^2)."""
+        """(sign, log|det|, log h) of the minor L[idx, idx]: the one-set
+        case of _minors, whose refusal it raises."""
+        sign, logdet, logh, refusal = self._minors(np.asarray(idx)[None])
+        if refusal is not None:
+            raise refusal
+        return sign[0], logdet[0], logh[0]
+
+    def _minors(self, idx, rows=None):
+        """(sign, log|det|, log h, refusal) of the minors L[idx[t], idx[t]]
+        of an (m, k) stack of atom index sets, each formed from its atoms'
+        basis columns in O(N k^2) with no n x n kernel. rows is the pair
+        (P.T, Q.T) the columns are gathered from, by default views of the
+        basis; a scan of many stacks passes C-ordered copies, whose rows
+        gather faster, to the same values.
+
+        Item t has the sign -1, 0 or 1 and h = prod |L_ii|, its Hadamard
+        scale (log h = -inf when a diagonal entry is 0). Rows and columns
+        are divided by sqrt|L_ii| (by 1 where L_ii = 0) before slogdet: the
+        diagonal spans many decades on wide supports, and unscaled
+        elimination loses the small entries' digits. A minor that _checked
+        refuses, or a complex determinant with |Im| > MINOR_TOL h, is a
+        refusal; below that, a complex one whose phase is more than
+        SIGN_IMAG_TOL off the real axis is roundoff, (0, -inf). The arrays
+        cover the items before the first refused one, and refusal is that
+        item's exception, or None.
+
+        Each item's factors have the layout of the one-set product
+        P[:, idx].T @ conj(Q[:, idx]) of a C-ordered basis, whose gathers
+        are F-ordered: P.T[idx] holds every item's P[:, idx].T. So the
+        stacked matmul takes the same BLAS call per item (a product's last
+        bits depend on its operands' layout), and with the stacked slogdet
+        gives every item bit for bit as the 2-D calls would."""
+        m = len(idx)
+        PT, QT = rows or (self.P_vals.T, self.q_values.T)
+        V = QT[idx]
         with np.errstate(over="ignore", invalid="ignore"):
-            sub = self.P_vals[:, idx].T @ np.conj(self.q_values[:, idx])
-        sub = self._checked(sub, np.diagonal(sub), "kernel minor")
-        return _signed_logdet(sub, idx)
+            sub = np.matmul(PT[idx], np.conjugate(V, out=V).transpose(0, 2, 1))
+            diag = sub.diagonal(axis1=1, axis2=2)
+            refused = ~np.isfinite(sub).all(axis=(1, 2))
+            if np.iscomplexobj(diag) and not self.hermitian:
+                refused |= np.max(np.abs(diag.imag) - MINOR_TOL * np.abs(diag), axis=1, initial=0.0) > 0
+        stop = int(np.argmax(refused)) if refused.any() else m
+        refusal = self._refusal(sub[stop], diag[stop], "kernel minor") if stop < m else None
+        sub, diag = sub[:stop], diag[:stop]
+        h = np.abs(diag)
+        d = np.sqrt(h)
+        d[d == 0] = 1.0
+        sign, logdet = np.linalg.slogdet(np.divide(sub, d[:, :, None] * d[:, None, :], out=sub))
+        logdet += 2.0 * np.log(d).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            logh = np.log(h).sum(axis=1)
+        if np.iscomplexobj(sub):
+            phase = np.abs(sign.imag)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nonreal = (phase != 0) & (np.log(phase / MINOR_TOL) + logdet > logh)
+            if nonreal.any():
+                stop = int(np.argmax(nonreal))
+                refusal = PositivityViolationError(
+                    f"kernel minor at atoms {sorted(idx[stop].tolist())} has a non-real determinant"
+                )
+                sign, logdet, logh, phase = sign[:stop], logdet[:stop], logh[:stop], phase[:stop]
+            roundoff = phase > SIGN_IMAG_TOL
+            sign = np.where(roundoff, 0.0, np.sign(sign.real))
+            logdet[roundoff] = -np.inf
+        return sign, logdet, logh, refusal
 
     def _as_indices(self, points):
         points = np.atleast_1d(np.asarray(points))
@@ -432,16 +477,49 @@ class PolynomialEnsemble:
         return out
 
     def validate_positivity(self, rng=None, trials=200):
-        """Scan random k-point minors of the kernel (see _minor) for
-        negativity: det L[idx, idx] < -MINOR_TOL prod |L_ii| raises."""
+        """Scan random k-point minors of the kernel (see _minors) for
+        negativity: det L[idx, idx] < -MINOR_TOL prod |L_ii| raises.
+
+        Every trial's size k and atoms are drawn first, trial by trial
+        (rng.integers, then rng.choice). The minors are then factored in
+        stacks of one size, in draw order, each stack's gathered columns
+        within MINOR_STACK_BYTES. The columns are gathered from C-ordered
+        copies of P.T and, when Q != P, of Q.T, held for the scan only. The
+        first failing trial in draw order raises, so a refused scan has
+        read the draws of all its trials."""
         rng = rng or stream()
         n = len(self.measure)
+        draws = []
         for _ in range(_integer(trials, "trials", 0)):
             k = int(rng.integers(1, self.N + 1))
-            idx = rng.choice(n, size=min(k, n), replace=False)
-            sign, logdet, logh = self._minor(idx)
-            if sign < 0 and logdet - logh > np.log(MINOR_TOL):
-                raise PositivityViolationError(
-                    f"negative {len(idx)}-point minor, log|det| {logdet:.3f}, at atoms {sorted(idx.tolist())}"
-                )
+            draws.append(rng.choice(n, size=min(k, n), replace=False))
+        by_size = {}
+        for t, idx in enumerate(draws):
+            by_size.setdefault(len(idx), []).append(t)
+        PT = np.ascontiguousarray(self.P_vals.T)
+        rows = PT, PT if self.hermitian else np.ascontiguousarray(self.Q_vals.T)
+        itemsize = np.result_type(*rows).itemsize
+        first, error = len(draws), None
+        for k, members in by_size.items():
+            step = max(1, MINOR_STACK_BYTES // (self.N * k * itemsize))
+            for lo in range(0, len(members), step):
+                chunk = members[lo : lo + step]
+                idx = np.array([draws[t] for t in chunk])
+                sign, logdet, logh, refusal = self._minors(idx, rows)
+                with np.errstate(invalid="ignore"):  # -inf - -inf where sign is 0
+                    negative = (sign < 0) & (logdet - logh > np.log(MINOR_TOL))
+                if negative.any():
+                    i = int(np.argmax(negative))
+                    refusal = PositivityViolationError(
+                        f"negative {k}-point minor, log|det| {logdet[i]:.3f}, at atoms {sorted(idx[i].tolist())}"
+                    )
+                elif refusal is None:
+                    continue
+                else:
+                    i = len(sign)
+                if chunk[i] < first:
+                    first, error = chunk[i], refusal
+                break  # the size's later trials come later in draw order
+        if error is not None:
+            raise error
         return True

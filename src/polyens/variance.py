@@ -58,15 +58,18 @@ def variance_power(table, ell):
     """Var[sum_i x_i^l], exactly, from the table.
 
     Equals the total weight of length-2l loop paths below N that touch
-    ordinate >= N at half time. Needs pad >= l."""
+    ordinate >= N at half time. Its walks read up to ordinate
+    N - 1 + floor(2 q l / (q + 1)), so it needs
+    pad >= floor(2 q l / (q + 1)) - 1: l - 1 on a q = 1 table."""
     ell = _integer(ell, "ell", 1)
     return _escape_sum(table, ell, ell)
 
 
 def covariance_power(table, ell, m):
     """Cov[sum_i x_i^l, sum_i x_i^m]: loop paths of length l+m whose
-    ordinate at the split time l is >= N. Symmetric in (l, m).
-    Needs pad >= max(l, m)."""
+    ordinate at the split time l is >= N. Symmetric in (l, m). Its walks
+    read up to ordinate N - 1 + floor(q (l + m) / (q + 1)), so it needs
+    pad >= floor(q (l + m) / (q + 1)) - 1."""
     ell, m = _integer(ell, "ell", 1), _integer(m, "m", 1)
     return _escape_sum(table, ell, m)
 

@@ -30,6 +30,12 @@ from .variance import (
 )
 from .asymptotics import arcsine_moment, catalan_moment
 
+# draws of a quick run of criteria 5 and 11, held to the full run's TV
+# tolerance of 0.02. At 2000 draws an exact sampler failed 10 (criterion 5)
+# and 5 (criterion 11) of seeds 0-29 by chance; at this count none did,
+# worst TV 0.0117 and 0.0091
+QUICK_LAW_DRAWS = 20_000
+
 
 @dataclass
 class CriterionResult:
@@ -168,7 +174,7 @@ def check_sampler(ctx):
     tilted = base.tilt_nonorthogonal(
         np.array([[0.05, 0.0], [0.0, 0.05]]), validate=True, rng=stream(ctx["seed"] + 5001)
     )
-    R = 2000 if ctx["quick"] else 100_000
+    R = QUICK_LAW_DRAWS if ctx["quick"] else 100_000
     details = []
     for tag, ens in (("op", base), ("tilted", tilted)):
         exact = {}
@@ -289,7 +295,7 @@ def check_thinning(ctx):
     ens = PolynomialEnsemble.from_table(classical_table("chebyshev", 2, pad=1), measure, N=2)
     sd = spectral_from_ensemble(ens, [0.7, 0.4])
     expected = sd.intensity() * measure.weights
-    R = 2000 if ctx["quick"] else 100_000
+    R = QUICK_LAW_DRAWS if ctx["quick"] else 100_000
     rng = stream(ctx["seed"] + 11000)
     counts = np.zeros(4)
     for _ in range(R):

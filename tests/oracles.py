@@ -429,3 +429,50 @@ class AllocatingChain:
         for v in logs.tolist():
             logdens += v
         return indices, logdens
+
+
+def _signed_logdet_2d(sub, idx):
+    """(sign, log|det|, log h) of one minor by its own 2-D slogdet, with the
+    scaling, complex-sign and MINOR_TOL rules of the library's minors."""
+    from polyens.ensemble import MINOR_TOL, SIGN_IMAG_TOL
+    from polyens.errors import PositivityViolationError
+
+    h = np.abs(np.diagonal(sub))
+    d = np.sqrt(h)
+    d[d == 0] = 1.0
+    sign, logdet = np.linalg.slogdet(sub / np.outer(d, d))
+    logdet += 2.0 * np.sum(np.log(d))
+    with np.errstate(divide="ignore"):
+        logh = float(np.sum(np.log(h)))
+    if np.iscomplexobj(sub):
+        if sign.imag != 0 and np.log(abs(sign.imag) / MINOR_TOL) + logdet > logh:
+            raise PositivityViolationError(f"kernel minor at atoms {sorted(idx.tolist())} has a non-real determinant")
+        if abs(sign.imag) > SIGN_IMAG_TOL:
+            return 0.0, -np.inf, logh
+        sign = np.sign(sign.real)
+    return sign, logdet, logh
+
+
+def positivity_scan_trial_by_trial(ensemble, rng, trials=200):
+    """The positivity scan one trial at a time: draw a trial's size and
+    atoms, form its minor by one 2-D product, factor it, decide, then draw
+    the next. Returns every trial's (idx, sign, log|det|, log h); the first
+    failing trial raises, with no later trial drawn."""
+    from polyens.ensemble import MINOR_TOL
+    from polyens.errors import PositivityViolationError
+
+    n = len(ensemble.measure)
+    out = []
+    for _ in range(trials):
+        k = int(rng.integers(1, ensemble.N + 1))
+        idx = rng.choice(n, size=min(k, n), replace=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sub = ensemble.P_vals[:, idx].T @ np.conj(ensemble.q_values[:, idx])
+        sub = ensemble._checked(sub, np.diagonal(sub), "kernel minor")
+        sign, logdet, logh = _signed_logdet_2d(sub, idx)
+        if sign < 0 and logdet - logh > np.log(MINOR_TOL):
+            raise PositivityViolationError(
+                f"negative {len(idx)}-point minor, log|det| {logdet:.3f}, at atoms {sorted(idx.tolist())}"
+            )
+        out.append((idx, sign, logdet, logh))
+    return out

@@ -553,6 +553,107 @@ def test_positivity_scan_of_large_minors_does_not_overflow():
     assert ens.validate_positivity(rng=stream(5), trials=12)
 
 
+def _chebyshev_tilted(N, nodes, pad=4, t=0.01):
+    # perfbench's tilted_schur ensemble: Q_{N-2} = P_{N-2} + t P_N and
+    # Q_{N-1} = P_{N-1} + t P_{N+1}
+    from polyens.config import build_ensemble
+
+    base = build_ensemble({"classical": "chebyshev", "N": N, "nodes": nodes, "pad": pad})
+    tilt = np.zeros((N, 2))
+    tilt[N - 2, 0] = tilt[N - 1, 1] = t
+    return base.tilt_nonorthogonal(tilt)
+
+
+def _criterion5_tilted():
+    base = PolynomialEnsemble.from_table(classical_table("chebyshev", 2, pad=1), equilibrium_measure(-1, 1, 4), N=2)
+    return base.tilt_nonorthogonal(np.array([[0.05, 0.0], [0.0, 0.05]]))
+
+
+@pytest.mark.parametrize("small_stacks", [False, True], ids=["budget", "small-stacks"])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _chebyshev_tilted(100, 256), lambda: _chebyshev_tilted(10, 64), _criterion5_tilted],
+    ids=["N100-256", "N10-64", "criterion5"],
+)
+def test_positivity_scan_matches_the_trial_by_trial_oracle(monkeypatch, build, small_stacks):
+    # the stacked scan reads the same trials from the same stream as one
+    # trial at a time, and gets every trial's (sign, log|det|, log h) bit
+    # for bit; small stacks (N/k items) split each size into chunks
+    import polyens.ensemble
+
+    ens = build()
+    budget = 8 * ens.N * ens.N if small_stacks else polyens.ensemble.MINOR_STACK_BYTES
+    monkeypatch.setattr(polyens.ensemble, "MINOR_STACK_BYTES", budget)
+    want_rng = stream(41)
+    want = {}
+    for idx, *values in oracles.positivity_scan_trial_by_trial(ens, want_rng):
+        want.setdefault(len(idx), []).append((idx, values))
+    stacks, minors = [], PolynomialEnsemble._minors
+
+    def recording(self, idx, rows=None):
+        out = minors(self, idx, rows)
+        stacks.append((idx, out))
+        return out
+
+    monkeypatch.setattr(PolynomialEnsemble, "_minors", recording)
+    rng = stream(41)
+    assert ens.validate_positivity(rng=rng)
+    assert repr(rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+    got = {}
+    for idx, (sign, logdet, logh, refusal) in stacks:
+        assert refusal is None and len(sign) == len(idx)
+        assert len(idx) == 1 or idx.size * ens.N * 8 <= budget
+        got.setdefault(idx.shape[1], []).extend((i, [s, l, h]) for i, s, l, h in zip(idx, sign, logdet, logh))
+    assert got.keys() == want.keys()
+    assert sum(len(v) for v in got.values()) == 200
+    for k in want:
+        assert len(got[k]) == len(want[k])
+        for (idx, values), (want_idx, want_values) in zip(got[k], want[k]):
+            assert np.array_equal(idx, want_idx)
+            assert np.array(values).tobytes() == np.array(want_values, dtype=float).tobytes()
+    if small_stacks:
+        assert len(stacks) > len(got)  # some size was split
+
+
+def _circle_real_tilt():
+    base = PolynomialEnsemble.from_table(classical_table("circle", 4, pad=2), uniform_circle_measure(16), N=4)
+    return base.tilt_nonorthogonal(np.array([[0, 0], [0, 0], [0.3, 0], [0, 0.2]]))
+
+
+def _nonreal_2x2():
+    K = np.array([[1.0, 0.5], [0.5j, 1.0]])
+    return PolynomialEnsemble(atoms_measure([0.0, 1.0], [0.5, 0.5]), np.eye(2), Q_vals=np.conj(K))
+
+
+def _cheb3_violent():
+    table = classical_table("chebyshev", 3, pad=3)
+    base = PolynomialEnsemble.from_table(table, equilibrium_measure(-1, 1, 48), N=3)
+    return base.tilt_nonorthogonal(np.array([[8.0, 0.0], [0.0, 8.0], [0.0, 8.0]]))
+
+
+@pytest.mark.parametrize(
+    "build, seed, trials",
+    [
+        (_cheb3_violent, 99, 500),
+        # trial 0 (size 1) passes, trial 5 (size 2) is the first negative,
+        # and size 1 fails later: the scan factors size 1 first
+        (_cheb3_violent, 63, 200),
+        (_circle_real_tilt, 1, 200),
+        (_nonreal_2x2, 1, 200),
+        # every minor overflows: a NumericalBreakdownError
+        (lambda: PolynomialEnsemble(atoms_measure([0.0, 1.0], [0.5, 0.5]), np.full((1, 2), 1e200)), 1, 200),
+    ],
+    ids=["cheb3-violent", "cheb3-later-size", "circle-nonreal-diagonal", "nonreal-2x2", "overflow"],
+)
+def test_refused_positivity_scan_raises_as_the_oracle(build, seed, trials):
+    ens = build()
+    with pytest.raises(Exception) as want:
+        oracles.positivity_scan_trial_by_trial(ens, stream(seed), trials)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        ens.validate_positivity(rng=stream(seed), trials=trials)
+    assert want.type in (PositivityViolationError, NumericalBreakdownError)
+
+
 def test_constructor_infers_hermitian():
     m = equilibrium_measure(-1, 1, 8)
     P = np.ones((1, 8))

@@ -116,6 +116,30 @@ def test_variance_needs_pad():
         variance_power(t, 4)
 
 
+@pytest.mark.parametrize("ell", [1, 3, 9])
+def test_variance_needs_the_pad_its_docstring_names_on_a_q1_table(ell):
+    # q = 1: the walks read up to ordinate N + l - 1, so pad l - 1 serves
+    assert np.isfinite(variance_power(classical_table("gue", 30, pad=ell - 1), ell))
+    if ell > 1:
+        with pytest.raises(CoefficientRangeError, match=re.escape(f"; rebuild with pad >= {ell - 1}")):
+            variance_power(classical_table("gue", 30, pad=ell - 2), ell)
+
+
+def test_variance_needs_the_pad_its_docstring_names_on_a_q2_table():
+    # q = 2, l = 6: the walks read up to N - 1 + floor(2 * 2 * 6 / 3) = N + 7,
+    # so the pad needed is 7, one more than l
+    N, ell = 20, 6
+
+    def band(pad):
+        c = np.zeros((N + pad + 1, 4))
+        c[:, 0], c[:, 1], c[:, 2], c[:, 3] = 1.0, 0.1, 0.5, 0.2
+        return banded_table(c, 2, N)
+
+    with pytest.raises(CoefficientRangeError, match=re.escape("; rebuild with pad >= 7")):
+        variance_power(band(6), ell)
+    assert np.isfinite(variance_power(band(7), ell))
+
+
 def test_variance_upper_bound_holds():
     for seed in range(10):
         t = random_op_table(40 + seed, pad=4)
